@@ -156,6 +156,8 @@ def from_dict(d):
         raise ConfigError(f"engine.algorithm must be dta|wga, got {engine.algorithm!r}")
     if engine.iterations < 1 or engine.replicas < 1:
         raise ConfigError("engine.iterations and engine.replicas must be >= 1")
+    if engine.chunk < 1:
+        raise ConfigError(f"engine.chunk must be >= 1, got {engine.chunk}")
 
     sd = d.get("stepsizes", {})
     _check_keys(sd, ("source", "alpha", "beta", "alpha_scale", "beta_scale",
@@ -336,6 +338,9 @@ def resolve(cfg, check_feasible=True):
     if k_end > cfg.engine.iterations:
         raise ConfigError(f"rate.k_end={k_end} exceeds engine.iterations="
                           f"{cfg.engine.iterations}")
+    if not 1 <= cfg.rate.window <= k_end:
+        raise ConfigError(f"rate.window={cfg.rate.window} must lie in "
+                          f"[1, rate.k_end={k_end}]")
 
     return ResolvedExperiment(config=cfg, problem=problem, model=model,
                               report=report, rc=rc, optimal=opt, alpha=alpha,

@@ -19,9 +19,20 @@ leaves the per-stream sequences unchanged.  Runs with the same seed therefore
 see identical link failures and disturbances regardless of algorithm — the
 DTA/WGA comparison is variance-paired for free.
 
-(I - W(k)) v is applied edge-wise (gather the per-edge differences, scale by
-the active negotiated weights, scatter back with opposite signs), which is
-the matrix-free form of the per-agent message-passing update.
+(I - W(k)) v = B' diag(w(k)) B v is applied edge-wise through the signed
+incidence B (E x n; +1 at i, -1 at j for edge (i, j)), built once per run;
+w(k) holds the active negotiated weights.  The gather B v is one matrix
+product over every replica and stacked operand.  It is exact for finite
+inputs: each row of B has two nonzeros, so every dot product is one
+subtraction v_i - v_j plus exact zeros, whatever the summation order.  The
+per-edge terms t = w * (B v) are scattered back by a single `np.bincount`
+over [t, -t] with a precomputed slot index.  bincount accumulates in input
+order, so each agent adds its outgoing terms and then its incoming ones,
+each in ascending edge order, from 0.0 -- the order two `np.add.at` passes
+would use, which keeps the result bit-identical to the per-edge message
+passing written that way.  DTA mixes the gradient and the tracker in one
+call, and the gradient computed for the trace at step k is reused for the
+update at step k + 1.
 """
 from __future__ import annotations
 
@@ -177,6 +188,8 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if alpha is None or (algorithm == "dta" and beta is None):
         raise ValueError("stepsizes must be resolved before running")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     n, u = problem.n, problem.u
     costs = problem.costs
     kkt = kkt_solve(problem)
@@ -219,8 +232,6 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
         states_x = np.empty((T + 1, R, n, u))
         states_y = np.empty((T + 1, R, n, u)) if is_dta else None
 
-    rows = np.arange(R)[:, None]
-    ei_b, ej_b = ei[None, :], ej[None, :]
     av = costs.a if hasattr(costs, "a") else None
 
     def grad(v):
@@ -228,12 +239,24 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
             return 2.0 * av[:, None] * v + costs.b
         return costs.gradient(v)
 
-    def mix_apply(w3, v):
-        t = w3 * (v[:, ei, :] - v[:, ej, :])
-        out = np.zeros_like(v)
-        np.add.at(out, (rows, ei_b), t)
-        np.add.at(out, (rows, ej_b), -t)
-        return out
+    # mixing kernel state: S stacked operands of shape (R, n, u) per call
+    S = 2 if is_dta else 1
+    inc = np.zeros((E, n))
+    inc[np.arange(E), ei] = 1.0
+    inc[np.arange(E), ej] = -1.0
+    # flat output slot of each [t, -t] entry, laid out (2E, S, R, u) -> (S, R, n, u)
+    nodes = np.concatenate((ei, ej))
+    slots = ((np.arange(S * R)[None, :, None] * n + nodes[:, None, None]) * u
+             + np.arange(u)[None, None, :]).ravel()
+    terms = np.empty((2 * E, S, R, u))
+
+    def mix_apply(wT, v):
+        """(I - W) v for v of shape (S, R, n, u); wT is (E, R)."""
+        d = inc @ v.transpose(2, 0, 1, 3).reshape(n, -1)
+        np.multiply(d.reshape(E, S, R, u), wT[:, None, :, None], out=terms[:E])
+        np.negative(terms[:E], out=terms[E:])
+        out = np.bincount(slots, terms.ravel(), minlength=S * R * n * u)
+        return out.reshape(S, R, n, u)
 
     def record(idx):
         dx = x - xs
@@ -252,9 +275,9 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
             states_x[idx] = x
             if is_dta:
                 states_y[idx] = y
-        return opt
+        return opt, g
 
-    record(0)
+    _, g = record(0)
     cons_drift = 0.0
     mean_rec_err = 0.0
     ds_err = 0.0
@@ -264,6 +287,8 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
 
     diverged = False
     div_replica = div_at = None
+    # activation draws in row blocks bound the float64 temporary at ~512 KiB
+    block = max(1, 2 ** 16 // max(E, 1))
 
     with np.errstate(over="ignore", invalid="ignore"):
         done = 0
@@ -271,7 +296,9 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
             L = min(chunk, T - done)
             acts = np.empty((R, L, E), dtype=bool)
             for r in range(R):
-                acts[r] = wstreams[r].random((L, E)) < theta
+                for a in range(0, L, block):
+                    b = min(a + block, L)
+                    acts[r, a:b] = wstreams[r].random((b - a, E)) < theta
             zbuf = None
             if need_z:
                 zbuf = np.empty((R, L, n, u))
@@ -287,19 +314,18 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
 
             for t in range(L):
                 k = done + t
-                w3 = (weights * acts[:, t, :])[:, :, None]  # (R, E, 1)
-                g = grad(x)
-                mixg = mix_apply(w3, g)
+                wv = weights * acts[:, t, :]  # (R, E)
                 z = zbuf[:, t] if need_z else None
                 if is_dta:
+                    mixg, mixy = mix_apply(wv.T, np.stack((g, y)))
                     if z is not None:
                         xn = x + z - al * y - be * mixg
                     else:
                         xn = x - al * y - be * mixg
-                    mixy = mix_apply(w3, y)
                     y = (y - mixy) + (xn - x)
                     x = xn
                 else:
+                    mixg = mix_apply(wv.T, g[None])[0]
                     if z is not None:
                         x = x + z - alpha * mixg
                     else:
@@ -307,7 +333,7 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
                 if need_z:
                     zeta_total += z.sum(axis=1)
 
-                opt = record(k + 1)
+                opt, g = record(k + 1)
                 bad = ~np.isfinite(opt) | (opt > DIVERGENCE_LIMIT)
                 if is_dta:
                     tr = traces["tracking_norm"][:, k + 1]
@@ -327,12 +353,8 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
                         mean_rec_err = max(mean_rec_err, float(err.max()))
                         ybar_prev = ybar
                 if check_samples:
-                    Wd = np.broadcast_to(np.eye(n), (R, n, n)).copy()
-                    wv = weights * acts[:, t, :]
-                    np.add.at(Wd, (rows, ei_b, ej_b), wv)
-                    np.add.at(Wd, (rows, ej_b, ei_b), wv)
-                    np.add.at(Wd, (rows, ei_b, ei_b), -wv)
-                    np.add.at(Wd, (rows, ej_b, ej_b), -wv)
+                    # the dense sample of the operator mix_apply applied
+                    Wd = np.eye(n) - inc.T @ (wv[:, :, None] * inc)
                     rs = np.abs(Wd.sum(axis=2) - 1.0).max()
                     cs = np.abs(Wd.sum(axis=1) - 1.0).max()
                     sym = np.abs(Wd - Wd.transpose(0, 2, 1)).max()

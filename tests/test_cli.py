@@ -2,6 +2,7 @@
 reproducibility, and the sweep/compare subcommands.  Everything runs through
 `main(argv)` the way a shell invocation would, just in-process."""
 
+import hashlib
 import json
 import os
 import warnings
@@ -11,6 +12,9 @@ import pytest
 import yaml
 
 from dtalloc.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+EXPERIMENTS = os.path.join(HERE, os.pardir, "experiments")
 
 TINY = {
     "name": "tiny",
@@ -120,6 +124,15 @@ def test_exit_2_on_bad_config(tmp_path, capsys):
     cfg = _write(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [0, 500])
+def test_exit_2_before_compute_on_window_outside_k_end(tmp_path, capsys, window):
+    cfg = _write(tmp_path, _tiny(rate={"window": window}))
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "rate.window" in capsys.readouterr().err
+    assert not (out / "tiny" / "trace.csv").exists()
 
 
 def test_exit_2_on_missing_file(tmp_path):
@@ -298,3 +311,58 @@ def test_compare_reruns_are_deterministic(tmp_path):
     for fname in ("dta.csv", "wga.csv"):
         assert (a / "tiny" / fname).read_bytes() == \
                (b / "tiny" / fname).read_bytes()
+
+
+# ------------------------------------------------- pinned trace bytes
+
+# An irregular graph, u = 2, per-agent stepsizes and a gaussian disturbance:
+# exercises every axis of the mixing kernel's layout and both algorithms.
+IRREGULAR = {
+    "name": "irregular",
+    "seed": 4242,
+    "u": 2,
+    "cost": {"a": [0.6, 1.1, 1.7, 0.9, 1.4, 0.8],
+             "b": [[0.3, -0.2], [-0.5, 0.1], [0.2, 0.4],
+                   [-0.1, -0.6], [0.7, 0.0], [0.0, 0.5]]},
+    "demand": [[1.2, -0.4], [0.3, 0.9], [-1.1, 0.6],
+               [0.8, 1.5], [-0.2, -0.9], [1.6, 0.2]],
+    "network": {"topology": "edges", "theta": 0.7,
+                "edges": [[0, 1, 0.11], [1, 2, 0.07], [2, 3, 0.09],
+                          [3, 4, 0.12], [4, 5, 0.06], [5, 0, 0.10],
+                          [1, 4, 0.08], [0, 3, 0.05]]},
+    "engine": {"iterations": 1500, "replicas": 3, "x0": "demand"},
+    "stepsizes": {"source": "explicit",
+                  "alpha": [0.04, 0.045, 0.05, 0.055, 0.06, 0.042],
+                  "beta": [0.3, 0.35, 0.4, 0.45, 0.5, 0.33],
+                  "wga_alpha": 0.5},
+    "disturbance": {"kind": "gaussian", "m_zeta": 0.5, "q_zeta": 0.995},
+    "rate": {"window": 500},
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_trace_bytes_pinned_across_kernel_changes(tmp_path):
+    """Trace CSVs must not move when the step kernels are rewritten.
+
+    The digests were recorded with the two-pass `np.add.at` edge scatter;
+    a kernel that changes any residual in its last bit fails here.
+    """
+    with open(os.path.join(EXPERIMENTS, "main.yaml")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["engine"]["iterations"] = doc["rate"]["k_end"] = 2000
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["run", _write(tmp_path, doc, "main.yaml"),
+                     "--out", str(out)]) == 0
+        assert main(["compare", _write(tmp_path, IRREGULAR, "irregular.yaml"),
+                     "--out", str(out)]) == 0
+    assert _sha256(out / "main" / "trace.csv") == \
+        "b3e2323b4e7e5cf8faeda5ef2af5cd333dc40aece63c4b71035a66930eebab04"
+    assert _sha256(out / "irregular" / "dta.csv") == \
+        "ccd2c5ea1a698b7a3e745ce0be7cdd562bb5846e7b64200cff8de3dac58449b3"
+    assert _sha256(out / "irregular" / "wga.csv") == \
+        "5f64bde5143ccd31f87f9f732c6fedbbc52a6be99121a3e2bf8d00e9fb6db693"

@@ -82,6 +82,8 @@ def test_defaults_fill_in():
     (lambda d: d["network"].pop("n"), "needs network.n"),
     (lambda d: d.update(engine={"algorithm": "adam"}), "algorithm"),
     (lambda d: d.update(engine={"iterations": 0}), ">= 1"),
+    (lambda d: d.update(engine={"chunk": 0}), "engine.chunk"),
+    (lambda d: d.update(engine={"chunk": -5}), "engine.chunk"),
     (lambda d: d.update(stepsizes={"source": "guess"}), "source"),
     (lambda d: d.update(stepsizes={"source": "explicit", "alpha": 0.1}),
      "both alpha and beta"),

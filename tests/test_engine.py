@@ -374,6 +374,9 @@ def test_run_validates_inputs():
         run(prob, model, algorithm="dta", alpha=0.1, beta=None, iterations=1)
     with pytest.raises(ValueError):
         run(prob, model, algorithm="dta", alpha=None, beta=0.1, iterations=1)
+    with pytest.raises(ValueError, match="chunk"):
+        run(prob, model, algorithm="dta", alpha=0.1, beta=0.1, iterations=1,
+            chunk=0)
 
 
 def test_record_states_shapes_and_trace_columns():
