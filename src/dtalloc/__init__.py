@@ -3,20 +3,19 @@ randomly failing networks: deviation-tracking iteration, weighted-gradient
 baseline, stepsize feasibility calculus, and Monte-Carlo convergence
 measurement."""
 
-from .costs import (AllocationProblem, CostModel, KktSolution, QuadraticCosts,
+from .costs import (AllocationProblem, KktSolution, QuadraticCosts,
                     allocation_problem, global_cost, kkt_solve, quadratic_costs)
-from .engine import (DisturbanceSpec, IterateState, RunResult, dta_step,
-                     init_state, run, wga_step)
-from .errors import (CapacityError, ConfigError, DivergenceError,
-                     InfeasibleNetworkError, InfeasiblePlanError)
+from .engine import DisturbanceSpec, RunResult, run
+from .errors import (CapacityError, ConfigError, InfeasibleNetworkError,
+                     InfeasiblePlanError)
 from .metrics import (RateEstimate, TRACE_COLUMNS, aggregate, empirical_rate,
                       loglinear_r2, non_convergent, residuals)
-from .network import (NetworkModel, SpectralReport, WeightSample, build_model,
+from .network import (NetworkModel, SpectralReport, build_model,
                       complete_graph, expected_square_matrix,
                       expected_weight_matrix, from_proposals,
-                      metropolis_weights, negotiate_weights, ring_graph,
-                      sample, sample_batch, spectral_report)
-from .stepsizes import (MeanVerdict, OptimalStepsizes, PlanVerdict,
+                      metropolis_weights, mixing_matrix, ring_graph,
+                      sample_batch, spectral_report)
+from .stepsizes import (OptimalStepsizes, PlanVerdict,
                         RateConstants, SharedVerdict, constants,
                         feasible_region_mean, feasible_region_shared,
                         feasible_region_uncoordinated, optimal_stepsizes,
@@ -25,19 +24,18 @@ from .stepsizes import (MeanVerdict, OptimalStepsizes, PlanVerdict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationProblem", "CostModel", "KktSolution", "QuadraticCosts",
+    "AllocationProblem", "KktSolution", "QuadraticCosts",
     "allocation_problem", "global_cost", "kkt_solve", "quadratic_costs",
-    "DisturbanceSpec", "IterateState", "RunResult", "dta_step", "init_state",
-    "run", "wga_step",
-    "CapacityError", "ConfigError", "DivergenceError",
-    "InfeasibleNetworkError", "InfeasiblePlanError",
+    "DisturbanceSpec", "RunResult", "run",
+    "CapacityError", "ConfigError", "InfeasibleNetworkError",
+    "InfeasiblePlanError",
     "RateEstimate", "TRACE_COLUMNS", "aggregate", "empirical_rate",
     "loglinear_r2", "non_convergent", "residuals",
-    "NetworkModel", "SpectralReport", "WeightSample", "build_model",
+    "NetworkModel", "SpectralReport", "build_model",
     "complete_graph", "expected_square_matrix", "expected_weight_matrix",
-    "from_proposals", "metropolis_weights", "negotiate_weights", "ring_graph",
-    "sample", "sample_batch", "spectral_report",
-    "MeanVerdict", "OptimalStepsizes", "PlanVerdict", "RateConstants",
+    "from_proposals", "metropolis_weights", "mixing_matrix", "ring_graph",
+    "sample_batch", "spectral_report",
+    "OptimalStepsizes", "PlanVerdict", "RateConstants",
     "SharedVerdict", "constants", "feasible_region_mean",
     "feasible_region_shared", "feasible_region_uncoordinated",
     "optimal_stepsizes", "plan_constants", "predicted_rate",

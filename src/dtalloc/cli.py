@@ -22,11 +22,13 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
 from . import engine, metrics
 from .config import SCHEMA_VERSION, load_config, resolve, sweep_point
+from .costs import kkt_solve
 from .errors import ConfigError, InfeasibleNetworkError, InfeasiblePlanError
 from .stepsizes import (feasible_region_shared, feasible_region_mean,
                         feasible_region_uncoordinated, predicted_rate)
@@ -145,25 +147,12 @@ def cmd_bounds(args):
     cfg = load_config(args.config)
     res = resolve(cfg)
     rc, rep = res.rc, res.report
-    from .costs import kkt_solve
     kkt = kkt_solve(res.problem)
     payload = {
         "name": cfg.name,
-        "spectral": {
-            "n": rep.n,
-            "lambda2_mean": rep.lambda2_mean,
-            "lambdan_mean": rep.lambdan_mean,
-            "lambda2_sq": rep.lambda2_sq,
-            "lambdan_floor": rep.lambdan_floor,
-            "rho_mean_gap": rep.rho_mean_gap,
-            "rho_sq_gap": rep.rho_sq_gap,
-            "connected_in_mean": rep.connected_in_mean,
-        },
+        "spectral": {**asdict(rep), "connected_in_mean": rep.connected_in_mean},
         "kkt": {"x_star": kkt.x_star, "mu_star": kkt.mu_star},
-        "constants": {
-            "eta_lo": rc.eta_lo, "phi_hi": rc.phi_hi, "c1": rc.c1,
-            "k1": rc.k1, "k2": rc.k2, "k1p": rc.k1p, "k2p": rc.k2p,
-        },
+        "constants": asdict(rc),
         "wga_alpha": res.wga_alpha,
     }
     if res.optimal is not None:
@@ -177,18 +166,13 @@ def cmd_bounds(args):
     if alpha is not None and beta is not None and not (np.ndim(alpha) or np.ndim(beta)):
         sv = feasible_region_shared(rc, float(alpha), float(beta))
         mv = feasible_region_mean(rc, float(alpha), float(beta))
-        payload["mean_square_region"] = {
-            "feasible": sv.feasible, "conditions": list(sv.conditions),
-            "s1": sv.s1, "s2": sv.s2, "alpha_max": sv.alpha_max,
-            "beta_max": sv.beta_max, "coupling_lhs": sv.coupling_lhs,
-            "coupling_rhs": sv.coupling_rhs,
-        }
-        payload["mean_region"] = {
-            "feasible": mv.feasible, "conditions": list(mv.conditions),
-            "s1": mv.s1p, "s2": mv.s2p, "alpha_max": mv.alpha_max,
-            "beta_max": mv.beta_max, "coupling_lhs": mv.coupling_lhs,
-            "coupling_rhs": mv.coupling_rhs,
-        }
+        for key, v in (("mean_square_region", sv), ("mean_region", mv)):
+            payload[key] = {
+                "feasible": v.feasible, "conditions": list(v.conditions),
+                "s1": v.s1, "s2": v.s2, "alpha_max": v.alpha_max,
+                "beta_max": v.beta_max, "coupling_lhs": v.coupling_lhs,
+                "coupling_rhs": v.coupling_rhs,
+            }
         try:
             q_zeta = res.disturbance.q_zeta if res.disturbance.active else None
             payload["predicted_rate"] = predicted_rate(rc, float(alpha), float(beta),

@@ -44,6 +44,30 @@ def _require(d, key, where):
     return d[key]
 
 
+def _int(d, key, default, where):
+    """d[key] as an integer, or None if it defaults to None; integral floats pass."""
+    v = d.get(key, default)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if v is None or (isinstance(v, int) and not isinstance(v, bool)):
+        return v
+    raise ConfigError(f"{where} must be an integer, got {v!r}")
+
+
+def _finite(d, key, default, where, words=()):
+    """d[key] unchanged, once checked to be None, one of `words`, or finite numbers."""
+    v = d.get(key, default)
+    if v is None or (isinstance(v, str) and v in words):
+        return v
+    try:
+        ok = bool(np.isfinite(np.asarray(v, float)).all())
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where} must be finite numbers, got {v!r}")
+    return v
+
+
 @dataclass
 class CostSection:
     a: list
@@ -80,14 +104,6 @@ class StepsizeSection:
 
 
 @dataclass
-class DisturbanceSection:
-    kind: str = "none"
-    m_zeta: float = 0.0
-    q_zeta: float = 0.999
-    cutoff: int | None = None
-
-
-@dataclass
 class RateSection:
     k_end: int | None = None            # defaults to engine.iterations
     window: int = 1000
@@ -110,7 +126,7 @@ class ExperimentConfig:
     u: int = 1
     engine: EngineSection = field(default_factory=EngineSection)
     stepsizes: StepsizeSection = field(default_factory=StepsizeSection)
-    disturbance: DisturbanceSection | None = None
+    disturbance: DisturbanceSpec | None = None
     rate: RateSection = field(default_factory=RateSection)
     sweep: SweepSection | None = None
 
@@ -148,10 +164,10 @@ def from_dict(d):
     ed = d.get("engine", {})
     _check_keys(ed, ("algorithm", "iterations", "replicas", "x0", "chunk"), "engine")
     engine = EngineSection(algorithm=ed.get("algorithm", "dta"),
-                           iterations=int(ed.get("iterations", 1000)),
-                           replicas=int(ed.get("replicas", 1)),
-                           x0=ed.get("x0", "zeros"),
-                           chunk=int(ed.get("chunk", 2048)))
+                           iterations=_int(ed, "iterations", 1000, "engine.iterations"),
+                           replicas=_int(ed, "replicas", 1, "engine.replicas"),
+                           x0=_finite(ed, "x0", "zeros", "engine.x0", ("zeros", "demand")),
+                           chunk=_int(ed, "chunk", 2048, "engine.chunk"))
     if engine.algorithm not in ("dta", "wga"):
         raise ConfigError(f"engine.algorithm must be dta|wga, got {engine.algorithm!r}")
     if engine.iterations < 1 or engine.replicas < 1:
@@ -162,11 +178,13 @@ def from_dict(d):
     sd = d.get("stepsizes", {})
     _check_keys(sd, ("source", "alpha", "beta", "alpha_scale", "beta_scale",
                      "wga_alpha"), "stepsizes")
-    steps = StepsizeSection(source=sd.get("source", "optimal"),
-                            alpha=sd.get("alpha"), beta=sd.get("beta"),
-                            alpha_scale=float(sd.get("alpha_scale", 1.0)),
-                            beta_scale=float(sd.get("beta_scale", 1.0)),
-                            wga_alpha=sd.get("wga_alpha", "auto"))
+    steps = StepsizeSection(
+        source=sd.get("source", "optimal"),
+        alpha=_finite(sd, "alpha", None, "stepsizes.alpha"),
+        beta=_finite(sd, "beta", None, "stepsizes.beta"),
+        alpha_scale=float(_finite(sd, "alpha_scale", 1.0, "stepsizes.alpha_scale")),
+        beta_scale=float(_finite(sd, "beta_scale", 1.0, "stepsizes.beta_scale")),
+        wga_alpha=_finite(sd, "wga_alpha", "auto", "stepsizes.wga_alpha", ("auto",)))
     if steps.source not in ("optimal", "explicit"):
         raise ConfigError(f"stepsizes.source must be optimal|explicit, got {steps.source!r}")
     if steps.source == "explicit" and engine.algorithm == "dta":
@@ -177,14 +195,18 @@ def from_dict(d):
     if d.get("disturbance") is not None:
         dd = d["disturbance"]
         _check_keys(dd, ("kind", "m_zeta", "q_zeta", "cutoff"), "disturbance")
-        dist = DisturbanceSection(kind=dd.get("kind", "none"),
-                                  m_zeta=float(dd.get("m_zeta", 0.0)),
-                                  q_zeta=float(dd.get("q_zeta", 0.999)),
-                                  cutoff=dd.get("cutoff"))
+        try:
+            dist = DisturbanceSpec(kind=dd.get("kind", "none"),
+                                   m_zeta=float(dd.get("m_zeta", 0.0)),
+                                   q_zeta=float(dd.get("q_zeta", 0.999)),
+                                   cutoff=dd.get("cutoff"))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"disturbance: {exc}") from exc
 
     rd = d.get("rate", {})
     _check_keys(rd, ("k_end", "window"), "rate")
-    rate = RateSection(k_end=rd.get("k_end"), window=int(rd.get("window", 1000)))
+    rate = RateSection(k_end=_int(rd, "k_end", None, "rate.k_end"),
+                       window=_int(rd, "window", 1000, "rate.window"))
 
     sweep = None
     if d.get("sweep") is not None:
@@ -200,7 +222,7 @@ def from_dict(d):
     return ExperimentConfig(name=_require(d, "name", "config"), cost=cost,
                             demand=_require(d, "demand", "config"),
                             network=network, schema_version=sv,
-                            seed=int(d.get("seed", 0)), u=int(d.get("u", 1)),
+                            seed=_int(d, "seed", 0, "seed"), u=_int(d, "u", 1, "u"),
                             engine=engine, stepsizes=steps, disturbance=dist,
                             rate=rate, sweep=sweep)
 
@@ -279,7 +301,7 @@ class ResolvedExperiment:
     window: int
 
 
-def resolve(cfg, check_feasible=True):
+def resolve(cfg):
     """Build run inputs from a config.
 
     Raises InfeasibleNetworkError if the mean network is disconnected (the
@@ -324,15 +346,7 @@ def resolve(cfg, check_feasible=True):
 
     x0 = _resolve_x0(cfg.engine.x0, problem)
 
-    ds = cfg.disturbance
-    if ds is None:
-        dist = DisturbanceSpec()
-    else:
-        try:
-            dist = DisturbanceSpec(kind=ds.kind, m_zeta=ds.m_zeta,
-                                   q_zeta=ds.q_zeta, cutoff=ds.cutoff)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    dist = cfg.disturbance if cfg.disturbance is not None else DisturbanceSpec()
 
     k_end = cfg.rate.k_end if cfg.rate.k_end is not None else cfg.engine.iterations
     if k_end > cfg.engine.iterations:

@@ -5,11 +5,8 @@ resource vector and a private demand d_i.  The coupled problem is
 
     minimize  sum_i f_i(x_i)   subject to   sum_i x_i = sum_i d_i.
 
-Only the quadratic family ships ( f_i(v) = a_i ||v||^2 + b_i'v + c_i ), which
-keeps the optimum available in closed form and makes every downstream check
-exact.  The engine itself only touches the generic interface (gradient and
-convexity moduli), so other smooth strongly convex families could be dropped
-in later.
+The costs are quadratic, f_i(v) = a_i ||v||^2 + b_i'v + c_i, which keeps the
+optimum available in closed form and makes every downstream check exact.
 """
 from __future__ import annotations
 
@@ -18,41 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class CostModel:
-    """Interface: per-agent evaluation, stacked gradient, convexity moduli."""
-
-    n: int
-    u: int
-
-    def evaluate(self, x):
-        """Total cost of an allocation x of shape (n, u)."""
-        raise NotImplementedError
-
-    def gradient(self, x):
-        """Stacked gradient, same shape as x; broadcasts over leading axes."""
-        raise NotImplementedError
-
-    @property
-    def eta(self):
-        """Per-agent strong-convexity moduli, shape (n,)."""
-        raise NotImplementedError
-
-    @property
-    def phi(self):
-        """Per-agent gradient-Lipschitz moduli, shape (n,)."""
-        raise NotImplementedError
-
-    @property
-    def eta_lo(self):
-        return float(np.min(self.eta))
-
-    @property
-    def phi_hi(self):
-        return float(np.max(self.phi))
-
-
 @dataclass(frozen=True, eq=False)
-class QuadraticCosts(CostModel):
+class QuadraticCosts:
     """f_i(v) = a_i ||v||^2 + b_i'v + c_i with a_i > 0.
 
     a: (n,) curvatures; b: (n, u) linear terms; c: (n,) offsets.
@@ -81,10 +45,6 @@ class QuadraticCosts(CostModel):
         # works for (n, u) and any (..., n, u) stack of replicas
         return 2.0 * self.a[:, None] * x + self.b
 
-    def gradient_i(self, i, xi):
-        """Gradient of agent i alone at the u-vector xi (agent-local view)."""
-        return 2.0 * self.a[i] * np.asarray(xi, float) + self.b[i]
-
     @property
     def eta(self):
         return 2.0 * self.a
@@ -93,12 +53,23 @@ class QuadraticCosts(CostModel):
     def phi(self):
         return 2.0 * self.a
 
+    @property
+    def eta_lo(self):
+        """Smallest strong-convexity modulus."""
+        return float(np.min(self.eta))
+
+    @property
+    def phi_hi(self):
+        """Largest gradient-Lipschitz modulus."""
+        return float(np.max(self.phi))
+
 
 def quadratic_costs(a, b, c=None, u=None):
     """Build QuadraticCosts from loosely-shaped inputs.
 
     b may be (n,) for u=1 or (n, u); c defaults to zeros.  Raises ValueError
-    on non-positive curvature (strong convexity would fail).
+    on non-positive curvature (strong convexity would fail) or a non-finite
+    coefficient.
     """
     a = np.atleast_1d(np.asarray(a, float))
     b = np.asarray(b, float)
@@ -116,6 +87,8 @@ def quadratic_costs(a, b, c=None, u=None):
         raise ValueError("a, b, c must agree on the number of agents")
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise ValueError("curvature coefficients must be finite and > 0")
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        raise ValueError("linear terms and offsets must be finite")
     return QuadraticCosts(a=a, b=b, c=c)
 
 
@@ -123,7 +96,7 @@ def quadratic_costs(a, b, c=None, u=None):
 class AllocationProblem:
     """A cost model plus per-agent demands d_i (the coupling data)."""
 
-    costs: CostModel
+    costs: QuadraticCosts
     demand: np.ndarray  # (n, u)
 
     @property

@@ -1,4 +1,4 @@
-"""Iteration kernels and the replica-vectorized Monte-Carlo runner.
+"""The replica-vectorized Monte-Carlo runner, the one place the updates live.
 
 The deviation-tracking iteration (shared or per-agent stepsizes), with
 optional additive state disturbance:
@@ -42,6 +42,7 @@ import numpy as np
 
 from . import metrics as _metrics
 from .costs import kkt_solve
+from .network import mixing_matrix
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -67,8 +68,11 @@ class DisturbanceSpec:
         if self.kind != "none":
             if not (0.0 < self.q_zeta < 1.0):
                 raise ValueError("q_zeta must lie in (0, 1)")
-            if self.m_zeta < 0:
-                raise ValueError("m_zeta must be >= 0")
+            if not 0.0 <= self.m_zeta < np.inf:
+                raise ValueError("m_zeta must be finite and >= 0")
+            if self.cutoff is not None and not (
+                    isinstance(self.cutoff, (int, np.integer)) and self.cutoff >= 0):
+                raise ValueError(f"cutoff must be an integer >= 0, got {self.cutoff!r}")
 
     @property
     def active(self):
@@ -82,67 +86,12 @@ class DisturbanceSpec:
         return s
 
 
-@dataclass
-class IterateState:
-    x: np.ndarray
-    y: np.ndarray | None
-    k: int = 0
-
-
-def init_state(problem, x0=None):
-    """y(0) = x(0) - d; agents only ever see their own demand here."""
-    if x0 is None:
-        x0 = np.zeros((problem.n, problem.u))
-    x0 = np.asarray(x0, float)
-    if x0.shape != (problem.n, problem.u):
-        raise ValueError(f"x0 shape {x0.shape}, expected {(problem.n, problem.u)}")
-    return IterateState(x=x0.copy(), y=x0 - problem.demand, k=0)
-
-
 def _col(v, n):
     """Stepsize as a scalar or an (n, 1) column for per-agent plans."""
     a = np.asarray(v, float)
     if a.ndim == 0:
         return float(a)
     return np.broadcast_to(a, (n,)).reshape(n, 1)
-
-
-def dta_step(state, costs, W, alpha, beta, zeta=None):
-    """One deviation-tracking step with a dense mixing matrix.
-
-    Shared and per-agent stepsizes use the same kernel (scalars broadcast).
-    Raises on a non-finite incoming state.
-    """
-    x, y = state.x, state.y
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        from .errors import DivergenceError
-        raise DivergenceError(f"non-finite state at k={state.k}", iteration=state.k)
-    n = x.shape[0]
-    al, be = _col(alpha, n), _col(beta, n)
-    g = costs.gradient(x)
-    mix = g - W @ g
-    if zeta is not None:
-        xn = x + zeta - al * y - be * mix
-    else:
-        xn = x - al * y - be * mix
-    yn = W @ y + xn - x
-    return IterateState(x=xn, y=yn, k=state.k + 1)
-
-
-def wga_step(state, costs, W, alpha, zeta=None):
-    """One weighted-gradient step; double stochasticity keeps 1'x constant
-    up to the injected disturbance."""
-    x = state.x
-    if not np.all(np.isfinite(x)):
-        from .errors import DivergenceError
-        raise DivergenceError(f"non-finite state at k={state.k}", iteration=state.k)
-    g = costs.gradient(x)
-    mix = g - W @ g
-    if zeta is not None:
-        xn = x + zeta - alpha * mix
-    else:
-        xn = x - alpha * mix
-    return IterateState(x=xn, y=None, k=state.k + 1)
 
 
 @dataclass
@@ -179,10 +128,11 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
 
     algorithm: "dta" (alpha, beta scalars or per-agent vectors) or
     "wga" (alpha only).  y0 overrides the canonical tracker start x0 - d
-    (useful for probing fixed points).  Divergence (non-finite state or
-    residual beyond 1e12) stops the run; remaining trace entries stay NaN
-    and the replica and iteration are reported on the result instead of
-    raising, so sweeps can cross the stability boundary on purpose.
+    (useful for probing fixed points); x0 and y0 must be finite.
+    Divergence (non-finite state or residual beyond 1e12) stops the run;
+    remaining trace entries and recorded states stay NaN and the replica and
+    iteration are reported on the result instead of raising, so sweeps can
+    cross the stability boundary on purpose.
     """
     if algorithm not in ("dta", "wga"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -191,10 +141,15 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     n, u = problem.n, problem.u
-    costs = problem.costs
+    x0 = np.zeros((n, u)) if x0 is None else np.asarray(x0, float)
+    if x0.shape != (n, u):
+        raise ValueError(f"x0 shape {x0.shape}, expected {(n, u)}")
+    # y(0) = x(0) - d: agents only ever see their own demand here
+    y0 = x0 - problem.demand if y0 is None else np.broadcast_to(np.asarray(y0, float), (n, u))
+    if not (np.isfinite(x0).all() and np.isfinite(y0).all()):
+        raise ValueError("x0 and y0 must be finite")
     kkt = kkt_solve(problem)
-    xs = kkt.x_star
-    dsum = problem.demand.sum(axis=0)
+    dsum = problem.total_demand
     dist = disturbance if disturbance is not None else DisturbanceSpec()
     need_z = dist.active
     scales = dist.scales(iterations, n, u) if need_z else None
@@ -220,24 +175,14 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
         wstreams.append(np.random.default_rng(sw))
         zstreams.append(np.random.default_rng(sz))
 
-    st0 = init_state(problem, x0)
-    if y0 is not None:
-        st0.y = np.broadcast_to(np.asarray(y0, float), (n, u)).copy()
-    x = np.broadcast_to(st0.x, (R, n, u)).copy()
-    y = np.broadcast_to(st0.y, (R, n, u)).copy() if is_dta else None
+    x = np.broadcast_to(x0, (R, n, u)).copy()
+    y = np.broadcast_to(y0, (R, n, u)).copy() if is_dta else None
 
     traces = {name: np.full((R, T + 1), np.nan) for name in _metrics.TRACE_COLUMNS}
     states_x = states_y = None
     if record_states:
-        states_x = np.empty((T + 1, R, n, u))
-        states_y = np.empty((T + 1, R, n, u)) if is_dta else None
-
-    av = costs.a if hasattr(costs, "a") else None
-
-    def grad(v):
-        if av is not None:
-            return 2.0 * av[:, None] * v + costs.b
-        return costs.gradient(v)
+        states_x = np.full((T + 1, R, n, u), np.nan)
+        states_y = np.full((T + 1, R, n, u), np.nan) if is_dta else None
 
     # mixing kernel state: S stacked operands of shape (R, n, u) per call
     S = 2 if is_dta else 1
@@ -259,23 +204,14 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
         return out.reshape(S, R, n, u)
 
     def record(idx):
-        dx = x - xs
-        opt = np.sqrt((dx * dx).sum(axis=(1, 2)))
-        fe = x.sum(axis=1) - dsum
-        traces["optimality_distance"][:, idx] = opt
-        traces["feasibility_gap"][:, idx] = np.sqrt((fe * fe).sum(axis=-1))
-        if is_dta:
-            traces["tracking_norm"][:, idx] = np.sqrt((y * y).sum(axis=(1, 2)))
-        else:
-            traces["tracking_norm"][:, idx] = 0.0
-        g = grad(x)
-        gd = g - g.mean(axis=1, keepdims=True)
-        traces["gradient_dispersion"][:, idx] = np.sqrt((gd * gd).sum(axis=(1, 2)))
+        res, g = _metrics.residuals(x, y, problem, kkt)
+        for name, v in res.items():
+            traces[name][:, idx] = v
         if record_states:
             states_x[idx] = x
             if is_dta:
                 states_y[idx] = y
-        return opt, g
+        return res["optimality_distance"], g
 
     _, g = record(0)
     cons_drift = 0.0
@@ -353,8 +289,7 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
                         mean_rec_err = max(mean_rec_err, float(err.max()))
                         ybar_prev = ybar
                 if check_samples:
-                    # the dense sample of the operator mix_apply applied
-                    Wd = np.eye(n) - inc.T @ (wv[:, :, None] * inc)
+                    Wd = mixing_matrix(model, wv)
                     rs = np.abs(Wd.sum(axis=2) - 1.0).max()
                     cs = np.abs(Wd.sum(axis=1) - 1.0).max()
                     sym = np.abs(Wd - Wd.transpose(0, 2, 1)).max()
@@ -365,8 +300,9 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
 
     wga_drift = float("nan")
     if algorithm == "wga" and need_z and not diverged:
-        gap = x.sum(axis=1) - dsum       # (R, u)
-        wga_drift = float(np.abs(gap - zeta_total).max())
+        # WGA conserves 1'x, so 1'x(T) - 1'x(0) is the injected mass alone
+        drift = x.sum(axis=1) - x0.sum(axis=0)       # (R, u)
+        wga_drift = float(np.abs(drift - zeta_total).max())
 
     return RunResult(
         traces=traces,
@@ -374,7 +310,7 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
         iterations=T,
         replicas=R,
         seed=seed,
-        x_star=xs,
+        x_star=kkt.x_star,
         final_x=x,
         final_y=y,
         diverged=diverged,

@@ -16,11 +16,3 @@ class InfeasiblePlanError(ValueError):
 class CapacityError(ValueError):
     """Exact enumeration requested beyond the supported edge count."""
 
-
-class DivergenceError(RuntimeError):
-    """State left the trust region (non-finite or > 1e12)."""
-
-    def __init__(self, message, replica=None, iteration=None):
-        super().__init__(message)
-        self.replica = replica
-        self.iteration = iteration

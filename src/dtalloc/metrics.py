@@ -18,7 +18,11 @@ TRACE_COLUMNS = (
 
 
 def residuals(x, y, problem, kkt):
-    """The four per-state residuals for a single (n, u) state.
+    """The four residuals of a state, batched over any leading axes.
+
+    x, y: (..., n, u) stacks; y is None when the algorithm carries no
+    tracker.  Returns ({name: (...) array}, grad f(x)); the gradient is
+    handed back so a caller stepping from x does not compute it twice.
 
     optimality_distance   ||x - x*||_F
     feasibility_gap       ||1'x - 1'd||_2
@@ -26,17 +30,20 @@ def residuals(x, y, problem, kkt):
     gradient_dispersion   ||(I - 11'/n) grad f(x)||_F
     """
     x = np.asarray(x, float)
+    dx = x - kkt.x_star
+    fe = x.sum(axis=-2) - problem.total_demand
     g = problem.costs.gradient(x)
-    opt = float(np.linalg.norm(x - kkt.x_star))
-    feas = float(np.linalg.norm(x.sum(axis=0) - problem.demand.sum(axis=0)))
-    track = float(np.linalg.norm(y)) if y is not None else 0.0
-    disp = float(np.linalg.norm(g - g.mean(axis=0, keepdims=True)))
+    gd = g - g.mean(axis=-2, keepdims=True)
+    if y is None:
+        track = np.zeros(x.shape[:-2])
+    else:
+        track = np.sqrt((y * y).sum(axis=(-2, -1)))
     return {
-        "optimality_distance": opt,
-        "feasibility_gap": feas,
+        "optimality_distance": np.sqrt((dx * dx).sum(axis=(-2, -1))),
+        "feasibility_gap": np.sqrt((fe * fe).sum(axis=-1)),
         "tracking_norm": track,
-        "gradient_dispersion": disp,
-    }
+        "gradient_dispersion": np.sqrt((gd * gd).sum(axis=(-2, -1))),
+    }, g
 
 
 def aggregate(per_replica):

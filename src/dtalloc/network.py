@@ -43,27 +43,12 @@ class NetworkModel:
     def n_edges(self):
         return self.edges.shape[0]
 
-    def degree(self):
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
     def row_load(self):
         """Per-agent sum of incident negotiated weights (all links up)."""
         load = np.zeros(self.n)
         np.add.at(load, self.edges[:, 0], self.weights)
         np.add.at(load, self.edges[:, 1], self.weights)
         return load
-
-
-@dataclass(frozen=True, eq=False)
-class WeightSample:
-    """One realized mixing matrix plus the links that were up this round."""
-
-    matrix: np.ndarray        # (n, n)
-    active_edges: np.ndarray  # (E,) bool
 
 
 def _validate(model, allow_zero_theta=False):
@@ -159,47 +144,39 @@ def ring_graph(n, weight=None, theta=1.0):
     return build_model(n, edges, w, theta)
 
 
-def _assemble(n, edges, w):
-    """Dense symmetric matrix I - sum_e w_e B_e."""
-    W = np.eye(n)
-    ei, ej = edges[:, 0], edges[:, 1]
-    W[ei, ej] += w
-    W[ej, ei] += w
-    np.add.at(W, (ei, ei), -w)
-    np.add.at(W, (ej, ej), -w)
-    return W
+def mixing_matrix(model, w):
+    """Dense symmetric I - sum_e w_e B_e for edge weights w of shape (..., E).
 
-
-def negotiate_weights(model, active):
-    """Realized WeightSample for a given set of active links."""
-    active = np.asarray(active, bool)
-    w = np.where(active, model.weights, 0.0)
-    return WeightSample(matrix=_assemble(model.n, model.edges, w), active_edges=active)
-
-
-def sample(model, rng):
-    """Draw one W(k): each link up independently with its theta."""
-    active = rng.random(model.n_edges) < model.theta
-    return negotiate_weights(model, active)
+    Returns (..., n, n).  Each diagonal subtracts its edges' weights in one
+    fixed order (the i-ends in edge order, then the j-ends), which keeps
+    E{W} -- and everything derived from its spectrum -- reproducible to the
+    last bit.
+    """
+    w = np.asarray(w, float)
+    n, E = model.n, model.n_edges
+    lead = w.shape[:-1]
+    flat = w.reshape(int(np.prod(lead)), E)
+    W = np.broadcast_to(np.eye(n), (flat.shape[0], n, n)).copy()
+    rows = np.arange(flat.shape[0])[:, None]
+    ei, ej = model.edges[:, 0], model.edges[:, 1]
+    W[rows, ei, ej] += flat
+    W[rows, ej, ei] += flat
+    np.add.at(W, (rows, ei, ei), -flat)
+    np.add.at(W, (rows, ej, ej), -flat)
+    return W.reshape(lead + (n, n))
 
 
 def sample_batch(model, rng, size):
-    """Vectorized draws: (size, n, n) matrices + (size, E) activation mask."""
+    """Vectorized draws: (size, n, n) matrices + (size, E) activation mask.
+
+    Each link is up independently with its theta in every draw.
+    """
     acts = rng.random((size, model.n_edges)) < model.theta
-    w = np.where(acts, model.weights, 0.0)  # (size, E)
-    n = model.n
-    ei, ej = model.edges[:, 0], model.edges[:, 1]
-    W = np.broadcast_to(np.eye(n), (size, n, n)).copy()
-    rows = np.arange(size)[:, None]
-    np.add.at(W, (rows, ei[None, :], ej[None, :]), w)
-    np.add.at(W, (rows, ej[None, :], ei[None, :]), w)
-    np.add.at(W, (rows, ei[None, :], ei[None, :]), -w)
-    np.add.at(W, (rows, ej[None, :], ej[None, :]), -w)
-    return W, acts
+    return mixing_matrix(model, np.where(acts, model.weights, 0.0)), acts
 
 
 def expected_weight_matrix(model):
-    return _assemble(model.n, model.edges, model.theta * model.weights)
+    return mixing_matrix(model, model.theta * model.weights)
 
 
 def expected_square_matrix(model, mode="closed", rng=None, samples=100_000):
@@ -235,7 +212,7 @@ def expected_square_matrix(model, mode="closed", rng=None, samples=100_000):
             p = np.prod(np.where(up, model.theta, 1.0 - model.theta))
             if p == 0.0:
                 continue
-            W = _assemble(n, model.edges, np.where(up, model.weights, 0.0))
+            W = mixing_matrix(model, np.where(up, model.weights, 0.0))
             out += p * (W @ W)
         return out
     if mode == "monte-carlo":

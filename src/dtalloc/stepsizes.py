@@ -10,10 +10,9 @@ recursions are analyzed:
         s1' = max{lambda2_mean - alpha, alpha - lambdan_mean}
         s2' = max{|1 - beta K1'|, |beta K2' - 1|}
 
-K1/K2 and K1'/K2' are computed from the same formulas here because the link
-statistics are time-invariant; both pairs are carried separately since they
-enter different inequalities.  All feasibility inequalities are strict with
-margin 1e-12.
+The link statistics are time-invariant, so the fixed-network constants
+K1'/K2' of the mean recursion equal K1/K2 and both recursions read `k1`/`k2`.
+All feasibility inequalities are strict with margin 1e-12.
 """
 from __future__ import annotations
 
@@ -37,8 +36,6 @@ class RateConstants:
     c1: float            # shape factor [phi + (n-1) eta] / sqrt(n [phi^2 + (n-1) eta^2])
     k1: float            # eta_lo (1 - lambda2_mean) c1
     k2: float            # phi_hi (1 - lambdan_mean)
-    k1p: float           # fixed-network analogue (same formula, kept separate)
-    k2p: float
     lambda2_mean: float
     lambdan_mean: float
     lambda2_sq: float
@@ -65,7 +62,7 @@ def constants(costs, report):
     k2 = phi * (1.0 - report.lambdan_mean)
     return RateConstants(
         n=n, eta_lo=eta, phi_hi=phi, c1=c1,
-        k1=k1, k2=k2, k1p=k1, k2p=k2,
+        k1=k1, k2=k2,
         lambda2_mean=report.lambda2_mean,
         lambdan_mean=report.lambdan_mean,
         lambda2_sq=report.lambda2_sq,
@@ -101,15 +98,16 @@ def plan_constants(costs, report, alpha, beta):
 
 @dataclass(frozen=True)
 class SharedVerdict:
-    """Mean-square region check for a shared (alpha, beta) pair."""
+    """Region check for a shared (alpha, beta) pair, in the mean-square
+    recursion (`feasible_region_shared`) or the mean one (`feasible_region_mean`)."""
 
     alpha: float
     beta: float
-    s1: float
-    s2: float
-    alpha_max: float        # sqrt(2 - lambda2_sq) - 1
-    beta_max: float         # 2 K1 / K2^2
-    coupling_lhs: float     # alpha beta phi (1 - lambdan_floor)
+    s1: float               # s1, or s1' in the mean recursion
+    s2: float               # s2, or s2'
+    alpha_max: float        # sqrt(2 - lambda2_sq) - 1, or 1 - lambdan_mean
+    beta_max: float         # 2 K1 / K2^2, or 1 / K2'
+    coupling_lhs: float     # alpha beta phi (1 - lambdan_floor), or (1 - lambdan_mean)
     coupling_rhs: float     # (1 - s1)(1 - s2)
     conditions: tuple       # (alpha ok, beta ok, coupling ok)
 
@@ -123,14 +121,8 @@ class SharedVerdict:
         return tuple(nm for nm, ok in zip(names, self.conditions) if not ok)
 
 
-def feasible_region_shared(rc, alpha, beta):
-    """Evaluate the three mean-square region inequalities at (alpha, beta)."""
-    s1 = alpha**2 + 2.0 * alpha + rc.lambda2_sq
-    s2sq = 1.0 + beta**2 * rc.k2**2 - 2.0 * beta * rc.k1
-    s2 = np.sqrt(max(s2sq, 0.0))
-    alpha_max = np.sqrt(2.0 - rc.lambda2_sq) - 1.0
-    beta_max = 2.0 * rc.k1 / rc.k2**2
-    lhs = alpha * beta * rc.phi_hi * (1.0 - rc.lambdan_floor)
+def _verdict(alpha, beta, s1, s2, alpha_max, beta_max, lhs):
+    """The three strict region inequalities, with coupling rhs (1 - s1)(1 - s2)."""
     rhs = (1.0 - s1) * (1.0 - s2)
     conds = (
         alpha < alpha_max - MARGIN,
@@ -144,42 +136,25 @@ def feasible_region_shared(rc, alpha, beta):
     )
 
 
-@dataclass(frozen=True)
-class MeanVerdict:
-    """Mean-recursion region check (expected iterates, fixed-network constants)."""
-
-    alpha: float
-    beta: float
-    s1p: float
-    s2p: float
-    alpha_max: float        # 1 - lambdan_mean
-    beta_max: float         # 1 / K2'
-    coupling_lhs: float
-    coupling_rhs: float
-    conditions: tuple
-
-    @property
-    def feasible(self):
-        return all(self.conditions)
+def feasible_region_shared(rc, alpha, beta):
+    """Evaluate the three mean-square region inequalities at (alpha, beta)."""
+    s2sq = 1.0 + beta**2 * rc.k2**2 - 2.0 * beta * rc.k1
+    return _verdict(alpha, beta,
+                    s1=alpha**2 + 2.0 * alpha + rc.lambda2_sq,
+                    s2=np.sqrt(max(s2sq, 0.0)),
+                    alpha_max=np.sqrt(2.0 - rc.lambda2_sq) - 1.0,
+                    beta_max=2.0 * rc.k1 / rc.k2**2,
+                    lhs=alpha * beta * rc.phi_hi * (1.0 - rc.lambdan_floor))
 
 
 def feasible_region_mean(rc, alpha, beta):
-    s1p = max(rc.lambda2_mean - alpha, alpha - rc.lambdan_mean)
-    s2p = max(abs(1.0 - beta * rc.k1p), abs(beta * rc.k2p - 1.0))
-    alpha_max = 1.0 - rc.lambdan_mean
-    beta_max = 1.0 / rc.k2p
-    lhs = alpha * beta * rc.phi_hi * (1.0 - rc.lambdan_mean)
-    rhs = (1.0 - s1p) * (1.0 - s2p)
-    conds = (
-        alpha < alpha_max - MARGIN,
-        beta < beta_max - MARGIN,
-        lhs < rhs - MARGIN,
-    )
-    return MeanVerdict(
-        alpha=float(alpha), beta=float(beta), s1p=float(s1p), s2p=float(s2p),
-        alpha_max=float(alpha_max), beta_max=float(beta_max),
-        coupling_lhs=float(lhs), coupling_rhs=float(rhs), conditions=conds,
-    )
+    """Evaluate the three mean-recursion region inequalities at (alpha, beta)."""
+    return _verdict(alpha, beta,
+                    s1=max(rc.lambda2_mean - alpha, alpha - rc.lambdan_mean),
+                    s2=max(abs(1.0 - beta * rc.k1), abs(beta * rc.k2 - 1.0)),
+                    alpha_max=1.0 - rc.lambdan_mean,
+                    beta_max=1.0 / rc.k2,
+                    lhs=alpha * beta * rc.phi_hi * (1.0 - rc.lambdan_mean))
 
 
 @dataclass(frozen=True)
@@ -197,7 +172,7 @@ def optimal_stepsizes(rc):
     The fourth candidate's discriminant can go negative for extreme
     constants; that branch is then excluded from the min with a warning.
     """
-    k1, k2 = rc.k1p, rc.k2p
+    k1, k2 = rc.k1, rc.k2
     l2, ln = rc.lambda2_mean, rc.lambdan_mean
     beta = 2.0 / (k1 + k2)
     cands = [
@@ -315,4 +290,4 @@ def feasible_region_uncoordinated(costs, report, rc, alpha, beta):
 
 def wga_default_alpha(rc):
     """Baseline stepsize for the weighted-gradient method: 1/K2'."""
-    return 1.0 / rc.k2p
+    return 1.0 / rc.k2

@@ -135,6 +135,19 @@ def test_exit_2_before_compute_on_window_outside_k_end(tmp_path, capsys, window)
     assert not (out / "tiny" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("over,fragment", [
+    ({"engine": {"iterations": 200, "x0": [float("inf"), 0.0]}}, "engine.x0"),
+    ({"disturbance": {"kind": "gaussian", "m_zeta": float("nan")}}, "m_zeta"),
+])
+def test_exit_2_before_compute_on_non_finite_input(tmp_path, capsys, over,
+                                                   fragment):
+    cfg = _write(tmp_path, _tiny(**over))  # written as YAML .inf / .nan
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (out / "tiny" / "trace.csv").exists()
+
+
 def test_exit_2_on_missing_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 

@@ -90,6 +90,22 @@ def test_defaults_fill_in():
     (lambda d: d.update(sweep={"axis": "gamma", "values": [1]}), "axis"),
     (lambda d: d.update(sweep={"axis": "beta", "values": []}), "non-empty"),
     (lambda d: d.update(disturbance={"color": "pink"}), "unknown key"),
+    (lambda d: d.update(engine={"x0": [float("inf"), 0.0]}), "engine.x0"),
+    (lambda d: d.update(engine={"x0": [[0.0], [float("nan")]]}), "engine.x0"),
+    (lambda d: d.update(engine={"iterations": "abc"}), "engine.iterations"),
+    (lambda d: d.update(engine={"replicas": 2.5}), "engine.replicas"),
+    (lambda d: d.update(disturbance={"kind": "gaussian",
+                                     "m_zeta": float("nan")}), "m_zeta"),
+    (lambda d: d.update(disturbance={"kind": "impulse", "m_zeta": 1.0,
+                                     "cutoff": -5}), "cutoff"),
+    (lambda d: d.update(disturbance={"kind": "impulse", "m_zeta": 1.0,
+                                     "cutoff": 2.5}), "cutoff"),
+    (lambda d: d.update(stepsizes={"alpha": float("inf")}), "stepsizes.alpha"),
+    (lambda d: d.update(stepsizes={"beta": [0.1, float("nan")]}),
+     "stepsizes.beta"),
+    (lambda d: d.update(stepsizes={"wga_alpha": float("-inf")}),
+     "stepsizes.wga_alpha"),
+    (lambda d: d.update(rate={"k_end": 2.5}), "rate.k_end"),
 ])
 def test_from_dict_rejects(mutate, fragment):
     d = _minimal()
@@ -188,7 +204,7 @@ def test_resolve_optimal_source_main_instance():
     assert res.k_end == cfg.engine.iterations == 25000
     assert res.window == 1000
     assert not res.disturbance.active
-    assert res.wga_alpha == pytest.approx(1.0 / res.rc.k2p, rel=1e-12)
+    assert res.wga_alpha == pytest.approx(1.0 / res.rc.k2, rel=1e-12)
 
 
 def test_resolve_alpha_override_keeps_optimal_beta():

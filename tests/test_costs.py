@@ -61,6 +61,10 @@ def test_factory_validation():
         quadratic_costs([1.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         quadratic_costs([1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        quadratic_costs([1.0, 1.0], [np.inf, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        quadratic_costs([1.0, 1.0], [0.0, 0.0], c=[np.nan, 0.0])
     with pytest.raises(ValueError):
         allocation_problem(quadratic_costs([1.0, 1.0], [0.0, 0.0]), [1.0, np.inf])
     with pytest.raises(ValueError):

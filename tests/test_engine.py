@@ -1,4 +1,4 @@
-"""Iteration engine tests: single steps against hand values, the vectorized
+"""Iteration engine tests: a single step against hand values, the vectorized
 multi-replica loop against naive message-passing replays, and the invariants
 the updates are supposed to preserve (conservation, mean recursion, fixed
 point, double stochasticity)."""
@@ -8,16 +8,12 @@ import pytest
 
 from dtalloc import (
     DisturbanceSpec,
-    DivergenceError,
     build_model,
     complete_graph,
-    dta_step,
-    init_state,
     kkt_solve,
     quadratic_costs,
     allocation_problem,
     run,
-    wga_step,
 )
 from naive_reference import naive_dta_step, naive_weight_matrix, naive_wga_step
 
@@ -55,14 +51,18 @@ def _random_instance(rng, n, u=1):
 # ---------------------------------------------------------- single steps
 
 def test_dta_step_hand_values():
+    # x(0) = (1, 0), uncoordinated stepsizes: y(0) = x(0) - d = (1, -2),
+    # grad = 2 x(0) = (2, 0), (I - W) grad = (1, -1), so
+    # x(1) = x(0) - alpha y(0) - beta (I - W) grad = (0.25, 1.0) and
+    # y(1) = W y(0) + x(1) - x(0) = (-1.25, 0.5).
     prob = _pair_problem()
-    W = np.array([[0.5, 0.5], [0.5, 0.5]])
-    st = init_state(prob)
-    assert np.array_equal(st.y, np.array([[0.0], [-2.0]]))
-    nxt = dta_step(st, prob.costs, W, 0.1, 0.1)
-    assert np.array_equal(nxt.x, np.array([[0.0], [0.2]]))
-    assert np.array_equal(nxt.y, np.array([[-1.0], [-0.8]]))
-    assert nxt.k == 1
+    res = run(prob, _pair_model(), algorithm="dta", alpha=[0.5, 0.25],
+              beta=[0.25, 0.5], iterations=1, x0=np.array([[1.0], [0.0]]),
+              record_states=True)
+    assert res.states_x.shape[0] == 2
+    assert np.array_equal(res.states_y[0, 0], np.array([[1.0], [-2.0]]))
+    assert np.array_equal(res.states_x[1, 0], np.array([[0.25], [1.0]]))
+    assert np.array_equal(res.states_y[1, 0], np.array([[-1.25], [0.5]]))
 
 
 def test_run_matches_hand_step():
@@ -70,36 +70,31 @@ def test_run_matches_hand_step():
     model = _pair_model()
     res = run(prob, model, algorithm="dta", alpha=0.1, beta=0.1,
               iterations=1, replicas=1, seed=3, record_states=True)
+    assert np.array_equal(res.states_y[0, 0], np.array([[0.0], [-2.0]]))
     assert np.array_equal(res.states_x[1, 0], np.array([[0.0], [0.2]]))
     assert np.array_equal(res.states_y[1, 0], np.array([[-1.0], [-0.8]]))
 
 
-def test_dta_step_rejects_nonfinite_state():
-    prob = _pair_problem()
-    W = np.array([[0.5, 0.5], [0.5, 0.5]])
-    st = init_state(prob)
-    st.x[0, 0] = np.inf
-    with pytest.raises(DivergenceError):
-        dta_step(st, prob.costs, W, 0.1, 0.1)
-    st2 = init_state(prob)
-    st2.y[1, 0] = np.nan
-    with pytest.raises(DivergenceError):
-        dta_step(st2, prob.costs, W, 0.1, 0.1)
+@pytest.mark.parametrize("start", [
+    dict(x0=np.array([[np.inf], [0.0]])),
+    dict(x0=np.array([[0.0], [np.nan]])),
+    dict(y0=np.array([[0.0], [np.nan]])),
+], ids=["x0-inf", "x0-nan", "y0-nan"])
+def test_run_rejects_nonfinite_start(start):
+    with pytest.raises(ValueError, match="finite"):
+        run(_pair_problem(), _pair_model(), algorithm="dta", alpha=0.1,
+            beta=0.1, iterations=1, **start)
 
 
 def test_wga_step_preserves_total():
     rng = np.random.default_rng(11)
     prob = _random_instance(rng, 5, u=2)
-    model = complete_graph(5)
-    W = model.expected_matrix if hasattr(model, "expected_matrix") else None
-    # use a realized all-links-on sample (theta=1 here)
-    from dtalloc import negotiate_weights
-    W = negotiate_weights(model, np.ones(model.n_edges, bool)).matrix
-    st = init_state(prob, x0=prob.demand)
-    total0 = st.x.sum(axis=0)
-    for _ in range(25):
-        st = wga_step(st, prob.costs, W, 0.3)
-    assert np.allclose(st.x.sum(axis=0), total0, rtol=0, atol=1e-12)
+    model = complete_graph(5)  # theta = 1: every link up in every step
+    res = run(prob, model, algorithm="wga", alpha=0.3, iterations=25,
+              x0=prob.demand, record_states=True)
+    total0 = prob.demand.sum(axis=0)
+    for xk in res.states_x[:, 0]:
+        assert np.allclose(xk.sum(axis=0), total0, rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------- naive replay agreement
@@ -116,7 +111,7 @@ def _replay_acts(seed, replica_count, iterations, n_edges, theta):
 
 
 def test_engine_matches_naive_message_passing():
-    """Edge-kernel engine vs dense dta_step vs per-agent loops, same draws."""
+    """Edge-kernel engine vs per-agent loops, same draws."""
     rng = np.random.default_rng(404)
     n, u, T, theta, seed = 6, 2, 40, 0.7, 99
     prob = _random_instance(rng, n, u)
@@ -135,9 +130,8 @@ def test_engine_matches_naive_message_passing():
 
     a = prob.costs.a
     b = prob.costs.b
-    st = init_state(prob)
-    x_n, y_n = st.x.copy(), st.y.copy()
-    st_d = init_state(prob)
+    x_n = np.zeros((n, u))
+    y_n = x_n - prob.demand
     for k in range(T):
         active = np.zeros((n, n), bool)
         for e, (i, j) in enumerate(model.edges):
@@ -145,11 +139,8 @@ def test_engine_matches_naive_message_passing():
                 active[i, j] = active[j, i] = True
         W = naive_weight_matrix(proposals, active)
         x_n, y_n = naive_dta_step(x_n, y_n, W, a, b, alpha, beta)
-        st_d = dta_step(st_d, prob.costs, W, alpha, beta)
         assert np.allclose(res.states_x[k + 1, 0], x_n, rtol=0, atol=1e-12)
         assert np.allclose(res.states_y[k + 1, 0], y_n, rtol=0, atol=1e-12)
-        assert np.allclose(st_d.x, x_n, rtol=0, atol=1e-12)
-        assert np.allclose(st_d.y, y_n, rtol=0, atol=1e-12)
 
 
 def test_engine_matches_naive_wga():
@@ -285,7 +276,7 @@ def test_divergence_sets_flag_and_pads_with_nan():
     T = 400
     res = run(prob, model, algorithm="dta",
               alpha=0.0007647132835707233, beta=50 * 14309.704294513564,
-              iterations=T, replicas=2, seed=1)
+              iterations=T, replicas=2, seed=1, record_states=True)
     assert res.diverged
     assert res.diverged_replica is not None
     assert 0 < res.diverged_at <= T
@@ -293,6 +284,9 @@ def test_divergence_sets_flag_and_pads_with_nan():
     assert tr.shape == (2, T + 1)
     assert np.isnan(tr[:, res.diverged_at + 1:]).all()
     assert np.isfinite(tr[:, :res.diverged_at]).all()
+    for states in (res.states_x, res.states_y):
+        assert np.isnan(states[res.diverged_at + 1:]).all()
+        assert np.isfinite(states[:res.diverged_at]).all()
 
 
 # ----------------------------------------------------------- disturbance
@@ -346,6 +340,17 @@ def test_zeta_total_tracks_injected_mass():
     assert res.wga_drift_err <= 1e-9
     gap = res.final_x.sum(axis=1) - prob.demand.sum(axis=0)
     assert np.allclose(gap, res.zeta_total, rtol=0, atol=1e-9)
+
+
+def test_wga_drift_excludes_initial_infeasibility():
+    prob = _main_problem()
+    model = complete_graph(10, weight=0.0002, theta=0.5)
+    dist = DisturbanceSpec("gaussian", m_zeta=4.0, q_zeta=0.999)
+    # x0 = 0 starts 1'd away from feasibility; WGA keeps that offset
+    res = run(prob, model, algorithm="wga", alpha=100.0,
+              iterations=800, replicas=3, seed=44, disturbance=dist)
+    assert res.traces["feasibility_gap"][0, 0] > 1.0
+    assert res.wga_drift_err <= 1e-9
 
 
 def test_impulse_disturbance_fixed_magnitude():

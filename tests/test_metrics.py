@@ -15,7 +15,7 @@ def _toy_problem():
 def test_residuals_at_optimum_are_zero():
     prob = _toy_problem()
     kkt = kkt_solve(prob)
-    r = residuals(kkt.x_star, np.zeros((3, 1)), prob, kkt)
+    r, _ = residuals(kkt.x_star, np.zeros((3, 1)), prob, kkt)
     assert r["optimality_distance"] < 1e-12
     assert r["feasibility_gap"] < 1e-12
     assert r["tracking_norm"] == 0.0
@@ -26,7 +26,7 @@ def test_residuals_hand_values():
     prob = _toy_problem()
     kkt = kkt_solve(prob)
     x = kkt.x_star + 1.0  # shift every entry by one
-    r = residuals(x, None, prob, kkt)
+    r, _ = residuals(x, None, prob, kkt)
     assert r["optimality_distance"] == pytest.approx(np.sqrt(3.0))
     assert r["feasibility_gap"] == pytest.approx(3.0)
     assert r["tracking_norm"] == 0.0  # no tracker supplied

@@ -5,9 +5,9 @@ import pytest
 
 from dtalloc import (CapacityError, InfeasibleNetworkError, build_model,
                      constants, expected_square_matrix, expected_weight_matrix,
-                     from_proposals, metropolis_weights, quadratic_costs,
-                     sample, sample_batch, spectral_report)
-from dtalloc.network import complete_edges, ring_edges, negotiate_weights
+                     from_proposals, metropolis_weights, mixing_matrix,
+                     quadratic_costs, sample_batch, spectral_report)
+from dtalloc.network import complete_edges, ring_edges
 from naive_reference import naive_weight_matrix
 
 
@@ -77,12 +77,12 @@ def test_two_outcome_example():
     rng = np.random.default_rng(0)
     seen = set()
     for _ in range(40):
-        s = sample(model, rng)
-        seen.add(s.active_edges.sum())
-        if s.active_edges[0]:
-            assert np.allclose(s.matrix, [[0.75, 0.25], [0.25, 0.75]])
+        (W,), (active,) = sample_batch(model, rng, 1)
+        seen.add(active.sum())
+        if active[0]:
+            assert np.allclose(W, [[0.75, 0.25], [0.25, 0.75]])
         else:
-            assert np.allclose(s.matrix, np.eye(2))
+            assert np.allclose(W, np.eye(2))
     assert seen == {0, 1}
 
 
@@ -99,12 +99,12 @@ def test_samples_match_naive_negotiation():
             model = from_proposals(P, theta=1.0)
         except ValueError:
             continue  # disconnected draw: negotiation itself is what we test
-        s = sample(model, rng)
+        (W,), (up,) = sample_batch(model, rng, 1)
         active = np.zeros((n, n), bool)
-        for (i, j), on in zip(model.edges, s.active_edges):
+        for (i, j), on in zip(model.edges, up):
             active[i, j] = active[j, i] = on
         W_ref = naive_weight_matrix(P, active)
-        assert np.abs(s.matrix - W_ref).max() < 1e-15
+        assert np.abs(W - W_ref).max() < 1e-15
 
 
 def test_sampled_matrices_are_doubly_stochastic():
@@ -112,7 +112,7 @@ def test_sampled_matrices_are_doubly_stochastic():
     for _ in range(10):
         model = _random_model(rng)
         for _ in range(30):
-            W = sample(model, rng).matrix
+            W = sample_batch(model, rng, 1)[0][0]
             assert np.abs(W - W.T).max() == 0.0
             assert np.abs(W.sum(axis=1) - 1).max() < 1e-12
             assert np.abs(W.sum(axis=0) - 1).max() < 1e-12
@@ -124,9 +124,9 @@ def test_sample_batch_replays_sample_stream():
     mats1, acts1 = sample_batch(model, np.random.default_rng(123), 50)
     rng = np.random.default_rng(123)
     for k in range(50):
-        s = sample(model, rng)
-        assert np.array_equal(mats1[k], s.matrix)
-        assert np.array_equal(acts1[k], s.active_edges)
+        (W,), (active,) = sample_batch(model, rng, 1)
+        assert np.array_equal(mats1[k], W)
+        assert np.array_equal(acts1[k], active)
 
 
 def test_eigenvalues_respect_gershgorin_floor():
@@ -263,7 +263,7 @@ def test_model_validation():
 
 def test_negotiate_weights_zeroes_inactive_edges():
     model = build_model(3, [[0, 1], [1, 2]], [0.2, 0.3], [0.5, 0.5])
-    W = negotiate_weights(model, np.array([True, False])).matrix
+    W = mixing_matrix(model, np.where([True, False], model.weights, 0.0))
     assert W[0, 1] == pytest.approx(0.2)
     assert W[1, 2] == 0.0
     assert np.allclose(W.sum(axis=1), 1.0)

@@ -39,8 +39,6 @@ def test_constants_main_instance():
     assert rc.c1 == pytest.approx(0.9961396720220796, abs=1e-15)
     assert rc.k1 == pytest.approx(6.0565292058895426e-05, abs=1e-18)
     assert rc.k2 == pytest.approx(7.920000000006162e-05, abs=1e-18)
-    # with identical spectra for both recursions the primed pair coincides
-    assert rc.k1p == rc.k1 and rc.k2p == rc.k2
 
 
 def test_optimal_stepsizes_main_instance():
@@ -84,8 +82,8 @@ def test_mean_region_at_metropolis_optimum():
     opt = optimal_stepsizes(rc)
     v = feasible_region_mean(rc, opt.alpha, opt.beta)
     assert v.conditions == (True, False, True)
-    assert v.s1p == pytest.approx(0.12156975327925701, abs=1e-14)
-    assert v.s2p == pytest.approx(0.13332858012559368, abs=1e-14)
+    assert v.s1 == pytest.approx(0.12156975327925701, abs=1e-14)
+    assert v.s2 == pytest.approx(0.13332858012559368, abs=1e-14)
 
 
 def test_shared_region_feasible_point():
@@ -145,7 +143,7 @@ def test_optimizer_symbolic_collapse():
     from dtalloc.stepsizes import RateConstants
     for K in (1.0, 2.5):
         rc = RateConstants(n=10, eta_lo=1.0, phi_hi=1.0, c1=1.0, k1=K, k2=K,
-                           k1p=K, k2p=K, lambda2_mean=0.0, lambdan_mean=0.0,
+                           lambda2_mean=0.0, lambdan_mean=0.0,
                            lambda2_sq=0.0, lambdan_floor=0.0)
         opt = optimal_stepsizes(rc)
         assert np.allclose(opt.branches,
@@ -187,7 +185,7 @@ def test_optimizer_keeps_all_branches_on_regular_models():
 
 def test_wga_default_alpha_is_inverse_k2p():
     rc = _main_rc()
-    assert wga_default_alpha(rc) == pytest.approx(1.0 / rc.k2p, rel=1e-15)
+    assert wga_default_alpha(rc) == pytest.approx(1.0 / rc.k2, rel=1e-15)
 
 
 def test_plan_constants_uniform_collapse():
