@@ -13,8 +13,8 @@ from .metrics import (RateEstimate, TRACE_COLUMNS, aggregate, empirical_rate,
 from .network import (NetworkModel, SpectralReport, build_model,
                       complete_graph, expected_square_matrix,
                       expected_weight_matrix, from_proposals,
-                      metropolis_weights, mixing_matrix, ring_graph,
-                      sample_batch, spectral_report)
+                      metropolis_weights, mixing_matrix, sample_batch,
+                      spectral_report)
 from .stepsizes import (OptimalStepsizes, PlanVerdict,
                         RateConstants, SharedVerdict, constants,
                         feasible_region_mean, feasible_region_shared,
@@ -33,7 +33,7 @@ __all__ = [
     "loglinear_r2", "non_convergent", "residuals",
     "NetworkModel", "SpectralReport", "build_model",
     "complete_graph", "expected_square_matrix", "expected_weight_matrix",
-    "from_proposals", "metropolis_weights", "mixing_matrix", "ring_graph",
+    "from_proposals", "metropolis_weights", "mixing_matrix",
     "sample_batch", "spectral_report",
     "OptimalStepsizes", "PlanVerdict", "RateConstants",
     "SharedVerdict", "constants", "feasible_region_mean",

@@ -30,7 +30,7 @@ from . import engine, metrics
 from .config import SCHEMA_VERSION, load_config, resolve, sweep_point
 from .costs import kkt_solve
 from .errors import ConfigError, InfeasibleNetworkError, InfeasiblePlanError
-from .stepsizes import (feasible_region_shared, feasible_region_mean,
+from .stepsizes import (PlanVerdict, feasible_region_shared, feasible_region_mean,
                         feasible_region_uncoordinated, predicted_rate)
 
 EXIT_OK = 0
@@ -58,9 +58,7 @@ def _jsonable(obj):
 
 def _out_dir(args, cfg):
     base = args.out or os.environ.get("DTALLOC_OUT_DIR") or "runs"
-    path = os.path.join(base, cfg.name)
-    os.makedirs(path, exist_ok=True)
-    return path
+    return os.path.join(base, cfg.name)
 
 
 def _write_trace_csv(path, agg):
@@ -83,36 +81,30 @@ def _write_summary(path, payload):
         fh.write("\n")
 
 
-def _plan_verdict(res, alpha, beta):
-    """Feasibility verdict for a resolved plan; None when not applicable."""
+def _plan_verdict(res):
+    """Feasibility verdict for the resolved dta plan; None without one."""
+    alpha, beta = res.alpha, res.beta
     if alpha is None or beta is None:
         return None
     if np.ndim(alpha) or np.ndim(beta):
-        return feasible_region_uncoordinated(
-            res.problem.costs, res.report, res.rc,
-            np.broadcast_to(np.asarray(alpha, float), (res.problem.n,)),
-            np.broadcast_to(np.asarray(beta, float), (res.problem.n,)))
+        return feasible_region_uncoordinated(res.problem.costs, res.report,
+                                             res.rc, alpha, beta)
     return feasible_region_shared(res.rc, float(alpha), float(beta))
 
 
-def _warn_infeasible(verdict, label):
-    if verdict is not None and getattr(verdict, "failed", ()):
-        warnings.warn(f"{label}: stepsizes outside the guaranteed region "
-                      f"(failing: {', '.join(map(str, verdict.failed))}); "
-                      f"running anyway", RuntimeWarning, stacklevel=2)
+def _plan(res, algorithm):
+    """The (alpha, beta) `algorithm` runs with at `res`; ConfigError if missing."""
+    if algorithm == "wga":
+        if res.wga_alpha is None:
+            raise ConfigError("wga needs stepsizes.wga_alpha (auto or a value)")
+        return res.wga_alpha, None
+    if res.alpha is None or res.beta is None:
+        raise ConfigError("dta needs a resolved plan (source optimal or "
+                          "explicit alpha/beta)")
+    return res.alpha, res.beta
 
 
-def _run_once(res, *, algorithm, alpha, beta, model=None, seed=None):
-    cfg = res.config
-    return engine.run(
-        res.problem, model if model is not None else res.model,
-        algorithm=algorithm, alpha=alpha, beta=beta,
-        iterations=cfg.engine.iterations, replicas=cfg.engine.replicas,
-        seed=cfg.seed if seed is None else seed, x0=res.x0,
-        disturbance=res.disturbance, chunk=cfg.engine.chunk)
-
-
-def _run_summary(res, result, files):
+def _run_summary(res, result, path):
     agg = result.aggregate_traces()
     opt = agg["optimality_distance"]
     out = {
@@ -127,7 +119,7 @@ def _run_summary(res, result, files):
         "diverged_replica": result.diverged_replica,
         "diverged_at": result.diverged_at,
         "max_conservation_drift": result.max_conservation_drift,
-        "files": files,
+        "files": {"trace": path},
     }
     if not result.diverged:
         est = metrics.empirical_rate(opt, k_end=res.k_end, window=res.window)
@@ -144,16 +136,16 @@ def _run_summary(res, result, files):
 
 
 def cmd_bounds(args):
-    cfg = load_config(args.config)
-    res = resolve(cfg)
+    res = resolve(load_config(args.config))
     rc, rep = res.rc, res.report
     kkt = kkt_solve(res.problem)
     payload = {
-        "name": cfg.name,
+        "name": res.config.name,
         "spectral": {**asdict(rep), "connected_in_mean": rep.connected_in_mean},
         "kkt": {"x_star": kkt.x_star, "mu_star": kkt.mu_star},
         "constants": asdict(rc),
         "wga_alpha": res.wga_alpha,
+        "plan": {"alpha": res.alpha, "beta": res.beta},
     }
     if res.optimal is not None:
         opt = res.optimal
@@ -161,12 +153,18 @@ def cmd_bounds(args):
                               "branches": list(opt.branches),
                               "active_branch": opt.active_branch,
                               "branch4_dropped": opt.branch4_dropped}
-    alpha, beta = res.alpha, res.beta
-    payload["plan"] = {"alpha": alpha, "beta": beta}
-    if alpha is not None and beta is not None and not (np.ndim(alpha) or np.ndim(beta)):
-        sv = feasible_region_shared(rc, float(alpha), float(beta))
-        mv = feasible_region_mean(rc, float(alpha), float(beta))
-        for key, v in (("mean_square_region", sv), ("mean_region", mv)):
+    verdict = _plan_verdict(res)
+    if isinstance(verdict, PlanVerdict):
+        payload["uncoordinated_region"] = {
+            "feasible": verdict.feasible, "conditions": dict(verdict.conditions),
+            "s4": verdict.s4, "s5": verdict.s5, "s6": verdict.s6,
+            "coupling_lhs": verdict.coupling_lhs,
+            "coupling_rhs": verdict.coupling_rhs,
+        }
+    elif verdict is not None:
+        alpha, beta = verdict.alpha, verdict.beta
+        mean = feasible_region_mean(rc, alpha, beta)
+        for key, v in (("mean_square_region", verdict), ("mean_region", mean)):
             payload[key] = {
                 "feasible": v.feasible, "conditions": list(v.conditions),
                 "s1": v.s1, "s2": v.s2, "alpha_max": v.alpha_max,
@@ -175,38 +173,91 @@ def cmd_bounds(args):
             }
         try:
             q_zeta = res.disturbance.q_zeta if res.disturbance.active else None
-            payload["predicted_rate"] = predicted_rate(rc, float(alpha), float(beta),
-                                                       q_zeta=q_zeta)
+            payload["predicted_rate"] = predicted_rate(rc, alpha, beta, q_zeta=q_zeta)
         except InfeasiblePlanError:
             payload["predicted_rate"] = None
-    elif alpha is not None and beta is not None:
-        pv = _plan_verdict(res, alpha, beta)
-        payload["uncoordinated_region"] = {
-            "feasible": pv.feasible, "conditions": dict(pv.conditions),
-            "s4": pv.s4, "s5": pv.s5, "s6": pv.s6,
-            "coupling_lhs": pv.coupling_lhs, "coupling_rhs": pv.coupling_rhs,
-        }
     print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _execute_single(args, res):
+def _execute_point(res, algorithm, path, label):
+    """Run `algorithm` at one resolved point and write its trace to `path`.
+
+    Returns the point's summary (with the plan that ran) and the result."""
+    alpha, beta = _plan(res, algorithm)
+    verdict = _plan_verdict(res) if algorithm == "dta" else None
+    if verdict is not None and verdict.failed:
+        warnings.warn(f"{label}: stepsizes outside the guaranteed region "
+                      f"(failing: {', '.join(verdict.failed)}); running anyway",
+                      RuntimeWarning, stacklevel=2)
     cfg = res.config
-    outdir = _out_dir(args, cfg)
+    result = engine.run(
+        res.problem, res.model, algorithm=algorithm, alpha=alpha, beta=beta,
+        iterations=cfg.engine.iterations, replicas=cfg.engine.replicas,
+        seed=cfg.seed, x0=res.x0, disturbance=res.disturbance,
+        chunk=cfg.engine.chunk)
+    summary, agg = _run_summary(res, result, path)
+    if algorithm == "dta":
+        summary["alpha"], summary["beta"] = alpha, beta
+    else:
+        summary["wga_alpha"] = alpha
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    _write_trace_csv(path, agg)
+    return summary, result
+
+
+def _execute_sweep(args, res, axis, values):
+    cfg = res.config
     algorithm = cfg.engine.algorithm
-    if algorithm == "dta":
-        _warn_infeasible(_plan_verdict(res, res.alpha, res.beta), cfg.name)
-        result = _run_once(res, algorithm="dta", alpha=res.alpha, beta=res.beta)
-    else:
-        result = _run_once(res, algorithm="wga", alpha=res.wga_alpha, beta=None)
+    resolved = [sweep_point(res, axis, value) for value in values]
+    for point in resolved:
+        _plan(point, algorithm)
+    outdir = _out_dir(args, cfg)
+    points = []
+    n_diverged = 0
+    for idx, (value, point) in enumerate(zip(values, resolved)):
+        label = f"{cfg.name}[{axis}={value!r}]"
+        record, result = _execute_point(
+            point, algorithm, os.path.join(outdir, f"{axis}_{idx:02d}.csv"), label)
+        record["axis"] = axis
+        record["value"] = value
+        points.append(record)
+        if result.diverged:
+            n_diverged += 1
+            print(f"{label}: diverged at iteration {result.diverged_at}")
+        else:
+            q = record["empirical_rate"]["q"]
+            print(f"{label}: q_n {'n/a' if q is None else format(q, '.6f')}")
+    summary = {
+        "name": cfg.name,
+        "axis": axis,
+        "values": list(values),
+        "seed": cfg.seed,
+        "algorithm": algorithm,
+        "points": points,
+        "n_diverged": n_diverged,
+    }
+    _write_summary(os.path.join(outdir, "summary.json"), summary)
+    print(f"{cfg.name}: wrote {len(values)} traces to {outdir}")
+    return EXIT_DIVERGED if n_diverged == len(values) else EXIT_OK
+
+
+def _resolve_args(args):
+    """The config at args.config, with --seed applied, resolved."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed
+    return resolve(cfg)
+
+
+def cmd_run(args):
+    res = _resolve_args(args)
+    cfg = res.config
+    if cfg.sweep is not None:
+        return _execute_sweep(args, res, cfg.sweep.axis, cfg.sweep.values)
+    outdir = _out_dir(args, cfg)
     csv_path = os.path.join(outdir, "trace.csv")
-    summary, agg = _run_summary(res, result, files={"trace": csv_path})
-    if algorithm == "dta":
-        summary["alpha"] = res.alpha
-        summary["beta"] = res.beta
-    else:
-        summary["wga_alpha"] = res.wga_alpha
-    _write_trace_csv(csv_path, agg)
+    summary, result = _execute_point(res, cfg.engine.algorithm, csv_path, cfg.name)
     _write_summary(os.path.join(outdir, "summary.json"), summary)
     print(f"{cfg.name}: wrote {csv_path}")
     if result.diverged:
@@ -219,67 +270,7 @@ def _execute_single(args, res):
     return EXIT_OK
 
 
-def _execute_sweep(args, res, axis, values):
-    cfg = res.config
-    outdir = _out_dir(args, cfg)
-    points = []
-    n_diverged = 0
-    for idx, value in enumerate(values):
-        try:
-            model, alpha, beta, wga = sweep_point(res, axis, value)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        algorithm = cfg.engine.algorithm
-        label = f"{cfg.name}[{axis}={value!r}]"
-        if algorithm == "dta":
-            _warn_infeasible(_plan_verdict(res, alpha, beta), label)
-            result = _run_once(res, algorithm="dta", alpha=alpha, beta=beta,
-                               model=model)
-        else:
-            result = _run_once(res, algorithm="wga", alpha=wga, beta=None,
-                               model=model)
-        csv_path = os.path.join(outdir, f"{axis}_{idx:02d}.csv")
-        point, agg = _run_summary(res, result, files={"trace": csv_path})
-        point["axis"] = axis
-        point["value"] = value
-        point["alpha"] = alpha
-        point["beta"] = beta
-        _write_trace_csv(csv_path, agg)
-        points.append(point)
-        if result.diverged:
-            n_diverged += 1
-            print(f"{label}: diverged at iteration {result.diverged_at}")
-        else:
-            q = point["empirical_rate"]["q"]
-            print(f"{label}: q_n {'n/a' if q is None else format(q, '.6f')}")
-    summary = {
-        "name": cfg.name,
-        "axis": axis,
-        "values": list(values),
-        "seed": cfg.seed,
-        "algorithm": cfg.engine.algorithm,
-        "points": points,
-        "n_diverged": n_diverged,
-    }
-    _write_summary(os.path.join(outdir, "summary.json"), summary)
-    print(f"{cfg.name}: wrote {len(values)} traces to {outdir}")
-    return EXIT_DIVERGED if n_diverged == len(values) else EXIT_OK
-
-
-def cmd_run(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    res = resolve(cfg)
-    if cfg.sweep is not None:
-        return _execute_sweep(args, res, cfg.sweep.axis, cfg.sweep.values)
-    return _execute_single(args, res)
-
-
 def cmd_sweep(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
@@ -287,36 +278,18 @@ def cmd_sweep(args):
                           f"got {args.values!r}") from None
     if not values:
         raise ConfigError("--values is empty")
-    res = resolve(cfg)
-    if res.alpha is None or res.beta is None:
-        if cfg.engine.algorithm == "dta" and args.axis in ("alpha", "beta"):
-            raise ConfigError("cannot sweep alpha/beta: no resolved base plan")
-    return _execute_sweep(args, res, args.axis, values)
+    return _execute_sweep(args, _resolve_args(args), args.axis, values)
 
 
 def cmd_compare(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    res = resolve(cfg)
-    if res.alpha is None or res.beta is None:
-        raise ConfigError("compare needs a resolved dta plan (source optimal "
-                          "or explicit alpha/beta)")
-    if res.wga_alpha is None:
-        raise ConfigError("compare needs stepsizes.wga_alpha (auto or a value)")
+    res = _resolve_args(args)
+    cfg = res.config
+    for algorithm in ("dta", "wga"):
+        _plan(res, algorithm)
     outdir = _out_dir(args, cfg)
-    _warn_infeasible(_plan_verdict(res, res.alpha, res.beta), cfg.name)
     # identical seed => identical link failures and disturbances in both runs
-    r_dta = _run_once(res, algorithm="dta", alpha=res.alpha, beta=res.beta)
-    r_wga = _run_once(res, algorithm="wga", alpha=res.wga_alpha, beta=None)
-    paths = {"dta": os.path.join(outdir, "dta.csv"),
-             "wga": os.path.join(outdir, "wga.csv")}
-    s_dta, agg_dta = _run_summary(res, r_dta, files={"trace": paths["dta"]})
-    s_wga, agg_wga = _run_summary(res, r_wga, files={"trace": paths["wga"]})
-    _write_trace_csv(paths["dta"], agg_dta)
-    _write_trace_csv(paths["wga"], agg_wga)
-    s_dta["alpha"], s_dta["beta"] = res.alpha, res.beta
-    s_wga["wga_alpha"] = res.wga_alpha
+    s_dta, r_dta = _execute_point(res, "dta", os.path.join(outdir, "dta.csv"), cfg.name)
+    s_wga, r_wga = _execute_point(res, "wga", os.path.join(outdir, "wga.csv"), cfg.name)
     fin_d = s_dta["final_ratio"]
     fin_w = s_wga["final_ratio"]
     summary = {

@@ -10,13 +10,13 @@ Stepsize resolution, in order:
      configured network; "explicit" starts from nothing.
   2. explicit `alpha:` / `beta:` entries override their slot (either source).
   3. `alpha_scale:` / `beta_scale:` multiply the result.
-Sweeps over alpha/beta multiply the resolved plan per point; a theta sweep
-replaces the link-activation probability outright and keeps the plan fixed.
+Sweeps over alpha/beta multiply the resolved plan of the configured
+algorithm per point (wga has only `wga_alpha`); a theta sweep replaces the
+link-activation probability outright and keeps the plan fixed.
 """
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -31,32 +31,45 @@ from .stepsizes import constants, optimal_stepsizes, wga_default_alpha
 SCHEMA_VERSION = 1
 
 
-def _check_keys(d, allowed, where):
-    unknown = set(d) - set(allowed)
+def _section(cls, d, where):
+    """`cls(**d)`, once `d` is a mapping of `cls`'s fields holding every field
+    without a default; a section left out of the config is already `cls`."""
+    if isinstance(d, cls):
+        return d
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a mapping, got {d!r}")
+    names = [f.name for f in fields(cls)]
+    unknown = set(d) - set(names)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
-                          f"allowed: {sorted(allowed)}")
+                          f"allowed: {sorted(names)}")
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key {f.name!r} in {where}")
+    try:
+        return cls(**d)
+    except (TypeError, ValueError) as exc:   # DisturbanceSpec checks itself
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _require(d, key, where):
-    if key not in d:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return d[key]
-
-
-def _int(d, key, default, where):
-    """d[key] as an integer, or None if it defaults to None; integral floats pass."""
-    v = d.get(key, default)
+def _int(v, where):
+    """v as an integer; integral floats pass."""
     if isinstance(v, float) and v.is_integer():
         return int(v)
-    if v is None or (isinstance(v, int) and not isinstance(v, bool)):
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
     raise ConfigError(f"{where} must be an integer, got {v!r}")
 
 
-def _finite(d, key, default, where, words=()):
-    """d[key] unchanged, once checked to be None, one of `words`, or finite numbers."""
-    v = d.get(key, default)
+def _number(v, where):
+    """v unchanged, once checked to be one finite real number."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
+    return v
+
+
+def _finite(v, where, words=()):
+    """v unchanged, once checked to be None, one of `words`, or finite numbers."""
     if v is None or (isinstance(v, str) and v in words):
         return v
     try:
@@ -112,7 +125,7 @@ class RateSection:
 @dataclass
 class SweepSection:
     axis: str                           # alpha | beta | theta
-    values: list = field(default_factory=list)
+    values: list
 
 
 @dataclass
@@ -131,109 +144,83 @@ class ExperimentConfig:
     sweep: SweepSection | None = None
 
 
-_TOP_KEYS = ("schema_version", "name", "seed", "u", "cost", "demand",
-             "network", "engine", "stepsizes", "disturbance", "rate", "sweep")
-
-
 def from_dict(d):
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys(d, _TOP_KEYS, "config")
-    sv = d.get("schema_version", SCHEMA_VERSION)
-    if sv != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {sv!r} (expected {SCHEMA_VERSION})")
+    cfg = _section(ExperimentConfig, d, "config")
+    if cfg.schema_version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {cfg.schema_version!r} "
+                          f"(expected {SCHEMA_VERSION})")
+    if not isinstance(cfg.name, str):
+        raise ConfigError(f"name must be a string, got {cfg.name!r}")
+    cfg.seed, cfg.u = _int(cfg.seed, "seed"), _int(cfg.u, "u")
+    cfg.cost = _section(CostSection, cfg.cost, "cost")
 
-    cd = _require(d, "cost", "config")
-    _check_keys(cd, ("a", "b", "c"), "cost")
-    cost = CostSection(a=_require(cd, "a", "cost"), b=_require(cd, "b", "cost"),
-                       c=cd.get("c", 0.0))
-
-    nd = _require(d, "network", "config")
-    _check_keys(nd, ("topology", "n", "proposal", "edges", "theta"), "network")
-    network = NetworkSection(topology=nd.get("topology", "complete"),
-                             n=nd.get("n"), proposal=nd.get("proposal", "metropolis"),
-                             edges=nd.get("edges"), theta=nd.get("theta", 1.0))
-    if network.topology not in ("complete", "ring", "edges"):
+    net = cfg.network = _section(NetworkSection, cfg.network, "network")
+    if net.topology not in ("complete", "ring", "edges"):
         raise ConfigError(f"network.topology must be complete|ring|edges, "
-                          f"got {network.topology!r}")
-    if network.topology == "edges" and not network.edges:
-        raise ConfigError("network.topology 'edges' needs a network.edges list")
-    if network.topology != "edges" and network.n is None:
-        raise ConfigError(f"network.topology {network.topology!r} needs network.n")
+                          f"got {net.topology!r}")
+    if net.topology == "edges":
+        if not (isinstance(net.edges, list) and net.edges):
+            raise ConfigError("network.topology 'edges' needs a network.edges list")
+        for item in net.edges:
+            if not (isinstance(item, list) and len(item) == 3):
+                raise ConfigError(f"network.edges entries are [i, j, weight]; got {item!r}")
+            for v in item[:2]:
+                _int(v, "network.edges index")
+            _finite(item[2], "network.edges weight")
+    elif net.n is None:
+        raise ConfigError(f"network.topology {net.topology!r} needs network.n")
+    if net.n is not None:
+        net.n = _int(net.n, "network.n")
+    if net.proposal != "metropolis":
+        _number(net.proposal, "network.proposal")
+    _finite(net.theta, "network.theta")
 
-    ed = d.get("engine", {})
-    _check_keys(ed, ("algorithm", "iterations", "replicas", "x0", "chunk"), "engine")
-    engine = EngineSection(algorithm=ed.get("algorithm", "dta"),
-                           iterations=_int(ed, "iterations", 1000, "engine.iterations"),
-                           replicas=_int(ed, "replicas", 1, "engine.replicas"),
-                           x0=_finite(ed, "x0", "zeros", "engine.x0", ("zeros", "demand")),
-                           chunk=_int(ed, "chunk", 2048, "engine.chunk"))
-    if engine.algorithm not in ("dta", "wga"):
-        raise ConfigError(f"engine.algorithm must be dta|wga, got {engine.algorithm!r}")
-    if engine.iterations < 1 or engine.replicas < 1:
+    eng = cfg.engine = _section(EngineSection, cfg.engine, "engine")
+    eng.iterations = _int(eng.iterations, "engine.iterations")
+    eng.replicas = _int(eng.replicas, "engine.replicas")
+    eng.chunk = _int(eng.chunk, "engine.chunk")
+    _finite(eng.x0, "engine.x0", ("zeros", "demand"))
+    if eng.algorithm not in ("dta", "wga"):
+        raise ConfigError(f"engine.algorithm must be dta|wga, got {eng.algorithm!r}")
+    if eng.iterations < 1 or eng.replicas < 1:
         raise ConfigError("engine.iterations and engine.replicas must be >= 1")
-    if engine.chunk < 1:
-        raise ConfigError(f"engine.chunk must be >= 1, got {engine.chunk}")
+    if eng.chunk < 1:
+        raise ConfigError(f"engine.chunk must be >= 1, got {eng.chunk}")
 
-    sd = d.get("stepsizes", {})
-    _check_keys(sd, ("source", "alpha", "beta", "alpha_scale", "beta_scale",
-                     "wga_alpha"), "stepsizes")
-    steps = StepsizeSection(
-        source=sd.get("source", "optimal"),
-        alpha=_finite(sd, "alpha", None, "stepsizes.alpha"),
-        beta=_finite(sd, "beta", None, "stepsizes.beta"),
-        alpha_scale=float(_finite(sd, "alpha_scale", 1.0, "stepsizes.alpha_scale")),
-        beta_scale=float(_finite(sd, "beta_scale", 1.0, "stepsizes.beta_scale")),
-        wga_alpha=_finite(sd, "wga_alpha", "auto", "stepsizes.wga_alpha", ("auto",)))
+    steps = cfg.stepsizes = _section(StepsizeSection, cfg.stepsizes, "stepsizes")
+    _finite(steps.alpha, "stepsizes.alpha")
+    _finite(steps.beta, "stepsizes.beta")
+    _number(steps.alpha_scale, "stepsizes.alpha_scale")
+    _number(steps.beta_scale, "stepsizes.beta_scale")
+    _finite(steps.wga_alpha, "stepsizes.wga_alpha", ("auto",))
     if steps.source not in ("optimal", "explicit"):
         raise ConfigError(f"stepsizes.source must be optimal|explicit, got {steps.source!r}")
-    if steps.source == "explicit" and engine.algorithm == "dta":
+    if steps.source == "explicit" and eng.algorithm == "dta":
         if steps.alpha is None or steps.beta is None:
             raise ConfigError("stepsizes.source 'explicit' needs both alpha and beta")
 
-    dist = None
-    if d.get("disturbance") is not None:
-        dd = d["disturbance"]
-        _check_keys(dd, ("kind", "m_zeta", "q_zeta", "cutoff"), "disturbance")
-        try:
-            dist = DisturbanceSpec(kind=dd.get("kind", "none"),
-                                   m_zeta=float(dd.get("m_zeta", 0.0)),
-                                   q_zeta=float(dd.get("q_zeta", 0.999)),
-                                   cutoff=dd.get("cutoff"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"disturbance: {exc}") from exc
+    if cfg.disturbance is not None:
+        dist = cfg.disturbance = _section(DisturbanceSpec, cfg.disturbance, "disturbance")
+        _number(dist.m_zeta, "disturbance.m_zeta")
+        _number(dist.q_zeta, "disturbance.q_zeta")
 
-    rd = d.get("rate", {})
-    _check_keys(rd, ("k_end", "window"), "rate")
-    rate = RateSection(k_end=_int(rd, "k_end", None, "rate.k_end"),
-                       window=_int(rd, "window", 1000, "rate.window"))
+    rate = cfg.rate = _section(RateSection, cfg.rate, "rate")
+    if rate.k_end is not None:
+        rate.k_end = _int(rate.k_end, "rate.k_end")
+    rate.window = _int(rate.window, "rate.window")
 
-    sweep = None
-    if d.get("sweep") is not None:
-        wd = d["sweep"]
-        _check_keys(wd, ("axis", "values"), "sweep")
-        sweep = SweepSection(axis=_require(wd, "axis", "sweep"),
-                             values=list(_require(wd, "values", "sweep")))
+    if cfg.sweep is not None:
+        sweep = cfg.sweep = _section(SweepSection, cfg.sweep, "sweep")
         if sweep.axis not in ("alpha", "beta", "theta"):
             raise ConfigError(f"sweep.axis must be alpha|beta|theta, got {sweep.axis!r}")
-        if not sweep.values:
-            raise ConfigError("sweep.values must be non-empty")
-
-    return ExperimentConfig(name=_require(d, "name", "config"), cost=cost,
-                            demand=_require(d, "demand", "config"),
-                            network=network, schema_version=sv,
-                            seed=_int(d, "seed", 0, "seed"), u=_int(d, "u", 1, "u"),
-                            engine=engine, stepsizes=steps, disturbance=dist,
-                            rate=rate, sweep=sweep)
+        if not (isinstance(sweep.values, list) and sweep.values):
+            raise ConfigError(f"sweep.values must be a non-empty list, got {sweep.values!r}")
+    return cfg
 
 
 def to_dict(cfg):
-    d = asdict(cfg)
-    if d["disturbance"] is None:
-        del d["disturbance"]
-    if d["sweep"] is None:
-        del d["sweep"]
-    return d
+    """The config as plain data, without the optional sections it leaves out."""
+    return {k: v for k, v in asdict(cfg).items() if v is not None}
 
 
 def load_config(path):
@@ -252,39 +239,25 @@ def save_config(cfg, path):
 
 def _build_network(net, n_agents):
     if net.topology == "edges":
-        rows = []
-        for item in net.edges:
-            if len(item) != 3:
-                raise ConfigError(f"network.edges entries are [i, j, weight]; got {item!r}")
-            rows.append(item)
-        arr = np.asarray(rows, float)
+        arr = np.asarray(net.edges, float)
         edges = arr[:, :2].astype(int)
         weights = arr[:, 2]
-        n = n_agents if net.n is None else int(net.n)
+        n = n_agents if net.n is None else net.n
     else:
-        n = int(net.n)
+        n = net.n
         edges = complete_edges(n) if net.topology == "complete" else ring_edges(n)
-        if net.proposal == "metropolis":
-            weights = metropolis_weights(n, edges)
-        else:
-            try:
-                weights = np.full(len(edges), float(net.proposal))
-            except (TypeError, ValueError):
-                raise ConfigError(f"network.proposal must be a number or 'metropolis', "
-                                  f"got {net.proposal!r}") from None
+        weights = metropolis_weights(n, edges) if net.proposal == "metropolis" else net.proposal
     if n != n_agents:
         raise ConfigError(f"network has n={n} but the cost model has {n_agents} agents")
-    theta = np.asarray(net.theta, float)
-    theta = np.full(len(edges), float(theta)) if theta.ndim == 0 else theta
     try:
-        return build_model(n, edges, weights, theta)
+        return build_model(n, edges, weights, net.theta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 @dataclass
 class ResolvedExperiment:
-    """Everything a run needs, derived once from a config."""
+    """Everything a run needs: a config resolved once, or one sweep point of it."""
 
     config: ExperimentConfig
     problem: object
@@ -309,34 +282,24 @@ def resolve(cfg):
     here — callers decide whether an infeasible plan is an error or a sweep
     point on the wrong side of the boundary.
     """
-    a = np.asarray(cfg.cost.a, float)
-    n = a.shape[0]
-    c = np.broadcast_to(np.asarray(cfg.cost.c, float), (n,)).copy()
+    if cfg.seed < 0:                      # checked here so --seed is covered too
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     try:
+        a = np.atleast_1d(np.asarray(cfg.cost.a, float))
+        c = np.broadcast_to(np.asarray(cfg.cost.c, float), a.shape).copy()
         costs = quadratic_costs(a, cfg.cost.b, c=c, u=cfg.u)
         problem = allocation_problem(costs, cfg.demand)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    model = _build_network(cfg.network, n)
+    model = _build_network(cfg.network, problem.n)
     report = spectral_report(model)
     rc = constants(problem.costs, report)   # raises if disconnected in mean
 
-    opt = None
-    alpha = beta = None
-    if cfg.stepsizes.source == "optimal":
-        opt = optimal_stepsizes(rc)
-        alpha, beta = opt.alpha, opt.beta
-    if cfg.stepsizes.alpha is not None:
-        alpha = cfg.stepsizes.alpha
-        alpha = np.asarray(alpha, float) if np.ndim(alpha) else float(alpha)
-    if cfg.stepsizes.beta is not None:
-        beta = cfg.stepsizes.beta
-        beta = np.asarray(beta, float) if np.ndim(beta) else float(beta)
-    if alpha is not None:
-        alpha = alpha * cfg.stepsizes.alpha_scale
-    if beta is not None:
-        beta = beta * cfg.stepsizes.beta_scale
+    steps = cfg.stepsizes
+    opt = optimal_stepsizes(rc) if steps.source == "optimal" else None
+    alpha = _stepsize(opt.alpha if opt else None, steps.alpha, steps.alpha_scale)
+    beta = _stepsize(opt.beta if opt else None, steps.beta, steps.beta_scale)
 
     wga_alpha = None
     if cfg.stepsizes.wga_alpha == "auto":
@@ -363,6 +326,14 @@ def resolve(cfg):
                               window=int(cfg.rate.window))
 
 
+def _stepsize(value, override, scale):
+    """One plan slot: `override` (scalar or per-agent) if given, else `value`,
+    times `scale`; None when neither is given."""
+    if override is not None:
+        value = np.asarray(override, float) if np.ndim(override) else float(override)
+    return None if value is None else value * scale
+
+
 def _resolve_x0(spec, problem):
     if spec == "zeros" or spec is None:
         return None
@@ -378,22 +349,29 @@ def _resolve_x0(spec, problem):
 
 
 def sweep_point(res, axis, value):
-    """A (model, alpha, beta, wga_alpha) tuple for one sweep point.
+    """`res` at one sweep point: the same ResolvedExperiment with one input set.
 
-    alpha/beta sweeps multiply the resolved plan by `value`; a theta sweep
-    rebuilds the network with the activation probability set to `value`
-    (theta 0 is allowed here — every link silent — so the boundary case can
-    be demonstrated).
+    alpha/beta sweeps multiply the plan of the configured algorithm by
+    `value` (for wga that is `wga_alpha`, and there is no beta to sweep); a
+    theta sweep rebuilds the network with the activation probability set to
+    `value` (theta 0 is allowed here — every link silent — so the boundary
+    case can be demonstrated).
     """
-    model, alpha, beta, wga = res.model, res.alpha, res.beta, res.wga_alpha
-    if axis == "alpha":
-        alpha = res.alpha * value
-    elif axis == "beta":
-        beta = res.beta * value
-    elif axis == "theta":
-        theta = np.full(model.n_edges, float(value))
-        model = build_model(model.n, model.edges, model.weights, theta,
-                            allow_zero_theta=True)
-    else:
+    _number(value, f"sweep value for {axis}")
+    if axis == "theta":
+        model = res.model
+        try:
+            model = build_model(model.n, model.edges, model.weights,
+                                np.full(model.n_edges, float(value)),
+                                allow_zero_theta=True)
+        except ValueError as exc:
+            raise ConfigError(f"sweep theta={value!r}: {exc}") from exc
+        return replace(res, model=model)
+    if axis not in ("alpha", "beta"):
         raise ConfigError(f"sweep axis must be alpha|beta|theta, got {axis!r}")
-    return model, alpha, beta, wga
+    if res.config.engine.algorithm == "dta":
+        return replace(res, **{axis: getattr(res, axis) * value})
+    if axis == "beta":
+        raise ConfigError("wga has no beta stepsize to sweep")
+    return replace(res, wga_alpha=None if res.wga_alpha is None
+                   else res.wga_alpha * value)

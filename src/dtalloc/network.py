@@ -65,7 +65,7 @@ def _validate(model, allow_zero_theta=False):
     if np.any(model.weights <= 0) or not np.all(np.isfinite(model.weights)):
         raise ValueError("negotiated weights must be finite and > 0")
     lo = 0.0 if allow_zero_theta else np.nextafter(0.0, 1.0)
-    if np.any(model.theta < lo) or np.any(model.theta > 1.0):
+    if not np.all((lo <= model.theta) & (model.theta <= 1.0)):
         raise ValueError("theta must lie in (0, 1] (0 allowed only in sweeps)")
     load = model.row_load()
     if np.any(load >= 1.0):
@@ -134,12 +134,6 @@ def ring_edges(n):
 
 def complete_graph(n, weight=None, theta=1.0):
     edges = complete_edges(n)
-    w = metropolis_weights(n, edges) if weight is None else weight
-    return build_model(n, edges, w, theta)
-
-
-def ring_graph(n, weight=None, theta=1.0):
-    edges = ring_edges(n)
     w = metropolis_weights(n, edges) if weight is None else weight
     return build_model(n, edges, w, theta)
 

@@ -54,7 +54,7 @@ def _line(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _run_resolved(res, *, model=None, alpha=None, beta=None, algorithm=None,
+def _run_resolved(res, *, alpha=None, beta=None, algorithm=None,
                   seed=None, **over):
     cfg = res.config
     kw = dict(
@@ -71,7 +71,7 @@ def _run_resolved(res, *, model=None, alpha=None, beta=None, algorithm=None,
     kw.update(over)
     if kw["algorithm"] == "wga":
         kw["beta"] = None
-    return run(res.problem, model if model is not None else res.model, **kw)
+    return run(res.problem, res.model, **kw)
 
 
 def _ratio(result):
@@ -108,8 +108,7 @@ def test_ac02_rate_monotone_in_alpha():
     values = res.config.sweep.values
     qs = []
     for v in values:
-        model, alpha, beta, _ = sweep_point(res, "alpha", v)
-        out = _run_resolved(res, model=model, alpha=alpha, beta=beta)
+        out = _run_resolved(sweep_point(res, "alpha", v))
         agg = aggregate(out.traces["optimality_distance"])
         qs.append(empirical_rate(agg, k_end=res.k_end, window=res.window).q)
     slack_ok = all(qs[i + 1] <= qs[i] + 1e-3 for i in range(len(qs) - 1))
@@ -125,8 +124,7 @@ def test_ac03_beta_sweep_argmin_near_optimal():
     values = res.config.sweep.values
     qs = {}
     for v in values:
-        model, alpha, beta, _ = sweep_point(res, "beta", v)
-        out = _run_resolved(res, model=model, alpha=alpha, beta=beta)
+        out = _run_resolved(sweep_point(res, "beta", v))
         if out.diverged:
             qs[v] = np.inf
             continue
@@ -179,11 +177,9 @@ def test_ac06_theta_sweep_convergence_and_silent_flag():
     res = resolve(load_config(_cfg("theta_sweep.yaml")))
     ratios = {}
     for t in (0.9, 0.1, 0.05, 0.03, 0.02, 0.01):
-        model, alpha, beta, _ = sweep_point(res, "theta", t)
-        out = _run_resolved(res, model=model, alpha=alpha, beta=beta)
+        out = _run_resolved(sweep_point(res, "theta", t))
         _, ratios[t] = _ratio(out)
-    model0, alpha, beta, _ = sweep_point(res, "theta", 0.0)
-    out0 = _run_resolved(res, model=model0, alpha=alpha, beta=beta)
+    out0 = _run_resolved(sweep_point(res, "theta", 0.0))
     agg0, ratio0 = _ratio(out0)
     flagged = non_convergent(agg0, k_end=res.k_end)
     conv_ok = all(r <= 1e-6 for r in ratios.values())

@@ -138,6 +138,8 @@ def test_exit_2_before_compute_on_window_outside_k_end(tmp_path, capsys, window)
 @pytest.mark.parametrize("over,fragment", [
     ({"engine": {"iterations": 200, "x0": [float("inf"), 0.0]}}, "engine.x0"),
     ({"disturbance": {"kind": "gaussian", "m_zeta": float("nan")}}, "m_zeta"),
+    ({"network": {"topology": "complete", "n": 2, "proposal": 0.3,
+                  "theta": float("nan")}}, "network.theta"),
 ])
 def test_exit_2_before_compute_on_non_finite_input(tmp_path, capsys, over,
                                                    fragment):
@@ -272,6 +274,58 @@ def test_sweep_exit_4_only_when_every_point_diverges(tmp_path):
                      "--values", "4000,5000", "--out", str(out2)]) == 4
 
 
+@pytest.mark.parametrize("argv,over,fragment", [
+    (["sweep", "--axis", "theta", "--values", "0.5,1.5"], {}, "theta"),
+    (["sweep", "--axis", "beta", "--values", "nan,1.0"], {}, "sweep value"),
+    (["sweep", "--axis", "theta", "--values", "nan"], {}, "sweep value"),
+    (["run"], {"sweep": {"axis": "beta", "values": [float("nan"), 1.0]}},
+     "sweep value"),
+])
+def test_sweep_checks_every_point_before_compute(tmp_path, capsys, argv, over,
+                                                 fragment):
+    cfg = _write(tmp_path, _tiny(**over))
+    out = tmp_path / "o"
+    assert main([argv[0], cfg, *argv[1:], "--out", str(out)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()                   # no point ran, nothing written
+
+
+WGA = {"algorithm": "wga", "iterations": 200, "replicas": 2}
+
+
+def test_wga_alpha_sweep_scales_wga_alpha(tmp_path):
+    # source explicit without a dta plan: wga needs only wga_alpha
+    doc = _tiny(engine=WGA, stepsizes={"source": "explicit", "wga_alpha": 0.2})
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["sweep", cfg, "--axis", "alpha", "--values", "0.5,1.0,2.0",
+                 "--out", str(out)]) == 0
+    traces = [(out / "tiny" / f"alpha_{i:02d}.csv").read_bytes() for i in range(3)]
+    assert len(set(traces)) == 3
+    s = json.loads((out / "tiny" / "summary.json").read_text())
+    assert [p["wga_alpha"] for p in s["points"]] == [0.1, 0.2, 0.4]
+    assert all("alpha" not in p and "beta" not in p for p in s["points"])
+    assert all(p["algorithm"] == "wga" for p in s["points"])
+
+
+@pytest.mark.parametrize("argv,stepsizes,fragment", [
+    (["sweep", "--axis", "beta", "--values", "0.5,1.0"], {}, "no beta"),
+    (["run"], {"wga_alpha": None}, "wga_alpha"),
+    (["sweep", "--axis", "alpha", "--values", "0.5,1.0"], {"wga_alpha": None},
+     "wga_alpha"),
+    (["compare"], {"wga_alpha": None}, "wga_alpha"),
+])
+def test_exit_2_before_compute_on_wga_plan_errors(tmp_path, capsys, argv,
+                                                  stepsizes, fragment):
+    doc = _tiny(engine=WGA)
+    doc["stepsizes"].update(stepsizes)
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main([argv[0], cfg, *argv[1:], "--out", str(out)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_theta_sweep_includes_silent_network(tmp_path):
     # long horizon so the stall detector's trailing window (10^4 steps)
     # clears the initial transient at theta=0
@@ -379,3 +433,30 @@ def test_trace_bytes_pinned_across_kernel_changes(tmp_path):
         "ccd2c5ea1a698b7a3e745ce0be7cdd562bb5846e7b64200cff8de3dac58449b3"
     assert _sha256(out / "irregular" / "wga.csv") == \
         "5f64bde5143ccd31f87f9f732c6fedbbc52a6be99121a3e2bf8d00e9fb6db693"
+
+
+def test_summary_bytes_pinned_across_front_end_changes(tmp_path, monkeypatch):
+    """summary.json must not move when the config/CLI front end is rewritten.
+
+    Run from a fixed working directory with a relative --out so the `files`
+    paths inside each summary are the same on every machine.
+    """
+    with open(os.path.join(EXPERIMENTS, "main.yaml")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["engine"]["iterations"] = doc["rate"]["k_end"] = 2000
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["run", _write(tmp_path, doc, "main.yaml"),
+                     "--out", "run"]) == 0
+        assert main(["sweep", _write(tmp_path, _tiny(), "tiny.yaml"),
+                     "--axis", "beta", "--values", "0.5,1.0,5000",
+                     "--out", "sweep"]) == 0
+        assert main(["compare", _write(tmp_path, IRREGULAR, "irregular.yaml"),
+                     "--out", "compare"]) == 0
+    assert _sha256(tmp_path / "run" / "main" / "summary.json") == \
+        "7385353578104ff38a8cc4717c6973c961f427610ba2310f9f000cc9a6d039bd"
+    assert _sha256(tmp_path / "sweep" / "tiny" / "summary.json") == \
+        "7f51f91d97686d38e5997a1b9fbae2d778e047f53916cf354ce3529ac58a766d"
+    assert _sha256(tmp_path / "compare" / "irregular" / "summary.json") == \
+        "80208e21333a2968660fc38b2d4f753cc008dbd925aefcd023e681ef6c3c0e95"

@@ -106,6 +106,17 @@ def test_defaults_fill_in():
     (lambda d: d.update(stepsizes={"wga_alpha": float("-inf")}),
      "stepsizes.wga_alpha"),
     (lambda d: d.update(rate={"k_end": 2.5}), "rate.k_end"),
+    (lambda d: d.update(engine=5), "engine must be a mapping"),
+    (lambda d: d.update(engine=None), "engine must be a mapping"),
+    (lambda d: d.update(disturbance=3), "disturbance must be a mapping"),
+    (lambda d: d.update(sweep={"axis": "beta", "values": 3}), "sweep.values"),
+    (lambda d: d.update(stepsizes={"alpha_scale": [1, 2]}),
+     "stepsizes.alpha_scale"),
+    (lambda d: d.update(network={"topology": "edges", "edges": [[0.5, 1, 0.2]]}),
+     "network.edges index"),
+    (lambda d: d["network"].update(theta=float("nan")), "network.theta"),
+    (lambda d: d.update(engine={"iterations": None}),
+     "engine.iterations must be an integer"),
 ])
 def test_from_dict_rejects(mutate, fragment):
     d = _minimal()
@@ -138,6 +149,21 @@ def test_resolve_rejects_bad_proposal():
     d["network"]["proposal"] = "equal-ish"
     with pytest.raises(ConfigError, match="proposal"):
         resolve(from_dict(d))
+
+
+@pytest.mark.parametrize("cost", [
+    {"a": "abc", "b": [0.1, -0.1]},
+    {"a": 1.0, "b": [0.1, -0.1]},
+    {"a": [1.0, 2.0], "b": [0.1, -0.1], "c": "x"},
+])
+def test_resolve_rejects_malformed_cost_terms(cost):
+    with pytest.raises(ConfigError):
+        resolve(from_dict(_minimal(cost=cost)))
+
+
+def test_resolve_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        resolve(from_dict(_minimal(seed=-1)))
 
 
 def test_resolve_rejects_agent_count_mismatch():
@@ -257,27 +283,46 @@ def test_resolve_disturbance_section():
 
 def test_sweep_point_alpha_beta_multiply():
     res = resolve(from_dict(_minimal()))
-    model, alpha, beta, wga = sweep_point(res, "alpha", 0.3)
-    assert model is res.model
-    assert alpha == pytest.approx(0.3 * res.alpha, rel=1e-15)
-    assert beta == res.beta
-    _, alpha2, beta2, _ = sweep_point(res, "beta", 1.07)
-    assert alpha2 == res.alpha
-    assert beta2 == pytest.approx(1.07 * res.beta, rel=1e-15)
-    assert wga == res.wga_alpha
+    point = sweep_point(res, "alpha", 0.3)
+    assert point.model is res.model
+    assert point.alpha == pytest.approx(0.3 * res.alpha, rel=1e-15)
+    assert point.beta == res.beta
+    point2 = sweep_point(res, "beta", 1.07)
+    assert point2.alpha == res.alpha
+    assert point2.beta == pytest.approx(1.07 * res.beta, rel=1e-15)
+    assert point.wga_alpha == res.wga_alpha
 
 
 def test_sweep_point_theta_rebuilds_model():
     res = resolve(from_dict(_minimal()))
-    model, alpha, beta, _ = sweep_point(res, "theta", 0.25)
-    assert model is not res.model
-    assert np.all(model.theta == 0.25)
-    assert np.array_equal(model.edges, res.model.edges)
-    assert np.array_equal(model.weights, res.model.weights)
-    assert alpha == res.alpha and beta == res.beta
+    point = sweep_point(res, "theta", 0.25)
+    assert point.model is not res.model
+    assert np.all(point.model.theta == 0.25)
+    assert np.array_equal(point.model.edges, res.model.edges)
+    assert np.array_equal(point.model.weights, res.model.weights)
+    assert point.alpha == res.alpha and point.beta == res.beta
     # the all-links-silent boundary is allowed as a sweep point
-    frozen_model, *_ = sweep_point(res, "theta", 0.0)
-    assert np.all(frozen_model.theta == 0.0)
+    frozen = sweep_point(res, "theta", 0.0)
+    assert np.all(frozen.model.theta == 0.0)
+
+
+def test_sweep_point_wga_scales_wga_alpha_and_has_no_beta():
+    res = resolve(from_dict(_minimal(engine={"algorithm": "wga"})))
+    point = sweep_point(res, "alpha", 2.0)
+    assert point.wga_alpha == pytest.approx(2.0 * res.wga_alpha, rel=1e-15)
+    assert point.alpha == res.alpha and point.model is res.model
+    with pytest.raises(ConfigError, match="no beta"):
+        sweep_point(res, "beta", 2.0)
+
+
+@pytest.mark.parametrize("axis,value", [
+    ("alpha", float("nan")), ("beta", float("inf")), ("theta", float("nan")),
+    ("theta", 1.5), ("theta", -0.1),
+])
+def test_sweep_point_rejects_bad_values(axis, value):
+    res = resolve(from_dict(_minimal()))
+    with pytest.raises(ConfigError, match="sweep"):
+        sweep_point(res, axis, value)
 
 
 def test_sweep_point_rejects_unknown_axis():

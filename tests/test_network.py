@@ -256,6 +256,9 @@ def test_model_validation():
         build_model(3, [[0, 1]], [-0.1], [0.5])         # negative weight
     with pytest.raises(ValueError):
         build_model(3, [[0, 1]], [0.1], [1.5])          # theta > 1
+    for allow_zero in (False, True):
+        with pytest.raises(ValueError):                 # theta NaN
+            build_model(3, [[0, 1]], [0.1], [np.nan], allow_zero_theta=allow_zero)
     with pytest.raises(ValueError):
         # row load >= 1 breaks the diagonal positivity guarantee
         build_model(3, [[0, 1], [0, 2]], [0.6, 0.6], [0.5, 0.5])
