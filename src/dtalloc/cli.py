@@ -56,6 +56,11 @@ def _jsonable(obj):
     return obj
 
 
+def _fmt(v, spec):
+    """`v` formatted by `spec`, or n/a when it is None or not finite."""
+    return "n/a" if v is None or not np.isfinite(v) else format(v, spec)
+
+
 def _out_dir(args, cfg):
     base = args.out or os.environ.get("DTALLOC_OUT_DIR") or "runs"
     return os.path.join(base, cfg.name)
@@ -194,8 +199,7 @@ def _execute_point(res, algorithm, path, label):
     result = engine.run(
         res.problem, res.model, algorithm=algorithm, alpha=alpha, beta=beta,
         iterations=cfg.engine.iterations, replicas=cfg.engine.replicas,
-        seed=cfg.seed, x0=res.x0, disturbance=res.disturbance,
-        chunk=cfg.engine.chunk)
+        seed=cfg.seed, x0=res.x0, disturbance=res.disturbance)
     summary, agg = _run_summary(res, result, path)
     if algorithm == "dta":
         summary["alpha"], summary["beta"] = alpha, beta
@@ -226,8 +230,7 @@ def _execute_sweep(args, res, axis, values):
             n_diverged += 1
             print(f"{label}: diverged at iteration {result.diverged_at}")
         else:
-            q = record["empirical_rate"]["q"]
-            print(f"{label}: q_n {'n/a' if q is None else format(q, '.6f')}")
+            print(f"{label}: q_n {_fmt(record['empirical_rate']['q'], '.6f')}")
     summary = {
         "name": cfg.name,
         "axis": axis,
@@ -264,9 +267,8 @@ def cmd_run(args):
         print(f"{cfg.name}: diverged at iteration {result.diverged_at} "
               f"(replica {result.diverged_replica})", file=sys.stderr)
         return EXIT_DIVERGED
-    q = summary["empirical_rate"]["q"]
-    print(f"{cfg.name}: final ratio {summary['final_ratio']:.3e}, "
-          f"q_n {'n/a' if q is None else format(q, '.6f')}")
+    print(f"{cfg.name}: final ratio {_fmt(summary['final_ratio'], '.3e')}, "
+          f"q_n {_fmt(summary['empirical_rate']['q'], '.6f')}")
     return EXIT_OK
 
 
@@ -302,9 +304,8 @@ def cmd_compare(args):
         "wga_gap_identity_err": r_wga.wga_drift_err,
     }
     _write_summary(os.path.join(outdir, "summary.json"), summary)
-    print(f"{cfg.name}: dta final ratio "
-          f"{'n/a' if fin_d is None else format(fin_d, '.3e')}, wga final ratio "
-          f"{'n/a' if fin_w is None else format(fin_w, '.3e')}")
+    print(f"{cfg.name}: dta final ratio {_fmt(fin_d, '.3e')}, "
+          f"wga final ratio {_fmt(fin_w, '.3e')}")
     if r_dta.diverged and r_wga.diverged:
         return EXIT_DIVERGED
     return EXIT_OK

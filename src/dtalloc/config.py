@@ -8,11 +8,12 @@ the resolved stepsize plan.
 Stepsize resolution, in order:
   1. source "optimal" computes (alpha, beta) from the rate constants of the
      configured network; "explicit" starts from nothing.
-  2. explicit `alpha:` / `beta:` entries override their slot (either source).
-  3. `alpha_scale:` / `beta_scale:` multiply the result.
+  2. explicit `alpha:` / `beta:` entries (a scalar, or one value per agent)
+     override their slot (either source).
 Sweeps over alpha/beta multiply the resolved plan of the configured
-algorithm per point (wga has only `wga_alpha`); a theta sweep replaces the
-link-activation probability outright and keeps the plan fixed.
+algorithm per point (wga has only `wga_alpha`), so a scaled plan is a
+one-point sweep; a theta sweep replaces the link-activation probability
+outright and keeps the plan fixed.
 """
 from __future__ import annotations
 
@@ -103,7 +104,6 @@ class EngineSection:
     iterations: int = 1000
     replicas: int = 1
     x0: object = "zeros"                # zeros | demand | list
-    chunk: int = 2048
 
 
 @dataclass
@@ -111,8 +111,6 @@ class StepsizeSection:
     source: str = "optimal"             # optimal | explicit
     alpha: object = None
     beta: object = None
-    alpha_scale: float = 1.0
-    beta_scale: float = 1.0
     wga_alpha: object = "auto"          # auto | value
 
 
@@ -178,21 +176,17 @@ def from_dict(d):
     eng = cfg.engine = _section(EngineSection, cfg.engine, "engine")
     eng.iterations = _int(eng.iterations, "engine.iterations")
     eng.replicas = _int(eng.replicas, "engine.replicas")
-    eng.chunk = _int(eng.chunk, "engine.chunk")
     _finite(eng.x0, "engine.x0", ("zeros", "demand"))
     if eng.algorithm not in ("dta", "wga"):
         raise ConfigError(f"engine.algorithm must be dta|wga, got {eng.algorithm!r}")
     if eng.iterations < 1 or eng.replicas < 1:
         raise ConfigError("engine.iterations and engine.replicas must be >= 1")
-    if eng.chunk < 1:
-        raise ConfigError(f"engine.chunk must be >= 1, got {eng.chunk}")
 
     steps = cfg.stepsizes = _section(StepsizeSection, cfg.stepsizes, "stepsizes")
     _finite(steps.alpha, "stepsizes.alpha")
     _finite(steps.beta, "stepsizes.beta")
-    _number(steps.alpha_scale, "stepsizes.alpha_scale")
-    _number(steps.beta_scale, "stepsizes.beta_scale")
-    _finite(steps.wga_alpha, "stepsizes.wga_alpha", ("auto",))
+    if steps.wga_alpha not in ("auto", None):
+        _number(steps.wga_alpha, "stepsizes.wga_alpha")
     if steps.source not in ("optimal", "explicit"):
         raise ConfigError(f"stepsizes.source must be optimal|explicit, got {steps.source!r}")
     if steps.source == "explicit" and eng.algorithm == "dta":
@@ -298,8 +292,8 @@ def resolve(cfg):
 
     steps = cfg.stepsizes
     opt = optimal_stepsizes(rc) if steps.source == "optimal" else None
-    alpha = _stepsize(opt.alpha if opt else None, steps.alpha, steps.alpha_scale)
-    beta = _stepsize(opt.beta if opt else None, steps.beta, steps.beta_scale)
+    alpha = _stepsize(opt.alpha if opt else None, steps.alpha, problem.n)
+    beta = _stepsize(opt.beta if opt else None, steps.beta, problem.n)
 
     wga_alpha = None
     if cfg.stepsizes.wga_alpha == "auto":
@@ -326,12 +320,17 @@ def resolve(cfg):
                               window=int(cfg.rate.window))
 
 
-def _stepsize(value, override, scale):
-    """One plan slot: `override` (scalar or per-agent) if given, else `value`,
-    times `scale`; None when neither is given."""
-    if override is not None:
-        value = np.asarray(override, float) if np.ndim(override) else float(override)
-    return None if value is None else value * scale
+def _stepsize(value, override, n):
+    """One plan slot: `override` (a scalar or an (n,) per-agent vector) if
+    given, else `value`; None when neither is given."""
+    if override is None:
+        return value
+    if np.ndim(override) == 0:
+        return float(override)
+    if np.shape(override) != (n,):
+        raise ConfigError(f"per-agent stepsizes need one value for each of the "
+                          f"{n} agents, got {override!r}")
+    return np.asarray(override, float)
 
 
 def _resolve_x0(spec, problem):

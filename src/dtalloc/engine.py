@@ -15,7 +15,10 @@ it): SeedSequence(seed).spawn(replicas) gives one child per replica, and
 child.spawn(2) yields the (link-activation, disturbance) generator pair.
 Per step, activations are `rng.random(E) < theta` and disturbance draws are
 one (n, u) block from the second stream; draws are buffered in chunks, which
-leaves the per-stream sequences unchanged.  Runs with the same seed therefore
+leaves the per-stream sequences unchanged.  A chunk holds as many steps as
+fit one replica's float64 draws in DRAW_BYTES (512 KiB; at least one step),
+so the draw buffers take about R x 576 KiB (float64 disturbance plus boolean
+activations) beside the traces.  Runs with the same seed therefore
 see identical link failures and disturbances regardless of algorithm — the
 DTA/WGA comparison is variance-paired for free.
 
@@ -45,6 +48,7 @@ from .costs import kkt_solve
 from .network import mixing_matrix
 
 DIVERGENCE_LIMIT = 1e12
+DRAW_BYTES = 2 ** 19    # float64 draw buffer per replica and chunk
 
 
 @dataclass
@@ -123,7 +127,7 @@ class RunResult:
 
 def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
         iterations, replicas=1, seed=0, x0=None, y0=None, disturbance=None,
-        chunk=2048, check_samples=False, record_states=False):
+        check_samples=False, record_states=False):
     """Run `replicas` independent chains for `iterations` steps.
 
     algorithm: "dta" (alpha, beta scalars or per-agent vectors) or
@@ -138,8 +142,6 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if alpha is None or (algorithm == "dta" and beta is None):
         raise ValueError("stepsizes must be resolved before running")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     n, u = problem.n, problem.u
     x0 = np.zeros((n, u)) if x0 is None else np.asarray(x0, float)
     if x0.shape != (n, u):
@@ -223,8 +225,7 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
 
     diverged = False
     div_replica = div_at = None
-    # activation draws in row blocks bound the float64 temporary at ~512 KiB
-    block = max(1, 2 ** 16 // max(E, 1))
+    chunk = max(1, DRAW_BYTES // (8 * max(E, n * u, 1)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         done = 0
@@ -232,10 +233,7 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
             L = min(chunk, T - done)
             acts = np.empty((R, L, E), dtype=bool)
             for r in range(R):
-                for a in range(0, L, block):
-                    b = min(a + block, L)
-                    acts[r, a:b] = wstreams[r].random((b - a, E)) < theta
-            zbuf = None
+                acts[r] = wstreams[r].random((L, E)) < theta
             if need_z:
                 zbuf = np.empty((R, L, n, u))
                 for r in range(R):
@@ -251,23 +249,16 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
             for t in range(L):
                 k = done + t
                 wv = weights * acts[:, t, :]  # (R, E)
-                z = zbuf[:, t] if need_z else None
+                xz = x + zbuf[:, t] if need_z else x
+                if need_z:
+                    zeta_total += zbuf[:, t].sum(axis=1)
                 if is_dta:
                     mixg, mixy = mix_apply(wv.T, np.stack((g, y)))
-                    if z is not None:
-                        xn = x + z - al * y - be * mixg
-                    else:
-                        xn = x - al * y - be * mixg
+                    xn = xz - al * y - be * mixg
                     y = (y - mixy) + (xn - x)
                     x = xn
                 else:
-                    mixg = mix_apply(wv.T, g[None])[0]
-                    if z is not None:
-                        x = x + z - alpha * mixg
-                    else:
-                        x = x - alpha * mixg
-                if need_z:
-                    zeta_total += z.sum(axis=1)
+                    x = xz - alpha * mix_apply(wv.T, g[None])[0]
 
                 opt, g = record(k + 1)
                 bad = ~np.isfinite(opt) | (opt > DIVERGENCE_LIMIT)

@@ -75,7 +75,8 @@ def empirical_rate(trace, k_end=25000, window=1000):
     q = (r[k_end] / r[k_end - N])^(1/N) by telescoping.  Zero residuals
     cannot enter a geometric mean: if the terminal residual is exactly zero
     the run converged to machine zero and the rate is reported as 0; an
-    interior zero shrinks the window to the trailing all-positive span.
+    interior zero shrinks the window to the trailing all-positive span, and
+    a zero just before a nonzero terminal residual leaves no span: q is NaN.
     """
     r = np.asarray(trace, float)
     if k_end >= len(r):
@@ -85,17 +86,12 @@ def empirical_rate(trace, k_end=25000, window=1000):
     if r[k_end] == 0.0:
         return RateEstimate(q=0.0, k_end=k_end, window=0, shrunk=True,
                             exact_convergence=True)
-    n_eff = window
-    while n_eff > 0 and r[k_end - n_eff] == 0.0:
-        n_eff -= 1
-    # any interior zero inside the remaining span also truncates it
-    span = r[k_end - n_eff:k_end + 1]
-    zero = np.flatnonzero(span == 0.0)
-    if zero.size:
-        n_eff = n_eff - int(zero[-1]) - 1
+    # the last zero inside the window truncates it to the span after it
+    zero = np.flatnonzero(r[k_end - window:k_end + 1] == 0.0)
+    n_eff = window - int(zero[-1]) - 1 if zero.size else window
     if n_eff == 0:
-        return RateEstimate(q=0.0, k_end=k_end, window=0, shrunk=True,
-                            exact_convergence=True)
+        return RateEstimate(q=float("nan"), k_end=k_end, window=0, shrunk=True,
+                            exact_convergence=False)
     q = float((r[k_end] / r[k_end - n_eff]) ** (1.0 / n_eff))
     return RateEstimate(q=q, k_end=k_end, window=n_eff,
                         shrunk=(n_eff != window), exact_convergence=False)

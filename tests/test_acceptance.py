@@ -66,7 +66,6 @@ def _run_resolved(res, *, alpha=None, beta=None, algorithm=None,
         seed=cfg.seed if seed is None else seed,
         x0=res.x0,
         disturbance=res.disturbance,
-        chunk=cfg.engine.chunk,
     )
     kw.update(over)
     if kw["algorithm"] == "wga":

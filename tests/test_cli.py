@@ -150,6 +150,41 @@ def test_exit_2_before_compute_on_non_finite_input(tmp_path, capsys, over,
     assert not (out / "tiny" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--axis", "beta",
+                                               "--values", "0.5,1.0"], ["bounds"]])
+@pytest.mark.parametrize("stepsizes", [
+    {"alpha": [0.05]},                        # n = 2 agents
+    {"beta": [0.1, 0.1, 0.1]},
+    {"alpha": [[0.05], [0.05]]},
+])
+def test_exit_2_before_compute_on_stepsize_shape(tmp_path, capsys, argv,
+                                                 stepsizes):
+    doc = _tiny()
+    doc["stepsizes"].update(stepsizes)
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    extra = [] if argv == ["bounds"] else ["--out", str(out)]
+    assert main([argv[0], cfg, *argv[1:], *extra]) == 2
+    captured = capsys.readouterr()
+    assert "per-agent stepsizes" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_run_from_the_optimum_reports_na(tmp_path, capsys):
+    # x0 = demand is optimal for identical costs, so r0 = 0 and no ratio exists
+    doc = _tiny(cost={"a": [1.0, 1.0, 1.0], "b": [0.0, 0.0, 0.0]},
+                demand=[1.0, 1.0, 1.0],
+                network={"topology": "complete", "n": 3, "proposal": 0.3,
+                         "theta": 0.8},
+                engine={"iterations": 200, "replicas": 2, "x0": "demand"})
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert "final ratio n/a" in capsys.readouterr().out
+    s = json.loads((out / "tiny" / "summary.json").read_text())
+    assert s["r0"] == 0.0 and s["final_ratio"] is None
+
+
 def test_exit_2_on_missing_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 

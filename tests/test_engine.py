@@ -15,6 +15,7 @@ from dtalloc import (
     allocation_problem,
     run,
 )
+from dtalloc import engine
 from naive_reference import naive_dta_step, naive_weight_matrix, naive_wga_step
 
 
@@ -241,18 +242,27 @@ def test_same_seed_reproduces_traces():
                               r3.traces["optimality_distance"])
 
 
-def test_chunk_size_does_not_change_streams():
-    prob = _main_problem()
-    model = complete_graph(10, weight=0.0002, theta=0.5)
+def test_chunk_size_does_not_change_streams(monkeypatch):
     dist = DisturbanceSpec("laplace", m_zeta=2.0, q_zeta=0.99)
-    kw = dict(algorithm="dta", alpha=0.0007647132835707233,
-              beta=14309.704294513564, iterations=149, replicas=2, seed=31,
+    kw = dict(algorithm="dta", iterations=149, replicas=2, seed=31,
               disturbance=dist)
-    r_big = run(prob, model, chunk=2048, **kw)
-    r_odd = run(prob, model, chunk=7, **kw)
-    for name in r_big.traces:
-        assert np.array_equal(r_big.traces[name], r_odd.traces[name])
-    assert np.array_equal(r_big.zeta_total, r_odd.zeta_total)
+    # E = 45 > n u = 10, then a single link with n u = 6 > E = 1
+    pair = allocation_problem(quadratic_costs([1.0, 2.0], np.zeros((2, 3))),
+                              np.ones((2, 3)))
+    cases = [(_main_problem(), complete_graph(10, weight=0.0002, theta=0.5),
+              dict(alpha=0.0007647132835707233, beta=14309.704294513564)),
+             (pair, build_model(2, [(0, 1)], [0.3], 0.8),
+              dict(alpha=0.05, beta=0.1))]
+    for prob, model, plan in cases:
+        r_big = run(prob, model, **plan, **kw)
+        with monkeypatch.context() as m:
+            # 7-step chunks: 149 steps end on a partial chunk
+            width = max(model.n_edges, prob.n * prob.u)
+            m.setattr(engine, "DRAW_BYTES", 8 * width * 7)
+            r_odd = run(prob, model, **plan, **kw)
+        for name in r_big.traces:
+            assert np.array_equal(r_big.traces[name], r_odd.traces[name])
+        assert np.array_equal(r_big.zeta_total, r_odd.zeta_total)
 
 
 def test_uniform_vector_plan_equals_scalar_plan():
@@ -379,9 +389,6 @@ def test_run_validates_inputs():
         run(prob, model, algorithm="dta", alpha=0.1, beta=None, iterations=1)
     with pytest.raises(ValueError):
         run(prob, model, algorithm="dta", alpha=None, beta=0.1, iterations=1)
-    with pytest.raises(ValueError, match="chunk"):
-        run(prob, model, algorithm="dta", alpha=0.1, beta=0.1, iterations=1,
-            chunk=0)
 
 
 def test_record_states_shapes_and_trace_columns():

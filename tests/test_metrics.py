@@ -86,6 +86,13 @@ def test_empirical_rate_interior_zero_shrinks_window():
     assert est.q == pytest.approx(0.9, abs=1e-12)
 
 
+def test_empirical_rate_nonzero_terminal_after_zero_is_not_exact():
+    # the window's last zero sits just before k_end: no ratio is left to take
+    est = empirical_rate([1.0, 0.5, 0.0, 0.25], k_end=3, window=2)
+    assert np.isnan(est.q) and not est.exact_convergence
+    assert est.window == 0 and est.shrunk
+
+
 def test_empirical_rate_constant_trace():
     r = np.full(1001, 0.7)
     est = empirical_rate(r, k_end=1000, window=100)
