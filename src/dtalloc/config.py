@@ -243,6 +243,9 @@ def _build_network(net, n_agents):
         weights = metropolis_weights(n, edges) if net.proposal == "metropolis" else net.proposal
     if n != n_agents:
         raise ConfigError(f"network has n={n} but the cost model has {n_agents} agents")
+    if np.shape(net.theta) not in ((), (len(edges),)):
+        raise ConfigError(f"network.theta needs one value for each of the "
+                          f"{len(edges)} links, got {net.theta!r}")
     try:
         return build_model(n, edges, weights, net.theta)
     except ValueError as exc:

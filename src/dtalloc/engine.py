@@ -18,9 +18,10 @@ one (n, u) block from the second stream; draws are buffered in chunks, which
 leaves the per-stream sequences unchanged.  A chunk holds as many steps as
 fit one replica's float64 draws in DRAW_BYTES (512 KiB; at least one step),
 so the draw buffers take about R x 576 KiB (float64 disturbance plus boolean
-activations) beside the traces.  Runs with the same seed therefore
-see identical link failures and disturbances regardless of algorithm — the
-DTA/WGA comparison is variance-paired for free.
+activations) beside the traces and the record block's state buffers
+(B R n u x 8 bytes each, at most 128 KiB; see below).  Runs with the same
+seed therefore see identical link failures and disturbances regardless of
+algorithm — the DTA/WGA comparison is variance-paired for free.
 
 (I - W(k)) v = B' diag(w(k)) B v is applied edge-wise through the signed
 incidence B (E x n; +1 at i, -1 at j for edge (i, j)), built once per run;
@@ -34,8 +35,25 @@ order, so each agent adds its outgoing terms and then its incoming ones,
 each in ascending edge order, from 0.0 -- the order two `np.add.at` passes
 would use, which keeps the result bit-identical to the per-edge message
 passing written that way.  DTA mixes the gradient and the tracker in one
-call, and the gradient computed for the trace at step k is reused for the
-update at step k + 1.
+call.
+
+Recording runs once per block of steps, not per step.  Per step, the loop
+only computes the update, the gradient of the new state (the next update's
+input) and, with a disturbance, each replica's sum of zeta(k) over agents;
+it copies x(k+1) (and y(k+1)) into a (B, R, n, u) block buffer.  Once per
+block, and at step T, `flush` makes one `metrics.residuals` call on the
+stacked block to fill B trace columns, reduces the conservation drift and
+the mean recursion (chained through the previous block's last tracker mean)
+over the block's rows, runs the `check_samples` checks on the block's
+stacked weights, and finds divergence as the first row whose optimality
+distance or tracking norm is non-finite or above DIVERGENCE_LIMIT.  That
+row is recorded and ends the run; the rows after it are dropped, so their
+traces and states stay NaN.  Every reduction runs over the trailing (n, u)
+axes of one row, so the block gives the same bits as per-step calls.
+B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 R n u))): each block buffer
+holds B R n u float64 values, at most 128 KiB (64 rows) unless a single
+step is larger, and a diverging run computes at most 63 steps past the
+step that diverged.
 """
 from __future__ import annotations
 
@@ -49,6 +67,8 @@ from .network import mixing_matrix
 
 DIVERGENCE_LIMIT = 1e12
 DRAW_BYTES = 2 ** 19    # float64 draw buffer per replica and chunk
+BLOCK_BYTES = 2 ** 17   # float64 state buffer (x, and y for DTA) per block
+BLOCK_ROWS = 64         # most steps recorded per block
 
 
 @dataclass
@@ -74,8 +94,10 @@ class DisturbanceSpec:
                 raise ValueError("q_zeta must lie in (0, 1)")
             if not 0.0 <= self.m_zeta < np.inf:
                 raise ValueError("m_zeta must be finite and >= 0")
-            if self.cutoff is not None and not (
-                    isinstance(self.cutoff, (int, np.integer)) and self.cutoff >= 0):
+            if self.cutoff is not None and (
+                    isinstance(self.cutoff, bool)
+                    or not isinstance(self.cutoff, (int, np.integer))
+                    or self.cutoff < 0):
                 raise ValueError(f"cutoff must be an integer >= 0, got {self.cutoff!r}")
 
     @property
@@ -136,7 +158,10 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
     Divergence (non-finite state or residual beyond 1e12) stops the run;
     remaining trace entries and recorded states stay NaN and the replica and
     iteration are reported on the result instead of raising, so sweeps can
-    cross the stability boundary on purpose.
+    cross the stability boundary on purpose.  check_samples assembles the
+    dense W(k) of every step before divergence, one block at a time
+    (B R n^2 float64 values), and raises ValueError on a non-positive
+    self-weight.
     """
     if algorithm not in ("dta", "wga"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -205,31 +230,92 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
         out = np.bincount(slots, terms.ravel(), minlength=S * R * n * u)
         return out.reshape(S, R, n, u)
 
-    def record(idx):
-        res, g = _metrics.residuals(x, y, problem, kkt)
-        for name, v in res.items():
-            traces[name][:, idx] = v
-        if record_states:
-            states_x[idx] = x
-            if is_dta:
-                states_y[idx] = y
-        return res["optimality_distance"], g
+    # per-block record: the loop buffers each step's state, `flush` reduces
+    # the block -- residual traces, drift maxima, divergence, sample checks
+    B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * R * n * u)))
+    xbuf = np.empty((B, R, n, u))
+    ybuf = np.empty((B, R, n, u)) if is_dta else None
+    wbuf = np.empty((B, R, E)) if check_samples else None
+    zsum = np.empty((B, R, u)) if need_z else None
 
-    _, g = record(0)
+    res0, g = _metrics.residuals(x, y, problem, kkt)
+    for name, v in res0.items():
+        traces[name][:, 0] = v
+    if record_states:
+        states_x[0] = x
+        if is_dta:
+            states_y[0] = y
     cons_drift = 0.0
     mean_rec_err = 0.0
     ds_err = 0.0
     track_mean_rec = is_dta and shared_alpha and not need_z
     ybar_prev = y.mean(axis=1) if track_mean_rec else None  # (R, u)
     zeta_total = np.zeros((R, u)) if need_z else None
-
-    diverged = False
     div_replica = div_at = None
+
+    def flush(k0, m):
+        """Record block rows [0, m) as the states of steps k0+1 .. k0+m.
+
+        Returns the first diverged row, or None.  Rows after it stay NaN in
+        the traces; the drift maxima and sample checks cover the rows before
+        it, and the disturbance sum the rows up to it.
+        """
+        nonlocal cons_drift, mean_rec_err, ds_err, ybar_prev, zeta_total
+        nonlocal div_at, div_replica
+        xs = xbuf[:m]
+        ys = ybuf[:m] if is_dta else None
+        res, _ = _metrics.residuals(xs, ys, problem, kkt)       # each (m, R)
+        opt = res["optimality_distance"]
+        bad = ~np.isfinite(opt) | (opt > DIVERGENCE_LIMIT)
+        if is_dta:
+            tr = res["tracking_norm"]
+            bad |= ~np.isfinite(tr) | (tr > DIVERGENCE_LIMIT)
+        rows = np.flatnonzero(bad.any(axis=1))
+        first = int(rows[0]) if rows.size else None
+        stop = m if first is None else first + 1    # rows recorded
+        ok = m if first is None else first          # rows checked
+        if first is not None:
+            div_at = k0 + first + 1
+            div_replica = int(np.flatnonzero(bad[first])[0])
+
+        steps = slice(k0 + 1, k0 + 1 + stop)
+        for name, v in res.items():
+            traces[name][:, steps] = v[:stop].T
+        if record_states:
+            states_x[steps] = xs[:stop]
+            if is_dta:
+                states_y[steps] = ys[:stop]
+        if need_z:
+            # sequential, so each step's sum enters in step order
+            zeta_total = np.add.accumulate(
+                np.concatenate((zeta_total[None], zsum[:stop])))[-1]
+        if ok and is_dta:
+            c = ys[:ok].sum(axis=2) - (xs[:ok].sum(axis=2) - dsum)
+            cons_drift = max(cons_drift, float(np.abs(c).max()))
+            if track_mean_rec:
+                ybar = ys[:ok].mean(axis=2)                      # (ok, R, u)
+                prev = np.concatenate((ybar_prev[None], ybar[:-1]))
+                err = np.abs(ybar - (1.0 - float(alpha)) * prev)
+                mean_rec_err = max(mean_rec_err, float(err.max()))
+                ybar_prev = ybar[-1]
+        if ok and check_samples:
+            Wd = mixing_matrix(model, wbuf[:ok])                 # (ok, R, n, n)
+            rs = np.abs(Wd.sum(axis=-1) - 1.0).max()
+            cs = np.abs(Wd.sum(axis=-2) - 1.0).max()
+            sym = np.abs(Wd - Wd.swapaxes(-1, -2)).max()
+            ds_err = max(ds_err, float(rs), float(cs), float(sym))
+            low = (Wd.diagonal(axis1=-2, axis2=-1) <= 0).any(axis=(1, 2))
+            if low.any():
+                k = k0 + int(np.flatnonzero(low)[0])
+                raise ValueError(f"non-positive self-weight in a sample at k={k}")
+        return first
+
     chunk = max(1, DRAW_BYTES // (8 * max(E, n * u, 1)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         done = 0
-        while done < T and not diverged:
+        i = 0           # rows filled in the current block
+        while done < T and div_at is None:
             L = min(chunk, T - done)
             acts = np.empty((R, L, E), dtype=bool)
             for r in range(R):
@@ -247,49 +333,37 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
                 zbuf *= scales[done:done + L][None, :, None, None]
 
             for t in range(L):
-                k = done + t
                 wv = weights * acts[:, t, :]  # (R, E)
-                xz = x + zbuf[:, t] if need_z else x
                 if need_z:
-                    zeta_total += zbuf[:, t].sum(axis=1)
+                    xz = x + zbuf[:, t]
+                    zbuf[:, t].sum(axis=1, out=zsum[i])
+                else:
+                    xz = x
                 if is_dta:
                     mixg, mixy = mix_apply(wv.T, np.stack((g, y)))
                     xn = xz - al * y - be * mixg
                     y = (y - mixy) + (xn - x)
                     x = xn
+                    ybuf[i] = y
                 else:
                     x = xz - alpha * mix_apply(wv.T, g[None])[0]
-
-                opt, g = record(k + 1)
-                bad = ~np.isfinite(opt) | (opt > DIVERGENCE_LIMIT)
-                if is_dta:
-                    tr = traces["tracking_norm"][:, k + 1]
-                    bad |= ~np.isfinite(tr) | (tr > DIVERGENCE_LIMIT)
-                if bad.any():
-                    diverged = True
-                    div_replica = int(np.flatnonzero(bad)[0])
-                    div_at = k + 1
-                    break
-
-                if is_dta:
-                    c = y.sum(axis=1) - (x.sum(axis=1) - dsum)
-                    cons_drift = max(cons_drift, float(np.abs(c).max()))
-                    if track_mean_rec:
-                        ybar = y.mean(axis=1)
-                        err = np.abs(ybar - (1.0 - float(alpha)) * ybar_prev)
-                        mean_rec_err = max(mean_rec_err, float(err.max()))
-                        ybar_prev = ybar
+                g = problem.costs.gradient(x)
+                xbuf[i] = x
                 if check_samples:
-                    Wd = mixing_matrix(model, wv)
-                    rs = np.abs(Wd.sum(axis=2) - 1.0).max()
-                    cs = np.abs(Wd.sum(axis=1) - 1.0).max()
-                    sym = np.abs(Wd - Wd.transpose(0, 2, 1)).max()
-                    ds_err = max(ds_err, float(rs), float(cs), float(sym))
-                    if Wd.diagonal(axis1=1, axis2=2).min() <= 0:
-                        raise ValueError(f"non-positive self-weight in a sample at k={k}")
+                    wbuf[i] = wv
+                i += 1
+                k = done + t + 1
+                if i == B or k == T:
+                    first = flush(k - i, i)
+                    if first is not None:
+                        x = xbuf[first].copy()
+                        y = ybuf[first].copy() if is_dta else None
+                        break
+                    i = 0
             done += L
 
     wga_drift = float("nan")
+    diverged = div_at is not None
     if algorithm == "wga" and need_z and not diverged:
         # WGA conserves 1'x, so 1'x(T) - 1'x(0) is the injected mass alone
         drift = x.sum(axis=1) - x0.sum(axis=0)       # (R, u)

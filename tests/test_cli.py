@@ -150,6 +150,20 @@ def test_exit_2_before_compute_on_non_finite_input(tmp_path, capsys, over,
     assert not (out / "tiny" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("theta", [[0.5, 0.5], [[0.5]], []])
+def test_exit_2_before_compute_on_theta_length(tmp_path, capsys, theta):
+    doc = _tiny()
+    doc["network"]["theta"] = theta        # the two-agent graph has one link
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "network.theta" in err and "each of the 1 links" in err
+    assert not (out / "tiny" / "trace.csv").exists()
+    doc["network"]["theta"] = [0.5]
+    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("argv", [["run"], ["sweep", "--axis", "beta",
                                                "--values", "0.5,1.0"], ["bounds"]])
 @pytest.mark.parametrize("stepsizes", [

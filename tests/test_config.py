@@ -100,6 +100,8 @@ def test_defaults_fill_in():
                                      "cutoff": -5}), "cutoff"),
     (lambda d: d.update(disturbance={"kind": "impulse", "m_zeta": 1.0,
                                      "cutoff": 2.5}), "cutoff"),
+    (lambda d: d.update(disturbance={"kind": "impulse", "m_zeta": 1.0,
+                                     "cutoff": True}), "cutoff"),
     (lambda d: d.update(stepsizes={"alpha": float("inf")}), "stepsizes.alpha"),
     (lambda d: d.update(stepsizes={"beta": [0.1, float("nan")]}),
      "stepsizes.beta"),

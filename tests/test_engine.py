@@ -3,6 +3,8 @@ multi-replica loop against naive message-passing replays, and the invariants
 the updates are supposed to preserve (conservation, mean recursion, fixed
 point, double stochasticity)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,12 @@ from dtalloc import (
     run,
 )
 from dtalloc import engine
+from dtalloc.config import load_config, resolve, sweep_point
 from naive_reference import naive_dta_step, naive_weight_matrix, naive_wga_step
 
+
+EXPERIMENTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "experiments")
 
 # ---------------------------------------------------------------- fixtures
 
@@ -218,6 +224,53 @@ def test_sampled_matrices_doubly_stochastic():
     assert res.max_double_stochastic_err <= 1e-12
 
 
+def test_check_samples_inspects_every_step(monkeypatch):
+    prob = _main_problem()
+    model = complete_graph(10, weight=0.0002, theta=0.5)
+    T, R, seed = 150, 3, 8
+    seen = []
+    real = engine.mixing_matrix
+
+    def counting(model_, w):
+        seen.append(np.asarray(w).reshape(-1, model_.n_edges).copy())
+        return real(model_, w)
+
+    monkeypatch.setattr(engine, "mixing_matrix", counting)
+    run(prob, model, algorithm="dta", alpha=0.0007647132835707233,
+        beta=14309.704294513564, iterations=T, replicas=R, seed=seed,
+        check_samples=True)
+    inspected = np.concatenate(seen)
+    assert inspected.shape == (T * R, model.n_edges)
+    acts = _replay_acts(seed, R, T, model.n_edges, model.theta)
+    drawn = np.concatenate([model.weights * a for a in acts])
+
+    def rows(a):
+        return a[np.lexsort(a.T[::-1])]
+    assert np.array_equal(rows(inspected), rows(drawn))
+
+
+def test_check_samples_rejects_non_positive_self_weight(monkeypatch):
+    prob = _main_problem()
+    model = complete_graph(10, weight=0.0002, theta=0.5)
+    seed, k_bad = 8, 100
+    target = model.weights * _replay_acts(seed, 2, 150, model.n_edges,
+                                          model.theta)[1][k_bad]
+    real = engine.mixing_matrix
+
+    def corrupt(model_, w):
+        W = real(model_, w)
+        flat = W.reshape(-1, model_.n, model_.n)
+        hit = (np.asarray(w).reshape(-1, model_.n_edges) == target).all(axis=1)
+        flat[hit, 3, 3] = 0.0
+        return W
+
+    monkeypatch.setattr(engine, "mixing_matrix", corrupt)
+    with pytest.raises(ValueError, match=f"non-positive self-weight.*k={k_bad}$"):
+        run(prob, model, algorithm="dta", alpha=0.0007647132835707233,
+            beta=14309.704294513564, iterations=150, replicas=2, seed=seed,
+            check_samples=True)
+
+
 def test_wga_run_conserves_feasibility():
     prob = _main_problem()
     model = complete_graph(10, weight=0.0002, theta=0.5)
@@ -263,6 +316,62 @@ def test_chunk_size_does_not_change_streams(monkeypatch):
         for name in r_big.traces:
             assert np.array_equal(r_big.traces[name], r_odd.traces[name])
         assert np.array_equal(r_big.zeta_total, r_odd.zeta_total)
+
+
+def _beta_sweep_point(value, iterations):
+    """The beta_sweep.yaml run at one multiplier, as engine.run keywords."""
+    res = resolve(load_config(os.path.join(EXPERIMENTS, "beta_sweep.yaml")))
+    pt = sweep_point(res, "beta", value)
+    return pt.problem, pt.model, dict(
+        algorithm="dta", alpha=pt.alpha, beta=pt.beta, iterations=iterations,
+        replicas=pt.config.engine.replicas, seed=pt.config.seed, x0=pt.x0)
+
+
+def _block_cases():
+    rng = np.random.default_rng(52)
+    prob3 = _random_instance(rng, 6, u=3)
+    gauss = DisturbanceSpec("gaussian", m_zeta=1.5, q_zeta=0.99)
+    main = _main_problem()
+    model10 = complete_graph(10, weight=0.0002, theta=0.5)
+    return {
+        "dta-u3-per-agent-gauss": (prob3, complete_graph(6, theta=0.6), dict(
+            algorithm="dta", alpha=np.linspace(0.02, 0.06, 6),
+            beta=np.linspace(0.05, 0.15, 6), iterations=149, replicas=3,
+            seed=13, disturbance=gauss)),
+        "wga-gauss": (main, model10, dict(
+            algorithm="wga", alpha=100.0, iterations=149, replicas=2, seed=14,
+            x0=main.demand, disturbance=gauss, check_samples=True)),
+        "dta-diverging": _beta_sweep_point(1.06, 400),
+    }
+
+
+@pytest.mark.parametrize("case", ["dta-u3-per-agent-gauss", "wga-gauss",
+                                  "dta-diverging"])
+def test_block_size_does_not_change_results(monkeypatch, case):
+    prob, model, kw = _block_cases()[case]
+    ref = run(prob, model, record_states=True, **kw)
+    if case == "dta-diverging":
+        # mid-block for the default 64-row block and for 7-row blocks
+        assert ref.diverged and ref.diverged_at % 64 and ref.diverged_at % 7
+
+    def same(a, b):
+        if a is None or b is None:
+            return a is None and b is None
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for rows in (1, 7):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "BLOCK_ROWS", rows)
+            res = run(prob, model, record_states=True, **kw)
+        for name in ref.traces:
+            assert same(ref.traces[name], res.traces[name]), (rows, name)
+        for attr in ("final_x", "final_y", "states_x", "states_y",
+                     "max_conservation_drift", "max_mean_recursion_err",
+                     "max_double_stochastic_err", "zeta_total", "wga_drift_err"):
+            assert same(getattr(ref, attr), getattr(res, attr)), (rows, attr)
+        assert (res.diverged, res.diverged_at, res.diverged_replica) == (
+            ref.diverged, ref.diverged_at, ref.diverged_replica)
 
 
 def test_uniform_vector_plan_equals_scalar_plan():
