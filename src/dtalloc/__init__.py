@@ -5,7 +5,7 @@ measurement."""
 
 from .costs import (AllocationProblem, KktSolution, QuadraticCosts,
                     allocation_problem, global_cost, kkt_solve, quadratic_costs)
-from .engine import DisturbanceSpec, RunResult, run
+from .engine import DisturbanceSpec, RunResult, run, run_points
 from .errors import (CapacityError, ConfigError, InfeasibleNetworkError,
                      InfeasiblePlanError)
 from .metrics import (RateEstimate, TRACE_COLUMNS, aggregate, empirical_rate,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationProblem", "KktSolution", "QuadraticCosts",
     "allocation_problem", "global_cost", "kkt_solve", "quadratic_costs",
-    "DisturbanceSpec", "RunResult", "run",
+    "DisturbanceSpec", "RunResult", "run", "run_points",
     "CapacityError", "ConfigError", "InfeasibleNetworkError",
     "InfeasiblePlanError",
     "RateEstimate", "TRACE_COLUMNS", "aggregate", "empirical_rate",

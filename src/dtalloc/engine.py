@@ -10,23 +10,34 @@ and the weighted-gradient baseline (no tracker, conserves 1'x):
 
     x(k+1) = x(k) [+ zeta(k)] - alpha_w (I - W(k)) grad f(x(k))
 
+Points run as lanes.  `run_points` runs points -- (model, alpha, beta)
+triples that share the problem, the edges and the weights, as a sweep's do
+-- in one step loop; `run` is the one-point case.  A lane is one (point,
+replica) pair: the state is a (G, R, n, u) stack, alpha and beta (WGA's
+alpha too) are (G, 1, 1, 1) or (G, 1, n, 1) columns (Python floats or
+(n, 1) for one point), and theta is a (G, E) activation threshold.  Points
+run in groups of G = max(1, TRACE_BYTES // (R (T+1) 4 8)), so a group's
+traces take at most 2 MiB unless one point is larger.
+
 Randomness discipline (frozen; determinism and paired comparisons depend on
 it): SeedSequence(seed).spawn(replicas) gives one child per replica, and
 child.spawn(2) yields the (link-activation, disturbance) generator pair.
 Per step, activations are `rng.random(E) < theta` and disturbance draws are
 one (n, u) block from the second stream; draws are buffered in chunks, which
-leaves the per-stream sequences unchanged.  A chunk holds as many steps as
-fit one replica's float64 draws in DRAW_BYTES (512 KiB; at least one step),
-so the draw buffers take about R x 576 KiB (float64 disturbance plus boolean
-activations) beside the traces and the record block's state buffers
-(B R n u x 8 bytes each, at most 128 KiB; see below).  Runs with the same
+leaves the per-stream sequences unchanged.  Each group draws a replica's
+uniforms and disturbance block once and shares them among that replica's
+lanes; only the comparison with theta is per lane.  A chunk holds as many
+steps as fit one replica's float64 draws in DRAW_BYTES (512 KiB; at least
+one step), so the draw buffers take about R x 512 KiB of disturbance plus a
+(chunk, G, R, E) boolean activation buffer (64 KiB per lane), beside the
+traces and the record block's state buffers (see below).  Runs with the same
 seed therefore see identical link failures and disturbances regardless of
-algorithm — the DTA/WGA comparison is variance-paired for free.
+algorithm or grouping -- the DTA/WGA comparison is variance-paired for free.
 
 (I - W(k)) v = B' diag(w(k)) B v is applied edge-wise through the signed
 incidence B (E x n; +1 at i, -1 at j for edge (i, j)), built once per run;
 w(k) holds the active negotiated weights.  The gather B v is one matrix
-product over every replica and stacked operand.  It is exact for finite
+product over every lane and stacked operand.  It is exact for finite
 inputs: each row of B has two nonzeros, so every dot product is one
 subtraction v_i - v_j plus exact zeros, whatever the summation order.  The
 per-edge terms t = w * (B v) are scattered back by a single `np.bincount`
@@ -35,24 +46,27 @@ order, so each agent adds its outgoing terms and then its incoming ones,
 each in ascending edge order, from 0.0 -- the order two `np.add.at` passes
 would use, which keeps the result bit-identical to the per-edge message
 passing written that way.  DTA mixes the gradient and the tracker in one
-call.
+call.  Every GEMM column, bincount slot and residual row belongs to one
+lane, so a lane's bits do not depend on the other lanes.
 
 Recording runs once per block of steps, not per step.  Per step, the loop
 only computes the update, the gradient of the new state (the next update's
 input) and, with a disturbance, each replica's sum of zeta(k) over agents;
-it copies x(k+1) (and y(k+1)) into a (B, R, n, u) block buffer.  Once per
+it copies x(k+1) (and y(k+1)) into a (B, G, R, n, u) block buffer.  Once per
 block, and at step T, `flush` makes one `metrics.residuals` call on the
-stacked block to fill B trace columns, reduces the conservation drift and
-the mean recursion (chained through the previous block's last tracker mean)
-over the block's rows, runs the `check_samples` checks on the block's
-stacked weights, and finds divergence as the first row whose optimality
-distance or tracking norm is non-finite or above DIVERGENCE_LIMIT.  That
-row is recorded and ends the run; the rows after it are dropped, so their
-traces and states stay NaN.  Every reduction runs over the trailing (n, u)
-axes of one row, so the block gives the same bits as per-step calls.
-B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 R n u))): each block buffer
-holds B R n u float64 values, at most 128 KiB (64 rows) unless a single
-step is larger, and a diverging run computes at most 63 steps past the
+stacked block to fill B trace columns of every point, reduces the
+conservation drift and the mean recursion (chained through the previous
+block's last tracker mean) over the block's rows, runs the `check_samples`
+checks on the block's stacked weights, and finds each point's divergence as
+the first row where the optimality distance or tracking norm of any of its
+replicas is non-finite or above DIVERGENCE_LIMIT.  That row is recorded and
+ends the point: its later rows stay NaN, its final state is that row's, and
+its lanes are compacted out of the loop, which runs on with the others.
+Every reduction runs over the trailing (n, u) axes of one lane and row, so
+the block gives the same bits as per-step calls.
+B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 G R n u))): each block buffer
+holds B G R n u float64 values, at most 128 KiB (64 rows) unless a single
+step is larger, and a diverging point computes at most 63 steps past the
 step that diverged.
 """
 from __future__ import annotations
@@ -69,6 +83,7 @@ DIVERGENCE_LIMIT = 1e12
 DRAW_BYTES = 2 ** 19    # float64 draw buffer per replica and chunk
 BLOCK_BYTES = 2 ** 17   # float64 state buffer (x, and y for DTA) per block
 BLOCK_ROWS = 64         # most steps recorded per block
+TRACE_BYTES = 2 ** 21   # float64 traces of one group of points
 
 
 @dataclass
@@ -120,6 +135,16 @@ def _col(v, n):
     return np.broadcast_to(a, (n,)).reshape(n, 1)
 
 
+def _cols(values, n):
+    """Per-point stepsizes: `_col` of a single point, else a (G, 1, 1 or n, 1) stack."""
+    cols = [_col(v, n) for v in values]
+    if len(cols) == 1:
+        return cols[0]
+    if all(isinstance(c, float) for c in cols):
+        return np.array(cols).reshape(-1, 1, 1, 1)
+    return np.stack([np.broadcast_to(c, (n, 1)) for c in cols])[:, None]
+
+
 @dataclass
 class RunResult:
     """Per-replica residual traces plus run-level diagnostics."""
@@ -161,12 +186,43 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
     cross the stability boundary on purpose.  check_samples assembles the
     dense W(k) of every step before divergence, one block at a time
     (B R n^2 float64 values), and raises ValueError on a non-positive
-    self-weight.
+    self-weight.  This is `run_points` with the one point (model, alpha, beta).
+    """
+    return next(run_points(
+        problem, [(model, alpha, beta)], algorithm=algorithm,
+        iterations=iterations, replicas=replicas, seed=seed, x0=x0, y0=y0,
+        disturbance=disturbance, check_samples=check_samples,
+        record_states=record_states))
+
+
+def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
+               seed=0, x0=None, y0=None, disturbance=None, check_samples=False,
+               record_states=False):
+    """Run each point (model, alpha, beta) as `run` would; yield their results.
+
+    Returns an iterator of one RunResult per point, in point order.  The
+    points must share the edges and weights (theta may differ), and they run
+    as lanes of one step loop, in groups that keep each group's traces within
+    TRACE_BYTES.  Every point sees the replica streams `run` gives it, so
+    each result is bit-identical to a `run` of that point alone; a point that
+    diverges stops alone.  All inputs are checked here, before any compute.
+    With check_samples, a non-positive self-weight in any lane raises.
     """
     if algorithm not in ("dta", "wga"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if alpha is None or (algorithm == "dta" and beta is None):
-        raise ValueError("stepsizes must be resolved before running")
+    for name, v, low in (("replicas", replicas, 1), ("iterations", iterations, 0)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+    points = list(points)
+    if not points:
+        raise ValueError("no points to run")
+    first = points[0][0]
+    for model, alpha, beta in points:
+        if alpha is None or (algorithm == "dta" and beta is None):
+            raise ValueError("stepsizes must be resolved before running")
+        if not (np.array_equal(model.edges, first.edges)
+                and np.array_equal(model.weights, first.weights)):
+            raise ValueError("points must share the edges and weights")
     n, u = problem.n, problem.u
     x0 = np.zeros((n, u)) if x0 is None else np.asarray(x0, float)
     if x0.shape != (n, u):
@@ -175,24 +231,44 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
     y0 = x0 - problem.demand if y0 is None else np.broadcast_to(np.asarray(y0, float), (n, u))
     if not (np.isfinite(x0).all() and np.isfinite(y0).all()):
         raise ValueError("x0 and y0 must be finite")
-    kkt = kkt_solve(problem)
-    dsum = problem.total_demand
-    dist = disturbance if disturbance is not None else DisturbanceSpec()
-    need_z = dist.active
-    scales = dist.scales(iterations, n, u) if need_z else None
+    R, T = int(replicas), int(iterations)
+    size = max(1, TRACE_BYTES // (R * (T + 1) * 4 * 8))
+    kw = dict(kkt=kkt_solve(problem), algorithm=algorithm, T=T, R=R, seed=seed,
+              x0=x0, y0=y0, check_samples=check_samples,
+              dist=disturbance if disturbance is not None else DisturbanceSpec(),
+              record_states=record_states)
+    return (result for at in range(0, len(points), size)
+            for result in _run_lanes(problem, points[at:at + size], **kw))
 
+
+def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
+               check_samples, record_states):
+    """One group of points as lanes of one step loop; their results in order.
+
+    Working arrays (state, stepsize columns, activations, block buffers)
+    hold the live points in order; per-point outputs are indexed by point.
+    """
+    n, u = problem.n, problem.u
+    P = len(points)
+    is_dta = algorithm == "dta"
+    need_z = dist.active
+    scales = dist.scales(T, n, u) if need_z else None
+    dsum = problem.total_demand
+
+    model = points[0][0]
     ei = model.edges[:, 0]
     ej = model.edges[:, 1]
     E = model.n_edges
     weights = model.weights
-    theta = model.theta
-    R = int(replicas)
-    T = int(iterations)
-
-    al = _col(alpha, n)
-    be = _col(beta, n) if beta is not None else None
-    shared_alpha = np.ndim(alpha) == 0
-    is_dta = algorithm == "dta"
+    thetas = np.stack([m.theta for m, _, _ in points])          # (P, E)
+    alphas = [a for _, a, _ in points]
+    al = _cols(alphas, n)
+    be = _cols([b for _, _, b in points], n) if is_dta else None
+    # the scalar mean recursion ybar(k+1) = (1 - alpha) ybar(k) holds for
+    # undisturbed DTA points with a shared alpha
+    tracked = np.array([is_dta and not need_z and np.ndim(a) == 0 for a in alphas])
+    decay = np.array([1.0 - float(a) if t else np.nan
+                      for a, t in zip(alphas, tracked)]).reshape(P, 1, 1)
 
     # frozen stream protocol: one child per replica, (W, zeta) pair per child
     children = np.random.SeedSequence(seed).spawn(R)
@@ -202,124 +278,158 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
         wstreams.append(np.random.default_rng(sw))
         zstreams.append(np.random.default_rng(sz))
 
-    x = np.broadcast_to(x0, (R, n, u)).copy()
-    y = np.broadcast_to(y0, (R, n, u)).copy() if is_dta else None
+    x = np.broadcast_to(x0, (P, R, n, u)).copy()
+    y = np.broadcast_to(y0, (P, R, n, u)).copy() if is_dta else None
 
-    traces = {name: np.full((R, T + 1), np.nan) for name in _metrics.TRACE_COLUMNS}
-    states_x = states_y = None
-    if record_states:
-        states_x = np.full((T + 1, R, n, u), np.nan)
-        states_y = np.full((T + 1, R, n, u), np.nan) if is_dta else None
+    # one result per point, filled in as its rows are recorded
+    results = [RunResult(
+        traces={name: np.full((R, T + 1), np.nan) for name in _metrics.TRACE_COLUMNS},
+        algorithm=algorithm, iterations=T, replicas=R, seed=seed,
+        x_star=kkt.x_star, final_x=None,
+        states_x=np.full((T + 1, R, n, u), np.nan) if record_states else None,
+        states_y=np.full((T + 1, R, n, u), np.nan) if record_states and is_dta else None,
+    ) for _ in range(P)]
+    cons_drift = np.zeros(P)
+    mean_rec_err = np.zeros(P)
+    ds_err = np.zeros(P)
+    zeta_total = np.zeros((P, R, u)) if need_z else None
+    live = np.arange(P)
 
-    # mixing kernel state: S stacked operands of shape (R, n, u) per call
+    # mixing kernel state: S stacked operands of shape (G, R, n, u) per call
     S = 2 if is_dta else 1
     inc = np.zeros((E, n))
     inc[np.arange(E), ei] = 1.0
     inc[np.arange(E), ej] = -1.0
-    # flat output slot of each [t, -t] entry, laid out (2E, S, R, u) -> (S, R, n, u)
     nodes = np.concatenate((ei, ej))
-    slots = ((np.arange(S * R)[None, :, None] * n + nodes[:, None, None]) * u
-             + np.arange(u)[None, None, :]).ravel()
-    terms = np.empty((2 * E, S, R, u))
 
-    def mix_apply(wT, v):
-        """(I - W) v for v of shape (S, R, n, u); wT is (E, R)."""
-        d = inc @ v.transpose(2, 0, 1, 3).reshape(n, -1)
-        np.multiply(d.reshape(E, S, R, u), wT[:, None, :, None], out=terms[:E])
+    def kernel(G):
+        """Scatter slots, term buffer and operand stack for G points' lanes."""
+        lanes = G * R
+        # flat output slot of each [t, -t] entry, laid out (2E, S, lanes, u)
+        # -> (S, lanes, n, u)
+        slots = ((np.arange(S * lanes)[None, :, None] * n + nodes[:, None, None]) * u
+                 + np.arange(u)[None, None, :]).ravel()
+        return slots, np.empty((2 * E, S, lanes, u)), np.empty((S, G, R, n, u))
+
+    slots, terms, operands = kernel(P)
+
+    def mix_apply(w, v):
+        """(I - W) v for v of shape (S, G, R, n, u); w is (G, R, E)."""
+        lanes = w.shape[0] * R
+        d = inc @ v.transpose(3, 0, 1, 2, 4).reshape(n, -1)
+        np.multiply(d.reshape(E, S, lanes, u), w.reshape(lanes, E).T[:, None, :, None],
+                    out=terms[:E])
         np.negative(terms[:E], out=terms[E:])
-        out = np.bincount(slots, terms.ravel(), minlength=S * R * n * u)
-        return out.reshape(S, R, n, u)
+        out = np.bincount(slots, terms.ravel(), minlength=S * lanes * n * u)
+        return out.reshape(v.shape)
 
     # per-block record: the loop buffers each step's state, `flush` reduces
     # the block -- residual traces, drift maxima, divergence, sample checks
-    B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * R * n * u)))
-    xbuf = np.empty((B, R, n, u))
-    ybuf = np.empty((B, R, n, u)) if is_dta else None
-    wbuf = np.empty((B, R, E)) if check_samples else None
+    B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * P * R * n * u)))
+
+    def buffers(G):
+        return (np.empty((B, G, R, n, u)),
+                np.empty((B, G, R, n, u)) if is_dta else None,
+                np.empty((B, G, R, E)) if check_samples else None)
+
+    xbuf, ybuf, wbuf = buffers(P)
     zsum = np.empty((B, R, u)) if need_z else None
 
-    res0, g = _metrics.residuals(x, y, problem, kkt)
-    for name, v in res0.items():
-        traces[name][:, 0] = v
-    if record_states:
-        states_x[0] = x
-        if is_dta:
-            states_y[0] = y
-    cons_drift = 0.0
-    mean_rec_err = 0.0
-    ds_err = 0.0
-    track_mean_rec = is_dta and shared_alpha and not need_z
-    ybar_prev = y.mean(axis=1) if track_mean_rec else None  # (R, u)
-    zeta_total = np.zeros((R, u)) if need_z else None
-    div_replica = div_at = None
+    res0, g = _metrics.residuals(x, y, problem, kkt)            # each (P, R)
+    for p, out in enumerate(results):
+        for name, v in res0.items():
+            out.traces[name][:, 0] = v[p]
+        if record_states:
+            out.states_x[0] = x[p]
+            if is_dta:
+                out.states_y[0] = y[p]
+    ybar_prev = y.mean(axis=-2) if tracked.any() else None      # (P, R, u)
 
     def flush(k0, m):
         """Record block rows [0, m) as the states of steps k0+1 .. k0+m.
 
-        Returns the first diverged row, or None.  Rows after it stay NaN in
-        the traces; the drift maxima and sample checks cover the rows before
-        it, and the disturbance sum the rows up to it.
+        Returns the mask of live points that diverged in the block.  A
+        diverged point's rows after its first bad row stay NaN in the
+        traces; its drift maxima and sample checks cover the rows before
+        that row, and its disturbance sum the rows up to it.
         """
-        nonlocal cons_drift, mean_rec_err, ds_err, ybar_prev, zeta_total
-        nonlocal div_at, div_replica
+        nonlocal ybar_prev
+        G = live.size
         xs = xbuf[:m]
         ys = ybuf[:m] if is_dta else None
-        res, _ = _metrics.residuals(xs, ys, problem, kkt)       # each (m, R)
+        res, _ = _metrics.residuals(xs, ys, problem, kkt)       # each (m, G, R)
         opt = res["optimality_distance"]
         bad = ~np.isfinite(opt) | (opt > DIVERGENCE_LIMIT)
         if is_dta:
             tr = res["tracking_norm"]
             bad |= ~np.isfinite(tr) | (tr > DIVERGENCE_LIMIT)
-        rows = np.flatnonzero(bad.any(axis=1))
-        first = int(rows[0]) if rows.size else None
-        stop = m if first is None else first + 1    # rows recorded
-        ok = m if first is None else first          # rows checked
-        if first is not None:
-            div_at = k0 + first + 1
-            div_replica = int(np.flatnonzero(bad[first])[0])
+        bad_rows = bad.any(axis=2)                              # (m, G)
+        hit = bad_rows.any(axis=0)
+        ok = np.where(hit, bad_rows.argmax(axis=0), m)          # rows checked
+        stop = np.where(hit, ok + 1, m)                         # rows recorded
+        valid = np.arange(m)[:, None] < ok                      # (m, G)
 
-        steps = slice(k0 + 1, k0 + 1 + stop)
-        for name, v in res.items():
-            traces[name][:, steps] = v[:stop].T
-        if record_states:
-            states_x[steps] = xs[:stop]
-            if is_dta:
-                states_y[steps] = ys[:stop]
+        for lane, p in enumerate(live):
+            out = results[p]
+            steps = slice(k0 + 1, k0 + 1 + stop[lane])
+            for name, v in res.items():
+                out.traces[name][:, steps] = v[:stop[lane], lane].T
+            if record_states:
+                out.states_x[steps] = xs[:stop[lane], lane]
+                if is_dta:
+                    out.states_y[steps] = ys[:stop[lane], lane]
+            if hit[lane]:
+                row = ok[lane]
+                out.diverged = True
+                out.diverged_at = k0 + int(row) + 1
+                out.diverged_replica = int(np.flatnonzero(bad[row, lane])[0])
+                out.final_x = xs[row, lane].copy()
+                out.final_y = ys[row, lane].copy() if is_dta else None
         if need_z:
             # sequential, so each step's sum enters in step order
-            zeta_total = np.add.accumulate(
-                np.concatenate((zeta_total[None], zsum[:stop])))[-1]
-        if ok and is_dta:
-            c = ys[:ok].sum(axis=2) - (xs[:ok].sum(axis=2) - dsum)
-            cons_drift = max(cons_drift, float(np.abs(c).max()))
-            if track_mean_rec:
-                ybar = ys[:ok].mean(axis=2)                      # (ok, R, u)
+            acc = np.add.accumulate(np.concatenate(
+                (zeta_total[live][None], np.broadcast_to(zsum[:m, None], (m, G, R, u)))))
+            zeta_total[live] = acc[stop, np.arange(G)]
+
+        def block_max(a, rows):
+            """Per-point max of a (rows, G, ...) array over the checked rows."""
+            mask = valid[:rows].reshape(valid[:rows].shape + (1,) * (a.ndim - 2))
+            return np.where(mask, a, 0.0).max(axis=(0, *range(2, a.ndim)))
+
+        if is_dta:
+            c = ys.sum(axis=-2) - (xs.sum(axis=-2) - dsum)      # (m, G, R, u)
+            cons_drift[live] = np.maximum(cons_drift[live], block_max(np.abs(c), m))
+            if ybar_prev is not None:
+                ybar = ys.mean(axis=-2)                         # (m, G, R, u)
                 prev = np.concatenate((ybar_prev[None], ybar[:-1]))
-                err = np.abs(ybar - (1.0 - float(alpha)) * prev)
-                mean_rec_err = max(mean_rec_err, float(err.max()))
+                err = np.abs(ybar - decay * prev)
+                mean_rec_err[live] = np.maximum(mean_rec_err[live], block_max(err, m))
                 ybar_prev = ybar[-1]
-        if ok and check_samples:
-            Wd = mixing_matrix(model, wbuf[:ok])                 # (ok, R, n, n)
-            rs = np.abs(Wd.sum(axis=-1) - 1.0).max()
-            cs = np.abs(Wd.sum(axis=-2) - 1.0).max()
-            sym = np.abs(Wd - Wd.swapaxes(-1, -2)).max()
-            ds_err = max(ds_err, float(rs), float(cs), float(sym))
-            low = (Wd.diagonal(axis1=-2, axis2=-1) <= 0).any(axis=(1, 2))
-            if low.any():
-                k = k0 + int(np.flatnonzero(low)[0])
-                raise ValueError(f"non-positive self-weight in a sample at k={k}")
-        return first
+        checked = int(ok.max())
+        if checked and check_samples:
+            Wd = mixing_matrix(model, wbuf[:checked])           # (rows, G, R, n, n)
+            rs = np.abs(Wd.sum(axis=-1) - 1.0).max(axis=-1)
+            cs = np.abs(Wd.sum(axis=-2) - 1.0).max(axis=-1)
+            sym = np.abs(Wd - Wd.swapaxes(-1, -2)).max(axis=(-2, -1))
+            err = np.maximum(np.maximum(rs, cs), sym)           # (rows, G, R)
+            ds_err[live] = np.maximum(ds_err[live], block_max(err, checked))
+            low = (Wd.diagonal(axis1=-2, axis2=-1) <= 0).any(axis=(2, 3))
+            low = np.flatnonzero((low & valid[:checked]).any(axis=1))
+            if low.size:
+                raise ValueError(f"non-positive self-weight in a sample at k={k0 + int(low[0])}")
+        return hit
 
     chunk = max(1, DRAW_BYTES // (8 * max(E, n * u, 1)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         done = 0
         i = 0           # rows filled in the current block
-        while done < T and div_at is None:
+        while done < T and live.size:
             L = min(chunk, T - done)
-            acts = np.empty((R, L, E), dtype=bool)
+            acts = np.empty((L, live.size, R, E), dtype=bool)
+            th = thetas[live]
             for r in range(R):
-                acts[r] = wstreams[r].random((L, E)) < theta
+                np.less(wstreams[r].random((L, E))[:, None], th, out=acts[:, :, r])
             if need_z:
                 zbuf = np.empty((R, L, n, u))
                 for r in range(R):
@@ -333,20 +443,22 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
                 zbuf *= scales[done:done + L][None, :, None, None]
 
             for t in range(L):
-                wv = weights * acts[:, t, :]  # (R, E)
+                wv = weights * acts[t]  # (G, R, E)
                 if need_z:
                     xz = x + zbuf[:, t]
                     zbuf[:, t].sum(axis=1, out=zsum[i])
                 else:
                     xz = x
+                operands[0] = g
                 if is_dta:
-                    mixg, mixy = mix_apply(wv.T, np.stack((g, y)))
+                    operands[1] = y
+                    mixg, mixy = mix_apply(wv, operands)
                     xn = xz - al * y - be * mixg
                     y = (y - mixy) + (xn - x)
                     x = xn
                     ybuf[i] = y
                 else:
-                    x = xz - alpha * mix_apply(wv.T, g[None])[0]
+                    x = xz - al * mix_apply(wv, operands)[0]
                 g = problem.costs.gradient(x)
                 xbuf[i] = x
                 if check_samples:
@@ -354,38 +466,38 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
                 i += 1
                 k = done + t + 1
                 if i == B or k == T:
-                    first = flush(k - i, i)
-                    if first is not None:
-                        x = xbuf[first].copy()
-                        y = ybuf[first].copy() if is_dta else None
-                        break
+                    hit = flush(k - i, i)
                     i = 0
+                    if hit.any():
+                        # compact the diverged points' lanes out of the loop
+                        keep = ~hit
+                        live = live[keep]
+                        if not live.size:
+                            break
+                        x, g, acts, decay = x[keep], g[keep], acts[:, keep], decay[keep]
+                        al = al[keep]   # a (G, ...) stack: one point never compacts
+                        if is_dta:
+                            y, be = y[keep], be[keep]
+                        if ybar_prev is not None:
+                            ybar_prev = ybar_prev[keep]
+                        slots, terms, operands = kernel(live.size)
+                        xbuf, ybuf, wbuf = buffers(live.size)
             done += L
 
-    wga_drift = float("nan")
-    diverged = div_at is not None
-    if algorithm == "wga" and need_z and not diverged:
-        # WGA conserves 1'x, so 1'x(T) - 1'x(0) is the injected mass alone
-        drift = x.sum(axis=1) - x0.sum(axis=0)       # (R, u)
-        wga_drift = float(np.abs(drift - zeta_total).max())
-
-    return RunResult(
-        traces=traces,
-        algorithm=algorithm,
-        iterations=T,
-        replicas=R,
-        seed=seed,
-        x_star=kkt.x_star,
-        final_x=x,
-        final_y=y,
-        diverged=diverged,
-        diverged_replica=div_replica,
-        diverged_at=div_at,
-        max_conservation_drift=cons_drift if is_dta else float("nan"),
-        max_mean_recursion_err=mean_rec_err if track_mean_rec else float("nan"),
-        max_double_stochastic_err=ds_err if check_samples else float("nan"),
-        zeta_total=zeta_total,
-        wga_drift_err=wga_drift,
-        states_x=states_x,
-        states_y=states_y,
-    )
+    for lane, p in enumerate(live):
+        results[p].final_x = x[lane]
+        results[p].final_y = y[lane] if is_dta else None
+    for p, out in enumerate(results):
+        if is_dta:
+            out.max_conservation_drift = float(cons_drift[p])
+        if tracked[p]:
+            out.max_mean_recursion_err = float(mean_rec_err[p])
+        if check_samples:
+            out.max_double_stochastic_err = float(ds_err[p])
+        if need_z:
+            out.zeta_total = zeta_total[p]
+            if algorithm == "wga" and not out.diverged:
+                # WGA conserves 1'x, so 1'x(T) - 1'x(0) is the injected mass alone
+                drift = out.final_x.sum(axis=1) - x0.sum(axis=0)     # (R, u)
+                out.wga_drift_err = float(np.abs(drift - out.zeta_total).max())
+    return results

@@ -342,36 +342,140 @@ def _block_cases():
             algorithm="wga", alpha=100.0, iterations=149, replicas=2, seed=14,
             x0=main.demand, disturbance=gauss, check_samples=True)),
         "dta-diverging": _beta_sweep_point(1.06, 400),
+        "wga-gauss-diverging": (main, model10, dict(
+            algorithm="wga", alpha=1e6, iterations=149, replicas=2, seed=16,
+            x0=main.demand, disturbance=gauss)),
     }
 
 
+RESULT_FIELDS = ("final_x", "final_y", "states_x", "states_y",
+                 "max_conservation_drift", "max_mean_recursion_err",
+                 "max_double_stochastic_err", "zeta_total", "wga_drift_err")
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_result(ref, res, tag):
+    """Every trace, state and diagnostic of `res` is bit-equal to `ref`."""
+    assert set(ref.traces) == set(res.traces)
+    for name in ref.traces:
+        assert _same_bits(ref.traces[name], res.traces[name]), (tag, name)
+    for attr in RESULT_FIELDS:
+        assert _same_bits(getattr(ref, attr), getattr(res, attr)), (tag, attr)
+    assert (res.diverged, res.diverged_at, res.diverged_replica) == (
+        ref.diverged, ref.diverged_at, ref.diverged_replica), tag
+
+
 @pytest.mark.parametrize("case", ["dta-u3-per-agent-gauss", "wga-gauss",
-                                  "dta-diverging"])
+                                  "dta-diverging", "wga-gauss-diverging"])
 def test_block_size_does_not_change_results(monkeypatch, case):
     prob, model, kw = _block_cases()[case]
     ref = run(prob, model, record_states=True, **kw)
-    if case == "dta-diverging":
+    if case.endswith("diverging"):
         # mid-block for the default 64-row block and for 7-row blocks
         assert ref.diverged and ref.diverged_at % 64 and ref.diverged_at % 7
-
-    def same(a, b):
-        if a is None or b is None:
-            return a is None and b is None
-        a, b = np.asarray(a), np.asarray(b)
-        return a.shape == b.shape and a.tobytes() == b.tobytes()
 
     for rows in (1, 7):
         with monkeypatch.context() as m:
             m.setattr(engine, "BLOCK_ROWS", rows)
             res = run(prob, model, record_states=True, **kw)
-        for name in ref.traces:
-            assert same(ref.traces[name], res.traces[name]), (rows, name)
-        for attr in ("final_x", "final_y", "states_x", "states_y",
-                     "max_conservation_drift", "max_mean_recursion_err",
-                     "max_double_stochastic_err", "zeta_total", "wga_drift_err"):
-            assert same(getattr(ref, attr), getattr(res, attr)), (rows, attr)
-        assert (res.diverged, res.diverged_at, res.diverged_replica) == (
-            ref.diverged, ref.diverged_at, ref.diverged_replica)
+        _assert_same_result(ref, res, rows)
+
+
+def _sweep_cases():
+    """Sweeps as (problem, [(model, alpha, beta)], run_points keywords)."""
+    rng = np.random.default_rng(53)
+    prob3 = _random_instance(rng, 6, u=3)
+    gauss = DisturbanceSpec("gaussian", m_zeta=1.5, q_zeta=0.99)
+    main = _main_problem()
+    alpha, beta = 0.0007647132835707233, 14309.704294513564
+    model10 = complete_graph(10, weight=0.0002, theta=0.5)
+    res = resolve(load_config(os.path.join(EXPERIMENTS, "beta_sweep.yaml")))
+    beta_pts = [sweep_point(res, "beta", v) for v in (0.5, 1.06, 1.0, 1.08, 1.04)]
+    model6 = complete_graph(6, theta=0.6)
+    al6, be6 = np.linspace(0.02, 0.06, 6), np.linspace(0.05, 0.15, 6)
+    return {
+        # 1.08, 1.06 and 1.04 diverge at steps 204, 275 and 426, mid-block,
+        # each while a later point runs on
+        "beta-sweep-diverging": (res.problem, [
+            (p.model, p.alpha, p.beta) for p in beta_pts], dict(
+            algorithm="dta", iterations=500, replicas=1, seed=res.config.seed,
+            x0=res.x0)),
+        "theta-sweep-with-zero": (main, [
+            (build_model(10, model10.edges, model10.weights, t,
+                         allow_zero_theta=True), alpha, beta)
+            for t in (0.9, 0.3, 0.0)], dict(
+            algorithm="dta", iterations=149, replicas=3, seed=15,
+            check_samples=True)),
+        # points may differ in theta and the plan at once; the second one
+        # diverges at step 7 while points with other thetas run on, past the
+        # first 1456-step draw chunk
+        "mixed-theta-and-plan": (main, [
+            (build_model(10, model10.edges, model10.weights, t,
+                         allow_zero_theta=True), s * alpha, sb * beta)
+            for t, s, sb in ((0.9, 1.0, 1.0), (0.6, 2.0, 50.0),
+                             (0.3, 0.5, 1.0), (0.0, 3.0, 1.0))], dict(
+            algorithm="dta", iterations=1500, replicas=3, seed=15,
+            check_samples=True)),
+        "wga-alpha-sweep-gauss": (main, [
+            (model10, a, None) for a in (50.0, 1e6, 100.0, 200.0)], dict(
+            algorithm="wga", iterations=149, replicas=2, seed=16,
+            x0=main.demand, disturbance=gauss)),
+        "per-agent-u3": (prob3, [
+            (model6, s * al6, s * be6) for s in (0.5, 40.0, 1.0, 2.0)], dict(
+            algorithm="dta", iterations=149, replicas=3, seed=17,
+            disturbance=gauss)),
+    }
+
+
+SWEEP_CASES = ["beta-sweep-diverging", "theta-sweep-with-zero",
+               "mixed-theta-and-plan", "wga-alpha-sweep-gauss", "per-agent-u3"]
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_run_points_lanes_match_separate_runs(case):
+    prob, points, kw = _sweep_cases()[case]
+    lanes = list(engine.run_points(prob, points, record_states=True, **kw))
+    assert len(lanes) == len(points)
+    for idx, ((model, alpha, beta), res) in enumerate(zip(points, lanes)):
+        alone = run(prob, model, alpha=alpha, beta=beta, record_states=True, **kw)
+        _assert_same_result(alone, res, idx)
+    if case != "theta-sweep-with-zero":
+        # a point that diverges stops alone; the next point runs on
+        assert any(a.diverged and not b.diverged for a, b in zip(lanes, lanes[1:]))
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_trace_budget_does_not_change_results(monkeypatch, case):
+    prob, points, kw = _sweep_cases()[case]
+    ref = list(engine.run_points(prob, points, record_states=True, **kw))
+    per_point = kw["replicas"] * (kw["iterations"] + 1) * 4 * 8
+    # one point per group, two per group, then every point in one group
+    for budget in (1, 2 * per_point, 2 ** 40):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "TRACE_BYTES", budget)
+            got = list(engine.run_points(prob, points, record_states=True, **kw))
+        assert len(got) == len(ref)
+        for idx, (a, b) in enumerate(zip(ref, got)):
+            _assert_same_result(a, b, (budget, idx))
+
+
+def test_run_points_requires_shared_edges_and_weights():
+    prob = _main_problem()
+    alpha, beta = 0.0007647132835707233, 14309.704294513564
+    base = complete_graph(10, weight=0.0002, theta=0.5)
+    for other in (complete_graph(10, weight=0.0003, theta=0.5),
+                  build_model(10, base.edges[:-1], 0.0002, 0.5)):
+        with pytest.raises(ValueError, match="share the edges and weights"):
+            engine.run_points(prob, [(base, alpha, beta), (other, alpha, beta)],
+                              iterations=5)
+    with pytest.raises(ValueError, match="no points"):
+        engine.run_points(prob, [], iterations=5)
 
 
 def test_uniform_vector_plan_equals_scalar_plan():
@@ -383,8 +487,14 @@ def test_uniform_vector_plan_equals_scalar_plan():
     r_v = run(prob, model, algorithm="dta",
               alpha=np.full(10, al), beta=np.full(10, be),
               iterations=200, replicas=2, seed=9)
-    for name in r_s.traces:
-        assert np.array_equal(r_s.traces[name], r_v.traces[name])
+    # WGA takes its alpha as the same column
+    w_s = run(prob, model, algorithm="wga", alpha=100.0, iterations=200,
+              replicas=2, seed=9)
+    w_v = run(prob, model, algorithm="wga", alpha=np.full(10, 100.0),
+              iterations=200, replicas=2, seed=9)
+    for ref, res in ((r_s, r_v), (w_s, w_v)):
+        for name in ref.traces:
+            assert np.array_equal(ref.traces[name], res.traces[name])
 
 
 # ------------------------------------------------------------ divergence
@@ -435,16 +545,20 @@ def test_disturbance_scales_envelope():
 
 
 def test_laplace_draws_variance_matched():
-    # the laplace branch is scaled so its variance matches the gaussian one
-    prob = _pair_problem()
-    model = _pair_model()
+    # the laplace branch is scaled so its variance matches the gaussian one.
+    # With every link silent, WGA's mixing term is zero, so each step is
+    # x(k+1) = x(k) + zeta(k) and the state differences are the draws.
+    n, u, T, R = 2, 5, 2000, 20
+    prob = allocation_problem(quadratic_costs([1.0, 2.0], np.zeros((n, u))),
+                              np.zeros((n, u)))
+    silent = build_model(n, [(0, 1)], [0.5], 0.0, allow_zero_theta=True)
     spec = DisturbanceSpec("laplace", m_zeta=1.0, q_zeta=0.9999)
-    seeds = np.random.SeedSequence(123).spawn(1)
-    _sw, sz = seeds[0].spawn(2)
-    g = np.random.default_rng(sz)
-    draws = g.laplace(0.0, 1.0 / np.sqrt(2.0), 200000)
-    assert draws.var() == pytest.approx(1.0, rel=0.02)
-    del prob, model, spec
+    res = run(prob, silent, algorithm="wga", alpha=0.3, iterations=T,
+              replicas=R, seed=123, disturbance=spec, record_states=True)
+    steps = np.diff(res.states_x, axis=0)                   # (T, R, n, u)
+    unit = steps / spec.scales(T, n, u)[:, None, None, None]
+    assert unit.size == 400000
+    assert unit.var() == pytest.approx(1.0, rel=0.02)
 
 
 def test_zeta_total_tracks_injected_mass():
@@ -498,6 +612,12 @@ def test_run_validates_inputs():
         run(prob, model, algorithm="dta", alpha=0.1, beta=None, iterations=1)
     with pytest.raises(ValueError):
         run(prob, model, algorithm="dta", alpha=None, beta=0.1, iterations=1)
+    for bad in (dict(replicas=0), dict(replicas=-1), dict(replicas=2.0),
+                dict(replicas=True), dict(iterations=-1),
+                dict(iterations=1.5)):
+        kw = {"iterations": 1, "replicas": 1, **bad}
+        with pytest.raises(ValueError, match="integer >="):
+            run(prob, model, algorithm="dta", alpha=0.1, beta=0.1, **kw)
 
 
 def test_record_states_shapes_and_trace_columns():
