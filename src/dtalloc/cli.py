@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NETWORK = 3
 EXIT_DIVERGED = 4
+TRACE_CSV_ROWS = 256   # rows formatted per block by _write_trace_csv
 
 
 def _jsonable(obj):
@@ -69,13 +70,15 @@ def _out_dir(args, cfg):
 def _write_trace_csv(path, agg):
     cols = metrics.TRACE_COLUMNS
     series = [np.asarray(agg[c], float) for c in cols]
-    rows = len(series[0])
     with open(path, "w") as fh:
         fh.write(f"# schema_version: {SCHEMA_VERSION}\n")
         fh.write("k," + ",".join(cols) + "\n")
-        for k in range(rows):
-            fh.write(",".join([str(k)] + [repr(float(s[k])) for s in series]))
-            fh.write("\n")
+        # a block of rows at a time as Python floats, whose repr is the
+        # shortest round-trip form, so no whole trace is held as objects
+        for k0 in range(0, len(series[0]), TRACE_CSV_ROWS):
+            block = zip(*[s[k0:k0 + TRACE_CSV_ROWS].tolist() for s in series])
+            fh.writelines(f"{k},{','.join(map(repr, row))}\n"
+                          for k, row in enumerate(block, k0))
 
 
 def _write_summary(path, payload):
@@ -185,42 +188,29 @@ def cmd_bounds(args):
     return EXIT_OK
 
 
-def _execute_points(points, algorithm, paths, labels):
-    """Run `algorithm` at resolved points, as lanes of one engine run.
+def _execute_point(res, algorithm, path, label):
+    """Run `algorithm` at one resolved point and write its trace to `path`.
 
-    The points are one resolved config or the points of its sweep, so they
-    differ at most in the plan and theta.  Yields each point's summary (with
-    the plan that ran) and result, in order, after writing its trace to its
-    path, so only one group of points' traces is held at a time."""
-    plans = []
-    for res, label in zip(points, labels):
-        alpha, beta = _plan(res, algorithm)
-        verdict = _plan_verdict(res) if algorithm == "dta" else None
-        if verdict is not None and verdict.failed:
-            warnings.warn(f"{label}: stepsizes outside the guaranteed region "
-                          f"(failing: {', '.join(verdict.failed)}); running anyway",
-                          RuntimeWarning, stacklevel=2)
-        plans.append((res.model, alpha, beta))
-    res = points[0]
+    Returns the point's summary (with the plan that ran) and the result."""
+    alpha, beta = _plan(res, algorithm)
+    verdict = _plan_verdict(res) if algorithm == "dta" else None
+    if verdict is not None and verdict.failed:
+        warnings.warn(f"{label}: stepsizes outside the guaranteed region "
+                      f"(failing: {', '.join(verdict.failed)}); running anyway",
+                      RuntimeWarning, stacklevel=2)
     cfg = res.config
-    kw = dict(algorithm=algorithm, iterations=cfg.engine.iterations,
-              replicas=cfg.engine.replicas, seed=cfg.seed, x0=res.x0,
-              disturbance=res.disturbance)
-    if len(plans) == 1:
-        # the one-point entry, which perfbench's spans time as engine.run
-        model, alpha, beta = plans[0]
-        results = [engine.run(res.problem, model, alpha=alpha, beta=beta, **kw)]
+    result = engine.run(
+        res.problem, res.model, algorithm=algorithm, alpha=alpha, beta=beta,
+        iterations=cfg.engine.iterations, replicas=cfg.engine.replicas,
+        seed=cfg.seed, x0=res.x0, disturbance=res.disturbance)
+    summary, agg = _run_summary(res, result, path)
+    if algorithm == "dta":
+        summary["alpha"], summary["beta"] = alpha, beta
     else:
-        results = engine.run_points(res.problem, plans, **kw)
-    for point, (_, alpha, beta), path, result in zip(points, plans, paths, results):
-        summary, agg = _run_summary(point, result, path)
-        if algorithm == "dta":
-            summary["alpha"], summary["beta"] = alpha, beta
-        else:
-            summary["wga_alpha"] = alpha
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        _write_trace_csv(path, agg)
-        yield summary, result
+        summary["wga_alpha"] = alpha
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    _write_trace_csv(path, agg)
+    return summary, result
 
 
 def _execute_sweep(args, res, axis, values):
@@ -230,12 +220,12 @@ def _execute_sweep(args, res, axis, values):
     for point in resolved:
         _plan(point, algorithm)
     outdir = _out_dir(args, cfg)
-    labels = [f"{cfg.name}[{axis}={value!r}]" for value in values]
-    paths = [os.path.join(outdir, f"{axis}_{idx:02d}.csv") for idx in range(len(values))]
     points = []
     n_diverged = 0
-    runs = _execute_points(resolved, algorithm, paths, labels)
-    for value, label, (record, result) in zip(values, labels, runs):
+    for idx, (value, point) in enumerate(zip(values, resolved)):
+        label = f"{cfg.name}[{axis}={value!r}]"
+        record, result = _execute_point(
+            point, algorithm, os.path.join(outdir, f"{axis}_{idx:02d}.csv"), label)
         record["axis"] = axis
         record["value"] = value
         points.append(record)
@@ -273,8 +263,7 @@ def cmd_run(args):
         return _execute_sweep(args, res, cfg.sweep.axis, cfg.sweep.values)
     outdir = _out_dir(args, cfg)
     csv_path = os.path.join(outdir, "trace.csv")
-    [(summary, result)] = _execute_points([res], cfg.engine.algorithm, [csv_path],
-                                          [cfg.name])
+    summary, result = _execute_point(res, cfg.engine.algorithm, csv_path, cfg.name)
     _write_summary(os.path.join(outdir, "summary.json"), summary)
     print(f"{cfg.name}: wrote {csv_path}")
     if result.diverged:
@@ -304,10 +293,8 @@ def cmd_compare(args):
         _plan(res, algorithm)
     outdir = _out_dir(args, cfg)
     # identical seed => identical link failures and disturbances in both runs
-    [(s_dta, r_dta)] = _execute_points([res], "dta", [os.path.join(outdir, "dta.csv")],
-                                       [cfg.name])
-    [(s_wga, r_wga)] = _execute_points([res], "wga", [os.path.join(outdir, "wga.csv")],
-                                       [cfg.name])
+    s_dta, r_dta = _execute_point(res, "dta", os.path.join(outdir, "dta.csv"), cfg.name)
+    s_wga, r_wga = _execute_point(res, "wga", os.path.join(outdir, "wga.csv"), cfg.name)
     fin_d = s_dta["final_ratio"]
     fin_w = s_wga["final_ratio"]
     summary = {

@@ -14,10 +14,10 @@ Points run as lanes.  `run_points` runs points -- (model, alpha, beta)
 triples that share the problem, the edges and the weights, as a sweep's do
 -- in one step loop; `run` is the one-point case.  A lane is one (point,
 replica) pair: the state is a (G, R, n, u) stack, alpha and beta (WGA's
-alpha too) are (G, 1, 1, 1) or (G, 1, n, 1) columns (Python floats or
-(n, 1) for one point), and theta is a (G, E) activation threshold.  Points
-run in groups of G = max(1, TRACE_BYTES // (R (T+1) 4 8)), so a group's
-traces take at most 2 MiB unless one point is larger.
+alpha too) are (G, 1, 1, 1) or (G, 1, n, 1) columns, and theta is a (G, E)
+activation threshold.  Points run in groups of
+G = max(1, TRACE_BYTES // (R (T+1) 4 8)), so a group's traces take at most
+2 MiB unless one point is larger.
 
 Randomness discipline (frozen; determinism and paired comparisons depend on
 it): SeedSequence(seed).spawn(replicas) gives one child per replica, and
@@ -127,22 +127,12 @@ class DisturbanceSpec:
         return s
 
 
-def _col(v, n):
-    """Stepsize as a scalar or an (n, 1) column for per-agent plans."""
-    a = np.asarray(v, float)
-    if a.ndim == 0:
-        return float(a)
-    return np.broadcast_to(a, (n,)).reshape(n, 1)
-
-
 def _cols(values, n):
-    """Per-point stepsizes: `_col` of a single point, else a (G, 1, 1 or n, 1) stack."""
-    cols = [_col(v, n) for v in values]
-    if len(cols) == 1:
-        return cols[0]
-    if all(isinstance(c, float) for c in cols):
+    """Per-point stepsizes as a (G, 1, 1, 1) stack, or (G, 1, n, 1) if any is per-agent."""
+    cols = [np.asarray(v, float) for v in values]
+    if all(c.ndim == 0 for c in cols):
         return np.array(cols).reshape(-1, 1, 1, 1)
-    return np.stack([np.broadcast_to(c, (n, 1)) for c in cols])[:, None]
+    return np.stack([np.broadcast_to(c, (n,)) for c in cols]).reshape(-1, 1, n, 1)
 
 
 @dataclass
@@ -475,7 +465,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                         if not live.size:
                             break
                         x, g, acts, decay = x[keep], g[keep], acts[:, keep], decay[keep]
-                        al = al[keep]   # a (G, ...) stack: one point never compacts
+                        al = al[keep]
                         if is_dta:
                             y, be = y[keep], be[keep]
                         if ybar_prev is not None:
