@@ -29,25 +29,29 @@ uniforms and disturbance block once and shares them among that replica's
 lanes; only the comparison with theta is per lane.  A chunk holds as many
 steps as fit one replica's float64 draws in DRAW_BYTES (512 KiB; at least
 one step), so the draw buffers take about R x 512 KiB of disturbance plus a
-(chunk, G, R, E) boolean activation buffer (64 KiB per lane), beside the
-traces and the record block's state buffers (see below).  Runs with the same
-seed therefore see identical link failures and disturbances regardless of
-algorithm or grouping -- the DTA/WGA comparison is variance-paired for free.
+(chunk, E, G R) boolean activation buffer (64 KiB per lane), beside the
+traces, the mixing kernel's term buffer and the record block's state buffers
+(see below).  Runs with the same seed therefore see identical link failures
+and disturbances regardless of algorithm or grouping -- the DTA/WGA
+comparison is variance-paired for free.
 
-(I - W(k)) v = B' diag(w(k)) B v is applied edge-wise through the signed
-incidence B (E x n; +1 at i, -1 at j for edge (i, j)), built once per run;
-w(k) holds the active negotiated weights.  The gather B v is one matrix
-product over every lane and stacked operand.  It is exact for finite
-inputs: each row of B has two nonzeros, so every dot product is one
-subtraction v_i - v_j plus exact zeros, whatever the summation order.  The
-per-edge terms t = w * (B v) are scattered back by a single `np.bincount`
-over [t, -t] with a precomputed slot index.  bincount accumulates in input
-order, so each agent adds its outgoing terms and then its incoming ones,
-each in ascending edge order, from 0.0 -- the order two `np.add.at` passes
-would use, which keeps the result bit-identical to the per-edge message
-passing written that way.  DTA mixes the gradient and the tracker in one
-call.  Every GEMM column, bincount slot and residual row belongs to one
-lane, so a lane's bits do not depend on the other lanes.
+(I - W(k)) v = B' diag(w(k)) B v is applied edge-wise, B being the signed
+incidence (+1 at i, -1 at j for edge (i, j)); w(k) holds the active
+negotiated weights, an (E, G, R) array.  The S operands (DTA mixes the
+gradient and the tracker in one call, WGA the gradient) are stacked
+node-major, (n, S, G, R, u), so one row take copies the rows [v_i; v_j] of
+every edge into a (2E, S G R u) term buffer, 2 E S G R u 8 bytes; no E x n
+array exists, and the kernel's work and memory are O(E S G R u).  The top
+half is replaced in place by d = v_i - v_j, which is exact: each term is one
+subtraction, not a sum, so no summation order enters.  d is scaled by the
+step's weights and its negation fills the lower half; a single `np.bincount`
+over [t, -t] with a precomputed slot index scatters the terms back in a
+fixed order.  bincount accumulates in input order, so each agent adds its
+outgoing terms and then its incoming ones, each in ascending edge order,
+from 0.0 -- the order two `np.add.at` passes would use, which keeps the
+result bit-identical to the per-edge message passing written that way.
+Every term, bincount slot and residual row belongs to one lane, so a lane's
+bits do not depend on the other lanes.
 
 Recording runs once per block of steps, not per step.  Per step, the loop
 only computes the update, the gradient of the new state (the next update's
@@ -287,31 +291,42 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
 
     # mixing kernel state: S stacked operands of shape (G, R, n, u) per call
     S = 2 if is_dta else 1
-    inc = np.zeros((E, n))
-    inc[np.arange(E), ei] = 1.0
-    inc[np.arange(E), ej] = -1.0
     nodes = np.concatenate((ei, ej))
+    wcol = weights[:, None, None]
 
     def kernel(G):
-        """Scatter slots, term buffer and operand stack for G points' lanes."""
+        """The operand stack for G points' lanes and `mix_apply(w)`, which
+        returns (I - W) v of each stacked operand v; w is (E, G, R).
+
+        The stack is an (S, G, R, n, u) view of node-major (n, S, G, R, u)
+        storage, and the result is (S, G, R, n, u).  The buffers' views are
+        made here, once per group size: at n = 10 making them per call costs
+        about 2 us of a 17 us kernel.
+        """
         lanes = G * R
         # flat output slot of each [t, -t] entry, laid out (2E, S, lanes, u)
         # -> (S, lanes, n, u)
         slots = ((np.arange(S * lanes)[None, :, None] * n + nodes[:, None, None]) * u
                  + np.arange(u)[None, None, :]).ravel()
-        return slots, np.empty((2 * E, S, lanes, u)), np.empty((S, G, R, n, u))
+        operands = np.empty((n, S, G, R, u))
+        terms = np.empty((2 * E, S, G, R, u))
+        rows, pairs, entries = operands.reshape(n, -1), terms.reshape(2 * E, -1), terms.ravel()
+        top, bottom = terms[:E], terms[E:]
+        shape, size = (S, G, R, n, u), S * lanes * n * u
 
-    slots, terms, operands = kernel(P)
+        def mix_apply(w):
+            # rows [v_i; v_j] of every edge, then d = v_i - v_j in the top half.
+            # build_model keeps 0 <= i < j < n, so "clip" never clips; it lets
+            # take write straight into `terms`, where "raise" buffers the output
+            np.take(rows, nodes, axis=0, out=pairs, mode="clip")
+            np.subtract(top, bottom, out=top)
+            np.multiply(top, w[:, None, :, :, None], out=top)
+            np.negative(top, out=bottom)
+            return np.bincount(slots, entries, minlength=size).reshape(shape)
 
-    def mix_apply(w, v):
-        """(I - W) v for v of shape (S, G, R, n, u); w is (G, R, E)."""
-        lanes = w.shape[0] * R
-        d = inc @ v.transpose(3, 0, 1, 2, 4).reshape(n, -1)
-        np.multiply(d.reshape(E, S, lanes, u), w.reshape(lanes, E).T[:, None, :, None],
-                    out=terms[:E])
-        np.negative(terms[:E], out=terms[E:])
-        out = np.bincount(slots, terms.ravel(), minlength=S * lanes * n * u)
-        return out.reshape(v.shape)
+        return operands.transpose(1, 2, 3, 0, 4), mix_apply
+
+    operands, mix_apply = kernel(P)
 
     # per-block record: the loop buffers each step's state, `flush` reduces
     # the block -- residual traces, drift maxima, divergence, sample checks
@@ -416,10 +431,10 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         i = 0           # rows filled in the current block
         while done < T and live.size:
             L = min(chunk, T - done)
-            acts = np.empty((L, live.size, R, E), dtype=bool)
-            th = thetas[live]
+            acts = np.empty((L, E, live.size, R), dtype=bool)
+            th = thetas[live].T                                     # (E, G)
             for r in range(R):
-                np.less(wstreams[r].random((L, E))[:, None], th, out=acts[:, :, r])
+                np.less(wstreams[r].random((L, E))[:, :, None], th, out=acts[..., r])
             if need_z:
                 zbuf = np.empty((R, L, n, u))
                 for r in range(R):
@@ -433,7 +448,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 zbuf *= scales[done:done + L][None, :, None, None]
 
             for t in range(L):
-                wv = weights * acts[t]  # (G, R, E)
+                wv = wcol * acts[t]     # (E, G, R)
                 if need_z:
                     xz = x + zbuf[:, t]
                     zbuf[:, t].sum(axis=1, out=zsum[i])
@@ -442,17 +457,17 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 operands[0] = g
                 if is_dta:
                     operands[1] = y
-                    mixg, mixy = mix_apply(wv, operands)
+                    mixg, mixy = mix_apply(wv)
                     xn = xz - al * y - be * mixg
                     y = (y - mixy) + (xn - x)
                     x = xn
                     ybuf[i] = y
                 else:
-                    x = xz - al * mix_apply(wv, operands)[0]
+                    x = xz - al * mix_apply(wv)[0]
                 g = problem.costs.gradient(x)
                 xbuf[i] = x
                 if check_samples:
-                    wbuf[i] = wv
+                    wbuf[i] = wv.transpose(1, 2, 0)
                 i += 1
                 k = done + t + 1
                 if i == B or k == T:
@@ -464,13 +479,13 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                         live = live[keep]
                         if not live.size:
                             break
-                        x, g, acts, decay = x[keep], g[keep], acts[:, keep], decay[keep]
+                        x, g, acts, decay = x[keep], g[keep], acts[:, :, keep], decay[keep]
                         al = al[keep]
                         if is_dta:
                             y, be = y[keep], be[keep]
                         if ybar_prev is not None:
                             ybar_prev = ybar_prev[keep]
-                        slots, terms, operands = kernel(live.size)
+                        operands, mix_apply = kernel(live.size)
                         xbuf, ybuf, wbuf = buffers(live.size)
             done += L
 

@@ -12,7 +12,10 @@ recursions are analyzed:
 
 The link statistics are time-invariant, so the fixed-network constants
 K1'/K2' of the mean recursion equal K1/K2 and both recursions read `k1`/`k2`.
-All feasibility inequalities are strict with margin 1e-12.
+All feasibility inequalities are strict with margin 1e-12, and every
+region requires positive stepsizes: alpha_i > 0 belongs to the alpha bound
+and beta_i > 0 to the beta bound (to the s6 contraction in the per-agent
+region, whose only beta condition it is).
 """
 from __future__ import annotations
 
@@ -109,7 +112,7 @@ class SharedVerdict:
     beta_max: float         # 2 K1 / K2^2, or 1 / K2'
     coupling_lhs: float     # alpha beta phi (1 - lambdan_floor), or (1 - lambdan_mean)
     coupling_rhs: float     # (1 - s1)(1 - s2)
-    conditions: tuple       # (alpha ok, beta ok, coupling ok)
+    conditions: tuple       # (0 < alpha < alpha_max, 0 < beta < beta_max, coupling)
 
     @property
     def feasible(self):
@@ -125,8 +128,8 @@ def _verdict(alpha, beta, s1, s2, alpha_max, beta_max, lhs):
     """The three strict region inequalities, with coupling rhs (1 - s1)(1 - s2)."""
     rhs = (1.0 - s1) * (1.0 - s2)
     conds = (
-        alpha < alpha_max - MARGIN,
-        beta < beta_max - MARGIN,
+        0.0 < alpha < alpha_max - MARGIN,
+        0.0 < beta < beta_max - MARGIN,
         lhs < rhs - MARGIN,
     )
     return SharedVerdict(
@@ -255,8 +258,9 @@ def feasible_region_uncoordinated(costs, report, rc, alpha, beta):
         (1-s4)(1-s5)(1-s6) - bh (1-lambdan_floor) phi ah (2-s4-s5)
             >  ah^2 (1-s6) + 2 ah^2 bh (1-lambdan_floor) phi
 
-    with ah = max alpha_i, bh = max beta_i.  Requires K2''^2 < 2 K1'' for s6
-    to contract, and |s4| < 1 for the recursion itself.
+    with ah = max alpha_i, bh = max beta_i.  Requires every alpha_i > 0 (in
+    "alpha-bound"), every beta_i > 0 and K2''^2 < 2 K1'' for s6 to contract,
+    and |s4| < 1 for the recursion itself.
     """
     n = costs.n
     alpha = np.broadcast_to(np.asarray(alpha, float), (n,)).copy()
@@ -266,14 +270,16 @@ def feasible_region_uncoordinated(costs, report, rc, alpha, beta):
     s4 = 1.0 - float(alpha.sum())
     s5 = ah**2 + 2.0 * ah + rc.lambda2_sq
     k1pp, k2pp = plan_constants(costs, report, alpha, beta)
+    alpha_max = np.sqrt(2.0 - rc.lambda2_sq) - 1.0
+    contracts = k2pp**2 < 2.0 * k1pp - MARGIN
     conds = {
         "sum-alpha": alpha.sum() < 2.0 - MARGIN,
-        "alpha-bound": ah < np.sqrt(2.0 - rc.lambda2_sq) - 1.0 - MARGIN,
-        "s6-contracts": k2pp**2 < 2.0 * k1pp - MARGIN,
+        "alpha-bound": alpha.min() > 0.0 and ah < alpha_max - MARGIN,
+        "s6-contracts": beta.min() > 0.0 and contracts,
         "s4-magnitude": abs(s4) < 1.0 - MARGIN,
     }
     fl = 1.0 - rc.lambdan_floor
-    if conds["s6-contracts"]:
+    if contracts:
         s6 = float(np.sqrt(1.0 + k2pp**2 - 2.0 * k1pp))
         lhs = (1.0 - s4) * (1.0 - s5) * (1.0 - s6) - bh * fl * rc.phi_hi * ah * (2.0 - s4 - s5)
         rhs = ah**2 * (1.0 - s6) + 2.0 * ah**2 * bh * fl * rc.phi_hi

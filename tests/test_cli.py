@@ -109,6 +109,19 @@ def test_infeasible_stepsizes_warn_but_run(tmp_path):
     assert (out / "tiny" / "trace.csv").is_file()
 
 
+def test_non_positive_alpha_warns_and_has_no_rate(tmp_path, capsys):
+    doc = _tiny()
+    doc["stepsizes"]["alpha"] = -0.01
+    cfg = _write(tmp_path, doc)
+    with pytest.warns(RuntimeWarning, match="failing: alpha-bound"):
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert main(["bounds", cfg]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mean_square_region"]["conditions"][0] is False
+    assert payload["predicted_rate"] is None
+
+
 def test_feasible_explicit_plan_does_not_warn(tmp_path):
     cfg = _write(tmp_path, _tiny())
     with warnings.catch_warnings():
@@ -482,6 +495,50 @@ def test_trace_bytes_pinned_across_kernel_changes(tmp_path):
         "ccd2c5ea1a698b7a3e745ce0be7cdd562bb5846e7b64200cff8de3dac58449b3"
     assert _sha256(out / "irregular" / "wga.csv") == \
         "5f64bde5143ccd31f87f9f732c6fedbbc52a6be99121a3e2bf8d00e9fb6db693"
+
+
+# A 60-agent complete graph (1770 links), u = 2, a per-edge theta, per-agent
+# stepsizes and a gaussian disturbance: a mixing kernel laid out for small n
+# only would move these bits.
+WIDE_N = 60
+WIDE = {
+    "name": "wide",
+    "seed": 6060,
+    "u": 2,
+    "cost": {"a": [0.5 + 0.05 * (i % 9) for i in range(WIDE_N)],
+             "b": [[0.1 * (i % 5) - 0.2, 0.3 - 0.1 * (i % 7)] for i in range(WIDE_N)]},
+    "demand": [[1.0 + 0.1 * (i % 11), 0.5 - 0.2 * (i % 3)] for i in range(WIDE_N)],
+    "network": {"topology": "complete", "n": WIDE_N, "proposal": "metropolis",
+                "theta": [0.2 + 0.1 * (k % 8) for k in range(WIDE_N * (WIDE_N - 1) // 2)]},
+    "engine": {"iterations": 300, "replicas": 3, "x0": "demand"},
+    "stepsizes": {"source": "explicit",
+                  "alpha": [0.01 + 0.002 * (i % 6) for i in range(WIDE_N)],
+                  "beta": [0.3 + 0.05 * (i % 4) for i in range(WIDE_N)],
+                  "wga_alpha": 0.5},
+    "disturbance": {"kind": "gaussian", "m_zeta": 0.5, "q_zeta": 0.99},
+    "rate": {"window": 100},
+}
+
+
+def test_trace_bytes_pinned_on_a_wide_graph(tmp_path, monkeypatch):
+    """DTA (two stacked operands) and WGA (one) on a wide graph, pinned.
+
+    The digests were recorded with the incidence-GEMM gather, before the
+    row-take kernel replaced it.  A relative --out keeps the summary's
+    `files` paths the same on every machine.
+    """
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["compare", _write(tmp_path, WIDE, "wide.yaml"),
+                     "--out", "o"]) == 0
+    out = tmp_path / "o" / "wide"
+    assert _sha256(out / "dta.csv") == \
+        "714cbb1d801ea49479bfaa73ad8182322f1d4af0ce4425235955bc4cd2306d1f"
+    assert _sha256(out / "wga.csv") == \
+        "046f786ad84b610c82621402debaff27219e24d8dc4ce850c4adb6adecce6a5b"
+    assert _sha256(out / "summary.json") == \
+        "c506c09c81e2953185278794a8954d1e2c893bbd849cf464df2ea2313fe5e5f1"
 
 
 def test_summary_bytes_pinned_across_front_end_changes(tmp_path, monkeypatch):

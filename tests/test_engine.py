@@ -4,6 +4,7 @@ the updates are supposed to preserve (conservation, mean recursion, fixed
 point, double stochasticity)."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -618,6 +619,21 @@ def test_run_validates_inputs():
         kw = {"iterations": 1, "replicas": 1, **bad}
         with pytest.raises(ValueError, match="integer >="):
             run(prob, model, algorithm="dta", alpha=0.1, beta=0.1, **kw)
+
+
+def test_engine_memory_is_linear_in_links():
+    # 44 850 links: a dense E x n incidence alone would take 102.6 MiB, while
+    # the kernel's own buffers are O(E) (the term buffer is 2 E S 8 B = 1.4 MiB)
+    prob = _random_instance(np.random.default_rng(3), 300)
+    model = complete_graph(300, theta=0.5)
+    tracemalloc.start()
+    try:
+        run(prob, model, algorithm="dta", alpha=0.01, beta=0.1,
+            iterations=3, replicas=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"engine.run peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_record_states_shapes_and_trace_columns():

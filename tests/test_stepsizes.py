@@ -235,3 +235,33 @@ def test_uncoordinated_region_rejects_hot_plans():
                                        np.full(10, 0.015), np.full(10, 80.0))
     assert not v2.feasible and not v2.conditions["s6-contracts"]
     assert np.isnan(v2.s6)
+
+
+@pytest.mark.parametrize("case", ["alpha=0", "alpha<0", "beta=0", "beta<0"])
+def test_regions_reject_non_positive_stepsizes(case):
+    # (0.015, 2.7) is inside all three regions; a zero or negative stepsize,
+    # shared or for one agent, fails the bound of its own stepsize
+    costs = quadratic_costs(A10, B10)
+    model = build_model(10, complete_edges(10),
+                        metropolis_weights(10, complete_edges(10)),
+                        np.full(45, 0.9))
+    rep = spectral_report(model)
+    rc = constants(costs, rep)
+    alpha, beta = 0.015, 2.7
+    assert feasible_region_shared(rc, alpha, beta).feasible
+    assert feasible_region_mean(rc, alpha, beta).feasible
+    assert feasible_region_uncoordinated(costs, rep, rc, np.full(10, alpha),
+                                         np.full(10, beta)).feasible
+    name, sign = case[:-2], case[-2:]
+    bad = 0.0 if sign == "=0" else -(alpha if name == "alpha" else beta)
+    a, b = (bad, beta) if name == "alpha" else (alpha, bad)
+    for verdict in (feasible_region_shared(rc, a, b), feasible_region_mean(rc, a, b)):
+        assert not verdict.feasible and f"{name}-bound" in verdict.failed
+    plan = {"alpha": np.full(10, alpha), "beta": np.full(10, beta)}
+    plan[name][3] = bad
+    v = feasible_region_uncoordinated(costs, rep, rc, plan["alpha"], plan["beta"])
+    assert not v.feasible
+    assert ("alpha-bound" if name == "alpha" else "s6-contracts") in v.failed
+    with pytest.raises(InfeasiblePlanError):
+        predicted_rate(rc, a, b)
+
