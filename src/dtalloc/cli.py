@@ -11,7 +11,8 @@ comment line, then a header, then one row per iteration including k=0);
 run-level facts go to summary.json.  Residual columns are aggregated over
 replicas in the mean-square sense.
 
-Exit codes: 0 success; 2 bad config or usage; 3 network infeasible
+Exit codes: 0 success; 2 bad config or usage, or a run past the engine's
+memory limit; 3 network infeasible
 (disconnected in mean); 4 divergence (every sweep point diverged, or the
 single requested run did).
 """
@@ -29,7 +30,8 @@ import numpy as np
 from . import engine, metrics
 from .config import SCHEMA_VERSION, load_config, resolve, sweep_point
 from .costs import kkt_solve
-from .errors import ConfigError, InfeasibleNetworkError, InfeasiblePlanError
+from .errors import (CapacityError, ConfigError, InfeasibleNetworkError,
+                     InfeasiblePlanError)
 from .stepsizes import (PlanVerdict, feasible_region_shared, feasible_region_mean,
                         feasible_region_uncoordinated, predicted_rate)
 
@@ -366,6 +368,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleNetworkError as exc:
         print(f"infeasible network: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ outright and keeps the plan fixed.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -69,12 +70,18 @@ def _number(v, where):
     return v
 
 
+def _has_bool(v):
+    return isinstance(v, bool) or (isinstance(v, list) and any(map(_has_bool, v)))
+
+
 def _finite(v, where, words=()):
-    """v unchanged, once checked to be None, one of `words`, or finite numbers."""
-    if v is None or (isinstance(v, str) and v in words):
+    """v unchanged, once checked to be finite numbers or one of `words`
+    (strings, or None)."""
+    if (v is None or isinstance(v, str)) and v in words:
         return v
     try:
-        ok = bool(np.isfinite(np.asarray(v, float)).all())
+        # YAML true/false would read as 1.0/0.0
+        ok = not _has_bool(v) and bool(np.isfinite(np.asarray(v, float)).all())
     except (TypeError, ValueError):
         ok = False
     if not ok:
@@ -144,13 +151,23 @@ class ExperimentConfig:
 
 def from_dict(d):
     cfg = _section(ExperimentConfig, d, "config")
-    if cfg.schema_version != SCHEMA_VERSION:
+    if isinstance(cfg.schema_version, bool) or cfg.schema_version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {cfg.schema_version!r} "
                           f"(expected {SCHEMA_VERSION})")
     if not isinstance(cfg.name, str):
         raise ConfigError(f"name must be a string, got {cfg.name!r}")
+    # the name is the output subdirectory: one path component, inside --out
+    if cfg.name in ("", ".", "..") or any(
+            s and s in cfg.name for s in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(f"name must be one directory name (no '/' and not "
+                          f"'', '.' or '..'), got {cfg.name!r}")
     cfg.seed, cfg.u = _int(cfg.seed, "seed"), _int(cfg.u, "u")
+    if cfg.u < 1:
+        raise ConfigError(f"u must be >= 1, got {cfg.u}")
     cfg.cost = _section(CostSection, cfg.cost, "cost")
+    for where, v in (("cost.a", cfg.cost.a), ("cost.b", cfg.cost.b),
+                     ("cost.c", cfg.cost.c), ("demand", cfg.demand)):
+        _finite(v, where)
 
     net = cfg.network = _section(NetworkSection, cfg.network, "network")
     if net.topology not in ("complete", "ring", "edges"):
@@ -176,15 +193,15 @@ def from_dict(d):
     eng = cfg.engine = _section(EngineSection, cfg.engine, "engine")
     eng.iterations = _int(eng.iterations, "engine.iterations")
     eng.replicas = _int(eng.replicas, "engine.replicas")
-    _finite(eng.x0, "engine.x0", ("zeros", "demand"))
+    _finite(eng.x0, "engine.x0", ("zeros", "demand", None))
     if eng.algorithm not in ("dta", "wga"):
         raise ConfigError(f"engine.algorithm must be dta|wga, got {eng.algorithm!r}")
     if eng.iterations < 1 or eng.replicas < 1:
         raise ConfigError("engine.iterations and engine.replicas must be >= 1")
 
     steps = cfg.stepsizes = _section(StepsizeSection, cfg.stepsizes, "stepsizes")
-    _finite(steps.alpha, "stepsizes.alpha")
-    _finite(steps.beta, "stepsizes.beta")
+    _finite(steps.alpha, "stepsizes.alpha", (None,))
+    _finite(steps.beta, "stepsizes.beta", (None,))
     if steps.wga_alpha not in ("auto", None):
         _number(steps.wga_alpha, "stepsizes.wga_alpha")
     if steps.source not in ("optimal", "explicit"):
@@ -232,17 +249,17 @@ def save_config(cfg, path):
 
 
 def _build_network(net, n_agents):
+    n = n_agents if net.n is None else net.n
+    # checked before any edge is built: a complete graph has n (n - 1) / 2
+    if n != n_agents:
+        raise ConfigError(f"network has n={n} but the cost model has {n_agents} agents")
     if net.topology == "edges":
         arr = np.asarray(net.edges, float)
         edges = arr[:, :2].astype(int)
         weights = arr[:, 2]
-        n = n_agents if net.n is None else net.n
     else:
-        n = net.n
         edges = complete_edges(n) if net.topology == "complete" else ring_edges(n)
         weights = metropolis_weights(n, edges) if net.proposal == "metropolis" else net.proposal
-    if n != n_agents:
-        raise ConfigError(f"network has n={n} but the cost model has {n_agents} agents")
     if np.shape(net.theta) not in ((), (len(edges),)):
         raise ConfigError(f"network.theta needs one value for each of the "
                           f"{len(edges)} links, got {net.theta!r}")
@@ -281,6 +298,10 @@ def resolve(cfg):
     """
     if cfg.seed < 0:                      # checked here so --seed is covered too
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    # checked before the costs widen b to u columns
+    width = np.shape(cfg.demand)[1] if np.ndim(cfg.demand) == 2 else 1
+    if width != cfg.u:
+        raise ConfigError(f"demand has {width} column(s), expected u={cfg.u}")
     try:
         a = np.atleast_1d(np.asarray(cfg.cost.a, float))
         c = np.broadcast_to(np.asarray(cfg.cost.c, float), a.shape).copy()

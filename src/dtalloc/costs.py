@@ -11,6 +11,7 @@ optimum available in closed form and makes every downstream check exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +42,15 @@ class QuadraticCosts:
         per_agent = self.a * (x * x).sum(axis=-1) + (self.b * x).sum(axis=-1) + self.c
         return per_agent.sum(axis=-1)
 
-    def gradient(self, x):
-        # works for (n, u) and any (..., n, u) stack of replicas
-        return 2.0 * self.a[:, None] * x + self.b
+    def gradient(self, x, out=None):
+        """(2 a_i) x_i + b_i for (n, u) or any (..., n, u) stack, into `out` if given."""
+        out = np.multiply(self._slope, x, out=out)
+        return np.add(out, self.b, out=out)
+
+    @cached_property
+    def _slope(self):
+        # (2 a) as an (n, 1) column, formed once: the same bits as 2.0 * a[:, None]
+        return 2.0 * self.a[:, None]
 
     @property
     def eta(self):
@@ -73,6 +80,8 @@ def quadratic_costs(a, b, c=None, u=None):
     """
     a = np.atleast_1d(np.asarray(a, float))
     b = np.asarray(b, float)
+    if a.ndim != 1 or b.ndim not in (1, 2):
+        raise ValueError("a must be one value per agent and b (n,) or (n, u)")
     if b.ndim == 1:
         b = b[:, None]
     if u is not None and b.shape[1] != u:
@@ -83,7 +92,7 @@ def quadratic_costs(a, b, c=None, u=None):
     if c is None:
         c = np.zeros(a.shape[0])
     c = np.atleast_1d(np.asarray(c, float))
-    if a.shape[0] != b.shape[0] or a.shape[0] != c.shape[0]:
+    if c.ndim != 1 or a.shape[0] != b.shape[0] or a.shape[0] != c.shape[0]:
         raise ValueError("a, b, c must agree on the number of agents")
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise ValueError("curvature coefficients must be finite and > 0")

@@ -53,10 +53,24 @@ result bit-identical to the per-edge message passing written that way.
 Every term, bincount slot and residual row belongs to one lane, so a lane's
 bits do not depend on the other lanes.
 
-Recording runs once per block of steps, not per step.  Per step, the loop
-only computes the update, the gradient of the new state (the next update's
-input) and, with a disturbance, each replica's sum of zeta(k) over agents;
-it copies x(k+1) (and y(k+1)) into a (B, G, R, n, u) block buffer.  Once per
+The step runs in place.  Per step, the loop only computes the update, the
+gradient of the new state (the next update's input) and, with a
+disturbance, each replica's sum of zeta(k) over agents, each with `out=`
+into storage allocated once per group: the step's weights go to the
+kernel's (E, G, R) buffer, x(k+1) and y(k+1) to their rows of the
+(B+1, G, R, n, u) block buffers, and the gradient straight into the
+kernel's operand stack.  Row 0 of a block carries the state it starts from
+and rows 1 .. B take the states it steps to, so step i reads row i and
+writes row i + 1, and x(k) and x(k+1) never share memory, even at B = 1;
+after each block its last row is copied to row 0.  alpha and beta are
+broadcast to (G, R, n, u) once per group, so their products are same-shape
+ufuncs, which at n = 10 cost a third of a broadcast one, and two
+(G, R, n, u) temporaries hold them.  Each operation is one of the update
+formulas above, evaluated left to right as the plain expressions would be,
+so every output has their bits; only the kernel's scatter allocates an
+array per step.
+
+Recording runs once per block of steps, not per step.  Once per
 block, and at step T, `flush` makes one `metrics.residuals` call on the
 stacked block to fill B trace columns of every point, reduces the
 conservation drift and the mean recursion (chained through the previous
@@ -69,9 +83,9 @@ its lanes are compacted out of the loop, which runs on with the others.
 Every reduction runs over the trailing (n, u) axes of one lane and row, so
 the block gives the same bits as per-step calls.
 B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 G R n u))): each block buffer
-holds B G R n u float64 values, at most 128 KiB (64 rows) unless a single
-step is larger, and a diverging point computes at most 63 steps past the
-step that diverged.
+holds (B+1) G R n u float64 values, B rows of them at most 128 KiB (64 rows)
+unless a single step is larger, and a diverging point computes at most 63
+steps past the step that diverged.
 """
 from __future__ import annotations
 
@@ -81,6 +95,7 @@ import numpy as np
 
 from . import metrics as _metrics
 from .costs import kkt_solve
+from .errors import CapacityError
 from .network import mixing_matrix
 
 DIVERGENCE_LIMIT = 1e12
@@ -88,6 +103,8 @@ DRAW_BYTES = 2 ** 19    # float64 draw buffer per replica and chunk
 BLOCK_BYTES = 2 ** 17   # float64 state buffer (x, and y for DTA) per block
 BLOCK_ROWS = 64         # most steps recorded per block
 TRACE_BYTES = 2 ** 21   # float64 traces of one group of points
+MEMORY_LIMIT = 2 ** 31  # most bytes one group may need, by `_footprint`
+GENERATOR_BYTES = 3 * 2 ** 10   # one replica's seed and generator pair, measured
 
 
 @dataclass
@@ -129,6 +146,24 @@ class DisturbanceSpec:
         if self.kind == "impulse" and self.cutoff is not None:
             s[self.cutoff:] = 0.0
         return s
+
+
+def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
+    """Bytes a group of `points` points needs, as estimated before any compute.
+
+    Counts what grows with the inputs: the results' traces (R (T+1) 4 float64
+    per point) and recorded states, each replica's generators and the draw
+    buffers (one chunk of activations per lane, one replica's uniforms, every
+    replica's disturbance block).  The kernel's and the record block's
+    buffers are O((E + B n) u) per lane and are left out.
+    """
+    S = 2 if algorithm == "dta" else 1
+    per_point = R * (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
+    if record_states:
+        per_point += S * (T + 1) * R * n * u * 8
+    chunk = min(max(1, DRAW_BYTES // (8 * max(E, n * u, 1))), max(T, 1))
+    draws = chunk * E * (points * R + 8) + (R * chunk * n * u * 8 if disturbed else 0)
+    return points * per_point + R * GENERATOR_BYTES + draws
 
 
 def _cols(values, n):
@@ -199,8 +234,10 @@ def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
     as lanes of one step loop, in groups that keep each group's traces within
     TRACE_BYTES.  Every point sees the replica streams `run` gives it, so
     each result is bit-identical to a `run` of that point alone; a point that
-    diverges stops alone.  All inputs are checked here, before any compute.
-    With check_samples, a non-positive self-weight in any lane raises.
+    diverges stops alone.  All inputs are checked here, before any compute,
+    and CapacityError is raised when a group's estimated memory (`_footprint`)
+    passes MEMORY_LIMIT.  With check_samples, a non-positive self-weight in
+    any lane raises.
     """
     if algorithm not in ("dta", "wga"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -227,9 +264,16 @@ def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
         raise ValueError("x0 and y0 must be finite")
     R, T = int(replicas), int(iterations)
     size = max(1, TRACE_BYTES // (R * (T + 1) * 4 * 8))
+    dist = disturbance if disturbance is not None else DisturbanceSpec()
+    need = _footprint(n, u, first.n_edges, points=min(size, len(points)), R=R, T=T,
+                     algorithm=algorithm, record_states=record_states,
+                     disturbed=dist.active)
+    if need > MEMORY_LIMIT:
+        raise CapacityError(
+            f"{R} replicas x {T} steps need about {need / 2 ** 30:.3g} GiB, "
+            f"past the {MEMORY_LIMIT / 2 ** 30:g} GiB limit")
     kw = dict(kkt=kkt_solve(problem), algorithm=algorithm, T=T, R=R, seed=seed,
-              x0=x0, y0=y0, check_samples=check_samples,
-              dist=disturbance if disturbance is not None else DisturbanceSpec(),
+              x0=x0, y0=y0, check_samples=check_samples, dist=dist,
               record_states=record_states)
     return (result for at in range(0, len(points), size)
             for result in _run_lanes(problem, points[at:at + size], **kw))
@@ -295,10 +339,11 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     wcol = weights[:, None, None]
 
     def kernel(G):
-        """The operand stack for G points' lanes and `mix_apply(w)`, which
-        returns (I - W) v of each stacked operand v; w is (E, G, R).
+        """The S operands, the (E, G, R) weight buffer `w` and `mix_apply()`,
+        which returns (I - W) v of each operand v for the weights in `w`, for
+        G points' lanes.
 
-        The stack is an (S, G, R, n, u) view of node-major (n, S, G, R, u)
+        The operands are (G, R, n, u) views of node-major (n, S, G, R, u)
         storage, and the result is (S, G, R, n, u).  The buffers' views are
         made here, once per group size: at n = 10 making them per call costs
         about 2 us of a 17 us kernel.
@@ -310,35 +355,50 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                  + np.arange(u)[None, None, :]).ravel()
         operands = np.empty((n, S, G, R, u))
         terms = np.empty((2 * E, S, G, R, u))
-        rows, pairs, entries = operands.reshape(n, -1), terms.reshape(2 * E, -1), terms.ravel()
+        # explicit widths: with no links (E = 0) a -1 width is ambiguous
+        rows = operands.reshape(n, S * lanes * u)
+        pairs, entries = terms.reshape(2 * E, S * lanes * u), terms.ravel()
         top, bottom = terms[:E], terms[E:]
+        w = np.empty((E, G, R))
+        w5 = w[:, None, :, :, None]
         shape, size = (S, G, R, n, u), S * lanes * n * u
 
-        def mix_apply(w):
+        def mix_apply():
             # rows [v_i; v_j] of every edge, then d = v_i - v_j in the top half.
             # build_model keeps 0 <= i < j < n, so "clip" never clips; it lets
             # take write straight into `terms`, where "raise" buffers the output
-            np.take(rows, nodes, axis=0, out=pairs, mode="clip")
+            rows.take(nodes, axis=0, out=pairs, mode="clip")
             np.subtract(top, bottom, out=top)
-            np.multiply(top, w[:, None, :, :, None], out=top)
+            np.multiply(top, w5, out=top)
             np.negative(top, out=bottom)
             return np.bincount(slots, entries, minlength=size).reshape(shape)
 
-        return operands.transpose(1, 2, 3, 0, 4), mix_apply
+        return list(operands.transpose(1, 2, 3, 0, 4)), w, mix_apply
 
-    operands, mix_apply = kernel(P)
-
-    # per-block record: the loop buffers each step's state, `flush` reduces
-    # the block -- residual traces, drift maxima, divergence, sample checks
+    # per-block record: each step writes its state into a block row, `flush`
+    # reduces the block -- residual traces, drift maxima, divergence, sample
+    # checks.  Row 0 carries the state the block starts from and rows 1 .. B
+    # take the states it steps to, so x(k) and x(k+1) never share memory.
     B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * P * R * n * u)))
 
     def buffers(G):
-        return (np.empty((B, G, R, n, u)),
-                np.empty((B, G, R, n, u)) if is_dta else None,
-                np.empty((B, G, R, E)) if check_samples else None)
+        """All the step loop writes to for G points' lanes: the kernel, the
+        (B+1)-row state blocks, the sample-weight block, two temporaries,
+        and alpha and beta broadcast to the state's shape."""
+        full = (G, R, n, u)
+        return (*kernel(G),
+                np.empty((B + 1, *full)),
+                np.empty((B + 1, *full)) if is_dta else None,
+                np.empty((B, G, R, E)) if check_samples else None,
+                np.empty(full), np.empty(full),
+                np.broadcast_to(al, full).copy(),
+                np.broadcast_to(be, full).copy() if is_dta else None)
 
-    xbuf, ybuf, wbuf = buffers(P)
+    operands, wv, mix_apply, xbuf, ybuf, wbuf, tmp1, tmp2, alf, bef = buffers(P)
+    # the block rows as a list: indexing it per step is cheaper than a view
+    xrows, yrows = list(xbuf), list(ybuf) if is_dta else None
     zsum = np.empty((B, R, u)) if need_z else None
+    gradient = problem.costs.gradient
 
     res0, g = _metrics.residuals(x, y, problem, kkt)            # each (P, R)
     for p, out in enumerate(results):
@@ -349,9 +409,13 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             if is_dta:
                 out.states_y[0] = y[p]
     ybar_prev = y.mean(axis=-2) if tracked.any() else None      # (P, R, u)
+    xbuf[0] = x
+    operands[0][...] = g
+    if is_dta:
+        ybuf[0] = y
 
     def flush(k0, m):
-        """Record block rows [0, m) as the states of steps k0+1 .. k0+m.
+        """Record block rows [1, m] as the states of steps k0+1 .. k0+m.
 
         Returns the mask of live points that diverged in the block.  A
         diverged point's rows after its first bad row stay NaN in the
@@ -360,8 +424,8 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         """
         nonlocal ybar_prev
         G = live.size
-        xs = xbuf[:m]
-        ys = ybuf[:m] if is_dta else None
+        xs = xbuf[1:m + 1]
+        ys = ybuf[1:m + 1] if is_dta else None
         res, _ = _metrics.residuals(xs, ys, problem, kkt)       # each (m, G, R)
         opt = res["optimality_distance"]
         bad = ~np.isfinite(opt) | (opt > DIVERGENCE_LIMIT)
@@ -428,7 +492,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
 
     with np.errstate(over="ignore", invalid="ignore"):
         done = 0
-        i = 0           # rows filled in the current block
+        i = 0           # steps taken in the current block: x(k) is in row i
         while done < T and live.size:
             L = min(chunk, T - done)
             acts = np.empty((L, E, live.size, R), dtype=bool)
@@ -448,30 +512,32 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 zbuf *= scales[done:done + L][None, :, None, None]
 
             for t in range(L):
-                wv = wcol * acts[t]     # (E, G, R)
+                np.multiply(wcol, acts[t], out=wv)                  # (E, G, R)
+                x, xn = xrows[i], xrows[i + 1]
+                xz = x
                 if need_z:
-                    xz = x + zbuf[:, t]
+                    xz = np.add(x, zbuf[:, t], out=xn)
                     zbuf[:, t].sum(axis=1, out=zsum[i])
-                else:
-                    xz = x
-                operands[0] = g
                 if is_dta:
-                    operands[1] = y
-                    mixg, mixy = mix_apply(wv)
-                    xn = xz - al * y - be * mixg
-                    y = (y - mixy) + (xn - x)
-                    x = xn
-                    ybuf[i] = y
+                    y, yn = yrows[i], yrows[i + 1]
+                    operands[1][...] = y
+                    mixg, mixy = mix_apply()
+                    # x(k+1) = (xz - alpha y) - beta mixg
+                    np.subtract(xz, np.multiply(alf, y, out=tmp1), out=xn)
+                    np.subtract(xn, np.multiply(bef, mixg, out=tmp2), out=xn)
+                    # y(k+1) = (y - mixy) + (x(k+1) - x(k))
+                    np.subtract(y, mixy, out=yn)
+                    np.add(yn, np.subtract(xn, x, out=tmp1), out=yn)
                 else:
-                    x = xz - al * mix_apply(wv)[0]
-                g = problem.costs.gradient(x)
-                xbuf[i] = x
+                    np.subtract(xz, np.multiply(alf, mix_apply()[0], out=tmp1), out=xn)
+                gradient(xn, out=operands[0])
                 if check_samples:
                     wbuf[i] = wv.transpose(1, 2, 0)
                 i += 1
                 k = done + t + 1
                 if i == B or k == T:
                     hit = flush(k - i, i)
+                    x, y = xn, (yn if is_dta else None)
                     i = 0
                     if hit.any():
                         # compact the diverged points' lanes out of the loop
@@ -479,19 +545,25 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                         live = live[keep]
                         if not live.size:
                             break
-                        x, g, acts, decay = x[keep], g[keep], acts[:, :, keep], decay[keep]
-                        al = al[keep]
+                        x, g, al = x[keep], operands[0][keep], al[keep]
+                        acts, decay = acts[:, :, keep], decay[keep]
                         if is_dta:
                             y, be = y[keep], be[keep]
                         if ybar_prev is not None:
                             ybar_prev = ybar_prev[keep]
-                        operands, mix_apply = kernel(live.size)
-                        xbuf, ybuf, wbuf = buffers(live.size)
+                        (operands, wv, mix_apply, xbuf, ybuf, wbuf, tmp1, tmp2, alf,
+                         bef) = buffers(live.size)
+                        xrows, yrows = list(xbuf), list(ybuf) if is_dta else None
+                        operands[0][...] = g
+                    # the last state carries over into row 0 of the next block
+                    xbuf[0] = x
+                    if is_dta:
+                        ybuf[0] = y
             done += L
 
     for lane, p in enumerate(live):
-        results[p].final_x = x[lane]
-        results[p].final_y = y[lane] if is_dta else None
+        results[p].final_x = xbuf[0, lane].copy()
+        results[p].final_y = ybuf[0, lane].copy() if is_dta else None
     for p, out in enumerate(results):
         if is_dta:
             out.max_conservation_drift = float(cons_drift[p])

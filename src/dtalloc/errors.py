@@ -14,5 +14,5 @@ class InfeasiblePlanError(ValueError):
 
 
 class CapacityError(ValueError):
-    """Exact enumeration requested beyond the supported edge count."""
+    """A run or an exact enumeration would pass a stated size limit."""
 

@@ -245,6 +245,56 @@ def test_exit_4_on_divergence(tmp_path):
     assert s["final_ratio"] is None
 
 
+def _files_under(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("name", ["../../x", "..", "absolute", "a/b"])
+def test_exit_2_when_the_name_leaves_out(tmp_path, capsys, name):
+    # the name becomes the output subdirectory, so it must stay inside --out
+    work = tmp_path / "a" / "b"
+    work.mkdir(parents=True)
+    if name == "absolute":
+        name = str(tmp_path / "escaped")
+    cfg = _write(work, _tiny(name=name))
+    assert main(["run", cfg, "--out", str(work / "o")]) == 2
+    assert "name must be one directory name" in capsys.readouterr().err
+    assert _files_under(tmp_path) == ["a/b/exp.yaml"]
+
+
+@pytest.mark.parametrize("engine_over,size", [
+    ({"replicas": 1_000_000_000}, "replicas"),       # hung in SeedSequence.spawn
+    ({"iterations": 1_000_000_000_000}, "steps"),    # died allocating the traces
+])
+def test_exit_2_before_compute_past_the_memory_limit(tmp_path, capsys,
+                                                     engine_over, size):
+    doc = _tiny()
+    doc["engine"].update(engine_over)
+    cfg = _write(tmp_path, doc)
+    for argv in (["run", cfg], ["compare", cfg],
+                 ["sweep", cfg, "--axis", "beta", "--values", "0.5,1"]):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "capacity error" in err and "GiB limit" in err and size in err
+    assert _files_under(tmp_path) == ["exp.yaml"]
+
+
+def test_one_agent_runs_and_compares(tmp_path, capsys):
+    # no links at all: DTA is x(k+1) = x(k) - alpha y(k), which meets x = d
+    # at the rate 1 - alpha = 2/3 of the optimal plan
+    doc = _tiny(cost={"a": [1.0], "b": [0.1]}, demand=[2.0],
+                network={"topology": "complete", "n": 1, "theta": 0.8},
+                stepsizes={"source": "optimal"},
+                engine={"iterations": 40, "replicas": 2},
+                rate={"window": 20})
+    cfg = _write(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "q_n 0.666667" in capsys.readouterr().out
+    s = json.loads((tmp_path / "o" / "tiny" / "summary.json").read_text())
+    assert s["alpha"] == pytest.approx(1 / 3)
+    assert main(["compare", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 # ----------------------------------------------------------------- bounds
 
 def test_bounds_emits_parseable_json(tmp_path, capsys):

@@ -121,6 +121,9 @@ def test_defaults_fill_in():
     (lambda d: d["network"].update(theta=float("nan")), "network.theta"),
     (lambda d: d.update(engine={"iterations": None}),
      "engine.iterations must be an integer"),
+    *[(lambda d, bad=bad: d.update(name=bad), "name must be one directory name")
+      for bad in ("", ".", "..", "../../x", "/tmp/x", "a/b", "x/", "a\0b")],
+    (lambda d: d.update(name=5), "name must be a string"),
 ])
 def test_from_dict_rejects(mutate, fragment):
     d = _minimal()

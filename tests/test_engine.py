@@ -381,7 +381,8 @@ def test_block_size_does_not_change_results(monkeypatch, case):
         # mid-block for the default 64-row block and for 7-row blocks
         assert ref.diverged and ref.diverged_at % 64 and ref.diverged_at % 7
 
-    for rows in (1, 7):
+    # one row steps from the carry row alone; two and seven also step within
+    for rows in (1, 2, 7):
         with monkeypatch.context() as m:
             m.setattr(engine, "BLOCK_ROWS", rows)
             res = run(prob, model, record_states=True, **kw)
@@ -449,6 +450,24 @@ def test_run_points_lanes_match_separate_runs(case):
     if case != "theta-sweep-with-zero":
         # a point that diverges stops alone; the next point runs on
         assert any(a.diverged and not b.diverged for a, b in zip(lanes, lanes[1:]))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_lanes_under_small_blocks_match_separate_runs(monkeypatch, rows):
+    # 1.06 diverges at step 275, the first row of a 2-row block, and its
+    # lanes are compacted out while later points run on
+    prob, points, kw = _sweep_cases()["beta-sweep-diverging"]
+    alone = [run(prob, model, alpha=alpha, beta=beta, record_states=True, **kw)
+             for model, alpha, beta in points]
+    monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
+    lanes = list(engine.run_points(prob, points, record_states=True, **kw))
+    assert [r.diverged_at for r in lanes] == [None, 275, None, 204, 426]
+    for idx, (ref, res) in enumerate(zip(alone, lanes)):
+        _assert_same_result(ref, res, (rows, idx))
+    finals = [a for r in lanes for a in (r.final_x, r.final_y)]
+    for i, a in enumerate(finals):
+        for b in finals[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("case", SWEEP_CASES)
