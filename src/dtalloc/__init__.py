@@ -4,7 +4,7 @@ baseline, stepsize feasibility calculus, and Monte-Carlo convergence
 measurement."""
 
 from .costs import (AllocationProblem, KktSolution, QuadraticCosts,
-                    allocation_problem, global_cost, kkt_solve, quadratic_costs)
+                    allocation_problem, kkt_solve, quadratic_costs)
 from .engine import DisturbanceSpec, RunResult, run, run_points
 from .errors import (CapacityError, ConfigError, InfeasibleNetworkError,
                      InfeasiblePlanError)
@@ -12,9 +12,8 @@ from .metrics import (RateEstimate, TRACE_COLUMNS, aggregate, empirical_rate,
                       loglinear_r2, non_convergent, residuals)
 from .network import (NetworkModel, SpectralReport, build_model,
                       complete_graph, expected_square_matrix,
-                      expected_weight_matrix, from_proposals,
-                      metropolis_weights, mixing_matrix, sample_batch,
-                      spectral_report)
+                      expected_weight_matrix, metropolis_weights,
+                      mixing_matrix, spectral_report)
 from .stepsizes import (OptimalStepsizes, PlanVerdict,
                         RateConstants, SharedVerdict, constants,
                         feasible_region_mean, feasible_region_shared,
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationProblem", "KktSolution", "QuadraticCosts",
-    "allocation_problem", "global_cost", "kkt_solve", "quadratic_costs",
+    "allocation_problem", "kkt_solve", "quadratic_costs",
     "DisturbanceSpec", "RunResult", "run", "run_points",
     "CapacityError", "ConfigError", "InfeasibleNetworkError",
     "InfeasiblePlanError",
@@ -33,8 +32,7 @@ __all__ = [
     "loglinear_r2", "non_convergent", "residuals",
     "NetworkModel", "SpectralReport", "build_model",
     "complete_graph", "expected_square_matrix", "expected_weight_matrix",
-    "from_proposals", "metropolis_weights", "mixing_matrix",
-    "sample_batch", "spectral_report",
+    "metropolis_weights", "mixing_matrix", "spectral_report",
     "OptimalStepsizes", "PlanVerdict", "RateConstants",
     "SharedVerdict", "constants", "feasible_region_mean",
     "feasible_region_shared", "feasible_region_uncoordinated",

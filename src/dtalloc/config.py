@@ -1,7 +1,7 @@
 """YAML experiment configs: schema, loading, and resolution to run inputs.
 
-A config is plain data (lists and scalars, no numpy) so that load -> save ->
-load is an identity.  `resolve()` turns one into the concrete objects the
+A config is plain data (lists and scalars, no numpy) so that
+from_dict(to_dict(cfg)) == cfg.  `resolve()` turns one into the concrete objects the
 engine needs: problem, network model, spectral report, rate constants, and
 the resolved stepsize plan.
 
@@ -241,11 +241,6 @@ def load_config(path):
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return from_dict(data)
-
-
-def save_config(cfg, path):
-    with open(path, "w") as fh:
-        yaml.safe_dump(to_dict(cfg), fh, sort_keys=False)
 
 
 def _build_network(net, n_agents):

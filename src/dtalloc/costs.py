@@ -53,22 +53,14 @@ class QuadraticCosts:
         return 2.0 * self.a[:, None]
 
     @property
-    def eta(self):
-        return 2.0 * self.a
-
-    @property
-    def phi(self):
-        return 2.0 * self.a
-
-    @property
     def eta_lo(self):
         """Smallest strong-convexity modulus."""
-        return float(np.min(self.eta))
+        return 2.0 * float(np.min(self.a))
 
     @property
     def phi_hi(self):
         """Largest gradient-Lipschitz modulus."""
-        return float(np.max(self.phi))
+        return 2.0 * float(np.max(self.a))
 
 
 def quadratic_costs(a, b, c=None, u=None):
@@ -159,10 +151,3 @@ def kkt_solve(problem):
     mu = (problem.demand.sum(axis=0) + (inv2a[:, None] * costs.b).sum(axis=0)) / inv2a.sum()
     x = (mu[None, :] - costs.b) * inv2a[:, None]
     return KktSolution(x_star=x, mu_star=mu)
-
-
-def global_cost(problem, x):
-    x = np.asarray(x, float)
-    if x.shape != (problem.n, problem.u):
-        raise ValueError(f"allocation shape {x.shape}, expected {(problem.n, problem.u)}")
-    return float(problem.costs.evaluate(x))

@@ -148,6 +148,16 @@ class DisturbanceSpec:
         return s
 
 
+def _trace_bytes(R, T):
+    """Bytes of one point's float64 traces: R (T+1) rows of each trace column."""
+    return R * (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
+
+
+def _draw_chunk(E, n, u):
+    """Steps per draw chunk: as many as fit one replica's float64 draws in DRAW_BYTES."""
+    return max(1, DRAW_BYTES // (8 * max(E, n * u, 1)))
+
+
 def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     """Bytes a group of `points` points needs, as estimated before any compute.
 
@@ -158,10 +168,10 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     buffers are O((E + B n) u) per lane and are left out.
     """
     S = 2 if algorithm == "dta" else 1
-    per_point = R * (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
+    per_point = _trace_bytes(R, T)
     if record_states:
         per_point += S * (T + 1) * R * n * u * 8
-    chunk = min(max(1, DRAW_BYTES // (8 * max(E, n * u, 1))), max(T, 1))
+    chunk = min(_draw_chunk(E, n, u), max(T, 1))
     draws = chunk * E * (points * R + 8) + (R * chunk * n * u * 8 if disturbed else 0)
     return points * per_point + R * GENERATOR_BYTES + draws
 
@@ -263,7 +273,7 @@ def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
     if not (np.isfinite(x0).all() and np.isfinite(y0).all()):
         raise ValueError("x0 and y0 must be finite")
     R, T = int(replicas), int(iterations)
-    size = max(1, TRACE_BYTES // (R * (T + 1) * 4 * 8))
+    size = max(1, TRACE_BYTES // _trace_bytes(R, T))
     dist = disturbance if disturbance is not None else DisturbanceSpec()
     need = _footprint(n, u, first.n_edges, points=min(size, len(points)), R=R, T=T,
                      algorithm=algorithm, record_states=record_states,
@@ -488,7 +498,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 raise ValueError(f"non-positive self-weight in a sample at k={k0 + int(low[0])}")
         return hit
 
-    chunk = max(1, DRAW_BYTES // (8 * max(E, n * u, 1)))
+    chunk = _draw_chunk(E, n, u)
 
     with np.errstate(over="ignore", invalid="ignore"):
         done = 0

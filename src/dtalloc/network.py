@@ -1,11 +1,10 @@
-"""Random doubly stochastic mixing matrices from link failures + min-weight negotiation.
+"""Random doubly stochastic mixing matrices from independent link failures.
 
-Each undirected link (i,j) carries two directed weight proposals w_i^j, w_j^i
-and an activation probability theta_ij.  Per round, every link is up
-independently with its theta; an active link uses the negotiated weight
-min(w_i^j, w_j^i) on both sides, a failed link contributes nothing, and the
-diagonal absorbs the leftover mass.  Every realization is symmetric and
-doubly stochastic by construction.
+Each undirected link (i,j) carries one negotiated weight m_ij, agreed by both
+agents, and an activation probability theta_ij.  Per round, every link is up
+independently with its theta; an active link uses m_ij on both sides, a
+failed link contributes nothing, and the diagonal absorbs the leftover mass.
+Every realization is symmetric and doubly stochastic by construction.
 
 Writing B_e = (e_i - e_j)(e_i - e_j)' for edge e (note B_e^2 = 2 B_e),
 
@@ -18,15 +17,9 @@ which gives the two closed forms used throughout:
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import CapacityError
-
-# exact enumeration of E{W^2} walks 2^|E| link patterns
-EXACT_ENUM_MAX_EDGES = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +60,14 @@ def _validate(model, allow_zero_theta=False):
     lo = 0.0 if allow_zero_theta else np.nextafter(0.0, 1.0)
     if not np.all((lo <= model.theta) & (model.theta <= 1.0)):
         raise ValueError("theta must lie in (0, 1] (0 allowed only in sweeps)")
+    # one weight >= 1 already loads its endpoints past 1; refusing it first
+    # keeps the row sums below from overflowing on a huge weight
+    if np.any(model.weights >= 1.0):
+        bad = int(np.argmax(model.weights))
+        raise ValueError(
+            f"link {tuple(e[bad].tolist())}: negotiated weight "
+            f"{model.weights[bad]:.6g} >= 1; self-weight would not stay positive"
+        )
     load = model.row_load()
     if np.any(load >= 1.0):
         bad = int(np.argmax(load))
@@ -86,27 +87,6 @@ def build_model(n, edges, weights, theta, allow_zero_theta=False):
     model = NetworkModel(n=int(n), edges=edges, weights=weights, theta=theta)
     _validate(model, allow_zero_theta=allow_zero_theta)
     return model
-
-
-def from_proposals(proposals, theta, allow_zero_theta=False):
-    """Negotiate a model from a directed proposal matrix.
-
-    proposals: (n, n) nonnegative, proposals[i, j] = w_i^j.  An undirected
-    edge exists where both directions propose > 0; its weight is the min of
-    the two proposals.  theta: scalar or (n, n) symmetric.
-    """
-    P = np.asarray(proposals, float)
-    n = P.shape[0]
-    th = np.asarray(theta, float)
-    edges, w, t = [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = min(P[i, j], P[j, i])
-            if m > 0:
-                edges.append((i, j))
-                w.append(m)
-                t.append(float(th[i, j]) if th.ndim == 2 else float(th))
-    return build_model(n, edges, w, t, allow_zero_theta=allow_zero_theta)
 
 
 def metropolis_weights(n, edges):
@@ -160,67 +140,23 @@ def mixing_matrix(model, w):
     return W.reshape(lead + (n, n))
 
 
-def sample_batch(model, rng, size):
-    """Vectorized draws: (size, n, n) matrices + (size, E) activation mask.
-
-    Each link is up independently with its theta in every draw.
-    """
-    acts = rng.random((size, model.n_edges)) < model.theta
-    return mixing_matrix(model, np.where(acts, model.weights, 0.0)), acts
-
-
 def expected_weight_matrix(model):
     return mixing_matrix(model, model.theta * model.weights)
 
 
-def expected_square_matrix(model, mode="closed", rng=None, samples=100_000):
-    """E{W(k)^2} under independent link activations.
-
-    mode="closed": algebraic identity E{W}^2 + sum_e 2 theta(1-theta) m^2 B_e
-                   (exact for independent links, any edge count).
-    mode="exact":  brute-force enumeration of all 2^|E| activation patterns;
-                   refuses beyond EXACT_ENUM_MAX_EDGES edges.
-    mode="monte-carlo": average W^2 over `samples` draws from `rng`.
+def expected_square_matrix(model):
+    """E{W(k)^2} under independent link activations, in closed form:
+    E{W}^2 + sum_e 2 theta_e (1 - theta_e) m_e^2 B_e (exact, any edge count).
     """
-    n = model.n
-    if mode == "closed":
-        EW = expected_weight_matrix(model)
-        EW2 = EW @ EW
-        ei, ej = model.edges[:, 0], model.edges[:, 1]
-        corr = 2.0 * model.theta * (1.0 - model.theta) * model.weights**2
-        EW2[ei, ej] -= corr
-        EW2[ej, ei] -= corr
-        np.add.at(EW2, (ei, ei), corr)
-        np.add.at(EW2, (ej, ej), corr)
-        return EW2
-    if mode == "exact":
-        E = model.n_edges
-        if E > EXACT_ENUM_MAX_EDGES:
-            raise CapacityError(
-                f"exact enumeration over 2^{E} activation patterns exceeds the "
-                f"{EXACT_ENUM_MAX_EDGES}-edge limit; use mode='monte-carlo'"
-            )
-        out = np.zeros((n, n))
-        for pattern in itertools.product((False, True), repeat=E):
-            up = np.array(pattern, bool)
-            p = np.prod(np.where(up, model.theta, 1.0 - model.theta))
-            if p == 0.0:
-                continue
-            W = mixing_matrix(model, np.where(up, model.weights, 0.0))
-            out += p * (W @ W)
-        return out
-    if mode == "monte-carlo":
-        if rng is None:
-            raise ValueError("monte-carlo mode needs an rng")
-        out = np.zeros((n, n))
-        done = 0
-        while done < samples:
-            batch = min(20_000, samples - done)
-            W, _ = sample_batch(model, rng, batch)
-            out += np.einsum("sij,sjk->ik", W, W)
-            done += batch
-        return out / samples
-    raise ValueError(f"unknown mode {mode!r}")
+    EW = expected_weight_matrix(model)
+    EW2 = EW @ EW
+    ei, ej = model.edges[:, 0], model.edges[:, 1]
+    corr = 2.0 * model.theta * (1.0 - model.theta) * model.weights**2
+    EW2[ei, ej] -= corr
+    EW2[ej, ei] -= corr
+    np.add.at(EW2, (ei, ei), corr)
+    np.add.at(EW2, (ej, ej), corr)
+    return EW2
 
 
 @dataclass(frozen=True)
@@ -254,7 +190,7 @@ def spectral_report(model):
         # single agent: no second eigenvalue; gaps are trivially closed
         return SpectralReport(1, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     EW = expected_weight_matrix(model)
-    EW2 = expected_square_matrix(model, mode="closed")
+    EW2 = expected_square_matrix(model)
     lam = np.sort(np.linalg.eigvalsh(EW))[::-1]
     lam_sq = np.sort(np.linalg.eigvalsh(EW2))[::-1]
     lam2e, lamne = float(lam[1]), float(lam[-1])

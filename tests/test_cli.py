@@ -153,12 +153,18 @@ def test_exit_2_before_compute_on_window_outside_k_end(tmp_path, capsys, window)
     ({"disturbance": {"kind": "gaussian", "m_zeta": float("nan")}}, "m_zeta"),
     ({"network": {"topology": "complete", "n": 2, "proposal": 0.3,
                   "theta": float("nan")}}, "network.theta"),
+    # finite, but two such weights at one agent sum to inf
+    ({"cost": {"a": [1.0] * 3, "b": [0.0] * 3}, "demand": [1.0] * 3,
+      "network": {"topology": "complete", "n": 3, "proposal": 1.0e308,
+                  "theta": 0.5}}, "negotiated weight"),
 ])
 def test_exit_2_before_compute_on_non_finite_input(tmp_path, capsys, over,
                                                    fragment):
     cfg = _write(tmp_path, _tiny(**over))  # written as YAML .inf / .nan
     out = tmp_path / "o"
-    assert main(["run", cfg, "--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", cfg, "--out", str(out)]) == 2
     assert fragment in capsys.readouterr().err
     assert not (out / "tiny" / "trace.csv").exists()
 
