@@ -69,9 +69,9 @@ def _out_dir(args, cfg):
     return os.path.join(base, cfg.name)
 
 
-def _write_trace_csv(path, agg):
+def _write_trace_csv(path, traces):
     cols = metrics.TRACE_COLUMNS
-    series = [np.asarray(agg[c], float) for c in cols]
+    series = [np.asarray(traces[c], float) for c in cols]
     with open(path, "w") as fh:
         fh.write(f"# schema_version: {SCHEMA_VERSION}\n")
         fh.write("k," + ",".join(cols) + "\n")
@@ -115,8 +115,7 @@ def _plan(res, algorithm):
 
 
 def _run_summary(res, result, path):
-    agg = result.aggregate_traces()
-    opt = agg["optimality_distance"]
+    opt = result.traces["optimality_distance"]
     out = {
         "name": res.config.name,
         "algorithm": result.algorithm,
@@ -142,7 +141,7 @@ def _run_summary(res, result, path):
         out["empirical_rate"] = None
         out["non_convergent"] = True
         out["loglinear_r2"] = None
-    return out, agg
+    return out
 
 
 def cmd_bounds(args):
@@ -205,13 +204,13 @@ def _execute_point(res, algorithm, path, label):
         res.problem, res.model, algorithm=algorithm, alpha=alpha, beta=beta,
         iterations=cfg.engine.iterations, replicas=cfg.engine.replicas,
         seed=cfg.seed, x0=res.x0, disturbance=res.disturbance)
-    summary, agg = _run_summary(res, result, path)
+    summary = _run_summary(res, result, path)
     if algorithm == "dta":
         summary["alpha"], summary["beta"] = alpha, beta
     else:
         summary["wga_alpha"] = alpha
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    _write_trace_csv(path, agg)
+    _write_trace_csv(path, result.traces)
     return summary, result
 
 

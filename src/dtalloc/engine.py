@@ -15,9 +15,12 @@ triples that share the problem, the edges and the weights, as a sweep's do
 -- in one step loop; `run` is the one-point case.  A lane is one (point,
 replica) pair: the state is a (G, R, n, u) stack, alpha and beta (WGA's
 alpha too) are (G, 1, 1, 1) or (G, 1, n, 1) columns, and theta is a (G, E)
-activation threshold.  Points run in groups of
-G = max(1, TRACE_BYTES // (R (T+1) 4 8)), so a group's traces take at most
-2 MiB unless one point is larger.
+activation threshold.  A point's traces are its four residuals aggregated
+over the replicas (`metrics.aggregate`), (T+1) 4 float64 values whatever R
+is.  Points run in groups of G = max(1, GROUP_BYTES // `_point_bytes`): a
+point holds its traces, its recorded states and its R lanes' chunk of
+activations, and a group holds at most 8 MiB of them unless one point is
+larger.
 
 Randomness discipline (frozen; determinism and paired comparisons depend on
 it): SeedSequence(seed).spawn(replicas) gives one child per replica, and
@@ -31,7 +34,7 @@ steps as fit one replica's float64 draws in DRAW_BYTES (512 KiB; at least
 one step), so the draw buffers take about R x 512 KiB of disturbance plus a
 (chunk, E, G R) boolean activation buffer (64 KiB per lane), beside the
 traces, the mixing kernel's term buffer and the record block's state buffers
-(see below).  Runs with the same seed therefore see identical link failures
+(see below); a chunk's draws are freed before the next chunk is drawn.  Runs with the same seed therefore see identical link failures
 and disturbances regardless of algorithm or grouping -- the DTA/WGA
 comparison is variance-paired for free.
 
@@ -72,16 +75,19 @@ array per step.
 
 Recording runs once per block of steps, not per step.  Once per
 block, and at step T, `flush` makes one `metrics.residuals` call on the
-stacked block to fill B trace columns of every point, reduces the
-conservation drift and the mean recursion (chained through the previous
+stacked block and one `metrics.aggregate` call on its four residuals,
+stacked with the replicas as the outer axis, to fill B rows of every
+point's traces, reduces the conservation drift and the mean recursion (chained through the previous
 block's last tracker mean) over the block's rows, runs the `check_samples`
 checks on the block's stacked weights, and finds each point's divergence as
 the first row where the optimality distance or tracking norm of any of its
 replicas is non-finite or above DIVERGENCE_LIMIT.  That row is recorded and
 ends the point: its later rows stay NaN, its final state is that row's, and
 its lanes are compacted out of the loop, which runs on with the others.
-Every reduction runs over the trailing (n, u) axes of one lane and row, so
-the block gives the same bits as per-step calls.
+Every residual reduction runs over the trailing (n, u) axes of one lane and
+row, and the aggregate sums each (trace, row, point) over its replicas in
+replica order, as a whole (R, T+1) trace's aggregate does, so the block
+gives the same bits as per-step residuals aggregated at the end.
 B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 G R n u))): each block buffer
 holds (B+1) G R n u float64 values, B rows of them at most 128 KiB (64 rows)
 unless a single step is larger, and a diverging point computes at most 63
@@ -102,7 +108,7 @@ DIVERGENCE_LIMIT = 1e12
 DRAW_BYTES = 2 ** 19    # float64 draw buffer per replica and chunk
 BLOCK_BYTES = 2 ** 17   # float64 state buffer (x, and y for DTA) per block
 BLOCK_ROWS = 64         # most steps recorded per block
-TRACE_BYTES = 2 ** 21   # float64 traces of one group of points
+GROUP_BYTES = 2 ** 23   # what one group of points holds, by `_point_bytes`
 MEMORY_LIMIT = 2 ** 31  # most bytes one group may need, by `_footprint`
 GENERATOR_BYTES = 3 * 2 ** 10   # one replica's seed and generator pair, measured
 
@@ -148,32 +154,49 @@ class DisturbanceSpec:
         return s
 
 
-def _trace_bytes(R, T):
-    """Bytes of one point's float64 traces: R (T+1) rows of each trace column."""
-    return R * (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
+def _draw_chunk(E, n, u, T):
+    """Steps per draw chunk: as many as fit one replica's float64 draws in
+    DRAW_BYTES, and at most T (but at least one)."""
+    return max(1, min(T, DRAW_BYTES // (8 * max(E, n * u, 1))))
 
 
-def _draw_chunk(E, n, u):
-    """Steps per draw chunk: as many as fit one replica's float64 draws in DRAW_BYTES."""
-    return max(1, DRAW_BYTES // (8 * max(E, n * u, 1)))
+def _point_bytes(n, u, E, *, R, T, algorithm, record_states):
+    """Bytes one point holds while its group runs: its float64 traces (T+1
+    rows of each column), its recorded states and its R lanes' chunk of
+    boolean activations."""
+    S = 2 if algorithm == "dta" else 1
+    states = S * (T + 1) * R * n * u * 8 if record_states else 0
+    traces = (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
+    return traces + states + R * _draw_chunk(E, n, u, T) * E
 
 
 def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     """Bytes a group of `points` points needs, as estimated before any compute.
 
-    Counts what grows with the inputs: the results' traces (R (T+1) 4 float64
-    per point) and recorded states, each replica's generators and the draw
-    buffers (one chunk of activations per lane, one replica's uniforms, every
-    replica's disturbance block).  The kernel's and the record block's
-    buffers are O((E + B n) u) per lane and are left out.
+    Counts what grows with the inputs: what each point holds (`_point_bytes`),
+    each replica's generators and the draw buffers the points share (one
+    replica's uniforms, every replica's disturbance block).  The kernel's and
+    the record block's buffers are O((E + B n) u) per lane and are left out.
     """
-    S = 2 if algorithm == "dta" else 1
-    per_point = _trace_bytes(R, T)
-    if record_states:
-        per_point += S * (T + 1) * R * n * u * 8
-    chunk = min(_draw_chunk(E, n, u), max(T, 1))
-    draws = chunk * E * (points * R + 8) + (R * chunk * n * u * 8 if disturbed else 0)
-    return points * per_point + R * GENERATOR_BYTES + draws
+    chunk = _draw_chunk(E, n, u, T)
+    shared = chunk * E * 8 + (R * chunk * n * u * 8 if disturbed else 0)
+    return (points * _point_bytes(n, u, E, R=R, T=T, algorithm=algorithm,
+                                  record_states=record_states)
+            + R * GENERATOR_BYTES + shared)
+
+
+def _aggregate(res):
+    """The four mean-square traces of a {name: (..., R)} residual block, (4, ...).
+
+    One `metrics.aggregate` call on the columns stacked into a C-contiguous
+    (R, 4 ...) array: its replica axis is the outer one and at least four
+    values wide, so numpy sums the replicas in order, as it does for a whole
+    (R, T+1) trace (a single (R, 1) column would be summed pairwise).
+    """
+    cols = [res[name] for name in _metrics.TRACE_COLUMNS]
+    shape, R = cols[0].shape[:-1], cols[0].shape[-1]
+    flat = np.concatenate([c.reshape(-1, R) for c in cols])         # (4 ..., R)
+    return _metrics.aggregate(np.ascontiguousarray(flat.T)).reshape(len(cols), *shape)
 
 
 def _cols(values, n):
@@ -186,9 +209,9 @@ def _cols(values, n):
 
 @dataclass
 class RunResult:
-    """Per-replica residual traces plus run-level diagnostics."""
+    """Residual traces aggregated over the replicas, plus run-level diagnostics."""
 
-    traces: dict                      # name -> (R, T+1)
+    traces: dict                      # name -> (T+1,) `metrics.aggregate` over R
     algorithm: str
     iterations: int
     replicas: int
@@ -206,9 +229,6 @@ class RunResult:
     wga_drift_err: float = float("nan")
     states_x: np.ndarray | None = field(repr=False, default=None)
     states_y: np.ndarray | None = field(repr=False, default=None)
-
-    def aggregate_traces(self):
-        return {k: _metrics.aggregate(v) for k, v in self.traces.items()}
 
 
 def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
@@ -241,8 +261,8 @@ def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
 
     Returns an iterator of one RunResult per point, in point order.  The
     points must share the edges and weights (theta may differ), and they run
-    as lanes of one step loop, in groups that keep each group's traces within
-    TRACE_BYTES.  Every point sees the replica streams `run` gives it, so
+    as lanes of one step loop, in groups that keep what their points hold
+    (`_point_bytes`) within GROUP_BYTES.  Every point sees the replica streams `run` gives it, so
     each result is bit-identical to a `run` of that point alone; a point that
     diverges stops alone.  All inputs are checked here, before any compute,
     and CapacityError is raised when a group's estimated memory (`_footprint`)
@@ -272,12 +292,13 @@ def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
     y0 = x0 - problem.demand if y0 is None else np.broadcast_to(np.asarray(y0, float), (n, u))
     if not (np.isfinite(x0).all() and np.isfinite(y0).all()):
         raise ValueError("x0 and y0 must be finite")
-    R, T = int(replicas), int(iterations)
-    size = max(1, TRACE_BYTES // _trace_bytes(R, T))
+    R, T, E = int(replicas), int(iterations), first.n_edges
+    size = max(1, GROUP_BYTES // _point_bytes(n, u, E, R=R, T=T, algorithm=algorithm,
+                                              record_states=record_states))
     dist = disturbance if disturbance is not None else DisturbanceSpec()
-    need = _footprint(n, u, first.n_edges, points=min(size, len(points)), R=R, T=T,
-                     algorithm=algorithm, record_states=record_states,
-                     disturbed=dist.active)
+    need = _footprint(n, u, E, points=min(size, len(points)), R=R, T=T,
+                      algorithm=algorithm, record_states=record_states,
+                      disturbed=dist.active)
     if need > MEMORY_LIMIT:
         raise CapacityError(
             f"{R} replicas x {T} steps need about {need / 2 ** 30:.3g} GiB, "
@@ -329,14 +350,16 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     x = np.broadcast_to(x0, (P, R, n, u)).copy()
     y = np.broadcast_to(y0, (P, R, n, u)).copy() if is_dta else None
 
-    # one result per point, filled in as its rows are recorded
+    # one result per point, filled in as its rows are recorded: its traces
+    # are the rows of its own (4, T+1) table
+    tables = [np.full((len(_metrics.TRACE_COLUMNS), T + 1), np.nan) for _ in range(P)]
     results = [RunResult(
-        traces={name: np.full((R, T + 1), np.nan) for name in _metrics.TRACE_COLUMNS},
+        traces=dict(zip(_metrics.TRACE_COLUMNS, table)),
         algorithm=algorithm, iterations=T, replicas=R, seed=seed,
         x_star=kkt.x_star, final_x=None,
         states_x=np.full((T + 1, R, n, u), np.nan) if record_states else None,
         states_y=np.full((T + 1, R, n, u), np.nan) if record_states and is_dta else None,
-    ) for _ in range(P)]
+    ) for table in tables]
     cons_drift = np.zeros(P)
     mean_rec_err = np.zeros(P)
     ds_err = np.zeros(P)
@@ -411,9 +434,9 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     gradient = problem.costs.gradient
 
     res0, g = _metrics.residuals(x, y, problem, kkt)            # each (P, R)
+    agg0 = _aggregate(res0)                                     # (4, P)
     for p, out in enumerate(results):
-        for name, v in res0.items():
-            out.traces[name][:, 0] = v[p]
+        tables[p][:, 0] = agg0[:, p]
         if record_states:
             out.states_x[0] = x[p]
             if is_dta:
@@ -447,12 +470,12 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         ok = np.where(hit, bad_rows.argmax(axis=0), m)          # rows checked
         stop = np.where(hit, ok + 1, m)                         # rows recorded
         valid = np.arange(m)[:, None] < ok                      # (m, G)
+        agg = _aggregate(res)                                   # (4, m, G)
 
         for lane, p in enumerate(live):
             out = results[p]
             steps = slice(k0 + 1, k0 + 1 + stop[lane])
-            for name, v in res.items():
-                out.traces[name][:, steps] = v[:stop[lane], lane].T
+            tables[p][:, steps] = agg[:, :stop[lane], lane]
             if record_states:
                 out.states_x[steps] = xs[:stop[lane], lane]
                 if is_dta:
@@ -498,12 +521,13 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 raise ValueError(f"non-positive self-weight in a sample at k={k0 + int(low[0])}")
         return hit
 
-    chunk = _draw_chunk(E, n, u)
+    chunk = _draw_chunk(E, n, u, T)
 
     with np.errstate(over="ignore", invalid="ignore"):
         done = 0
         i = 0           # steps taken in the current block: x(k) is in row i
         while done < T and live.size:
+            acts = zbuf = None      # the last chunk's draws go before the next's come
             L = min(chunk, T - done)
             acts = np.empty((L, E, live.size, R), dtype=bool)
             th = thetas[live].T                                     # (E, G)

@@ -49,7 +49,12 @@ def residuals(x, y, problem, kkt):
 def aggregate(per_replica):
     """Mean-square aggregate: sqrt(mean over axis 0 of squares).
 
-    per_replica: (R, T+1) array of per-replica residual magnitudes.
+    per_replica: (R, K) array of per-replica residual magnitudes, such as
+    whole (R, T+1) traces.  The engine calls it once per record block, on
+    the block's four residuals stacked into a C-contiguous (R, 4 B G)
+    array: with K >= 2 numpy sums axis 0 in replica order, so each column
+    gets the bits of its whole-trace aggregate (a lone (R, 1) column is
+    summed pairwise instead, which can differ in the last ulp for R >= 8).
     A single replica passes through unchanged.
     """
     a = np.asarray(per_replica, float)
@@ -57,7 +62,8 @@ def aggregate(per_replica):
         a = a[None, :]
     if a.shape[0] == 0:
         raise ValueError("no replicas to aggregate")
-    return np.sqrt(np.mean(a * a, axis=0))
+    # np.mean's sum and division, without its per-call Python overhead
+    return np.sqrt(np.add.reduce(a * a, axis=0) / len(a))
 
 
 @dataclass(frozen=True)

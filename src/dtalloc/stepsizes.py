@@ -29,6 +29,15 @@ from .errors import InfeasibleNetworkError, InfeasiblePlanError
 MARGIN = 1e-12
 
 
+def _sq(v):
+    """v**2, or inf where it overflows: a float's ** raises OverflowError,
+    so a huge finite stepsize fails its conditions instead of crashing."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return float("inf")
+
+
 @dataclass(frozen=True)
 class RateConstants:
     """Network/cost constants feeding every region and rate formula."""
@@ -90,11 +99,13 @@ def plan_constants(costs, report, alpha, beta):
     if n == 1:
         k1pp = bl * eta * (1.0 - report.lambda2_mean)
     else:
-        k1pp = (
-            bl * eta * (1.0 - report.lambda2_mean)
-            * (bh * phi + (n - 1) * eta * bl)
-            / np.sqrt(n * (bh**2 * phi**2 + (n - 1) * eta**2 * bl**2))
-        )
+        # a huge beta makes this inf / inf: NaN, which fails s6-contracts
+        with np.errstate(invalid="ignore"):
+            k1pp = (
+                bl * eta * (1.0 - report.lambda2_mean)
+                * (bh * phi + (n - 1) * eta * bl)
+                / np.sqrt(n * (_sq(bh) * phi**2 + (n - 1) * eta**2 * _sq(bl)))
+            )
     k2pp = bh * phi * (1.0 - report.lambdan_mean)
     return float(k1pp), float(k2pp)
 
@@ -141,9 +152,9 @@ def _verdict(alpha, beta, s1, s2, alpha_max, beta_max, lhs):
 
 def feasible_region_shared(rc, alpha, beta):
     """Evaluate the three mean-square region inequalities at (alpha, beta)."""
-    s2sq = 1.0 + beta**2 * rc.k2**2 - 2.0 * beta * rc.k1
+    s2sq = 1.0 + _sq(beta) * rc.k2**2 - 2.0 * beta * rc.k1
     return _verdict(alpha, beta,
-                    s1=alpha**2 + 2.0 * alpha + rc.lambda2_sq,
+                    s1=_sq(alpha) + 2.0 * alpha + rc.lambda2_sq,
                     s2=np.sqrt(max(s2sq, 0.0)),
                     alpha_max=np.sqrt(2.0 - rc.lambda2_sq) - 1.0,
                     beta_max=2.0 * rc.k1 / rc.k2**2,
@@ -268,10 +279,10 @@ def feasible_region_uncoordinated(costs, report, rc, alpha, beta):
     ah = float(alpha.max())
     bh = float(beta.max())
     s4 = 1.0 - float(alpha.sum())
-    s5 = ah**2 + 2.0 * ah + rc.lambda2_sq
+    s5 = _sq(ah) + 2.0 * ah + rc.lambda2_sq
     k1pp, k2pp = plan_constants(costs, report, alpha, beta)
     alpha_max = np.sqrt(2.0 - rc.lambda2_sq) - 1.0
-    contracts = k2pp**2 < 2.0 * k1pp - MARGIN
+    contracts = _sq(k2pp) < 2.0 * k1pp - MARGIN
     conds = {
         "sum-alpha": alpha.sum() < 2.0 - MARGIN,
         "alpha-bound": alpha.min() > 0.0 and ah < alpha_max - MARGIN,
@@ -280,9 +291,9 @@ def feasible_region_uncoordinated(costs, report, rc, alpha, beta):
     }
     fl = 1.0 - rc.lambdan_floor
     if contracts:
-        s6 = float(np.sqrt(1.0 + k2pp**2 - 2.0 * k1pp))
+        s6 = float(np.sqrt(1.0 + _sq(k2pp) - 2.0 * k1pp))
         lhs = (1.0 - s4) * (1.0 - s5) * (1.0 - s6) - bh * fl * rc.phi_hi * ah * (2.0 - s4 - s5)
-        rhs = ah**2 * (1.0 - s6) + 2.0 * ah**2 * bh * fl * rc.phi_hi
+        rhs = _sq(ah) * (1.0 - s6) + 2.0 * _sq(ah) * bh * fl * rc.phi_hi
         conds["coupling"] = lhs > rhs + MARGIN
     else:
         s6, lhs, rhs = float("nan"), float("nan"), float("nan")

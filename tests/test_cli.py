@@ -5,12 +5,15 @@ reproducibility, and the sweep/compare subcommands.  Everything runs through
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 import yaml
 
+import dtalloc
 from dtalloc.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -120,6 +123,49 @@ def test_non_positive_alpha_warns_and_has_no_rate(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["mean_square_region"]["conditions"][0] is False
     assert payload["predicted_rate"] is None
+
+
+def _shell(*argv):
+    """`dtalloc *argv` in a fresh interpreter: (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dtalloc.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "dtalloc.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("stepsizes", [
+    {"alpha": 1.0e308, "beta": 1.0},
+    {"alpha": 0.001, "beta": 1.0e308},
+    {"alpha": [0.05, 1.0e308], "beta": [0.1, 0.1]},
+    None,                               # a sweep of main.yaml's alpha by 1e308
+], ids=["alpha", "beta", "per-agent-alpha", "sweep-alpha"])
+def test_huge_finite_stepsize_fails_its_region_without_a_traceback(tmp_path,
+                                                                  stepsizes):
+    # each squared stepsize overflowed a float's ** and ended bounds, run and
+    # sweep in a traceback with exit 1
+    out = str(tmp_path / "o")
+    if stepsizes is None:
+        code, _, err = _shell("sweep", os.path.join(EXPERIMENTS, "main.yaml"),
+                              "--axis", "alpha", "--values", "1e308", "--out", out)
+        assert code == 4 and "Traceback" not in err, err
+        assert "outside the guaranteed region (failing: alpha-bound" in err
+        return
+    doc = _tiny()
+    doc["stepsizes"].update(stepsizes)
+    cfg = _write(tmp_path, doc)
+    code, stdout, err = _shell("bounds", cfg)
+    assert code == 0 and "Traceback" not in err, err
+    payload = json.loads(stdout)
+    if np.ndim(stepsizes["alpha"]):
+        assert payload["uncoordinated_region"]["feasible"] is False
+    else:
+        assert payload["mean_square_region"]["feasible"] is False
+        assert payload["predicted_rate"] is None
+    code, _, err = _shell("run", cfg, "--out", out)
+    assert code in (0, 4) and "Traceback" not in err, err
+    assert "outside the guaranteed region" in err
 
 
 def test_feasible_explicit_plan_does_not_warn(tmp_path):

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from dtalloc import (
+    TRACE_COLUMNS,
     DisturbanceSpec,
+    aggregate,
     build_model,
     complete_graph,
     kkt_solve,
     quadratic_costs,
     allocation_problem,
+    residuals,
     run,
 )
 from dtalloc import engine
@@ -54,6 +57,12 @@ def _random_instance(rng, n, u=1):
     b = rng.uniform(-1.0, 1.0, (n, u))
     d = rng.uniform(-2.0, 2.0, (n, u))
     return allocation_problem(quadratic_costs(a, b), d)
+
+
+def _per_replica(res, prob):
+    """Each replica's residual traces, {name: (T+1, R)}, recomputed from the
+    states a `record_states` run kept."""
+    return residuals(res.states_x, res.states_y, prob, kkt_solve(prob))[0]
 
 
 # ---------------------------------------------------------- single steps
@@ -211,9 +220,10 @@ def test_fixed_point_is_stationary():
     res = run(prob, model, algorithm="dta",
               alpha=0.0007647132835707233, beta=14309.704294513564,
               iterations=2000, replicas=2, seed=12,
-              x0=xs, y0=np.zeros((10, 1)))
-    assert res.traces["optimality_distance"].max() <= 1e-9
-    assert res.traces["tracking_norm"].max() <= 1e-9
+              x0=xs, y0=np.zeros((10, 1)), record_states=True)
+    per = _per_replica(res, prob)
+    assert per["optimality_distance"].max() <= 1e-9
+    assert per["tracking_norm"].max() <= 1e-9
 
 
 def test_sampled_matrices_doubly_stochastic():
@@ -276,8 +286,9 @@ def test_wga_run_conserves_feasibility():
     prob = _main_problem()
     model = complete_graph(10, weight=0.0002, theta=0.5)
     res = run(prob, model, algorithm="wga", alpha=100.0,
-              iterations=1000, replicas=3, seed=21, x0=prob.demand)
-    assert res.traces["feasibility_gap"].max() <= 1e-9
+              iterations=1000, replicas=3, seed=21, x0=prob.demand,
+              record_states=True)
+    assert _per_replica(res, prob)["feasibility_gap"].max() <= 1e-9
 
 
 # ------------------------------------------------- determinism / chunking
@@ -286,11 +297,14 @@ def test_same_seed_reproduces_traces():
     prob = _main_problem()
     model = complete_graph(10, weight=0.0002, theta=0.5)
     kw = dict(algorithm="dta", alpha=0.0007647132835707233,
-              beta=14309.704294513564, iterations=300, replicas=3, seed=77)
+              beta=14309.704294513564, iterations=300, replicas=3, seed=77,
+              record_states=True)
     r1 = run(prob, model, **kw)
     r2 = run(prob, model, **kw)
     for name in r1.traces:
         assert np.array_equal(r1.traces[name], r2.traces[name])
+    assert np.array_equal(r1.states_x, r2.states_x)
+    assert np.array_equal(r1.states_y, r2.states_y)
     r3 = run(prob, model, **{**kw, "seed": 78})
     assert not np.array_equal(r1.traces["optimality_distance"],
                               r3.traces["optimality_distance"])
@@ -299,7 +313,7 @@ def test_same_seed_reproduces_traces():
 def test_chunk_size_does_not_change_streams(monkeypatch):
     dist = DisturbanceSpec("laplace", m_zeta=2.0, q_zeta=0.99)
     kw = dict(algorithm="dta", iterations=149, replicas=2, seed=31,
-              disturbance=dist)
+              disturbance=dist, record_states=True)
     # E = 45 > n u = 10, then a single link with n u = 6 > E = 1
     pair = allocation_problem(quadratic_costs([1.0, 2.0], np.zeros((2, 3))),
                               np.ones((2, 3)))
@@ -316,6 +330,8 @@ def test_chunk_size_does_not_change_streams(monkeypatch):
             r_odd = run(prob, model, **plan, **kw)
         for name in r_big.traces:
             assert np.array_equal(r_big.traces[name], r_odd.traces[name])
+        assert np.array_equal(r_big.states_x, r_odd.states_x)
+        assert np.array_equal(r_big.states_y, r_odd.states_y)
         assert np.array_equal(r_big.zeta_total, r_odd.zeta_total)
 
 
@@ -470,15 +486,75 @@ def test_lanes_under_small_blocks_match_separate_runs(monkeypatch, rows):
             assert not np.shares_memory(a, b)
 
 
+@pytest.mark.parametrize("rows", [1, 2, engine.BLOCK_ROWS])
+@pytest.mark.parametrize("R", [1, 3, 20])
+def test_traces_are_the_aggregate_of_recomputed_residuals(monkeypatch, R, rows):
+    # the engine reduces each block over the replicas as it records it; the
+    # whole-trace reduction of the residuals recomputed from the states,
+    # replicas as the outer axis of a C-contiguous (R, T+1) array, must give
+    # the same bits, also for one-row blocks and rows after a divergence
+    prob = _main_problem()
+    model = complete_graph(10, weight=0.0002, theta=0.5)
+    alpha, beta = 0.0007647132835707233, 14309.704294513564
+    gauss = DisturbanceSpec("gaussian", m_zeta=4.0, q_zeta=0.99)
+    kw = dict(iterations=150, replicas=R, seed=7, record_states=True)
+    monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
+    results = {
+        "dta": run(prob, model, algorithm="dta", alpha=alpha, beta=beta, **kw),
+        "wga-gauss": run(prob, model, algorithm="wga", alpha=100.0,
+                         x0=prob.demand, disturbance=gauss, **kw),
+    }
+    # one group of three points; the second diverges and is compacted out
+    # while the others run on
+    group = list(engine.run_points(
+        prob, [(model, alpha, beta), (model, 2 * alpha, 50 * beta),
+               (model, 0.5 * alpha, beta)], algorithm="dta", **kw))
+    assert [r.diverged for r in group] == [False, True, False]
+    # mid-block for 2- and 64-row blocks
+    assert group[1].diverged_at % 2 and group[1].diverged_at % 64
+    results.update((f"group-{i}", r) for i, r in enumerate(group))
+    for tag, res in results.items():
+        per = _per_replica(res, prob)                           # (T+1, R) each
+        for name in TRACE_COLUMNS:
+            expect = aggregate(np.ascontiguousarray(per[name].T))
+            assert _same_bits(res.traces[name], expect), (tag, name)
+
+
+def test_engine_memory_does_not_grow_with_replica_traces(monkeypatch):
+    # n = 10, R = 20: per-replica traces would add R (T+1) 4 8 bytes, 2.24 MB
+    # from T = 500 to T = 4000, where the aggregates add 112 KB.  The draw
+    # chunk is held at 250 steps, so its buffers are the same size at both T.
+    prob = _main_problem()
+    model = complete_graph(10, weight=0.0002, theta=0.5)
+    R = 20
+    monkeypatch.setattr(engine, "DRAW_BYTES", 8 * model.n_edges * 250)
+
+    def peak(T):
+        tracemalloc.start()
+        try:
+            run(prob, model, algorithm="dta", alpha=0.0007647132835707233,
+                beta=14309.704294513564, iterations=T, replicas=R, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(500)       # the first call also allocates one-off caches
+    grow = peak(4000) - peak(500)
+    per_replica = R * (4000 - 500) * 4 * 8
+    assert grow < per_replica / 8, f"peak grew {grow} B, per-replica traces {per_replica} B"
+
+
 @pytest.mark.parametrize("case", SWEEP_CASES)
 def test_trace_budget_does_not_change_results(monkeypatch, case):
     prob, points, kw = _sweep_cases()[case]
     ref = list(engine.run_points(prob, points, record_states=True, **kw))
-    per_point = kw["replicas"] * (kw["iterations"] + 1) * 4 * 8
+    per_point = engine._point_bytes(
+        prob.n, prob.u, points[0][0].n_edges, R=kw["replicas"],
+        T=kw["iterations"], algorithm=kw["algorithm"], record_states=True)
     # one point per group, two per group, then every point in one group
     for budget in (1, 2 * per_point, 2 ** 40):
         with monkeypatch.context() as m:
-            m.setattr(engine, "TRACE_BYTES", budget)
+            m.setattr(engine, "GROUP_BYTES", budget)
             got = list(engine.run_points(prob, points, record_states=True, **kw))
         assert len(got) == len(ref)
         for idx, (a, b) in enumerate(zip(ref, got)):
@@ -502,19 +578,18 @@ def test_uniform_vector_plan_equals_scalar_plan():
     prob = _main_problem()
     model = complete_graph(10, weight=0.0002, theta=0.5)
     al, be = 0.0007647132835707233, 14309.704294513564
-    r_s = run(prob, model, algorithm="dta", alpha=al, beta=be,
-              iterations=200, replicas=2, seed=9)
+    kw = dict(iterations=200, replicas=2, seed=9, record_states=True)
+    r_s = run(prob, model, algorithm="dta", alpha=al, beta=be, **kw)
     r_v = run(prob, model, algorithm="dta",
-              alpha=np.full(10, al), beta=np.full(10, be),
-              iterations=200, replicas=2, seed=9)
+              alpha=np.full(10, al), beta=np.full(10, be), **kw)
     # WGA takes its alpha as the same column
-    w_s = run(prob, model, algorithm="wga", alpha=100.0, iterations=200,
-              replicas=2, seed=9)
-    w_v = run(prob, model, algorithm="wga", alpha=np.full(10, 100.0),
-              iterations=200, replicas=2, seed=9)
+    w_s = run(prob, model, algorithm="wga", alpha=100.0, **kw)
+    w_v = run(prob, model, algorithm="wga", alpha=np.full(10, 100.0), **kw)
     for ref, res in ((r_s, r_v), (w_s, w_v)):
         for name in ref.traces:
             assert np.array_equal(ref.traces[name], res.traces[name])
+        assert _same_bits(ref.states_x, res.states_x)
+        assert _same_bits(ref.states_y, res.states_y)
 
 
 # ------------------------------------------------------------ divergence
@@ -530,9 +605,12 @@ def test_divergence_sets_flag_and_pads_with_nan():
     assert res.diverged_replica is not None
     assert 0 < res.diverged_at <= T
     tr = res.traces["optimality_distance"]
-    assert tr.shape == (2, T + 1)
-    assert np.isnan(tr[:, res.diverged_at + 1:]).all()
-    assert np.isfinite(tr[:, :res.diverged_at]).all()
+    assert tr.shape == (T + 1,)
+    assert np.isnan(tr[res.diverged_at + 1:]).all()
+    assert np.isfinite(tr[:res.diverged_at]).all()
+    per = _per_replica(res, prob)["optimality_distance"]         # (T+1, R)
+    assert np.isnan(per[res.diverged_at + 1:]).all()
+    assert np.isfinite(per[:res.diverged_at]).all()
     for states in (res.states_x, res.states_y):
         assert np.isnan(states[res.diverged_at + 1:]).all()
         assert np.isfinite(states[:res.diverged_at]).all()
@@ -601,8 +679,9 @@ def test_wga_drift_excludes_initial_infeasibility():
     dist = DisturbanceSpec("gaussian", m_zeta=4.0, q_zeta=0.999)
     # x0 = 0 starts 1'd away from feasibility; WGA keeps that offset
     res = run(prob, model, algorithm="wga", alpha=100.0,
-              iterations=800, replicas=3, seed=44, disturbance=dist)
-    assert res.traces["feasibility_gap"][0, 0] > 1.0
+              iterations=800, replicas=3, seed=44, disturbance=dist,
+              record_states=True)
+    assert _per_replica(res, prob)["feasibility_gap"][0, 0] > 1.0
     assert res.wga_drift_err <= 1e-9
 
 
@@ -666,10 +745,8 @@ def test_record_states_shapes_and_trace_columns():
     assert set(res.traces) == {"optimality_distance", "feasibility_gap",
                                "tracking_norm", "gradient_dispersion"}
     for tr in res.traces.values():
-        assert tr.shape == (2, 51)
+        assert tr.shape == (51,)
         assert np.isfinite(tr).all()
-    agg = res.aggregate_traces()
-    assert agg["optimality_distance"].shape == (51,)
 
 
 def test_wga_tracking_trace_is_zero():
