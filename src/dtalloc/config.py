@@ -65,7 +65,12 @@ def _int(v, where):
 
 def _number(v, where):
     """v unchanged, once checked to be one finite real number."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+    try:
+        ok = (not isinstance(v, bool) and isinstance(v, (int, float))
+              and bool(np.isfinite(float(v))))
+    except OverflowError:                    # an integer past the float range
+        ok = False
+    if not ok:
         raise ConfigError(f"{where} must be a finite number, got {v!r}")
     return v
 
@@ -82,7 +87,7 @@ def _finite(v, where, words=()):
     try:
         # YAML true/false would read as 1.0/0.0
         ok = not _has_bool(v) and bool(np.isfinite(np.asarray(v, float)).all())
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # Overflow: a huge integer
         ok = False
     if not ok:
         raise ConfigError(f"{where} must be finite numbers, got {v!r}")
@@ -238,7 +243,8 @@ def load_config(path):
     with open(path) as fh:
         try:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        # ValueError: an integer literal past Python's digit limit
+        except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return from_dict(data)
 
@@ -249,6 +255,9 @@ def _build_network(net, n_agents):
     if n != n_agents:
         raise ConfigError(f"network has n={n} but the cost model has {n_agents} agents")
     if net.topology == "edges":
+        # checked before the float conversion, which a huge index overflows
+        if not all(0 <= v < n for item in net.edges for v in item[:2]):
+            raise ConfigError(f"network.edges indices must lie in [0, {n})")
         arr = np.asarray(net.edges, float)
         edges = arr[:, :2].astype(int)
         weights = arr[:, 2]
@@ -308,6 +317,13 @@ def resolve(cfg):
     model = _build_network(cfg.network, problem.n)
     report = spectral_report(model)
     rc = constants(problem.costs, report)   # raises if disconnected in mean
+    # the stepsize regions square these; a square that over- or underflows
+    # leaves them undefined (a float product gives inf or 0 there, not an error)
+    if not all(0.0 < v * v < np.inf for v in (rc.phi_hi, rc.k1, rc.k2)):
+        raise ConfigError(
+            f"cost.a {cfg.cost.a!r} puts the rate constants out of float range: "
+            f"K1={rc.k1!r}, K2={rc.k2!r}, phi={rc.phi_hi!r} need finite, "
+            f"positive squares")
 
     steps = cfg.stepsizes
     opt = optimal_stepsizes(rc) if steps.source == "optimal" else None

@@ -33,10 +33,11 @@ lanes; only the comparison with theta is per lane.  A chunk holds as many
 steps as fit one replica's float64 draws in DRAW_BYTES (512 KiB; at least
 one step), so the draw buffers take about R x 512 KiB of disturbance plus a
 (chunk, E, G R) boolean activation buffer (64 KiB per lane), beside the
-traces, the mixing kernel's term buffer and the record block's state buffers
-(see below); a chunk's draws are freed before the next chunk is drawn.  Runs with the same seed therefore see identical link failures
-and disturbances regardless of algorithm or grouping -- the DTA/WGA
-comparison is variance-paired for free.
+traces, the mixing kernel's term buffer and the record block's state
+buffers (see below); a chunk's draws are freed before the next chunk is
+drawn.  Runs with the same seed therefore see identical link failures and
+disturbances regardless of algorithm or grouping -- the DTA/WGA comparison
+is variance-paired for free.
 
 (I - W(k)) v = B' diag(w(k)) B v is applied edge-wise, B being the signed
 incidence (+1 at i, -1 at j for edge (i, j)); w(k) holds the active
@@ -73,17 +74,16 @@ formulas above, evaluated left to right as the plain expressions would be,
 so every output has their bits; only the kernel's scatter allocates an
 array per step.
 
-Recording runs once per block of steps, not per step.  Once per
-block, and at step T, `flush` makes one `metrics.residuals` call on the
-stacked block and one `metrics.aggregate` call on its four residuals,
-stacked with the replicas as the outer axis, to fill B rows of every
-point's traces, reduces the conservation drift and the mean recursion (chained through the previous
-block's last tracker mean) over the block's rows, runs the `check_samples`
-checks on the block's stacked weights, and finds each point's divergence as
-the first row where the optimality distance or tracking norm of any of its
-replicas is non-finite or above DIVERGENCE_LIMIT.  That row is recorded and
-ends the point: its later rows stay NaN, its final state is that row's, and
-its lanes are compacted out of the loop, which runs on with the others.
+Recording runs once per block of steps, not per step.  Once per block, and
+at step T, `flush` makes one `metrics.residuals` call on the stacked block
+and one `metrics.aggregate` call on its four residuals, stacked with the
+replicas as the outer axis, to fill B rows of every point's traces, reduces
+the conservation drift over the block's rows, and finds each point's
+divergence as the first row where the optimality distance or tracking norm
+of any of its replicas is non-finite or above DIVERGENCE_LIMIT.  That row
+is recorded and ends the point: its later rows stay NaN, its final state is
+that row's, and its lanes are compacted out of the loop, which runs on with
+the others.
 Every residual reduction runs over the trailing (n, u) axes of one lane and
 row, and the aggregate sums each (trace, row, point) over its replicas in
 replica order, as a whole (R, T+1) trace's aggregate does, so the block
@@ -102,7 +102,6 @@ import numpy as np
 from . import metrics as _metrics
 from .costs import kkt_solve
 from .errors import CapacityError
-from .network import mixing_matrix
 
 DIVERGENCE_LIMIT = 1e12
 DRAW_BYTES = 2 ** 19    # float64 draw buffer per replica and chunk
@@ -216,15 +215,12 @@ class RunResult:
     iterations: int
     replicas: int
     seed: int
-    x_star: np.ndarray = field(repr=False)
-    final_x: np.ndarray = field(repr=False)
+    final_x: np.ndarray | None = field(repr=False, default=None)
     final_y: np.ndarray | None = field(repr=False, default=None)
     diverged: bool = False
     diverged_replica: int | None = None
     diverged_at: int | None = None
     max_conservation_drift: float = float("nan")
-    max_mean_recursion_err: float = float("nan")
-    max_double_stochastic_err: float = float("nan")
     zeta_total: np.ndarray | None = field(repr=False, default=None)  # (R, u)
     wga_drift_err: float = float("nan")
     states_x: np.ndarray | None = field(repr=False, default=None)
@@ -233,7 +229,7 @@ class RunResult:
 
 def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
         iterations, replicas=1, seed=0, x0=None, y0=None, disturbance=None,
-        check_samples=False, record_states=False):
+        record_states=False):
     """Run `replicas` independent chains for `iterations` steps.
 
     algorithm: "dta" (alpha, beta scalars or per-agent vectors) or
@@ -242,32 +238,29 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
     Divergence (non-finite state or residual beyond 1e12) stops the run;
     remaining trace entries and recorded states stay NaN and the replica and
     iteration are reported on the result instead of raising, so sweeps can
-    cross the stability boundary on purpose.  check_samples assembles the
-    dense W(k) of every step before divergence, one block at a time
-    (B R n^2 float64 values), and raises ValueError on a non-positive
-    self-weight.  This is `run_points` with the one point (model, alpha, beta).
+    cross the stability boundary on purpose.  record_states keeps every
+    replica's x(k) (and y(k) for DTA), (T+1, R, n, u) each, from which
+    `metrics.residuals` gives the per-replica residuals.  This is
+    `run_points` with the one point (model, alpha, beta).
     """
     return next(run_points(
         problem, [(model, alpha, beta)], algorithm=algorithm,
         iterations=iterations, replicas=replicas, seed=seed, x0=x0, y0=y0,
-        disturbance=disturbance, check_samples=check_samples,
-        record_states=record_states))
+        disturbance=disturbance, record_states=record_states))
 
 
 def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
-               seed=0, x0=None, y0=None, disturbance=None, check_samples=False,
-               record_states=False):
+               seed=0, x0=None, y0=None, disturbance=None, record_states=False):
     """Run each point (model, alpha, beta) as `run` would; yield their results.
 
     Returns an iterator of one RunResult per point, in point order.  The
     points must share the edges and weights (theta may differ), and they run
     as lanes of one step loop, in groups that keep what their points hold
-    (`_point_bytes`) within GROUP_BYTES.  Every point sees the replica streams `run` gives it, so
-    each result is bit-identical to a `run` of that point alone; a point that
-    diverges stops alone.  All inputs are checked here, before any compute,
-    and CapacityError is raised when a group's estimated memory (`_footprint`)
-    passes MEMORY_LIMIT.  With check_samples, a non-positive self-weight in
-    any lane raises.
+    (`_point_bytes`) within GROUP_BYTES.  Every point sees the replica
+    streams `run` gives it, so each result is bit-identical to a `run` of
+    that point alone; a point that diverges stops alone.  All inputs are
+    checked here, before any compute, and CapacityError is raised when a
+    group's estimated memory (`_footprint`) passes MEMORY_LIMIT.
     """
     if algorithm not in ("dta", "wga"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -300,18 +293,19 @@ def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
                       algorithm=algorithm, record_states=record_states,
                       disturbed=dist.active)
     if need > MEMORY_LIMIT:
+        # an integer quotient past the float range raises OverflowError
+        gib = need / 2 ** 30 if need < 2 ** 1000 else float("inf")
         raise CapacityError(
-            f"{R} replicas x {T} steps need about {need / 2 ** 30:.3g} GiB, "
+            f"{R} replicas x {T} steps need about {gib:.3g} GiB, "
             f"past the {MEMORY_LIMIT / 2 ** 30:g} GiB limit")
     kw = dict(kkt=kkt_solve(problem), algorithm=algorithm, T=T, R=R, seed=seed,
-              x0=x0, y0=y0, check_samples=check_samples, dist=dist,
-              record_states=record_states)
+              x0=x0, y0=y0, dist=dist, record_states=record_states)
     return (result for at in range(0, len(points), size)
             for result in _run_lanes(problem, points[at:at + size], **kw))
 
 
 def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
-               check_samples, record_states):
+               record_states):
     """One group of points as lanes of one step loop; their results in order.
 
     Working arrays (state, stepsize columns, activations, block buffers)
@@ -330,14 +324,8 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     E = model.n_edges
     weights = model.weights
     thetas = np.stack([m.theta for m, _, _ in points])          # (P, E)
-    alphas = [a for _, a, _ in points]
-    al = _cols(alphas, n)
+    al = _cols([a for _, a, _ in points], n)
     be = _cols([b for _, _, b in points], n) if is_dta else None
-    # the scalar mean recursion ybar(k+1) = (1 - alpha) ybar(k) holds for
-    # undisturbed DTA points with a shared alpha
-    tracked = np.array([is_dta and not need_z and np.ndim(a) == 0 for a in alphas])
-    decay = np.array([1.0 - float(a) if t else np.nan
-                      for a, t in zip(alphas, tracked)]).reshape(P, 1, 1)
 
     # frozen stream protocol: one child per replica, (W, zeta) pair per child
     children = np.random.SeedSequence(seed).spawn(R)
@@ -356,13 +344,10 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     results = [RunResult(
         traces=dict(zip(_metrics.TRACE_COLUMNS, table)),
         algorithm=algorithm, iterations=T, replicas=R, seed=seed,
-        x_star=kkt.x_star, final_x=None,
         states_x=np.full((T + 1, R, n, u), np.nan) if record_states else None,
         states_y=np.full((T + 1, R, n, u), np.nan) if record_states and is_dta else None,
     ) for table in tables]
     cons_drift = np.zeros(P)
-    mean_rec_err = np.zeros(P)
-    ds_err = np.zeros(P)
     zeta_total = np.zeros((P, R, u)) if need_z else None
     live = np.arange(P)
 
@@ -409,25 +394,24 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         return list(operands.transpose(1, 2, 3, 0, 4)), w, mix_apply
 
     # per-block record: each step writes its state into a block row, `flush`
-    # reduces the block -- residual traces, drift maxima, divergence, sample
-    # checks.  Row 0 carries the state the block starts from and rows 1 .. B
-    # take the states it steps to, so x(k) and x(k+1) never share memory.
+    # reduces the block -- residual traces, drift maximum, divergence.  Row 0
+    # carries the state the block starts from and rows 1 .. B take the states
+    # it steps to, so x(k) and x(k+1) never share memory.
     B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * P * R * n * u)))
 
     def buffers(G):
         """All the step loop writes to for G points' lanes: the kernel, the
-        (B+1)-row state blocks, the sample-weight block, two temporaries,
-        and alpha and beta broadcast to the state's shape."""
+        (B+1)-row state blocks, two temporaries, and alpha and beta
+        broadcast to the state's shape."""
         full = (G, R, n, u)
         return (*kernel(G),
                 np.empty((B + 1, *full)),
                 np.empty((B + 1, *full)) if is_dta else None,
-                np.empty((B, G, R, E)) if check_samples else None,
                 np.empty(full), np.empty(full),
                 np.broadcast_to(al, full).copy(),
                 np.broadcast_to(be, full).copy() if is_dta else None)
 
-    operands, wv, mix_apply, xbuf, ybuf, wbuf, tmp1, tmp2, alf, bef = buffers(P)
+    operands, wv, mix_apply, xbuf, ybuf, tmp1, tmp2, alf, bef = buffers(P)
     # the block rows as a list: indexing it per step is cheaper than a view
     xrows, yrows = list(xbuf), list(ybuf) if is_dta else None
     zsum = np.empty((B, R, u)) if need_z else None
@@ -441,7 +425,6 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             out.states_x[0] = x[p]
             if is_dta:
                 out.states_y[0] = y[p]
-    ybar_prev = y.mean(axis=-2) if tracked.any() else None      # (P, R, u)
     xbuf[0] = x
     operands[0][...] = g
     if is_dta:
@@ -452,10 +435,9 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
 
         Returns the mask of live points that diverged in the block.  A
         diverged point's rows after its first bad row stay NaN in the
-        traces; its drift maxima and sample checks cover the rows before
-        that row, and its disturbance sum the rows up to it.
+        traces; its drift maximum covers the rows before that row, and its
+        disturbance sum the rows up to it.
         """
-        nonlocal ybar_prev
         G = live.size
         xs = xbuf[1:m + 1]
         ys = ybuf[1:m + 1] if is_dta else None
@@ -469,7 +451,6 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         hit = bad_rows.any(axis=0)
         ok = np.where(hit, bad_rows.argmax(axis=0), m)          # rows checked
         stop = np.where(hit, ok + 1, m)                         # rows recorded
-        valid = np.arange(m)[:, None] < ok                      # (m, G)
         agg = _aggregate(res)                                   # (4, m, G)
 
         for lane, p in enumerate(live):
@@ -492,33 +473,11 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             acc = np.add.accumulate(np.concatenate(
                 (zeta_total[live][None], np.broadcast_to(zsum[:m, None], (m, G, R, u)))))
             zeta_total[live] = acc[stop, np.arange(G)]
-
-        def block_max(a, rows):
-            """Per-point max of a (rows, G, ...) array over the checked rows."""
-            mask = valid[:rows].reshape(valid[:rows].shape + (1,) * (a.ndim - 2))
-            return np.where(mask, a, 0.0).max(axis=(0, *range(2, a.ndim)))
-
         if is_dta:
-            c = ys.sum(axis=-2) - (xs.sum(axis=-2) - dsum)      # (m, G, R, u)
-            cons_drift[live] = np.maximum(cons_drift[live], block_max(np.abs(c), m))
-            if ybar_prev is not None:
-                ybar = ys.mean(axis=-2)                         # (m, G, R, u)
-                prev = np.concatenate((ybar_prev[None], ybar[:-1]))
-                err = np.abs(ybar - decay * prev)
-                mean_rec_err[live] = np.maximum(mean_rec_err[live], block_max(err, m))
-                ybar_prev = ybar[-1]
-        checked = int(ok.max())
-        if checked and check_samples:
-            Wd = mixing_matrix(model, wbuf[:checked])           # (rows, G, R, n, n)
-            rs = np.abs(Wd.sum(axis=-1) - 1.0).max(axis=-1)
-            cs = np.abs(Wd.sum(axis=-2) - 1.0).max(axis=-1)
-            sym = np.abs(Wd - Wd.swapaxes(-1, -2)).max(axis=(-2, -1))
-            err = np.maximum(np.maximum(rs, cs), sym)           # (rows, G, R)
-            ds_err[live] = np.maximum(ds_err[live], block_max(err, checked))
-            low = (Wd.diagonal(axis1=-2, axis2=-1) <= 0).any(axis=(2, 3))
-            low = np.flatnonzero((low & valid[:checked]).any(axis=1))
-            if low.size:
-                raise ValueError(f"non-positive self-weight in a sample at k={k0 + int(low[0])}")
+            c = np.abs(ys.sum(axis=-2) - (xs.sum(axis=-2) - dsum))  # (m, G, R, u)
+            checked = (np.arange(m)[:, None] < ok)[:, :, None, None]
+            drift = np.where(checked, c, 0.0).max(axis=(0, 2, 3))
+            cons_drift[live] = np.maximum(cons_drift[live], drift)
         return hit
 
     chunk = _draw_chunk(E, n, u, T)
@@ -565,8 +524,6 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 else:
                     np.subtract(xz, np.multiply(alf, mix_apply()[0], out=tmp1), out=xn)
                 gradient(xn, out=operands[0])
-                if check_samples:
-                    wbuf[i] = wv.transpose(1, 2, 0)
                 i += 1
                 k = done + t + 1
                 if i == B or k == T:
@@ -580,13 +537,11 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                         if not live.size:
                             break
                         x, g, al = x[keep], operands[0][keep], al[keep]
-                        acts, decay = acts[:, :, keep], decay[keep]
+                        acts = acts[:, :, keep]
                         if is_dta:
                             y, be = y[keep], be[keep]
-                        if ybar_prev is not None:
-                            ybar_prev = ybar_prev[keep]
-                        (operands, wv, mix_apply, xbuf, ybuf, wbuf, tmp1, tmp2, alf,
-                         bef) = buffers(live.size)
+                        operands, wv, mix_apply, xbuf, ybuf, tmp1, tmp2, alf, bef = \
+                            buffers(live.size)
                         xrows, yrows = list(xbuf), list(ybuf) if is_dta else None
                         operands[0][...] = g
                     # the last state carries over into row 0 of the next block
@@ -601,10 +556,6 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     for p, out in enumerate(results):
         if is_dta:
             out.max_conservation_drift = float(cons_drift[p])
-        if tracked[p]:
-            out.max_mean_recursion_err = float(mean_rec_err[p])
-        if check_samples:
-            out.max_double_stochastic_err = float(ds_err[p])
         if need_z:
             out.zeta_total = zeta_total[p]
             if algorithm == "wga" and not out.diverged:

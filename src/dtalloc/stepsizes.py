@@ -57,7 +57,10 @@ class RateConstants:
 def _shape_factor(n, eta, phi):
     if n == 1:
         return 1.0
-    return (phi + (n - 1) * eta) / np.sqrt(n * (phi**2 + (n - 1) * eta**2))
+    # a square past the float range makes this, and K1, 0, inf or NaN;
+    # `resolve` refuses such constants
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (phi + (n - 1) * eta) / np.sqrt(n * (_sq(phi) + (n - 1) * _sq(eta)))
 
 
 def constants(costs, report):
@@ -212,17 +215,16 @@ def optimal_stepsizes(rc):
     )
 
 
-def predicted_rate(rc, alpha, beta, q_zeta=None, strict=True):
+def predicted_rate(rc, alpha, beta, q_zeta=None):
     """Upper estimate of the geometric decay factor at a feasible (alpha, beta).
 
     max{ s1 + c/(1-s2), s2 + c/(1-s1), |1-alpha| } with
     c = alpha beta phi (1 - lambdan_floor); a decaying disturbance with
     factor q_zeta joins the max.  Outside the mean-square region the
-    estimate is meaningless; strict=True raises, strict=False returns the
-    formula value anyway (diagnostic use).
+    estimate is meaningless, and InfeasiblePlanError is raised.
     """
     v = feasible_region_shared(rc, alpha, beta)
-    if strict and not v.feasible:
+    if not v.feasible:
         raise InfeasiblePlanError(
             f"(alpha={alpha!r}, beta={beta!r}) fails {v.failed}; "
             "no rate certificate exists"

@@ -203,6 +203,18 @@ def test_exit_2_before_compute_on_window_outside_k_end(tmp_path, capsys, window)
     ({"cost": {"a": [1.0] * 3, "b": [0.0] * 3}, "demand": [1.0] * 3,
       "network": {"topology": "complete", "n": 3, "proposal": 1.0e308,
                   "theta": 0.5}}, "negotiated weight"),
+    # integers past the float range, written out as YAML integer literals
+    ({"cost": {"a": [10 ** 400, 2.0], "b": [0.1, -0.1]}}, "cost.a"),
+    ({"demand": [10 ** 400, 1.0]}, "demand"),
+    ({"network": {"topology": "complete", "n": 2, "proposal": 0.3,
+                  "theta": 10 ** 400}}, "network.theta"),
+    ({"network": {"topology": "complete", "n": 2, "proposal": 10 ** 400,
+                  "theta": 0.8}}, "network.proposal"),
+    ({"network": {"topology": "edges", "edges": [[0, 10 ** 400, 0.3]],
+                  "theta": 0.8}}, "network.edges"),
+    ({"engine": {"iterations": 200, "x0": [10 ** 400, 0.0]}}, "engine.x0"),
+    ({"stepsizes": {"source": "explicit", "alpha": 10 ** 400, "beta": 0.1}},
+     "stepsizes.alpha"),
 ])
 def test_exit_2_before_compute_on_non_finite_input(tmp_path, capsys, over,
                                                    fragment):
@@ -213,6 +225,22 @@ def test_exit_2_before_compute_on_non_finite_input(tmp_path, capsys, over,
         assert main(["run", cfg, "--out", str(out)]) == 2
     assert fragment in capsys.readouterr().err
     assert not (out / "tiny" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("a", [[1.0e200, 2.0e200], [1.0e-200, 2.0e-200]],
+                         ids=["huge", "tiny"])
+def test_exit_2_on_a_curvature_past_the_float_range(tmp_path, capsys, a):
+    # phi^2 overflowed a float's ** (huge), and K2^2 underflowed to a zero
+    # divisor (tiny): each ended bounds and run in a traceback with exit 1
+    cfg = _write(tmp_path, _tiny(cost={"a": a, "b": [0.1, -0.1]}))
+    out = tmp_path / "o"
+    for argv in (["bounds", cfg], ["run", cfg, "--out", str(out)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error: cost.a" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("theta", [[0.5, 0.5], [[0.5]], []])
@@ -317,6 +345,9 @@ def test_exit_2_when_the_name_leaves_out(tmp_path, capsys, name):
 @pytest.mark.parametrize("engine_over,size", [
     ({"replicas": 1_000_000_000}, "replicas"),       # hung in SeedSequence.spawn
     ({"iterations": 1_000_000_000_000}, "steps"),    # died allocating the traces
+    # past the float range, these crashed formatting the message
+    ({"replicas": 10 ** 400}, "replicas"),
+    ({"iterations": 10 ** 400}, "steps"),
 ])
 def test_exit_2_before_compute_past_the_memory_limit(tmp_path, capsys,
                                                      engine_over, size):

@@ -149,6 +149,10 @@ def test_load_config_bad_yaml(tmp_path):
     p.write_text("name: [unclosed\n")
     with pytest.raises(ConfigError, match="cannot parse"):
         load_config(p)
+    # an integer literal past Python's int-from-string digit limit
+    p.write_text("name: x\nseed: 1" + "0" * 5000 + "\n")
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(p)
 
 
 def test_resolve_rejects_bad_proposal():

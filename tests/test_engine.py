@@ -1,7 +1,7 @@
 """Iteration engine tests: a single step against hand values, the vectorized
 multi-replica loop against naive message-passing replays, and the invariants
 the updates are supposed to preserve (conservation, mean recursion, fixed
-point, double stochasticity)."""
+point)."""
 
 import os
 import tracemalloc
@@ -191,26 +191,16 @@ def test_engine_matches_naive_wga():
 def test_conservation_and_mean_recursion():
     prob = _main_problem()
     model = complete_graph(10, weight=0.0002, theta=0.5)
-    res = run(prob, model, algorithm="dta",
-              alpha=0.0007647132835707233, beta=14309.704294513564,
-              iterations=2000, replicas=4, seed=5)
+    alpha = 0.0007647132835707233
+    res = run(prob, model, algorithm="dta", alpha=alpha,
+              beta=14309.704294513564, iterations=2000, replicas=4, seed=5,
+              record_states=True)
     assert res.max_conservation_drift <= 1e-9
-    assert res.max_mean_recursion_err <= 1e-9
+    # W(k) is doubly stochastic, so the tracker mean obeys
+    # ybar(k+1) = (1 - alpha) ybar(k) in every replica
+    ybar = res.states_y.mean(axis=-2)                       # (T+1, R, u)
+    assert np.abs(ybar[1:] - (1.0 - alpha) * ybar[:-1]).max() <= 1e-9
     assert not res.diverged
-
-
-def test_mean_recursion_not_tracked_when_inapplicable():
-    prob = _pair_problem()
-    model = _pair_model()
-    # per-agent alphas: the scalar mean recursion does not apply
-    res = run(prob, model, algorithm="dta", alpha=np.array([0.1, 0.2]),
-              beta=0.1, iterations=5, replicas=1, seed=0)
-    assert np.isnan(res.max_mean_recursion_err)
-    # disturbance also breaks the clean recursion
-    res2 = run(prob, model, algorithm="dta", alpha=0.1, beta=0.1,
-               iterations=5, replicas=1, seed=0,
-               disturbance=DisturbanceSpec("gaussian", m_zeta=0.1))
-    assert np.isnan(res2.max_mean_recursion_err)
 
 
 def test_fixed_point_is_stationary():
@@ -224,62 +214,6 @@ def test_fixed_point_is_stationary():
     per = _per_replica(res, prob)
     assert per["optimality_distance"].max() <= 1e-9
     assert per["tracking_norm"].max() <= 1e-9
-
-
-def test_sampled_matrices_doubly_stochastic():
-    prob = _main_problem()
-    model = complete_graph(10, weight=0.0002, theta=0.5)
-    res = run(prob, model, algorithm="dta",
-              alpha=0.0007647132835707233, beta=14309.704294513564,
-              iterations=500, replicas=2, seed=8, check_samples=True)
-    assert res.max_double_stochastic_err <= 1e-12
-
-
-def test_check_samples_inspects_every_step(monkeypatch):
-    prob = _main_problem()
-    model = complete_graph(10, weight=0.0002, theta=0.5)
-    T, R, seed = 150, 3, 8
-    seen = []
-    real = engine.mixing_matrix
-
-    def counting(model_, w):
-        seen.append(np.asarray(w).reshape(-1, model_.n_edges).copy())
-        return real(model_, w)
-
-    monkeypatch.setattr(engine, "mixing_matrix", counting)
-    run(prob, model, algorithm="dta", alpha=0.0007647132835707233,
-        beta=14309.704294513564, iterations=T, replicas=R, seed=seed,
-        check_samples=True)
-    inspected = np.concatenate(seen)
-    assert inspected.shape == (T * R, model.n_edges)
-    acts = _replay_acts(seed, R, T, model.n_edges, model.theta)
-    drawn = np.concatenate([model.weights * a for a in acts])
-
-    def rows(a):
-        return a[np.lexsort(a.T[::-1])]
-    assert np.array_equal(rows(inspected), rows(drawn))
-
-
-def test_check_samples_rejects_non_positive_self_weight(monkeypatch):
-    prob = _main_problem()
-    model = complete_graph(10, weight=0.0002, theta=0.5)
-    seed, k_bad = 8, 100
-    target = model.weights * _replay_acts(seed, 2, 150, model.n_edges,
-                                          model.theta)[1][k_bad]
-    real = engine.mixing_matrix
-
-    def corrupt(model_, w):
-        W = real(model_, w)
-        flat = W.reshape(-1, model_.n, model_.n)
-        hit = (np.asarray(w).reshape(-1, model_.n_edges) == target).all(axis=1)
-        flat[hit, 3, 3] = 0.0
-        return W
-
-    monkeypatch.setattr(engine, "mixing_matrix", corrupt)
-    with pytest.raises(ValueError, match=f"non-positive self-weight.*k={k_bad}$"):
-        run(prob, model, algorithm="dta", alpha=0.0007647132835707233,
-            beta=14309.704294513564, iterations=150, replicas=2, seed=seed,
-            check_samples=True)
 
 
 def test_wga_run_conserves_feasibility():
@@ -357,7 +291,7 @@ def _block_cases():
             seed=13, disturbance=gauss)),
         "wga-gauss": (main, model10, dict(
             algorithm="wga", alpha=100.0, iterations=149, replicas=2, seed=14,
-            x0=main.demand, disturbance=gauss, check_samples=True)),
+            x0=main.demand, disturbance=gauss)),
         "dta-diverging": _beta_sweep_point(1.06, 400),
         "wga-gauss-diverging": (main, model10, dict(
             algorithm="wga", alpha=1e6, iterations=149, replicas=2, seed=16,
@@ -366,8 +300,7 @@ def _block_cases():
 
 
 RESULT_FIELDS = ("final_x", "final_y", "states_x", "states_y",
-                 "max_conservation_drift", "max_mean_recursion_err",
-                 "max_double_stochastic_err", "zeta_total", "wga_drift_err")
+                 "max_conservation_drift", "zeta_total", "wga_drift_err")
 
 
 def _same_bits(a, b):
@@ -428,8 +361,7 @@ def _sweep_cases():
             (build_model(10, model10.edges, model10.weights, t,
                          allow_zero_theta=True), alpha, beta)
             for t in (0.9, 0.3, 0.0)], dict(
-            algorithm="dta", iterations=149, replicas=3, seed=15,
-            check_samples=True)),
+            algorithm="dta", iterations=149, replicas=3, seed=15)),
         # points may differ in theta and the plan at once; the second one
         # diverges at step 7 while points with other thetas run on, past the
         # first 1456-step draw chunk
@@ -438,8 +370,7 @@ def _sweep_cases():
                          allow_zero_theta=True), s * alpha, sb * beta)
             for t, s, sb in ((0.9, 1.0, 1.0), (0.6, 2.0, 50.0),
                              (0.3, 0.5, 1.0), (0.0, 3.0, 1.0))], dict(
-            algorithm="dta", iterations=1500, replicas=3, seed=15,
-            check_samples=True)),
+            algorithm="dta", iterations=1500, replicas=3, seed=15)),
         "wga-alpha-sweep-gauss": (main, [
             (model10, a, None) for a in (50.0, 1e6, 100.0, 200.0)], dict(
             algorithm="wga", iterations=149, replicas=2, seed=16,
