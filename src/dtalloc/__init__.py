@@ -7,7 +7,7 @@ from .costs import (AllocationProblem, KktSolution, QuadraticCosts,
                     allocation_problem, kkt_solve, quadratic_costs)
 from .engine import DisturbanceSpec, RunResult, run, run_points
 from .errors import (CapacityError, ConfigError, InfeasibleNetworkError,
-                     InfeasiblePlanError)
+                     InfeasiblePlanError, PlanWarning)
 from .metrics import (RateEstimate, TRACE_COLUMNS, aggregate, empirical_rate,
                       loglinear_r2, non_convergent, residuals)
 from .network import (NetworkModel, SpectralReport, build_model,
@@ -27,7 +27,7 @@ __all__ = [
     "allocation_problem", "kkt_solve", "quadratic_costs",
     "DisturbanceSpec", "RunResult", "run", "run_points",
     "CapacityError", "ConfigError", "InfeasibleNetworkError",
-    "InfeasiblePlanError",
+    "InfeasiblePlanError", "PlanWarning",
     "RateEstimate", "TRACE_COLUMNS", "aggregate", "empirical_rate",
     "loglinear_r2", "non_convergent", "residuals",
     "NetworkModel", "SpectralReport", "build_model",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 import warnings
 from dataclasses import asdict
@@ -31,7 +32,7 @@ from . import engine, metrics
 from .config import SCHEMA_VERSION, load_config, resolve, sweep_point
 from .costs import kkt_solve
 from .errors import (CapacityError, ConfigError, InfeasibleNetworkError,
-                     InfeasiblePlanError)
+                     InfeasiblePlanError, PlanWarning)
 from .stepsizes import (PlanVerdict, feasible_region_shared, feasible_region_mean,
                         feasible_region_uncoordinated, predicted_rate)
 
@@ -198,7 +199,7 @@ def _execute_point(res, algorithm, path, label):
     if verdict is not None and verdict.failed:
         warnings.warn(f"{label}: stepsizes outside the guaranteed region "
                       f"(failing: {', '.join(verdict.failed)}); running anyway",
-                      RuntimeWarning, stacklevel=2)
+                      PlanWarning, stacklevel=2)
     cfg = res.config
     result = engine.run(
         res.problem, res.model, algorithm=algorithm, alpha=alpha, beta=beta,
@@ -281,7 +282,7 @@ def cmd_sweep(args):
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
         raise ConfigError(f"--values must be comma-separated numbers, "
-                          f"got {args.values!r}") from None
+                          f"got {reprlib.repr(args.values)}") from None
     if not values:
         raise ConfigError("--values is empty")
     return _execute_sweep(args, _resolve_args(args), args.axis, values)

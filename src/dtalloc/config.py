@@ -18,6 +18,7 @@ outright and keeps the plan fixed.
 from __future__ import annotations
 
 import os
+from reprlib import repr as _short   # a long value's repr, cut short
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -39,11 +40,11 @@ def _section(cls, d, where):
     if isinstance(d, cls):
         return d
     if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a mapping, got {d!r}")
+        raise ConfigError(f"{where} must be a mapping, got {_short(d)}")
     names = [f.name for f in fields(cls)]
     unknown = set(d) - set(names)
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
+        raise ConfigError(f"unknown key(s) {_short(sorted(unknown))} in {where}; "
                           f"allowed: {sorted(names)}")
     for f in fields(cls):
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
@@ -60,7 +61,7 @@ def _int(v, where):
         return int(v)
     if isinstance(v, int) and not isinstance(v, bool):
         return v
-    raise ConfigError(f"{where} must be an integer, got {v!r}")
+    raise ConfigError(f"{where} must be an integer, got {_short(v)}")
 
 
 def _number(v, where):
@@ -71,7 +72,7 @@ def _number(v, where):
     except OverflowError:                    # an integer past the float range
         ok = False
     if not ok:
-        raise ConfigError(f"{where} must be a finite number, got {v!r}")
+        raise ConfigError(f"{where} must be a finite number, got {_short(v)}")
     return v
 
 
@@ -90,7 +91,7 @@ def _finite(v, where, words=()):
     except (TypeError, ValueError, OverflowError):  # Overflow: a huge integer
         ok = False
     if not ok:
-        raise ConfigError(f"{where} must be finite numbers, got {v!r}")
+        raise ConfigError(f"{where} must be finite numbers, got {_short(v)}")
     return v
 
 
@@ -157,18 +158,18 @@ class ExperimentConfig:
 def from_dict(d):
     cfg = _section(ExperimentConfig, d, "config")
     if isinstance(cfg.schema_version, bool) or cfg.schema_version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {cfg.schema_version!r} "
+        raise ConfigError(f"unsupported schema_version {_short(cfg.schema_version)} "
                           f"(expected {SCHEMA_VERSION})")
     if not isinstance(cfg.name, str):
-        raise ConfigError(f"name must be a string, got {cfg.name!r}")
+        raise ConfigError(f"name must be a string, got {_short(cfg.name)}")
     # the name is the output subdirectory: one path component, inside --out
     if cfg.name in ("", ".", "..") or any(
             s and s in cfg.name for s in ("/", os.sep, os.altsep, "\0")):
         raise ConfigError(f"name must be one directory name (no '/' and not "
-                          f"'', '.' or '..'), got {cfg.name!r}")
+                          f"'', '.' or '..'), got {_short(cfg.name)}")
     cfg.seed, cfg.u = _int(cfg.seed, "seed"), _int(cfg.u, "u")
     if cfg.u < 1:
-        raise ConfigError(f"u must be >= 1, got {cfg.u}")
+        raise ConfigError(f"u must be >= 1, got {_short(cfg.u)}")
     cfg.cost = _section(CostSection, cfg.cost, "cost")
     for where, v in (("cost.a", cfg.cost.a), ("cost.b", cfg.cost.b),
                      ("cost.c", cfg.cost.c), ("demand", cfg.demand)):
@@ -177,18 +178,19 @@ def from_dict(d):
     net = cfg.network = _section(NetworkSection, cfg.network, "network")
     if net.topology not in ("complete", "ring", "edges"):
         raise ConfigError(f"network.topology must be complete|ring|edges, "
-                          f"got {net.topology!r}")
+                          f"got {_short(net.topology)}")
     if net.topology == "edges":
         if not (isinstance(net.edges, list) and net.edges):
             raise ConfigError("network.topology 'edges' needs a network.edges list")
         for item in net.edges:
             if not (isinstance(item, list) and len(item) == 3):
-                raise ConfigError(f"network.edges entries are [i, j, weight]; got {item!r}")
+                raise ConfigError(f"network.edges entries are [i, j, weight]; "
+                                  f"got {_short(item)}")
             for v in item[:2]:
                 _int(v, "network.edges index")
             _finite(item[2], "network.edges weight")
     elif net.n is None:
-        raise ConfigError(f"network.topology {net.topology!r} needs network.n")
+        raise ConfigError(f"network.topology {_short(net.topology)} needs network.n")
     if net.n is not None:
         net.n = _int(net.n, "network.n")
     if net.proposal != "metropolis":
@@ -200,7 +202,7 @@ def from_dict(d):
     eng.replicas = _int(eng.replicas, "engine.replicas")
     _finite(eng.x0, "engine.x0", ("zeros", "demand", None))
     if eng.algorithm not in ("dta", "wga"):
-        raise ConfigError(f"engine.algorithm must be dta|wga, got {eng.algorithm!r}")
+        raise ConfigError(f"engine.algorithm must be dta|wga, got {_short(eng.algorithm)}")
     if eng.iterations < 1 or eng.replicas < 1:
         raise ConfigError("engine.iterations and engine.replicas must be >= 1")
 
@@ -210,7 +212,8 @@ def from_dict(d):
     if steps.wga_alpha not in ("auto", None):
         _number(steps.wga_alpha, "stepsizes.wga_alpha")
     if steps.source not in ("optimal", "explicit"):
-        raise ConfigError(f"stepsizes.source must be optimal|explicit, got {steps.source!r}")
+        raise ConfigError(f"stepsizes.source must be optimal|explicit, "
+                          f"got {_short(steps.source)}")
     if steps.source == "explicit" and eng.algorithm == "dta":
         if steps.alpha is None or steps.beta is None:
             raise ConfigError("stepsizes.source 'explicit' needs both alpha and beta")
@@ -228,9 +231,10 @@ def from_dict(d):
     if cfg.sweep is not None:
         sweep = cfg.sweep = _section(SweepSection, cfg.sweep, "sweep")
         if sweep.axis not in ("alpha", "beta", "theta"):
-            raise ConfigError(f"sweep.axis must be alpha|beta|theta, got {sweep.axis!r}")
+            raise ConfigError(f"sweep.axis must be alpha|beta|theta, got {_short(sweep.axis)}")
         if not (isinstance(sweep.values, list) and sweep.values):
-            raise ConfigError(f"sweep.values must be a non-empty list, got {sweep.values!r}")
+            raise ConfigError(f"sweep.values must be a non-empty list, "
+                              f"got {_short(sweep.values)}")
     return cfg
 
 
@@ -253,7 +257,7 @@ def _build_network(net, n_agents):
     n = n_agents if net.n is None else net.n
     # checked before any edge is built: a complete graph has n (n - 1) / 2
     if n != n_agents:
-        raise ConfigError(f"network has n={n} but the cost model has {n_agents} agents")
+        raise ConfigError(f"network has n={_short(n)} but the cost model has {n_agents} agents")
     if net.topology == "edges":
         # checked before the float conversion, which a huge index overflows
         if not all(0 <= v < n for item in net.edges for v in item[:2]):
@@ -266,7 +270,7 @@ def _build_network(net, n_agents):
         weights = metropolis_weights(n, edges) if net.proposal == "metropolis" else net.proposal
     if np.shape(net.theta) not in ((), (len(edges),)):
         raise ConfigError(f"network.theta needs one value for each of the "
-                          f"{len(edges)} links, got {net.theta!r}")
+                          f"{len(edges)} links, got {_short(net.theta)}")
     try:
         return build_model(n, edges, weights, net.theta)
     except ValueError as exc:
@@ -301,11 +305,11 @@ def resolve(cfg):
     point on the wrong side of the boundary.
     """
     if cfg.seed < 0:                      # checked here so --seed is covered too
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+        raise ConfigError(f"seed must be >= 0, got {_short(cfg.seed)}")
     # checked before the costs widen b to u columns
     width = np.shape(cfg.demand)[1] if np.ndim(cfg.demand) == 2 else 1
     if width != cfg.u:
-        raise ConfigError(f"demand has {width} column(s), expected u={cfg.u}")
+        raise ConfigError(f"demand has {width} column(s), expected u={_short(cfg.u)}")
     try:
         a = np.atleast_1d(np.asarray(cfg.cost.a, float))
         c = np.broadcast_to(np.asarray(cfg.cost.c, float), a.shape).copy()
@@ -321,14 +325,14 @@ def resolve(cfg):
     # leaves them undefined (a float product gives inf or 0 there, not an error)
     if not all(0.0 < v * v < np.inf for v in (rc.phi_hi, rc.k1, rc.k2)):
         raise ConfigError(
-            f"cost.a {cfg.cost.a!r} puts the rate constants out of float range: "
+            f"cost.a {_short(cfg.cost.a)} puts the rate constants out of float range: "
             f"K1={rc.k1!r}, K2={rc.k2!r}, phi={rc.phi_hi!r} need finite, "
             f"positive squares")
 
     steps = cfg.stepsizes
     opt = optimal_stepsizes(rc) if steps.source == "optimal" else None
-    alpha = _stepsize(opt.alpha if opt else None, steps.alpha, problem.n)
-    beta = _stepsize(opt.beta if opt else None, steps.beta, problem.n)
+    alpha = _stepsize(opt.alpha if opt else None, steps.alpha, problem.n, "alpha")
+    beta = _stepsize(opt.beta if opt else None, steps.beta, problem.n, "beta")
 
     wga_alpha = None
     if cfg.stepsizes.wga_alpha == "auto":
@@ -342,11 +346,11 @@ def resolve(cfg):
 
     k_end = cfg.rate.k_end if cfg.rate.k_end is not None else cfg.engine.iterations
     if k_end > cfg.engine.iterations:
-        raise ConfigError(f"rate.k_end={k_end} exceeds engine.iterations="
-                          f"{cfg.engine.iterations}")
+        raise ConfigError(f"rate.k_end={_short(k_end)} exceeds engine.iterations="
+                          f"{_short(cfg.engine.iterations)}")
     if not 1 <= cfg.rate.window <= k_end:
-        raise ConfigError(f"rate.window={cfg.rate.window} must lie in "
-                          f"[1, rate.k_end={k_end}]")
+        raise ConfigError(f"rate.window={_short(cfg.rate.window)} must lie in "
+                          f"[1, rate.k_end={_short(k_end)}]")
 
     return ResolvedExperiment(config=cfg, problem=problem, model=model,
                               report=report, rc=rc, optimal=opt, alpha=alpha,
@@ -355,7 +359,7 @@ def resolve(cfg):
                               window=int(cfg.rate.window))
 
 
-def _stepsize(value, override, n):
+def _stepsize(value, override, n, slot):
     """One plan slot: `override` (a scalar or an (n,) per-agent vector) if
     given, else `value`; None when neither is given."""
     if override is None:
@@ -363,8 +367,8 @@ def _stepsize(value, override, n):
     if np.ndim(override) == 0:
         return float(override)
     if np.shape(override) != (n,):
-        raise ConfigError(f"per-agent stepsizes need one value for each of the "
-                          f"{n} agents, got {override!r}")
+        raise ConfigError(f"stepsizes.{slot}: per-agent stepsizes need one value "
+                          f"for each of the {n} agents, got {_short(override)}")
     return np.asarray(override, float)
 
 
@@ -399,7 +403,7 @@ def sweep_point(res, axis, value):
                                 np.full(model.n_edges, float(value)),
                                 allow_zero_theta=True)
         except ValueError as exc:
-            raise ConfigError(f"sweep theta={value!r}: {exc}") from exc
+            raise ConfigError(f"sweep theta={_short(value)}: {exc}") from exc
         return replace(res, model=model)
     if axis not in ("alpha", "beta"):
         raise ConfigError(f"sweep axis must be alpha|beta|theta, got {axis!r}")

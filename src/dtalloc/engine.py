@@ -14,30 +14,28 @@ Points run as lanes.  `run_points` runs points -- (model, alpha, beta)
 triples that share the problem, the edges and the weights, as a sweep's do
 -- in one step loop; `run` is the one-point case.  A lane is one (point,
 replica) pair: the state is a (G, R, n, u) stack, alpha and beta (WGA's
-alpha too) are (G, 1, 1, 1) or (G, 1, n, 1) columns, and theta is a (G, E)
-activation threshold.  A point's traces are its four residuals aggregated
-over the replicas (`metrics.aggregate`), (T+1) 4 float64 values whatever R
-is.  Points run in groups of G = max(1, GROUP_BYTES // `_point_bytes`): a
-point holds its traces, its recorded states and its R lanes' chunk of
-activations, and a group holds at most 8 MiB of them unless one point is
-larger.
+alpha too) are (G, 1, n, 1) columns, and theta is a (G, E) activation
+threshold.  A point's traces are its four residuals aggregated over the
+replicas (`metrics.aggregate`), (T+1) 4 float64 values whatever R is.
+Points run in groups of G = max(1, GROUP_BYTES // `_point_bytes`): a point
+holds its traces, its recorded states and its R lanes' blocks (see below),
+and a group holds at most 8 MiB of them unless one point is larger.
 
 Randomness discipline (frozen; determinism and paired comparisons depend on
 it): SeedSequence(seed).spawn(replicas) gives one child per replica, and
 child.spawn(2) yields the (link-activation, disturbance) generator pair.
 Per step, activations are `rng.random(E) < theta` and disturbance draws are
-one (n, u) block from the second stream; draws are buffered in chunks, which
-leaves the per-stream sequences unchanged.  Each group draws a replica's
-uniforms and disturbance block once and shares them among that replica's
-lanes; only the comparison with theta is per lane.  A chunk holds as many
-steps as fit one replica's float64 draws in DRAW_BYTES (512 KiB; at least
-one step), so the draw buffers take about R x 512 KiB of disturbance plus a
-(chunk, E, G R) boolean activation buffer (64 KiB per lane), beside the
-traces, the mixing kernel's term buffer and the record block's state
-buffers (see below); a chunk's draws are freed before the next chunk is
-drawn.  Runs with the same seed therefore see identical link failures and
-disturbances regardless of algorithm or grouping -- the DTA/WGA comparison
-is variance-paired for free.
+one (n, u) block from the second stream.  Each block of B steps (see below)
+draws its steps' randomness as it starts, into a (B, E, G, R) boolean
+activation buffer and an (R, B, n, u) disturbance buffer allocated once per
+group.  A stream gives the same sequence however many steps one call draws,
+so the streams, and every output, are independent of B.  Each group draws a
+replica's uniforms and disturbance block once and shares them among that
+replica's lanes; only the comparison with theta is per lane, and a block
+compares with the thetas of the points still running.  Runs with the same
+seed therefore see identical link failures and disturbances regardless of
+algorithm or grouping -- the DTA/WGA comparison is variance-paired for
+free.
 
 (I - W(k)) v = B' diag(w(k)) B v is applied edge-wise, B being the signed
 incidence (+1 at i, -1 at j for edge (i, j)); w(k) holds the active
@@ -57,9 +55,8 @@ result bit-identical to the per-edge message passing written that way.
 Every term, bincount slot and residual row belongs to one lane, so a lane's
 bits do not depend on the other lanes.
 
-The step runs in place.  Per step, the loop only computes the update, the
-gradient of the new state (the next update's input) and, with a
-disturbance, each replica's sum of zeta(k) over agents, each with `out=`
+The step runs in place.  Per step, the loop only computes the update and
+the gradient of the new state (the next update's input), each with `out=`
 into storage allocated once per group: the step's weights go to the
 kernel's (E, G, R) buffer, x(k+1) and y(k+1) to their rows of the
 (B+1, G, R, n, u) block buffers, and the gradient straight into the
@@ -78,7 +75,9 @@ Recording runs once per block of steps, not per step.  Once per block, and
 at step T, `flush` makes one `metrics.residuals` call on the stacked block
 and one `metrics.aggregate` call on its four residuals, stacked with the
 replicas as the outer axis, to fill B rows of every point's traces, reduces
-the conservation drift over the block's rows, and finds each point's
+the conservation drift over the block's rows, with a disturbance sums each
+step's zeta(k) over agents in one reduction of the block's draws and adds
+the sums to the totals in step order, and finds each point's
 divergence as the first row where the optimality distance or tracking norm
 of any of its replicas is non-finite or above DIVERGENCE_LIMIT.  That row
 is recorded and ends the point: its later rows stay NaN, its final state is
@@ -88,13 +87,16 @@ Every residual reduction runs over the trailing (n, u) axes of one lane and
 row, and the aggregate sums each (trace, row, point) over its replicas in
 replica order, as a whole (R, T+1) trace's aggregate does, so the block
 gives the same bits as per-step residuals aggregated at the end.
-B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 G R n u))): each block buffer
-holds (B+1) G R n u float64 values, B rows of them at most 128 KiB (64 rows)
-unless a single step is larger, and a diverging point computes at most 63
-steps past the step that diverged.
+B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 n u))) depends on n u alone:
+one lane's B rows of x take at most 8 KiB (64 rows at n u <= 16, 10 at
+n = 100) unless a single step is larger, so a block's R per-replica
+generator calls are spread over B steps however large R and G are.  Each
+block buffer holds (B+1) G R n u float64 values, and a diverging point
+computes at most B - 1 steps past the step that diverged.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,8 +106,7 @@ from .costs import kkt_solve
 from .errors import CapacityError
 
 DIVERGENCE_LIMIT = 1e12
-DRAW_BYTES = 2 ** 19    # float64 draw buffer per replica and chunk
-BLOCK_BYTES = 2 ** 17   # float64 state buffer (x, and y for DTA) per block
+BLOCK_BYTES = 2 ** 13   # float64 state rows (x, and y for DTA) per lane and block
 BLOCK_ROWS = 64         # most steps recorded per block
 GROUP_BYTES = 2 ** 23   # what one group of points holds, by `_point_bytes`
 MEMORY_LIMIT = 2 ** 31  # most bytes one group may need, by `_footprint`
@@ -129,7 +130,7 @@ class DisturbanceSpec:
 
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "laplace", "impulse"):
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+            raise ValueError(f"unknown disturbance kind {reprlib.repr(self.kind)}")
         if self.kind != "none":
             if not (0.0 < self.q_zeta < 1.0):
                 raise ValueError("q_zeta must lie in (0, 1)")
@@ -139,7 +140,8 @@ class DisturbanceSpec:
                     isinstance(self.cutoff, bool)
                     or not isinstance(self.cutoff, (int, np.integer))
                     or self.cutoff < 0):
-                raise ValueError(f"cutoff must be an integer >= 0, got {self.cutoff!r}")
+                raise ValueError(f"cutoff must be an integer >= 0, "
+                                 f"got {reprlib.repr(self.cutoff)}")
 
     @property
     def active(self):
@@ -153,20 +155,22 @@ class DisturbanceSpec:
         return s
 
 
-def _draw_chunk(E, n, u, T):
-    """Steps per draw chunk: as many as fit one replica's float64 draws in
-    DRAW_BYTES, and at most T (but at least one)."""
-    return max(1, min(T, DRAW_BYTES // (8 * max(E, n * u, 1))))
+def _block_rows(n, u):
+    """Steps per block, B: as many as fit one lane's float64 state rows in
+    BLOCK_BYTES, and at most BLOCK_ROWS (but at least one)."""
+    return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * n * u)))
 
 
 def _point_bytes(n, u, E, *, R, T, algorithm, record_states):
     """Bytes one point holds while its group runs: its float64 traces (T+1
-    rows of each column), its recorded states and its R lanes' chunk of
-    boolean activations."""
+    rows of each column), its recorded states, and per lane its block's B E
+    activation bytes plus its state rows and `flush` temporaries, about eight
+    (B+1)-row float64 state blocks."""
     S = 2 if algorithm == "dta" else 1
+    B = _block_rows(n, u)
     states = S * (T + 1) * R * n * u * 8 if record_states else 0
     traces = (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
-    return traces + states + R * _draw_chunk(E, n, u, T) * E
+    return traces + states + R * (B * E + 8 * (B + 1) * n * u * 8)
 
 
 def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
@@ -174,11 +178,11 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
 
     Counts what grows with the inputs: what each point holds (`_point_bytes`),
     each replica's generators and the draw buffers the points share (one
-    replica's uniforms, every replica's disturbance block).  The kernel's and
-    the record block's buffers are O((E + B n) u) per lane and are left out.
+    replica's block of uniforms, every replica's block of disturbance).  The
+    kernel's buffers are O(E u) per lane and are left out.
     """
-    chunk = _draw_chunk(E, n, u, T)
-    shared = chunk * E * 8 + (R * chunk * n * u * 8 if disturbed else 0)
+    B = _block_rows(n, u)
+    shared = B * E * 8 + (R * B * n * u * 8 if disturbed else 0)
     return (points * _point_bytes(n, u, E, R=R, T=T, algorithm=algorithm,
                                   record_states=record_states)
             + R * GENERATOR_BYTES + shared)
@@ -199,11 +203,9 @@ def _aggregate(res):
 
 
 def _cols(values, n):
-    """Per-point stepsizes as a (G, 1, 1, 1) stack, or (G, 1, n, 1) if any is per-agent."""
-    cols = [np.asarray(v, float) for v in values]
-    if all(c.ndim == 0 for c in cols):
-        return np.array(cols).reshape(-1, 1, 1, 1)
-    return np.stack([np.broadcast_to(c, (n,)) for c in cols]).reshape(-1, 1, n, 1)
+    """Per-point stepsizes, scalar or per-agent, as a (G, 1, n, 1) stack."""
+    return np.stack([np.broadcast_to(np.asarray(v, float), (n,))
+                     for v in values]).reshape(-1, 1, n, 1)
 
 
 @dataclass
@@ -296,7 +298,7 @@ def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
         # an integer quotient past the float range raises OverflowError
         gib = need / 2 ** 30 if need < 2 ** 1000 else float("inf")
         raise CapacityError(
-            f"{R} replicas x {T} steps need about {gib:.3g} GiB, "
+            f"{reprlib.repr(R)} replicas x {reprlib.repr(T)} steps need about {gib:.3g} GiB, "
             f"past the {MEMORY_LIMIT / 2 ** 30:g} GiB limit")
     kw = dict(kkt=kkt_solve(problem), algorithm=algorithm, T=T, R=R, seed=seed,
               x0=x0, y0=y0, dist=dist, record_states=record_states)
@@ -334,9 +336,6 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         sw, sz = child.spawn(2)
         wstreams.append(np.random.default_rng(sw))
         zstreams.append(np.random.default_rng(sz))
-
-    x = np.broadcast_to(x0, (P, R, n, u)).copy()
-    y = np.broadcast_to(y0, (P, R, n, u)).copy() if is_dta else None
 
     # one result per point, filled in as its rows are recorded: its traces
     # are the rows of its own (4, T+1) table
@@ -393,30 +392,36 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
 
         return list(operands.transpose(1, 2, 3, 0, 4)), w, mix_apply
 
-    # per-block record: each step writes its state into a block row, `flush`
-    # reduces the block -- residual traces, drift maximum, divergence.  Row 0
+    # per block: draw its steps' randomness, step each state into a block
+    # row, and `flush` -- residual traces, drift maximum, divergence.  Row 0
     # carries the state the block starts from and rows 1 .. B take the states
     # it steps to, so x(k) and x(k+1) never share memory.
-    B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * P * R * n * u)))
+    B = _block_rows(n, u)
 
     def buffers(G):
-        """All the step loop writes to for G points' lanes: the kernel, the
-        (B+1)-row state blocks, two temporaries, and alpha and beta
-        broadcast to the state's shape."""
+        """All a block writes to for G points' lanes: the kernel, the block's
+        activations, the (B+1)-row state blocks, two temporaries, and alpha
+        and beta broadcast to the state's shape."""
         full = (G, R, n, u)
         return (*kernel(G),
+                np.empty((B, E, G, R), dtype=bool),
                 np.empty((B + 1, *full)),
                 np.empty((B + 1, *full)) if is_dta else None,
                 np.empty(full), np.empty(full),
                 np.broadcast_to(al, full).copy(),
                 np.broadcast_to(be, full).copy() if is_dta else None)
 
-    operands, wv, mix_apply, xbuf, ybuf, tmp1, tmp2, alf, bef = buffers(P)
+    operands, wv, mix_apply, acts, xbuf, ybuf, tmp1, tmp2, alf, bef = buffers(P)
     # the block rows as a list: indexing it per step is cheaper than a view
     xrows, yrows = list(xbuf), list(ybuf) if is_dta else None
-    zsum = np.empty((B, R, u)) if need_z else None
+    ubuf = np.empty((B, E))                 # one replica's uniforms at a time
+    zbuf = np.empty((R, B, n, u)) if need_z else None
     gradient = problem.costs.gradient
 
+    xbuf[0] = x0
+    if is_dta:
+        ybuf[0] = y0
+    x, y = xbuf[0], ybuf[0] if is_dta else None
     res0, g = _metrics.residuals(x, y, problem, kkt)            # each (P, R)
     agg0 = _aggregate(res0)                                     # (4, P)
     for p, out in enumerate(results):
@@ -425,10 +430,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             out.states_x[0] = x[p]
             if is_dta:
                 out.states_y[0] = y[p]
-    xbuf[0] = x
     operands[0][...] = g
-    if is_dta:
-        ybuf[0] = y
 
     def flush(k0, m):
         """Record block rows [1, m] as the states of steps k0+1 .. k0+m.
@@ -469,9 +471,10 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 out.final_x = xs[row, lane].copy()
                 out.final_y = ys[row, lane].copy() if is_dta else None
         if need_z:
-            # sequential, so each step's sum enters in step order
+            # each step's (R, u) sum over agents, accumulated in step order
+            zsum = zbuf[:, :m].sum(axis=2).transpose(1, 0, 2)
             acc = np.add.accumulate(np.concatenate(
-                (zeta_total[live][None], np.broadcast_to(zsum[:m, None], (m, G, R, u)))))
+                (zeta_total[live][None], np.broadcast_to(zsum[:, None], (m, G, R, u)))))
             zeta_total[live] = acc[stop, np.arange(G)]
         if is_dta:
             c = np.abs(ys.sum(axis=-2) - (xs.sum(axis=-2) - dsum))  # (m, G, R, u)
@@ -480,37 +483,28 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             cons_drift[live] = np.maximum(cons_drift[live], drift)
         return hit
 
-    chunk = _draw_chunk(E, n, u, T)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        done = 0
-        i = 0           # steps taken in the current block: x(k) is in row i
-        while done < T and live.size:
-            acts = zbuf = None      # the last chunk's draws go before the next's come
-            L = min(chunk, T - done)
-            acts = np.empty((L, E, live.size, R), dtype=bool)
+        for k0 in range(0, T, B):
+            # the block's draws: row i holds step k0 + i's
+            m = min(B, T - k0)
             th = thetas[live].T                                     # (E, G)
             for r in range(R):
-                np.less(wstreams[r].random((L, E))[:, :, None], th, out=acts[..., r])
+                np.less(wstreams[r].random(out=ubuf[:m])[:, :, None], th, out=acts[:m, ..., r])
             if need_z:
-                zbuf = np.empty((R, L, n, u))
                 for r in range(R):
                     if dist.kind == "gaussian":
-                        zbuf[r] = zstreams[r].standard_normal((L, n, u))
+                        zstreams[r].standard_normal(out=zbuf[r, :m])
                     elif dist.kind == "laplace":
                         # unit variance to match the gaussian envelope
-                        zbuf[r] = zstreams[r].laplace(0.0, 1.0 / np.sqrt(2.0), (L, n, u))
+                        zbuf[r, :m] = zstreams[r].laplace(0.0, 1.0 / np.sqrt(2.0), (m, n, u))
                     else:  # impulse: fixed magnitude, random sign
-                        zbuf[r] = np.where(zstreams[r].random((L, n, u)) < 0.5, 1.0, -1.0)
-                zbuf *= scales[done:done + L][None, :, None, None]
+                        zbuf[r, :m] = np.where(zstreams[r].random((m, n, u)) < 0.5, 1.0, -1.0)
+                zbuf[:, :m] *= scales[k0:k0 + m][None, :, None, None]
 
-            for t in range(L):
-                np.multiply(wcol, acts[t], out=wv)                  # (E, G, R)
+            for i in range(m):
+                np.multiply(wcol, acts[i], out=wv)                  # (E, G, R)
                 x, xn = xrows[i], xrows[i + 1]
-                xz = x
-                if need_z:
-                    xz = np.add(x, zbuf[:, t], out=xn)
-                    zbuf[:, t].sum(axis=1, out=zsum[i])
+                xz = np.add(x, zbuf[:, i], out=xn) if need_z else x
                 if is_dta:
                     y, yn = yrows[i], yrows[i + 1]
                     operands[1][...] = y
@@ -524,31 +518,26 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 else:
                     np.subtract(xz, np.multiply(alf, mix_apply()[0], out=tmp1), out=xn)
                 gradient(xn, out=operands[0])
-                i += 1
-                k = done + t + 1
-                if i == B or k == T:
-                    hit = flush(k - i, i)
-                    x, y = xn, (yn if is_dta else None)
-                    i = 0
-                    if hit.any():
-                        # compact the diverged points' lanes out of the loop
-                        keep = ~hit
-                        live = live[keep]
-                        if not live.size:
-                            break
-                        x, g, al = x[keep], operands[0][keep], al[keep]
-                        acts = acts[:, :, keep]
-                        if is_dta:
-                            y, be = y[keep], be[keep]
-                        operands, wv, mix_apply, xbuf, ybuf, tmp1, tmp2, alf, bef = \
-                            buffers(live.size)
-                        xrows, yrows = list(xbuf), list(ybuf) if is_dta else None
-                        operands[0][...] = g
-                    # the last state carries over into row 0 of the next block
-                    xbuf[0] = x
-                    if is_dta:
-                        ybuf[0] = y
-            done += L
+
+            hit = flush(k0, m)
+            x, y = xbuf[m], (ybuf[m] if is_dta else None)
+            if hit.any():
+                # compact the diverged points' lanes out of the loop
+                keep = ~hit
+                live = live[keep]
+                if not live.size:
+                    break
+                x, g, al = x[keep], operands[0][keep], al[keep]
+                if is_dta:
+                    y, be = y[keep], be[keep]
+                operands, wv, mix_apply, acts, xbuf, ybuf, tmp1, tmp2, alf, bef = \
+                    buffers(live.size)
+                xrows, yrows = list(xbuf), list(ybuf) if is_dta else None
+                operands[0][...] = g
+            # the last state carries over into row 0 of the next block
+            xbuf[0] = x
+            if is_dta:
+                ybuf[0] = y
 
     for lane, p in enumerate(live):
         results[p].final_x = xbuf[0, lane].copy()

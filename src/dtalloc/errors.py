@@ -16,3 +16,7 @@ class InfeasiblePlanError(ValueError):
 class CapacityError(ValueError):
     """A run or an exact enumeration would pass a stated size limit."""
 
+
+class PlanWarning(UserWarning):
+    """A stepsize plan runs, or is chosen, outside what the theory guarantees."""
+

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleNetworkError, InfeasiblePlanError
+from .errors import InfeasibleNetworkError, InfeasiblePlanError, PlanWarning
 
 MARGIN = 1e-12
 
@@ -203,7 +203,7 @@ def optimal_stepsizes(rc):
     if dropped:
         warnings.warn(
             "fourth optimal-alpha candidate has negative discriminant "
-            f"({disc!r}); excluded from the min", RuntimeWarning,
+            f"({disc!r}); excluded from the min", PlanWarning,
         )
     else:
         cands.append(0.5 * (3.0 + ln - np.sqrt(disc)))

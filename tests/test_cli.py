@@ -15,6 +15,7 @@ import yaml
 
 import dtalloc
 from dtalloc.cli import main
+from dtalloc.errors import PlanWarning
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 EXPERIMENTS = os.path.join(HERE, os.pardir, "experiments")
@@ -106,7 +107,7 @@ def test_infeasible_stepsizes_warn_but_run(tmp_path):
     doc = _tiny(stepsizes={"source": "optimal"})  # outside the ms region
     cfg = _write(tmp_path, doc)
     out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning, match="outside the guaranteed region"):
+    with pytest.warns(PlanWarning, match="outside the guaranteed region"):
         code = main(["run", cfg, "--out", str(out)])
     assert code == 0
     assert (out / "tiny" / "trace.csv").is_file()
@@ -116,7 +117,7 @@ def test_non_positive_alpha_warns_and_has_no_rate(tmp_path, capsys):
     doc = _tiny()
     doc["stepsizes"]["alpha"] = -0.01
     cfg = _write(tmp_path, doc)
-    with pytest.warns(RuntimeWarning, match="failing: alpha-bound"):
+    with pytest.warns(PlanWarning, match="failing: alpha-bound"):
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
     assert main(["bounds", cfg]) == 0
@@ -171,7 +172,7 @@ def test_huge_finite_stepsize_fails_its_region_without_a_traceback(tmp_path,
 def test_feasible_explicit_plan_does_not_warn(tmp_path):
     cfg = _write(tmp_path, _tiny())
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
@@ -223,7 +224,9 @@ def test_exit_2_before_compute_on_non_finite_input(tmp_path, capsys, over,
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", cfg, "--out", str(out)]) == 2
-    assert fragment in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # a huge integer is echoed shortened, not in full
+    assert fragment in err and max(map(len, err.splitlines())) < 200, err
     assert not (out / "tiny" / "trace.csv").exists()
 
 
@@ -342,6 +345,42 @@ def test_exit_2_when_the_name_leaves_out(tmp_path, capsys, name):
     assert _files_under(tmp_path) == ["a/b/exp.yaml"]
 
 
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("over,fragment", [
+    ({"schema_version": HUGE}, "schema_version"),
+    ({"u": HUGE}, "u="),
+    ({"name": "x" * 500 + "/"}, "name"),
+    ({"network": {"topology": "complete", "n": HUGE, "proposal": 0.3,
+                  "theta": 0.8}}, "network has n="),
+    ({"network": {"topology": "complete", "n": 2, "proposal": 0.3,
+                  "theta": [0.5] * 300}}, "network.theta"),
+    ({"network": {"topology": "edges", "edges": [[0, 1] + [0.3] * 300],
+                  "theta": 0.8}}, "network.edges"),
+    ({"engine": [1] * 300}, "engine"),
+    ({"stepsizes": {"source": "explicit", "alpha": [0.05] * 300, "beta": 0.1}},
+     "stepsizes.alpha"),
+    ({"disturbance": {"kind": "impulse", "m_zeta": 1.0, "q_zeta": 0.9,
+                      "cutoff": -HUGE}}, "cutoff"),
+    ({"rate": {"window": HUGE}}, "rate.window"),
+    ({"sweep": {"axis": "beta", "values": [HUGE]}}, "sweep value for beta"),
+    # ten curvatures whose rate constants underflow: the whole list was echoed
+    ({"cost": {"a": [1e-200 * (1 + i) for i in range(10)], "b": [0.1] * 10},
+      "demand": [1.0] * 10,
+      "network": {"topology": "complete", "n": 10, "proposal": 0.03,
+                  "theta": 0.8}}, "cost.a"),
+])
+def test_exit_2_echoes_a_long_value_shortened(tmp_path, capsys, over, fragment):
+    # a 400-digit integer or a 300-item list was echoed in full; the huge
+    # numbers of the non-finite and memory-limit tests are checked there
+    cfg = _write(tmp_path, _tiny(**over))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert err.strip() and max(map(len, err.splitlines())) < 200, err
+
+
 @pytest.mark.parametrize("engine_over,size", [
     ({"replicas": 1_000_000_000}, "replicas"),       # hung in SeedSequence.spawn
     ({"iterations": 1_000_000_000_000}, "steps"),    # died allocating the traces
@@ -359,6 +398,7 @@ def test_exit_2_before_compute_past_the_memory_limit(tmp_path, capsys,
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "capacity error" in err and "GiB limit" in err and size in err
+        assert max(map(len, err.splitlines())) < 200, err
     assert _files_under(tmp_path) == ["exp.yaml"]
 
 
@@ -628,6 +668,29 @@ def test_trace_bytes_pinned_across_kernel_changes(tmp_path):
         "ccd2c5ea1a698b7a3e745ce0be7cdd562bb5846e7b64200cff8de3dac58449b3"
     assert _sha256(out / "irregular" / "wga.csv") == \
         "5f64bde5143ccd31f87f9f732c6fedbbc52a6be99121a3e2bf8d00e9fb6db693"
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("disturbance_laplace",
+     "5346d1e0683453828a0b239eda942fe157cb9bfbcc72b4ac26d2231eaca9faa2"),
+    ("disturbance_impulse",
+     "844286dfefe44f41f553eb20f44f27f7db489b9eeb61349875886781958b45cc"),
+])
+def test_disturbed_trace_bytes_pinned(tmp_path, name, digest):
+    """Laplace and impulse disturbance draws, pinned over 2000 steps.
+
+    The impulse's cutoff, step 1000, falls mid-run.  The digests were
+    recorded while the draws were made in chunks of 1456 steps, before each
+    block of steps drew its own.
+    """
+    with open(os.path.join(EXPERIMENTS, f"{name}.yaml")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["engine"]["iterations"] = doc["rate"]["k_end"] = 2000
+    out = tmp_path / "o"
+    # the optimal plan fails the coupling condition, as main.yaml's does
+    with pytest.warns(PlanWarning, match="outside the guaranteed region"):
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+    assert _sha256(out / doc["name"] / "trace.csv") == digest
 
 
 # A 60-agent complete graph (1770 links), u = 2, a per-edge theta, per-agent

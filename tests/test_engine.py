@@ -225,7 +225,7 @@ def test_wga_run_conserves_feasibility():
     assert _per_replica(res, prob)["feasibility_gap"].max() <= 1e-9
 
 
-# ------------------------------------------------- determinism / chunking
+# ------------------------------------------------- determinism / blocking
 
 def test_same_seed_reproduces_traces():
     prob = _main_problem()
@@ -258,9 +258,9 @@ def test_chunk_size_does_not_change_streams(monkeypatch):
     for prob, model, plan in cases:
         r_big = run(prob, model, **plan, **kw)
         with monkeypatch.context() as m:
-            # 7-step chunks: 149 steps end on a partial chunk
-            width = max(model.n_edges, prob.n * prob.u)
-            m.setattr(engine, "DRAW_BYTES", 8 * width * 7)
+            # 7-step blocks draw 7 steps at a time: 149 steps end on a
+            # partial block
+            m.setattr(engine, "BLOCK_ROWS", 7)
             r_odd = run(prob, model, **plan, **kw)
         for name in r_big.traces:
             assert np.array_equal(r_big.traces[name], r_odd.traces[name])
@@ -296,6 +296,12 @@ def _block_cases():
         "wga-gauss-diverging": (main, model10, dict(
             algorithm="wga", alpha=1e6, iterations=149, replicas=2, seed=16,
             x0=main.demand, disturbance=gauss)),
+        # the impulse switches off at step 75, mid-block for 2-, 7- and
+        # 64-row blocks
+        "wga-impulse-cutoff": (main, model10, dict(
+            algorithm="wga", alpha=100.0, iterations=149, replicas=3, seed=18,
+            x0=main.demand, disturbance=DisturbanceSpec(
+                "impulse", m_zeta=2.0, q_zeta=0.99, cutoff=75))),
     }
 
 
@@ -322,13 +328,21 @@ def _assert_same_result(ref, res, tag):
 
 
 @pytest.mark.parametrize("case", ["dta-u3-per-agent-gauss", "wga-gauss",
-                                  "dta-diverging", "wga-gauss-diverging"])
+                                  "dta-diverging", "wga-gauss-diverging",
+                                  "wga-impulse-cutoff"])
 def test_block_size_does_not_change_results(monkeypatch, case):
     prob, model, kw = _block_cases()[case]
     ref = run(prob, model, record_states=True, **kw)
     if case.endswith("diverging"):
         # mid-block for the default 64-row block and for 7-row blocks
         assert ref.diverged and ref.diverged_at % 64 and ref.diverged_at % 7
+    if case.endswith("cutoff"):
+        # WGA conserves 1'x and the impulse adds nothing from its cutoff on,
+        # so from there 1'x(k) - 1'x(0) is the whole injected sum
+        cutoff = kw["disturbance"].cutoff
+        assert not ref.diverged and cutoff % 64 and cutoff % 7 and cutoff % 2
+        mass = ref.states_x.sum(axis=2) - ref.states_x[0].sum(axis=1)
+        assert np.abs(mass[cutoff:] - ref.zeta_total).max() < 1e-9
 
     # one row steps from the carry row alone; two and seven also step within
     for rows in (1, 2, 7):
@@ -363,8 +377,8 @@ def _sweep_cases():
             for t in (0.9, 0.3, 0.0)], dict(
             algorithm="dta", iterations=149, replicas=3, seed=15)),
         # points may differ in theta and the plan at once; the second one
-        # diverges at step 7 while points with other thetas run on, past the
-        # first 1456-step draw chunk
+        # diverges at step 7 while points with other thetas run on, over
+        # blocks drawn for the live points' thetas alone
         "mixed-theta-and-plan": (main, [
             (build_model(10, model10.edges, model10.weights, t,
                          allow_zero_theta=True), s * alpha, sb * beta)
@@ -451,14 +465,13 @@ def test_traces_are_the_aggregate_of_recomputed_residuals(monkeypatch, R, rows):
             assert _same_bits(res.traces[name], expect), (tag, name)
 
 
-def test_engine_memory_does_not_grow_with_replica_traces(monkeypatch):
+def test_engine_memory_does_not_grow_with_replica_traces():
     # n = 10, R = 20: per-replica traces would add R (T+1) 4 8 bytes, 2.24 MB
-    # from T = 500 to T = 4000, where the aggregates add 112 KB.  The draw
-    # chunk is held at 250 steps, so its buffers are the same size at both T.
+    # from T = 500 to T = 4000, where the aggregates add 112 KB.  The block's
+    # draw and state buffers are the same size at both T.
     prob = _main_problem()
     model = complete_graph(10, weight=0.0002, theta=0.5)
     R = 20
-    monkeypatch.setattr(engine, "DRAW_BYTES", 8 * model.n_edges * 250)
 
     def peak(T):
         tracemalloc.start()
@@ -473,6 +486,26 @@ def test_engine_memory_does_not_grow_with_replica_traces(monkeypatch):
     grow = peak(4000) - peak(500)
     per_replica = R * (4000 - 500) * 4 * 8
     assert grow < per_replica / 8, f"peak grew {grow} B, per-replica traces {per_replica} B"
+
+
+@pytest.mark.parametrize("T", [200, 2000])
+def test_footprint_covers_the_measured_peak(T):
+    # the estimate that MEMORY_LIMIT gates must count what a run allocates:
+    # at n = 10, R = 2000 each lane's block -- its activations, state rows
+    # and `flush` temporaries -- is most of the peak
+    prob = _main_problem()
+    model = complete_graph(10, weight=0.0002, theta=0.5)
+    R = 2000
+    need = engine._footprint(prob.n, prob.u, model.n_edges, points=1, R=R, T=T,
+                             algorithm="dta", record_states=False, disturbed=False)
+    tracemalloc.start()
+    try:
+        run(prob, model, algorithm="dta", alpha=0.0007647132835707233,
+            beta=14309.704294513564, iterations=T, replicas=R, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need >= 0.75 * peak, f"estimated {need} B, peak {peak} B"
 
 
 @pytest.mark.parametrize("case", SWEEP_CASES)
