@@ -363,9 +363,6 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_CONFIG
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,6 +14,10 @@ Sweeps over alpha/beta multiply the resolved plan of the configured
 algorithm per point (wga has only `wga_alpha`), so a scaled plan is a
 one-point sweep; a theta sweep replaces the link-activation probability
 outright and keeps the plan fixed.
+
+`load_config` parses with libyaml when PyYAML has it, else with the
+pure-Python parser, which gives the same data more slowly; either way it
+first refuses a document nested more than MAX_DEPTH levels deep.
 """
 from __future__ import annotations
 
@@ -32,6 +36,11 @@ from .network import (build_model, complete_edges, ring_edges,
 from .stepsizes import constants, optimal_stepsizes, wga_default_alpha
 
 SCHEMA_VERSION = 1
+# the schema nests 4 levels (top, network, edges, edge); libyaml's composer
+# recurses in C with no limit of its own, so a deeper document is refused
+# from the parser's event stream before it is composed
+MAX_DEPTH = 32
+LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _section(cls, d, where):
@@ -76,8 +85,10 @@ def _number(v, where):
     return v
 
 
-def _has_bool(v):
-    return isinstance(v, bool) or (isinstance(v, list) and any(map(_has_bool, v)))
+def _has(v, kinds):
+    """Whether v, or an item of v at any depth of its lists, is one of `kinds`."""
+    return isinstance(v, kinds) or (isinstance(v, list)
+                                    and any(_has(item, kinds) for item in v))
 
 
 def _finite(v, where, words=()):
@@ -86,8 +97,9 @@ def _finite(v, where, words=()):
     if (v is None or isinstance(v, str)) and v in words:
         return v
     try:
-        # YAML true/false would read as 1.0/0.0
-        ok = not _has_bool(v) and bool(np.isfinite(np.asarray(v, float)).all())
+        # YAML true/false would read as 1.0/0.0, and '0' as 0.0
+        ok = (not _has(v, (bool, str, bytes))
+              and bool(np.isfinite(np.asarray(v, float)).all()))
     except (TypeError, ValueError, OverflowError):  # Overflow: a huge integer
         ok = False
     if not ok:
@@ -243,13 +255,52 @@ def to_dict(cfg):
     return {k: v for k, v in asdict(cfg).items() if v is not None}
 
 
+def _check_depth(text):
+    """Raise ConfigError if the YAML in `text` nests past MAX_DEPTH levels,
+    counting the levels an alias brings in, or if an alias refers to a
+    collection that holds it."""
+    open_ = []       # per open collection: [its anchor, levels it spans]
+    spans = {}       # anchor -> levels the collection it names spans
+    for event in yaml.parse(text, Loader=LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            open_.append([event.anchor, 1])
+            deepest = len(open_)
+        # a document that is one alias has no anchor to refer to; the
+        # composer refuses it
+        elif isinstance(event, yaml.AliasEvent) and open_:
+            if any(event.anchor == anchor for anchor, _ in open_):
+                raise ConfigError(f"alias *{event.anchor} refers to a collection "
+                                  f"that holds it")
+            levels = spans.get(event.anchor, 0)
+            deepest = len(open_) + levels
+            open_[-1][1] = max(open_[-1][1], levels + 1)
+        elif isinstance(event, yaml.CollectionEndEvent):
+            anchor, levels = open_.pop()
+            spans[anchor] = levels
+            if open_:
+                open_[-1][1] = max(open_[-1][1], levels + 1)
+            continue
+        else:
+            continue
+        if deepest > MAX_DEPTH:
+            mark = event.start_mark
+            raise ConfigError(f"nested deeper than {MAX_DEPTH} levels at line "
+                              f"{mark.line + 1}, column {mark.column + 1}")
+
+
 def load_config(path):
-    with open(path) as fh:
-        try:
-            data = yaml.safe_load(fh)
-        # ValueError: an integer literal past Python's digit limit
-        except (yaml.YAMLError, ValueError) as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    """The config in the YAML file at `path`, checked by `from_dict`."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        _check_depth(text)
+        data = yaml.load(text, Loader=LOADER)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    # ValueError: text that is not UTF-8, or an integer literal past Python's
+    # digit limit (_check_depth's ConfigError is one too)
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return from_dict(data)
 
 

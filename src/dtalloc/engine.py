@@ -177,14 +177,18 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     """Bytes a group of `points` points needs, as estimated before any compute.
 
     Counts what grows with the inputs: what each point holds (`_point_bytes`),
-    each replica's generators and the draw buffers the points share (one
-    replica's block of uniforms, every replica's block of disturbance).  The
-    kernel's buffers are O(E u) per lane and are left out.
+    each lane's mixing-kernel buffers, each replica's generators and the draw
+    buffers the points share (one replica's block of uniforms, every
+    replica's block of disturbance).
     """
     B = _block_rows(n, u)
+    S = 2 if algorithm == "dta" else 1
+    # per lane: the kernel's float64 terms and int64 slot index (2 E S u
+    # entries each), its link weights (E) and its scatter's output (S n u)
+    kernel = R * 8 * (4 * E * S * u + E + S * n * u)
     shared = B * E * 8 + (R * B * n * u * 8 if disturbed else 0)
-    return (points * _point_bytes(n, u, E, R=R, T=T, algorithm=algorithm,
-                                  record_states=record_states)
+    return (points * (_point_bytes(n, u, E, R=R, T=T, algorithm=algorithm,
+                                   record_states=record_states) + kernel)
             + R * GENERATOR_BYTES + shared)
 
 

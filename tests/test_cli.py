@@ -126,14 +126,40 @@ def test_non_positive_alpha_warns_and_has_no_rate(tmp_path, capsys):
     assert payload["predicted_rate"] is None
 
 
-def _shell(*argv):
-    """`dtalloc *argv` in a fresh interpreter: (exit code, stdout, stderr)."""
+def _shell(*argv, loader=None):
+    """`dtalloc *argv` in a fresh interpreter: (exit code, stdout, stderr).
+
+    `loader` names the yaml loader class configs are parsed with, in place
+    of the default."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dtalloc.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "dtalloc.cli", *argv],
+    entry = ["-m", "dtalloc.cli"] if loader is None else [
+        "-c", f"import sys, yaml; from dtalloc import cli, config; "
+              f"config.LOADER = yaml.{loader}; sys.exit(cli.main())"]
+    proc = subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
+
+
+DEEP = {"flow": lambda depth: "name: x\ndemand: " + "[" * depth + "]" * depth + "\n",
+        "block": lambda depth: "- " * depth + "1\n"}
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize("style", sorted(DEEP))
+@pytest.mark.parametrize("depth", [2000, 100_000])
+def test_a_deeply_nested_config_exits_2_in_one_line(tmp_path, depth, style, loader):
+    # in a fresh interpreter, so that a crash in libyaml's composer, which
+    # recurses in C, shows as its exit code
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML was built without libyaml")
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text(DEEP[style](depth))
+    code, out, err = _shell("bounds", str(cfg), loader=loader)
+    assert code == 2, err[-2000:]
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert "nested deeper than 32 levels" in err
 
 
 @pytest.mark.parametrize("stepsizes", [
@@ -295,8 +321,16 @@ def test_run_from_the_optimum_reports_na(tmp_path, capsys):
     assert s["r0"] == 0.0 and s["final_ratio"] is None
 
 
-def test_exit_2_on_missing_file(tmp_path):
-    assert main(["run", str(tmp_path / "nope.yaml")]) == 2
+def test_exit_2_on_missing_file(tmp_path, capsys):
+    # and on any path that cannot be read as text: one line, naming it once
+    latin = tmp_path / "latin.yaml"
+    latin.write_bytes(b"name: caf\xe9\n")
+    for path, says in ((tmp_path / "nope.yaml", "cannot read"),
+                       (tmp_path, "cannot read"), (latin, "cannot parse")):
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{says} {path}:" in err, err
+        assert err.count(str(path)) == 1, err
 
 
 def test_exit_2_on_bad_usage(capsys):

@@ -15,7 +15,7 @@ from dtalloc.config import (
     sweep_point,
     to_dict,
 )
-from dtalloc import ConfigError, InfeasibleNetworkError
+from dtalloc import ConfigError, InfeasibleNetworkError, config
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 EXPERIMENTS = os.path.join(HERE, os.pardir, "experiments")
@@ -132,6 +132,29 @@ def test_from_dict_rejects(mutate, fragment):
         from_dict(d)
 
 
+def test_both_yaml_loaders_give_the_same_configs(monkeypatch):
+    assert config.LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    paths = sorted(glob.glob(os.path.join(EXPERIMENTS, "*.yaml")))
+    loaded = [to_dict(load_config(p)) for p in paths]
+    monkeypatch.setattr(config, "LOADER", yaml.SafeLoader)
+    assert [to_dict(load_config(p)) for p in paths] == loaded
+
+
+@pytest.mark.parametrize("text", [
+    "demand: &d [1.0, *d]",                      # an alias inside its collection
+    "a: &a " + "[" * 20 + "]" * 20 + "\nb: " + "[" * 20 + "*a" + "]" * 20,
+], ids=["cycle", "through-alias"])
+def test_an_alias_cannot_nest_past_the_limit(tmp_path, text):
+    p = tmp_path / "alias.yaml"
+    p.write_text(text + "\n")
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(p)
+    # an alias that stays within the limit is fine
+    p.write_text("name: tiny\ncost: {a: &a [1.0, 2.0], b: [0.1, -0.1]}\n"
+                 "demand: *a\nnetwork: {topology: complete, n: 2}\n")
+    assert load_config(p).demand == [1.0, 2.0]
+
+
 def test_from_dict_rejects_non_mapping():
     with pytest.raises(ConfigError):
         from_dict([1, 2, 3])
@@ -147,8 +170,9 @@ def test_edges_topology_requires_edge_list():
 def test_load_config_bad_yaml(tmp_path):
     p = tmp_path / "broken.yaml"
     p.write_text("name: [unclosed\n")
-    with pytest.raises(ConfigError, match="cannot parse"):
+    with pytest.raises(ConfigError, match="cannot parse") as info:
         load_config(p)
+    assert str(info.value).count(str(p)) == 1
     # an integer literal past Python's int-from-string digit limit
     p.write_text("name: x\nseed: 1" + "0" * 5000 + "\n")
     with pytest.raises(ConfigError, match="cannot parse"):

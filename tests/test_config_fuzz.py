@@ -17,7 +17,7 @@ import pytest
 import yaml
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from dtalloc.cli import main  # noqa: E402
 
@@ -150,6 +150,11 @@ def test_the_unmutated_config_runs(tmp_path):
 
 
 @settings(max_examples=300, deadline=None, database=None)
+# numbers written as strings, which np.asarray(v, float) would read
+@example(("stepsizes.alpha", "0"))
+@example(("cost.a", ["1.0", "2.0", "1.5"]))
+@example(("demand", ["1", "1", "2"]))
+@example(("network.theta", "0.8"))
 @given(st.sampled_from(sorted(BAD)).flatmap(
     lambda path: st.tuples(st.just(path), BAD[path])))
 def test_a_malformed_key_exits_2_before_compute(mutation):

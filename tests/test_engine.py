@@ -489,22 +489,30 @@ def test_engine_memory_does_not_grow_with_replica_traces():
 
 
 @pytest.mark.parametrize("T", [200, 2000])
-def test_footprint_covers_the_measured_peak(T):
+@pytest.mark.parametrize("n", [10, 100])
+def test_footprint_covers_the_measured_peak(n, T):
     # the estimate that MEMORY_LIMIT gates must count what a run allocates:
     # at n = 10, R = 2000 each lane's block -- its activations, state rows
-    # and `flush` temporaries -- is most of the peak
-    prob = _main_problem()
-    model = complete_graph(10, weight=0.0002, theta=0.5)
-    R = 2000
+    # and `flush` temporaries -- is most of the peak; at n = 100, R = 20 the
+    # mixing kernel's term buffer and slot index are
+    if n == 10:
+        prob, R = _main_problem(), 2000
+        model = complete_graph(10, weight=0.0002, theta=0.5)
+        alpha, beta = 0.0007647132835707233, 14309.704294513564
+    else:
+        prob, R = _random_instance(np.random.default_rng(3), n), 20
+        model = complete_graph(n, theta=0.5)
+        alpha, beta = 0.05, 0.2
     need = engine._footprint(prob.n, prob.u, model.n_edges, points=1, R=R, T=T,
                              algorithm="dta", record_states=False, disturbed=False)
     tracemalloc.start()
     try:
-        run(prob, model, algorithm="dta", alpha=0.0007647132835707233,
-            beta=14309.704294513564, iterations=T, replicas=R, seed=5)
+        res = run(prob, model, algorithm="dta", alpha=alpha, beta=beta,
+                  iterations=T, replicas=R, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert not res.diverged
     assert need >= 0.75 * peak, f"estimated {need} B, peak {peak} B"
 
 

@@ -45,6 +45,15 @@ def _random_model(rng, n=None):
     return build_model(n, edges, w, theta)
 
 
+def test_edge_arrays_match_their_loop_forms():
+    for n in range(7):
+        complete = [[i, j] for i in range(n) for j in range(i + 1, n)]
+        ring = [[0, 1]] if n == 2 else [[i, (i + 1) % n] for i in range(n)]
+        assert complete_edges(n).tolist() == complete
+        assert ring_edges(n).tolist() == ring
+        assert complete_edges(n).shape == (len(complete), 2)
+
+
 def test_metropolis_weights_ring():
     edges = ring_edges(5)
     w = metropolis_weights(5, edges)
@@ -227,6 +236,8 @@ def test_model_validation():
         build_model(3, [[0, 0]], [0.1], [0.5])          # self-loop
     with pytest.raises(ValueError):
         build_model(3, [[0, 1], [1, 0]], [0.1, 0.1], [0.5, 0.5])  # duplicate
+    with pytest.raises(ValueError, match="duplicate"):   # not next to each other
+        build_model(3, [[0, 1], [1, 2], [1, 0]], [0.1] * 3, [0.5] * 3)
     with pytest.raises(ValueError):
         build_model(3, [[0, 3]], [0.1], [0.5])          # out of range
     with pytest.raises(ValueError):
