@@ -17,7 +17,8 @@ outright and keeps the plan fixed.
 
 `load_config` parses with libyaml when PyYAML has it, else with the
 pure-Python parser, which gives the same data more slowly; either way it
-first refuses a document nested more than MAX_DEPTH levels deep.
+first refuses a document nested more than MAX_DEPTH levels deep, or holding
+more than MAX_NODES nodes once its aliases are expanded.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 import yaml
 
 from .costs import allocation_problem, quadratic_costs
-from .engine import DisturbanceSpec
+from .engine import DisturbanceSpec, check_setup
 from .errors import ConfigError
 from .network import (build_model, complete_edges, ring_edges,
                       metropolis_weights, spectral_report)
@@ -40,6 +41,12 @@ SCHEMA_VERSION = 1
 # recurses in C with no limit of its own, so a deeper document is refused
 # from the parser's event stream before it is composed
 MAX_DEPTH = 32
+# about 50 times the nodes of an explicit n = 100 complete edge list (4950
+# links of four nodes each); an alias expands to every node its anchor
+# names, so ten aliases of ten aliases of ... multiply, and a document of a
+# few hundred bytes could otherwise expand past any memory before a check
+# sees its values
+MAX_NODES = 10 ** 6
 LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -256,36 +263,44 @@ def to_dict(cfg):
 
 
 def _check_depth(text):
-    """Raise ConfigError if the YAML in `text` nests past MAX_DEPTH levels,
-    counting the levels an alias brings in, or if an alias refers to a
-    collection that holds it."""
-    open_ = []       # per open collection: [its anchor, levels it spans]
-    spans = {}       # anchor -> levels the collection it names spans
+    """Raise ConfigError if the YAML in `text` nests past MAX_DEPTH levels or
+    holds more than MAX_NODES nodes, an alias counting the levels and the
+    nodes it brings in, or if an alias refers to a collection that holds it."""
+    open_ = []       # per open collection: [its anchor, levels it spans, nodes before it]
+    named = {}       # anchor -> (levels, nodes) of the collection it names
+    deepest = nodes = 0
     for event in yaml.parse(text, Loader=LOADER):
-        if isinstance(event, yaml.CollectionStartEvent):
-            open_.append([event.anchor, 1])
+        if isinstance(event, yaml.ScalarEvent):
+            nodes += 1
+        elif isinstance(event, yaml.CollectionStartEvent):
+            open_.append([event.anchor, 1, nodes])
             deepest = len(open_)
+            nodes += 1
         # a document that is one alias has no anchor to refer to; the
         # composer refuses it
         elif isinstance(event, yaml.AliasEvent) and open_:
-            if any(event.anchor == anchor for anchor, _ in open_):
+            if any(event.anchor == anchor for anchor, _, _ in open_):
                 raise ConfigError(f"alias *{event.anchor} refers to a collection "
                                   f"that holds it")
-            levels = spans.get(event.anchor, 0)
+            levels, size = named.get(event.anchor, (0, 1))   # else a scalar
             deepest = len(open_) + levels
+            nodes += size
             open_[-1][1] = max(open_[-1][1], levels + 1)
         elif isinstance(event, yaml.CollectionEndEvent):
-            anchor, levels = open_.pop()
-            spans[anchor] = levels
+            anchor, levels, before = open_.pop()
+            named[anchor] = (levels, nodes - before)
             if open_:
                 open_[-1][1] = max(open_[-1][1], levels + 1)
             continue
         else:
             continue
-        if deepest > MAX_DEPTH:
+        if deepest > MAX_DEPTH or nodes > MAX_NODES:
             mark = event.start_mark
-            raise ConfigError(f"nested deeper than {MAX_DEPTH} levels at line "
-                              f"{mark.line + 1}, column {mark.column + 1}")
+            where = f"at line {mark.line + 1}, column {mark.column + 1}"
+            raise ConfigError(f"nested deeper than {MAX_DEPTH} levels {where}"
+                              if deepest > MAX_DEPTH else
+                              f"more than {MAX_NODES} nodes, counting what each "
+                              f"alias expands to, {where}")
 
 
 def load_config(path):
@@ -309,6 +324,10 @@ def _build_network(net, n_agents):
     # checked before any edge is built: a complete graph has n (n - 1) / 2
     if n != n_agents:
         raise ConfigError(f"network has n={_short(n)} but the cost model has {n_agents} agents")
+    # set-up memory is checked from the link count alone, before any edge or
+    # dense n x n matrix is built
+    check_setup(n, {"complete": n * (n - 1) // 2, "ring": n,
+                    "edges": len(net.edges or ())}[net.topology])
     if net.topology == "edges":
         # checked before the float conversion, which a huge index overflows
         if not all(0 <= v < n for item in net.edges for v in item[:2]):

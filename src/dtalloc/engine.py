@@ -17,9 +17,8 @@ replica) pair: the state is a (G, R, n, u) stack, alpha and beta (WGA's
 alpha too) are (G, 1, n, 1) columns, and theta is a (G, E) activation
 threshold.  A point's traces are its four residuals aggregated over the
 replicas (`metrics.aggregate`), (T+1) 4 float64 values whatever R is.
-Points run in groups of G = max(1, GROUP_BYTES // `_point_bytes`): a point
-holds its traces, its recorded states and its R lanes' blocks (see below),
-and a group holds at most 8 MiB of them unless one point is larger.
+`_footprint` estimates what a call holds, all its points at once, and
+MEMORY_LIMIT bounds it.
 
 Randomness discipline (frozen; determinism and paired comparisons depend on
 it): SeedSequence(seed).spawn(replicas) gives one child per replica, and
@@ -28,14 +27,14 @@ Per step, activations are `rng.random(E) < theta` and disturbance draws are
 one (n, u) block from the second stream.  Each block of B steps (see below)
 draws its steps' randomness as it starts, into a (B, E, G, R) boolean
 activation buffer and an (R, B, n, u) disturbance buffer allocated once per
-group.  A stream gives the same sequence however many steps one call draws,
-so the streams, and every output, are independent of B.  Each group draws a
+run.  A stream gives the same sequence however many steps one call draws,
+so the streams, and every output, are independent of B.  Each block draws a
 replica's uniforms and disturbance block once and shares them among that
 replica's lanes; only the comparison with theta is per lane, and a block
 compares with the thetas of the points still running.  Runs with the same
 seed therefore see identical link failures and disturbances regardless of
-algorithm or grouping -- the DTA/WGA comparison is variance-paired for
-free.
+algorithm or of the other points -- the DTA/WGA comparison is
+variance-paired for free.
 
 (I - W(k)) v = B' diag(w(k)) B v is applied edge-wise, B being the signed
 incidence (+1 at i, -1 at j for edge (i, j)); w(k) holds the active
@@ -57,19 +56,19 @@ bits do not depend on the other lanes.
 
 The step runs in place.  Per step, the loop only computes the update and
 the gradient of the new state (the next update's input), each with `out=`
-into storage allocated once per group: the step's weights go to the
-kernel's (E, G, R) buffer, x(k+1) and y(k+1) to their rows of the
-(B+1, G, R, n, u) block buffers, and the gradient straight into the
-kernel's operand stack.  Row 0 of a block carries the state it starts from
-and rows 1 .. B take the states it steps to, so step i reads row i and
-writes row i + 1, and x(k) and x(k+1) never share memory, even at B = 1;
-after each block its last row is copied to row 0.  alpha and beta are
-broadcast to (G, R, n, u) once per group, so their products are same-shape
-ufuncs, which at n = 10 cost a third of a broadcast one, and two
-(G, R, n, u) temporaries hold them.  Each operation is one of the update
-formulas above, evaluated left to right as the plain expressions would be,
-so every output has their bits; only the kernel's scatter allocates an
-array per step.
+into storage allocated once per run, and again when diverged points are
+compacted out: the step's weights go to the kernel's (E, G, R) buffer,
+x(k+1) and y(k+1) to their rows of the (B+1, G, R, n, u) block buffers,
+and the gradient straight into the kernel's operand stack.  Row 0 of a
+block carries the state it starts from and rows 1 .. B take the states it
+steps to, so step i reads row i and writes row i + 1, and x(k) and x(k+1)
+never share memory, even at B = 1; after each block its last row is
+copied to row 0.  alpha and beta are broadcast to (G, R, n, u) once per
+run, so their products are same-shape ufuncs, which at n = 10 cost a third
+of a broadcast one, and two (G, R, n, u) temporaries hold them.  Each
+operation is one of the update formulas above, evaluated left to right as
+the plain expressions would be, so every output has their bits; only the
+kernel's scatter allocates an array per step.
 
 Recording runs once per block of steps, not per step.  Once per block, and
 at step T, `flush` makes one `metrics.residuals` call on the stacked block
@@ -108,8 +107,7 @@ from .errors import CapacityError
 DIVERGENCE_LIMIT = 1e12
 BLOCK_BYTES = 2 ** 13   # float64 state rows (x, and y for DTA) per lane and block
 BLOCK_ROWS = 64         # most steps recorded per block
-GROUP_BYTES = 2 ** 23   # what one group of points holds, by `_point_bytes`
-MEMORY_LIMIT = 2 ** 31  # most bytes one group may need, by `_footprint`
+MEMORY_LIMIT = 2 ** 31  # most bytes a run or a network set-up may need
 GENERATOR_BYTES = 3 * 2 ** 10   # one replica's seed and generator pair, measured
 
 
@@ -161,35 +159,56 @@ def _block_rows(n, u):
     return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * n * u)))
 
 
-def _point_bytes(n, u, E, *, R, T, algorithm, record_states):
-    """Bytes one point holds while its group runs: its float64 traces (T+1
-    rows of each column), its recorded states, and per lane its block's B E
-    activation bytes plus its state rows and `flush` temporaries, about eight
-    (B+1)-row float64 state blocks."""
-    S = 2 if algorithm == "dta" else 1
-    B = _block_rows(n, u)
-    states = S * (T + 1) * R * n * u * 8 if record_states else 0
-    traces = (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
-    return traces + states + R * (B * E + 8 * (B + 1) * n * u * 8)
-
-
 def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
-    """Bytes a group of `points` points needs, as estimated before any compute.
-
-    Counts what grows with the inputs: what each point holds (`_point_bytes`),
-    each lane's mixing-kernel buffers, each replica's generators and the draw
-    buffers the points share (one replica's block of uniforms, every
-    replica's block of disturbance).
+    """Bytes a `run_points` call of `points` points needs, as estimated before
+    any compute: per point its float64 traces (T+1 rows of each column) and
+    recorded states; per lane its block's B E activation bytes, its state
+    rows and `flush` temporaries (about eight (B+1)-row float64 state
+    blocks) and its mixing-kernel buffers; per replica its generators; and
+    the draw buffers the points share (one replica's block of uniforms,
+    every replica's block of disturbance).
     """
     B = _block_rows(n, u)
     S = 2 if algorithm == "dta" else 1
-    # per lane: the kernel's float64 terms and int64 slot index (2 E S u
-    # entries each), its link weights (E) and its scatter's output (S n u)
-    kernel = R * 8 * (4 * E * S * u + E + S * n * u)
+    traces = (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
+    states = S * (T + 1) * R * n * u * 8 if record_states else 0
+    block = B * E + 8 * (B + 1) * n * u * 8
+    # the kernel's float64 terms and int64 slot index (2 E S u entries
+    # each), its link weights (E) and its scatter's output (S n u)
+    kernel = 8 * (4 * E * S * u + E + S * n * u)
     shared = B * E * 8 + (R * B * n * u * 8 if disturbed else 0)
-    return (points * (_point_bytes(n, u, E, R=R, T=T, algorithm=algorithm,
-                                   record_states=record_states) + kernel)
+    return (points * (traces + states + R * (block + kernel))
             + R * GENERATOR_BYTES + shared)
+
+
+def _setup_footprint(n, E):
+    """Bytes `config.resolve` needs for an n-agent network of E links, as
+    estimated before it builds anything.
+
+    Building and validating the edge arrays peaks at about 12 int64 or
+    float64 values per link.  The spectral report then holds three dense
+    n x n float64 matrices at once (E{W}, E{W^2} and a product or an
+    eigensolver's copy) beside the model's 4 values per link.  Measured with
+    `tracemalloc` at n = 1000, both are within 1 % of the peak.
+    """
+    return 8 * max(12 * E, 3 * n * n + 4 * E)
+
+
+def check_setup(n, E):
+    """Raise CapacityError if an n-agent network of E links and its spectral
+    report would pass MEMORY_LIMIT (`_setup_footprint`)."""
+    _require(_setup_footprint(n, E),
+             f"{reprlib.repr(n)} agents and {reprlib.repr(E)} links")
+
+
+def _require(need, what):
+    """Raise CapacityError when `need` bytes, estimated for `what`, pass
+    MEMORY_LIMIT."""
+    if need > MEMORY_LIMIT:
+        # an integer quotient past the float range raises OverflowError
+        gib = need / 2 ** 30 if need < 2 ** 1000 else float("inf")
+        raise CapacityError(f"{what} need about {gib:.3g} GiB, "
+                            f"past the {MEMORY_LIMIT / 2 ** 30:g} GiB limit")
 
 
 def _aggregate(res):
@@ -249,24 +268,23 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
     `metrics.residuals` gives the per-replica residuals.  This is
     `run_points` with the one point (model, alpha, beta).
     """
-    return next(run_points(
+    return run_points(
         problem, [(model, alpha, beta)], algorithm=algorithm,
         iterations=iterations, replicas=replicas, seed=seed, x0=x0, y0=y0,
-        disturbance=disturbance, record_states=record_states))
+        disturbance=disturbance, record_states=record_states)[0]
 
 
 def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
                seed=0, x0=None, y0=None, disturbance=None, record_states=False):
-    """Run each point (model, alpha, beta) as `run` would; yield their results.
+    """Run each point (model, alpha, beta) as `run` would; return their results.
 
-    Returns an iterator of one RunResult per point, in point order.  The
-    points must share the edges and weights (theta may differ), and they run
-    as lanes of one step loop, in groups that keep what their points hold
-    (`_point_bytes`) within GROUP_BYTES.  Every point sees the replica
-    streams `run` gives it, so each result is bit-identical to a `run` of
-    that point alone; a point that diverges stops alone.  All inputs are
-    checked here, before any compute, and CapacityError is raised when a
-    group's estimated memory (`_footprint`) passes MEMORY_LIMIT.
+    Returns a list of one RunResult per point, in point order.  The points
+    must share the edges and weights (theta may differ), and they all run as
+    lanes of one step loop.  Every point sees the replica streams `run` gives
+    it, so each result is bit-identical to a `run` of that point alone; a
+    point that diverges stops alone.  All inputs are checked before any
+    compute, and CapacityError is raised when the estimated memory of all
+    the points together (`_footprint`) passes MEMORY_LIMIT.
     """
     if algorithm not in ("dta", "wga"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -291,31 +309,27 @@ def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
     y0 = x0 - problem.demand if y0 is None else np.broadcast_to(np.asarray(y0, float), (n, u))
     if not (np.isfinite(x0).all() and np.isfinite(y0).all()):
         raise ValueError("x0 and y0 must be finite")
-    R, T, E = int(replicas), int(iterations), first.n_edges
-    size = max(1, GROUP_BYTES // _point_bytes(n, u, E, R=R, T=T, algorithm=algorithm,
-                                              record_states=record_states))
+    R, T, E, P = int(replicas), int(iterations), first.n_edges, len(points)
     dist = disturbance if disturbance is not None else DisturbanceSpec()
-    need = _footprint(n, u, E, points=min(size, len(points)), R=R, T=T,
-                      algorithm=algorithm, record_states=record_states,
-                      disturbed=dist.active)
-    if need > MEMORY_LIMIT:
-        # an integer quotient past the float range raises OverflowError
-        gib = need / 2 ** 30 if need < 2 ** 1000 else float("inf")
-        raise CapacityError(
-            f"{reprlib.repr(R)} replicas x {reprlib.repr(T)} steps need about {gib:.3g} GiB, "
-            f"past the {MEMORY_LIMIT / 2 ** 30:g} GiB limit")
-    kw = dict(kkt=kkt_solve(problem), algorithm=algorithm, T=T, R=R, seed=seed,
-              x0=x0, y0=y0, dist=dist, record_states=record_states)
-    return (result for at in range(0, len(points), size)
-            for result in _run_lanes(problem, points[at:at + size], **kw))
+    _require(_footprint(n, u, E, points=P, R=R, T=T, algorithm=algorithm,
+                        record_states=record_states, disturbed=dist.active),
+             f"{f'{P} points x ' if P > 1 else ''}{reprlib.repr(R)} replicas x "
+             f"{reprlib.repr(T)} steps")
+    return _run_lanes(problem, points, kkt=kkt_solve(problem), algorithm=algorithm,
+                      T=T, R=R, seed=seed, x0=x0, y0=y0, dist=dist,
+                      record_states=record_states)
 
 
 def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                record_states):
-    """One group of points as lanes of one step loop; their results in order.
+    """All the points as lanes of one step loop; their results in order.
 
     Working arrays (state, stepsize columns, activations, block buffers)
     hold the live points in order; per-point outputs are indexed by point.
+    The loop has a function of its own because `tracemalloc` finds each
+    allocation's line by scanning its function's line table from the start:
+    with `run_points`' checks ahead of it in one function, an R = 2000 run
+    took about 1.3 times as long under `tracemalloc`.
     """
     n, u = problem.n, problem.u
     P = len(points)
@@ -366,8 +380,8 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
 
         The operands are (G, R, n, u) views of node-major (n, S, G, R, u)
         storage, and the result is (S, G, R, n, u).  The buffers' views are
-        made here, once per group size: at n = 10 making them per call costs
-        about 2 us of a 17 us kernel.
+        made here, once per count of live points: at n = 10 making them per
+        call costs about 2 us of a 17 us kernel.
         """
         lanes = G * R
         # flat output slot of each [t, -t] entry, laid out (2E, S, lanes, u)

@@ -30,6 +30,7 @@ from dtalloc import (
     quadratic_costs,
     residuals,
     run,
+    run_points,
     spectral_report,
 )
 from dtalloc.config import load_config, resolve, sweep_point
@@ -55,13 +56,16 @@ def _line(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _run_resolved(res, *, alpha=None, beta=None, algorithm=None,
-                  seed=None, **over):
+def _run_points(points, *, alpha=None, beta=None, algorithm=None, seed=None,
+                **over):
+    """Run resolved points (one config, or sweep points of one) as lanes of
+    one `run_points` call: one result per point, each bit-identical to a
+    separate `run`."""
+    res = points[0]
     cfg = res.config
+    algorithm = cfg.engine.algorithm if algorithm is None else algorithm
     kw = dict(
-        algorithm=cfg.engine.algorithm if algorithm is None else algorithm,
-        alpha=res.alpha if alpha is None else alpha,
-        beta=res.beta if beta is None else beta,
+        algorithm=algorithm,
         iterations=cfg.engine.iterations,
         replicas=cfg.engine.replicas,
         seed=cfg.seed if seed is None else seed,
@@ -69,9 +73,18 @@ def _run_resolved(res, *, alpha=None, beta=None, algorithm=None,
         disturbance=res.disturbance,
     )
     kw.update(over)
-    if kw["algorithm"] == "wga":
-        kw["beta"] = None
-    return run(res.problem, res.model, **kw)
+    return run_points(res.problem, [
+        (p.model, p.alpha if alpha is None else alpha,
+         None if algorithm == "wga" else p.beta if beta is None else beta)
+        for p in points], **kw)
+
+
+def _run_resolved(res, **kw):
+    return _run_points([res], **kw)[0]
+
+
+def _run_sweep(res, axis, values):
+    return _run_points([sweep_point(res, axis, v) for v in values])
 
 
 def _ratio(result):
@@ -107,8 +120,7 @@ def test_ac02_rate_monotone_in_alpha():
     res = resolve(load_config(_cfg("alpha_sweep.yaml")))
     values = res.config.sweep.values
     qs = []
-    for v in values:
-        out = _run_resolved(sweep_point(res, "alpha", v))
+    for out in _run_sweep(res, "alpha", values):
         agg = out.traces["optimality_distance"]
         qs.append(empirical_rate(agg, k_end=res.k_end, window=res.window).q)
     slack_ok = all(qs[i + 1] <= qs[i] + 1e-3 for i in range(len(qs) - 1))
@@ -123,8 +135,7 @@ def test_ac03_beta_sweep_argmin_near_optimal():
     res = resolve(load_config(_cfg("beta_sweep.yaml")))
     values = res.config.sweep.values
     qs = {}
-    for v in values:
-        out = _run_resolved(sweep_point(res, "beta", v))
+    for v, out in zip(values, _run_sweep(res, "beta", values)):
         if out.diverged:
             qs[v] = np.inf
             continue
@@ -175,11 +186,9 @@ def test_ac05_wga_not_resilient():
 
 def test_ac06_theta_sweep_convergence_and_silent_flag():
     res = resolve(load_config(_cfg("theta_sweep.yaml")))
-    ratios = {}
-    for t in (0.9, 0.1, 0.05, 0.03, 0.02, 0.01):
-        out = _run_resolved(sweep_point(res, "theta", t))
-        _, ratios[t] = _ratio(out)
-    out0 = _run_resolved(sweep_point(res, "theta", 0.0))
+    thetas = (0.9, 0.1, 0.05, 0.03, 0.02, 0.01)
+    *outs, out0 = _run_sweep(res, "theta", (*thetas, 0.0))
+    ratios = {t: _ratio(out)[1] for t, out in zip(thetas, outs)}
     agg0, ratio0 = _ratio(out0)
     flagged = non_convergent(agg0, k_end=res.k_end)
     conv_ok = all(r <= 1e-6 for r in ratios.values())

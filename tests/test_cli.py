@@ -126,18 +126,19 @@ def test_non_positive_alpha_warns_and_has_no_rate(tmp_path, capsys):
     assert payload["predicted_rate"] is None
 
 
-def _shell(*argv, loader=None):
+def _shell(*argv, loader=None, timeout=None):
     """`dtalloc *argv` in a fresh interpreter: (exit code, stdout, stderr).
 
     `loader` names the yaml loader class configs are parsed with, in place
-    of the default."""
+    of the default; past `timeout` seconds the run is killed and the test
+    fails."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dtalloc.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     entry = ["-m", "dtalloc.cli"] if loader is None else [
         "-c", f"import sys, yaml; from dtalloc import cli, config; "
               f"config.LOADER = yaml.{loader}; sys.exit(cli.main())"]
     proc = subprocess.run([sys.executable, *entry, *argv],
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -160,6 +161,45 @@ def test_a_deeply_nested_config_exits_2_in_one_line(tmp_path, depth, style, load
     assert code == 2, err[-2000:]
     assert out == "" and err.count("\n") == 1 and "Traceback" not in err
     assert "nested deeper than 32 levels" in err
+
+
+def _alias_bomb(levels):
+    """The tiny config with a `demand` of `levels` nested levels, each ten
+    copies of the one below (one anchor and nine aliases): about 50 bytes
+    per level, expanding to 10 ** levels scalars."""
+    doc = {k: v for k, v in _tiny().items() if k != "demand"}
+    demand = "&a0 [1.0]"
+    for i in range(1, levels + 1):
+        demand = f"&a{i} [{demand}" + f", *a{i - 1}" * 9 + "]"
+    return yaml.safe_dump(doc, sort_keys=False) + f"demand: {demand}\n"
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_an_alias_bomb_exits_2_in_one_line(tmp_path, loader):
+    # nine levels of ten aliases in a 726-byte file expand to 10 ** 9
+    # scalars: each level used to cost about 8 times the one below it, 2.5 s
+    # at six levels, so nine would have run for about half an hour
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML was built without libyaml")
+    cfg = tmp_path / "bomb.yaml"
+    cfg.write_text(_alias_bomb(9))
+    code, out, err = _shell("bounds", str(cfg), loader=loader, timeout=60)
+    assert code == 2, err[-2000:]
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert "more than 1000000 nodes" in err
+
+
+def test_a_network_past_the_memory_limit_exits_2_before_set_up(tmp_path):
+    # n = 20 000: a complete graph of 2e8 links, whose spectral report would
+    # hold dense n x n matrices of 3.2 GB each
+    n = 20_000
+    cfg = _write(tmp_path, _tiny(
+        cost={"a": [1.0] * n, "b": [0.0] * n}, demand=[1.0] * n,
+        network={"topology": "complete", "n": n, "theta": 0.5}))
+    code, out, err = _shell("bounds", cfg, timeout=60)
+    assert code == 2, err[-2000:]
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("capacity error: 20000 agents and ") and "GiB limit" in err
 
 
 @pytest.mark.parametrize("stepsizes", [

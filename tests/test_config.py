@@ -2,6 +2,7 @@
 
 import glob
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dtalloc.config import (
     sweep_point,
     to_dict,
 )
-from dtalloc import ConfigError, InfeasibleNetworkError, config
+from dtalloc import CapacityError, ConfigError, InfeasibleNetworkError, config, engine
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 EXPERIMENTS = os.path.join(HERE, os.pardir, "experiments")
@@ -155,6 +156,24 @@ def test_an_alias_cannot_nest_past_the_limit(tmp_path, text):
     assert load_config(p).demand == [1.0, 2.0]
 
 
+def test_aliases_count_the_nodes_they_expand_to(tmp_path):
+    # each level is ten copies of the one below: five levels expand to
+    # 211 111 nodes, six to 2 111 111, past MAX_NODES
+    def bomb(levels):
+        demand = "&a0 [1.0]"
+        for i in range(1, levels + 1):
+            demand = f"&a{i} [{demand}" + f", *a{i - 1}" * 9 + "]"
+        return ("name: tiny\ncost: {a: [1.0, 2.0], b: [0.1, -0.1]}\n"
+                "network: {topology: complete, n: 2}\ndemand: " + demand + "\n")
+
+    p = tmp_path / "alias.yaml"
+    p.write_text(bomb(6))
+    with pytest.raises(ConfigError, match="cannot parse.*more than 1000000 nodes"):
+        load_config(p)
+    p.write_text(bomb(5))
+    assert np.shape(load_config(p).demand) == (10,) * 5 + (1,)
+
+
 def test_from_dict_rejects_non_mapping():
     with pytest.raises(ConfigError):
         from_dict([1, 2, 3])
@@ -206,6 +225,52 @@ def test_resolve_rejects_agent_count_mismatch():
     d["network"]["n"] = 3
     with pytest.raises(ConfigError, match="agents"):
         resolve(from_dict(d))
+
+
+def _network_doc(n, topology):
+    rng = np.random.default_rng(8)
+    return _minimal(cost={"a": rng.uniform(0.5, 1.0, n).tolist(), "b": [0.0] * n},
+                    demand=[1.0] * n,
+                    network={"topology": topology, "n": n, "theta": 0.5})
+
+
+@pytest.mark.parametrize("topology", ["complete", "ring"])
+def test_setup_footprint_covers_the_measured_peak(topology):
+    # the estimate MEMORY_LIMIT gates before resolve builds a network: a
+    # complete graph's peak is its edge arrays, a ring's the spectral
+    # report's dense n x n matrices
+    n = 1000
+    cfg = from_dict(_network_doc(n, topology))
+    E = n * (n - 1) // 2 if topology == "complete" else n
+    need = engine._setup_footprint(n, E)
+    tracemalloc.start()
+    try:
+        res = resolve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.model.n_edges == E
+    assert need >= 0.75 * peak, f"estimated {need} B, peak {peak} B"
+
+
+@pytest.mark.parametrize("topology", ["complete", "ring", "edges"])
+def test_resolve_refuses_a_network_past_the_memory_limit_before_building_it(topology):
+    # n = 20 000: 2e8 links for a complete graph, and dense n x n matrices of
+    # 3.2 GB each for any topology
+    n = 20_000
+    doc = _network_doc(n, topology)
+    if topology == "edges":
+        doc["network"] = {"topology": "edges", "theta": 0.5,
+                          "edges": [[i, i + 1, 0.3] for i in range(n - 1)]}
+    cfg = from_dict(doc)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="20000 agents and .* GiB limit"):
+            resolve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"resolve allocated {peak} B before refusing"
 
 
 def test_resolve_rejects_bad_edge_triplets():

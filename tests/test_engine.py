@@ -244,31 +244,6 @@ def test_same_seed_reproduces_traces():
                               r3.traces["optimality_distance"])
 
 
-def test_chunk_size_does_not_change_streams(monkeypatch):
-    dist = DisturbanceSpec("laplace", m_zeta=2.0, q_zeta=0.99)
-    kw = dict(algorithm="dta", iterations=149, replicas=2, seed=31,
-              disturbance=dist, record_states=True)
-    # E = 45 > n u = 10, then a single link with n u = 6 > E = 1
-    pair = allocation_problem(quadratic_costs([1.0, 2.0], np.zeros((2, 3))),
-                              np.ones((2, 3)))
-    cases = [(_main_problem(), complete_graph(10, weight=0.0002, theta=0.5),
-              dict(alpha=0.0007647132835707233, beta=14309.704294513564)),
-             (pair, build_model(2, [(0, 1)], [0.3], 0.8),
-              dict(alpha=0.05, beta=0.1))]
-    for prob, model, plan in cases:
-        r_big = run(prob, model, **plan, **kw)
-        with monkeypatch.context() as m:
-            # 7-step blocks draw 7 steps at a time: 149 steps end on a
-            # partial block
-            m.setattr(engine, "BLOCK_ROWS", 7)
-            r_odd = run(prob, model, **plan, **kw)
-        for name in r_big.traces:
-            assert np.array_equal(r_big.traces[name], r_odd.traces[name])
-        assert np.array_equal(r_big.states_x, r_odd.states_x)
-        assert np.array_equal(r_big.states_y, r_odd.states_y)
-        assert np.array_equal(r_big.zeta_total, r_odd.zeta_total)
-
-
 def _beta_sweep_point(value, iterations):
     """The beta_sweep.yaml run at one multiplier, as engine.run keywords."""
     res = resolve(load_config(os.path.join(EXPERIMENTS, "beta_sweep.yaml")))
@@ -282,8 +257,11 @@ def _block_cases():
     rng = np.random.default_rng(52)
     prob3 = _random_instance(rng, 6, u=3)
     gauss = DisturbanceSpec("gaussian", m_zeta=1.5, q_zeta=0.99)
+    laplace = DisturbanceSpec("laplace", m_zeta=2.0, q_zeta=0.99)
     main = _main_problem()
     model10 = complete_graph(10, weight=0.0002, theta=0.5)
+    pair = allocation_problem(quadratic_costs([1.0, 2.0], np.zeros((2, 3))),
+                              np.ones((2, 3)))
     return {
         "dta-u3-per-agent-gauss": (prob3, complete_graph(6, theta=0.6), dict(
             algorithm="dta", alpha=np.linspace(0.02, 0.06, 6),
@@ -302,6 +280,14 @@ def _block_cases():
             algorithm="wga", alpha=100.0, iterations=149, replicas=3, seed=18,
             x0=main.demand, disturbance=DisturbanceSpec(
                 "impulse", m_zeta=2.0, q_zeta=0.99, cutoff=75))),
+        # E = 45 > n u = 10, then a single link with n u = 6 > E = 1
+        "dta-laplace": (main, model10, dict(
+            algorithm="dta", alpha=0.0007647132835707233,
+            beta=14309.704294513564, iterations=149, replicas=2, seed=31,
+            disturbance=laplace)),
+        "dta-laplace-single-link-u3": (pair, build_model(2, [(0, 1)], [0.3], 0.8), dict(
+            algorithm="dta", alpha=0.05, beta=0.1, iterations=149, replicas=2,
+            seed=31, disturbance=laplace)),
     }
 
 
@@ -329,7 +315,8 @@ def _assert_same_result(ref, res, tag):
 
 @pytest.mark.parametrize("case", ["dta-u3-per-agent-gauss", "wga-gauss",
                                   "dta-diverging", "wga-gauss-diverging",
-                                  "wga-impulse-cutoff"])
+                                  "wga-impulse-cutoff", "dta-laplace",
+                                  "dta-laplace-single-link-u3"])
 def test_block_size_does_not_change_results(monkeypatch, case):
     prob, model, kw = _block_cases()[case]
     ref = run(prob, model, record_states=True, **kw)
@@ -514,23 +501,6 @@ def test_footprint_covers_the_measured_peak(n, T):
         tracemalloc.stop()
     assert not res.diverged
     assert need >= 0.75 * peak, f"estimated {need} B, peak {peak} B"
-
-
-@pytest.mark.parametrize("case", SWEEP_CASES)
-def test_trace_budget_does_not_change_results(monkeypatch, case):
-    prob, points, kw = _sweep_cases()[case]
-    ref = list(engine.run_points(prob, points, record_states=True, **kw))
-    per_point = engine._point_bytes(
-        prob.n, prob.u, points[0][0].n_edges, R=kw["replicas"],
-        T=kw["iterations"], algorithm=kw["algorithm"], record_states=True)
-    # one point per group, two per group, then every point in one group
-    for budget in (1, 2 * per_point, 2 ** 40):
-        with monkeypatch.context() as m:
-            m.setattr(engine, "GROUP_BYTES", budget)
-            got = list(engine.run_points(prob, points, record_states=True, **kw))
-        assert len(got) == len(ref)
-        for idx, (a, b) in enumerate(zip(ref, got)):
-            _assert_same_result(a, b, (budget, idx))
 
 
 def test_run_points_requires_shared_edges_and_weights():
