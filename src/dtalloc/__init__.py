@@ -7,7 +7,7 @@ from .costs import (AllocationProblem, KktSolution, QuadraticCosts,
                     allocation_problem, kkt_solve, quadratic_costs)
 from .engine import DisturbanceSpec, RunResult, run, run_points
 from .errors import (CapacityError, ConfigError, InfeasibleNetworkError,
-                     InfeasiblePlanError, PlanWarning)
+                     PlanWarning)
 from .metrics import (RateEstimate, TRACE_COLUMNS, aggregate, empirical_rate,
                       loglinear_r2, non_convergent, residuals)
 from .network import (NetworkModel, SpectralReport, build_model,
@@ -26,8 +26,7 @@ __all__ = [
     "AllocationProblem", "KktSolution", "QuadraticCosts",
     "allocation_problem", "kkt_solve", "quadratic_costs",
     "DisturbanceSpec", "RunResult", "run", "run_points",
-    "CapacityError", "ConfigError", "InfeasibleNetworkError",
-    "InfeasiblePlanError", "PlanWarning",
+    "CapacityError", "ConfigError", "InfeasibleNetworkError", "PlanWarning",
     "RateEstimate", "TRACE_COLUMNS", "aggregate", "empirical_rate",
     "loglinear_r2", "non_convergent", "residuals",
     "NetworkModel", "SpectralReport", "build_model",

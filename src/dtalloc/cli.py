@@ -32,7 +32,7 @@ from . import engine, metrics
 from .config import SCHEMA_VERSION, load_config, resolve, sweep_point
 from .costs import kkt_solve
 from .errors import (CapacityError, ConfigError, InfeasibleNetworkError,
-                     InfeasiblePlanError, PlanWarning)
+                     PlanWarning)
 from .stepsizes import (PlanVerdict, feasible_region_shared, feasible_region_mean,
                         feasible_region_uncoordinated, predicted_rate)
 
@@ -79,9 +79,10 @@ def _write_trace_csv(path, traces):
         # a block of rows at a time as Python floats, whose repr is the
         # shortest round-trip form, so no whole trace is held as objects
         for k0 in range(0, len(series[0]), TRACE_CSV_ROWS):
-            block = zip(*[s[k0:k0 + TRACE_CSV_ROWS].tolist() for s in series])
-            fh.writelines(f"{k},{','.join(map(repr, row))}\n"
-                          for k, row in enumerate(block, k0))
+            k1 = k0 + TRACE_CSV_ROWS
+            block = [map(repr, s[k0:k1].tolist()) for s in series]
+            fh.writelines(",".join(row) + "\n"
+                          for row in zip(map(str, range(k0, k1)), *block))
 
 
 def _write_summary(path, payload):
@@ -93,13 +94,13 @@ def _write_summary(path, payload):
 
 
 def _plan_verdict(res):
-    """Feasibility verdict for the resolved dta plan; None without one."""
+    """Feasibility verdict for the resolved dta plan; None without a plan or
+    without rate constants."""
     alpha, beta = res.alpha, res.beta
-    if alpha is None or beta is None:
+    if alpha is None or beta is None or res.rc is None:
         return None
     if np.ndim(alpha) or np.ndim(beta):
-        return feasible_region_uncoordinated(res.problem.costs, res.report,
-                                             res.rc, alpha, beta)
+        return feasible_region_uncoordinated(res.rc, alpha, beta)
     return feasible_region_shared(res.rc, float(alpha), float(beta))
 
 
@@ -161,31 +162,21 @@ def cmd_bounds(args):
         opt = res.optimal
         payload["optimal"] = {"alpha": opt.alpha, "beta": opt.beta,
                               "branches": list(opt.branches),
-                              "active_branch": opt.active_branch,
-                              "branch4_dropped": opt.branch4_dropped}
+                              "active_branch": opt.active_branch}
+    # a verdict prints whole, with `feasible`; a shared region lists its
+    # conditions in order (alpha bound, beta bound, coupling)
     verdict = _plan_verdict(res)
     if isinstance(verdict, PlanVerdict):
-        payload["uncoordinated_region"] = {
-            "feasible": verdict.feasible, "conditions": dict(verdict.conditions),
-            "s4": verdict.s4, "s5": verdict.s5, "s6": verdict.s6,
-            "coupling_lhs": verdict.coupling_lhs,
-            "coupling_rhs": verdict.coupling_rhs,
-        }
+        payload["uncoordinated_region"] = {**asdict(verdict),
+                                           "feasible": verdict.feasible}
     elif verdict is not None:
-        alpha, beta = verdict.alpha, verdict.beta
-        mean = feasible_region_mean(rc, alpha, beta)
+        mean = feasible_region_mean(rc, res.alpha, res.beta)
         for key, v in (("mean_square_region", verdict), ("mean_region", mean)):
-            payload[key] = {
-                "feasible": v.feasible, "conditions": list(v.conditions),
-                "s1": v.s1, "s2": v.s2, "alpha_max": v.alpha_max,
-                "beta_max": v.beta_max, "coupling_lhs": v.coupling_lhs,
-                "coupling_rhs": v.coupling_rhs,
-            }
-        try:
-            q_zeta = res.disturbance.q_zeta if res.disturbance.active else None
-            payload["predicted_rate"] = predicted_rate(rc, alpha, beta, q_zeta=q_zeta)
-        except InfeasiblePlanError:
-            payload["predicted_rate"] = None
+            payload[key] = {**asdict(v), "feasible": v.feasible,
+                            "conditions": list(v.conditions.values())}
+        q_zeta = res.disturbance.q_zeta if res.disturbance.active else None
+        payload["predicted_rate"] = predicted_rate(rc, res.alpha, res.beta,
+                                                   q_zeta=q_zeta)
     print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -195,6 +186,12 @@ def _execute_point(res, algorithm, path, label):
 
     Returns the point's summary (with the plan that ran) and the result."""
     alpha, beta = _plan(res, algorithm)
+    if res.rc is None:
+        why = ("network is not connected in mean"
+               if not res.report.connected_in_mean
+               else "rate constants out of float range")
+        warnings.warn(f"{label}: no region check ({why}); running anyway",
+                      PlanWarning, stacklevel=2)
     verdict = _plan_verdict(res) if algorithm == "dta" else None
     if verdict is not None and verdict.failed:
         warnings.warn(f"{label}: stepsizes outside the guaranteed region "

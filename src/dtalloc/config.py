@@ -13,7 +13,8 @@ Stepsize resolution, in order:
 Sweeps over alpha/beta multiply the resolved plan of the configured
 algorithm per point (wga has only `wga_alpha`), so a scaled plan is a
 one-point sweep; a theta sweep replaces the link-activation probability
-outright and keeps the plan fixed.
+outright and keeps the plan fixed, checked against each point's own rate
+constants.
 
 `load_config` parses with libyaml when PyYAML has it, else with the
 pure-Python parser, which gives the same data more slowly; either way it
@@ -355,7 +356,7 @@ class ResolvedExperiment:
     problem: object
     model: object
     report: object
-    rc: object                       # rate constants (None if disconnected in mean)
+    rc: object                       # rate constants, or None (see sweep_point)
     optimal: object                  # OptimalStepsizes or None
     alpha: object                    # resolved dta stepsize (scalar or (n,))
     beta: object
@@ -391,9 +392,7 @@ def resolve(cfg):
     model = _build_network(cfg.network, problem.n)
     report = spectral_report(model)
     rc = constants(problem.costs, report)   # raises if disconnected in mean
-    # the stepsize regions square these; a square that over- or underflows
-    # leaves them undefined (a float product gives inf or 0 there, not an error)
-    if not all(0.0 < v * v < np.inf for v in (rc.phi_hi, rc.k1, rc.k2)):
+    if not _squares_in_range(rc):
         raise ConfigError(
             f"cost.a {_short(cfg.cost.a)} puts the rate constants out of float range: "
             f"K1={rc.k1!r}, K2={rc.k2!r}, phi={rc.phi_hi!r} need finite, "
@@ -429,6 +428,13 @@ def resolve(cfg):
                               window=int(cfg.rate.window))
 
 
+def _squares_in_range(rc):
+    """Whether phi, K1 and K2 have finite, positive squares: the stepsize
+    regions square them, and a square that over- or underflows leaves them
+    undefined (a float product gives inf or 0 there, not an error)."""
+    return all(0.0 < v * v < np.inf for v in (rc.phi_hi, rc.k1, rc.k2))
+
+
 def _stepsize(value, override, n, slot):
     """One plan slot: `override` (a scalar or an (n,) per-agent vector) if
     given, else `value`; None when neither is given."""
@@ -462,8 +468,10 @@ def sweep_point(res, axis, value):
     alpha/beta sweeps multiply the plan of the configured algorithm by
     `value` (for wga that is `wga_alpha`, and there is no beta to sweep); a
     theta sweep rebuilds the network with the activation probability set to
-    `value` (theta 0 is allowed here — every link silent — so the boundary
-    case can be demonstrated).
+    `value`, and its spectral report and rate constants with it (theta 0 is
+    allowed here — every link silent — so the boundary case can be
+    demonstrated).  `rc` is None at a theta point whose network is not
+    connected in mean, or whose constants `resolve` would refuse.
     """
     _number(value, f"sweep value for {axis}")
     if axis == "theta":
@@ -474,7 +482,12 @@ def sweep_point(res, axis, value):
                                 allow_zero_theta=True)
         except ValueError as exc:
             raise ConfigError(f"sweep theta={_short(value)}: {exc}") from exc
-        return replace(res, model=model)
+        report = spectral_report(model)
+        rc = (constants(res.problem.costs, report)
+              if report.connected_in_mean else None)
+        if rc is not None and not _squares_in_range(rc):
+            rc = None
+        return replace(res, model=model, report=report, rc=rc)
     if axis not in ("alpha", "beta"):
         raise ConfigError(f"sweep axis must be alpha|beta|theta, got {axis!r}")
     if res.config.engine.algorithm == "dta":

@@ -9,10 +9,6 @@ class InfeasibleNetworkError(ValueError):
     """Network is not connected in mean; no contraction constants exist."""
 
 
-class InfeasiblePlanError(ValueError):
-    """Stepsize plan violates the convergence region."""
-
-
 class CapacityError(ValueError):
     """A run or an exact enumeration would pass a stated size limit."""
 

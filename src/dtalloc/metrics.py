@@ -15,6 +15,10 @@ TRACE_COLUMNS = (
     "tracking_norm",
     "gradient_dispersion",
 )
+R2_LAST = 5000          # loglinear_r2 fits the trace's last R2_LAST points
+STALL_RATIO = 1e-3      # non_convergent: terminal / initial residual above this
+STALL_LOOKBACK = 10000  # ... and no decrease over this many trailing steps
+STALL_TOL = 1e-9        # ... within this relative tolerance
 
 
 def residuals(x, y, problem, kkt):
@@ -103,11 +107,11 @@ def empirical_rate(trace, k_end=25000, window=1000):
                         shrunk=(n_eff != window), exact_convergence=False)
 
 
-def loglinear_r2(trace, last=5000):
-    """R^2 of a straight-line fit to log(residual) over the last `last` points."""
+def loglinear_r2(trace):
+    """R^2 of a straight-line fit to log(residual) over the last R2_LAST points."""
     r = np.asarray(trace, float)
-    tail = r[-last:]
-    k = np.arange(len(r))[-last:]
+    tail = r[-R2_LAST:]
+    k = np.arange(len(r))[-R2_LAST:]
     keep = tail > 0
     tail, k = tail[keep], k[keep]
     if len(tail) < 3:
@@ -122,19 +126,19 @@ def loglinear_r2(trace, last=5000):
     return 1.0 - ss_res / ss_tot
 
 
-def non_convergent(trace, k_end=None, ratio_threshold=1e-3, lookback=10000, tol=1e-9):
+def non_convergent(trace, k_end=None):
     """Flag a run whose residual stalled instead of decaying.
 
-    True when the terminal residual is still above ratio_threshold x initial
-    AND it failed to decrease over the trailing `lookback` steps (within a
-    relative tolerance that ignores float noise).
+    True when the terminal residual is still above STALL_RATIO x initial
+    AND it failed to decrease over the trailing STALL_LOOKBACK steps (within
+    the relative tolerance STALL_TOL, which ignores float noise).
     """
     r = np.asarray(trace, float)
     if k_end is None:
         k_end = len(r) - 1
     if r[0] == 0.0:
         return False
-    stalled_high = r[k_end] / r[0] > ratio_threshold
-    back = min(lookback, k_end)
-    no_progress = r[k_end] >= (1.0 - tol) * r[k_end - back]
+    stalled_high = r[k_end] / r[0] > STALL_RATIO
+    back = min(STALL_LOOKBACK, k_end)
+    no_progress = r[k_end] >= (1.0 - STALL_TOL) * r[k_end - back]
     return bool(stalled_high and no_progress)

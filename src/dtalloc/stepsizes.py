@@ -1,7 +1,8 @@
 """Contraction constants, stepsize feasibility regions, optimal pair, rate predictions.
 
-Everything here is pure algebra on (cost moduli, network spectrum).  Two
-recursions are analyzed:
+Everything here is pure algebra on (cost moduli, network spectrum), which
+`constants` gathers into one `RateConstants`; every other function reads
+that object and nothing else.  Two recursions are analyzed:
 
   * the mean-square recursion over the random network, with contractions
         s1 = alpha^2 + 2 alpha + lambda2_sq
@@ -15,16 +16,16 @@ K1'/K2' of the mean recursion equal K1/K2 and both recursions read `k1`/`k2`.
 All feasibility inequalities are strict with margin 1e-12, and every
 region requires positive stepsizes: alpha_i > 0 belongs to the alpha bound
 and beta_i > 0 to the beta bound (to the s6 contraction in the per-agent
-region, whose only beta condition it is).
+region, whose only beta condition it is).  Each region check returns a
+`Verdict`: its conditions as a name -> bool dict, `feasible` and `failed`.
 """
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleNetworkError, InfeasiblePlanError, PlanWarning
+from .errors import InfeasibleNetworkError
 
 MARGIN = 1e-12
 
@@ -85,7 +86,7 @@ def constants(costs, report):
     )
 
 
-def plan_constants(costs, report, alpha, beta):
+def plan_constants(rc, alpha, beta):
     """Per-agent-plan contraction constants (K1'', K2'').
 
     The per-agent beta_i fold into the moduli: with bl = min beta_i,
@@ -95,62 +96,63 @@ def plan_constants(costs, report, alpha, beta):
                / sqrt(n [bh^2 phi^2 + (n-1) eta^2 bl^2])
         K2'' = bh phi (1 - lambdan_mean)
     """
-    n = costs.n
-    eta, phi = costs.eta_lo, costs.phi_hi
+    n = rc.n
+    eta, phi = rc.eta_lo, rc.phi_hi
     beta = np.broadcast_to(np.asarray(beta, float), (n,))
     bl, bh = float(beta.min()), float(beta.max())
     if n == 1:
-        k1pp = bl * eta * (1.0 - report.lambda2_mean)
+        k1pp = bl * eta * (1.0 - rc.lambda2_mean)
     else:
         # a huge beta makes this inf / inf: NaN, which fails s6-contracts
         with np.errstate(invalid="ignore"):
             k1pp = (
-                bl * eta * (1.0 - report.lambda2_mean)
+                bl * eta * (1.0 - rc.lambda2_mean)
                 * (bh * phi + (n - 1) * eta * bl)
                 / np.sqrt(n * (_sq(bh) * phi**2 + (n - 1) * eta**2 * _sq(bl)))
             )
-    k2pp = bh * phi * (1.0 - report.lambdan_mean)
+    k2pp = bh * phi * (1.0 - rc.lambdan_mean)
     return float(k1pp), float(k2pp)
 
 
 @dataclass(frozen=True)
-class SharedVerdict:
+class Verdict:
+    """A region check: its named strict inequalities and the coupling one's sides."""
+
+    coupling_lhs: float
+    coupling_rhs: float
+    conditions: dict        # name -> bool, in the order they are checked
+
+    @property
+    def feasible(self):
+        return all(self.conditions.values())
+
+    @property
+    def failed(self):
+        return tuple(nm for nm, ok in self.conditions.items() if not ok)
+
+
+@dataclass(frozen=True)
+class SharedVerdict(Verdict):
     """Region check for a shared (alpha, beta) pair, in the mean-square
     recursion (`feasible_region_shared`) or the mean one (`feasible_region_mean`)."""
 
-    alpha: float
-    beta: float
     s1: float               # s1, or s1' in the mean recursion
     s2: float               # s2, or s2'
     alpha_max: float        # sqrt(2 - lambda2_sq) - 1, or 1 - lambdan_mean
     beta_max: float         # 2 K1 / K2^2, or 1 / K2'
-    coupling_lhs: float     # alpha beta phi (1 - lambdan_floor), or (1 - lambdan_mean)
-    coupling_rhs: float     # (1 - s1)(1 - s2)
-    conditions: tuple       # (0 < alpha < alpha_max, 0 < beta < beta_max, coupling)
-
-    @property
-    def feasible(self):
-        return all(self.conditions)
-
-    @property
-    def failed(self):
-        names = ("alpha-bound", "beta-bound", "coupling")
-        return tuple(nm for nm, ok in zip(names, self.conditions) if not ok)
 
 
 def _verdict(alpha, beta, s1, s2, alpha_max, beta_max, lhs):
     """The three strict region inequalities, with coupling rhs (1 - s1)(1 - s2)."""
     rhs = (1.0 - s1) * (1.0 - s2)
-    conds = (
-        0.0 < alpha < alpha_max - MARGIN,
-        0.0 < beta < beta_max - MARGIN,
-        lhs < rhs - MARGIN,
-    )
-    return SharedVerdict(
-        alpha=float(alpha), beta=float(beta), s1=float(s1), s2=float(s2),
-        alpha_max=float(alpha_max), beta_max=float(beta_max),
-        coupling_lhs=float(lhs), coupling_rhs=float(rhs), conditions=conds,
-    )
+    conds = {
+        "alpha-bound": 0.0 < alpha < alpha_max - MARGIN,
+        "beta-bound": 0.0 < beta < beta_max - MARGIN,
+        "coupling": lhs < rhs - MARGIN,
+    }
+    return SharedVerdict(s1=float(s1), s2=float(s2), alpha_max=float(alpha_max),
+                         beta_max=float(beta_max), coupling_lhs=float(lhs),
+                         coupling_rhs=float(rhs), conditions=conds)
 
 
 def feasible_region_shared(rc, alpha, beta):
@@ -178,41 +180,36 @@ def feasible_region_mean(rc, alpha, beta):
 class OptimalStepsizes:
     alpha: float
     beta: float
-    branches: tuple          # evaluated closed-form alpha candidates, in order
+    branches: tuple          # the four closed-form alpha candidates, in order
     active_branch: int       # index into `branches` attaining the min
-    branch4_dropped: bool    # negative discriminant made the 4th candidate complex
 
 
 def optimal_stepsizes(rc):
     """beta_op = 2/(K1'+K2'); alpha_op = min of four closed-form candidates.
 
-    The fourth candidate's discriminant can go negative for extreme
-    constants; that branch is then excluded from the min with a warning.
+    The fourth candidate's discriminant
+
+        disc = (3 + lambdan)^2 - 8 (1 + lambdan) K1 / (K1 + K2)
+
+    is at least (1 + lambdan)^2 + 4 >= 4, so all four candidates are real:
+    K1 <= K2, because eta_lo <= phi_hi, lambdan_mean <= lambda2_mean and
+    c1 <= 1 (Cauchy-Schwarz), and 1 + lambdan > 0 by Gershgorin, because
+    `build_model` keeps every agent's incident weights below 1.
     """
     k1, k2 = rc.k1, rc.k2
     l2, ln = rc.lambda2_mean, rc.lambdan_mean
     beta = 2.0 / (k1 + k2)
-    cands = [
+    disc = (3.0 + ln) ** 2 - 4.0 * beta * k1 * (1.0 + ln)
+    cands = [float(c) for c in (
         k1 * (1.0 - l2) / k2,
         k1 * (1.0 + ln) / (2.0 * k1 + k2),
         0.5 * (1.0 + l2 - 2.0 * beta * k2
                + np.sqrt(4.0 * (beta * k2 - 1.0) ** 2 + (1.0 - l2) * (5.0 - l2))),
-    ]
-    disc = (3.0 + ln) ** 2 - 4.0 * beta * k1 * (1.0 + ln)
-    dropped = disc < 0.0
-    if dropped:
-        warnings.warn(
-            "fourth optimal-alpha candidate has negative discriminant "
-            f"({disc!r}); excluded from the min", PlanWarning,
-        )
-    else:
-        cands.append(0.5 * (3.0 + ln - np.sqrt(disc)))
-    cands = [float(c) for c in cands]
+        0.5 * (3.0 + ln - np.sqrt(disc)),
+    )]
     k = int(np.argmin(cands))
-    return OptimalStepsizes(
-        alpha=cands[k], beta=float(beta), branches=tuple(cands),
-        active_branch=k, branch4_dropped=bool(dropped),
-    )
+    return OptimalStepsizes(alpha=cands[k], beta=float(beta),
+                            branches=tuple(cands), active_branch=k)
 
 
 def predicted_rate(rc, alpha, beta, q_zeta=None):
@@ -221,15 +218,12 @@ def predicted_rate(rc, alpha, beta, q_zeta=None):
     max{ s1 + c/(1-s2), s2 + c/(1-s1), |1-alpha| } with
     c = alpha beta phi (1 - lambdan_floor); a decaying disturbance with
     factor q_zeta joins the max.  Outside the mean-square region the
-    estimate is meaningless, and InfeasiblePlanError is raised.
+    estimate is meaningless, and None is returned.
     """
     v = feasible_region_shared(rc, alpha, beta)
     if not v.feasible:
-        raise InfeasiblePlanError(
-            f"(alpha={alpha!r}, beta={beta!r}) fails {v.failed}; "
-            "no rate certificate exists"
-        )
-    c = alpha * beta * rc.phi_hi * (1.0 - rc.lambdan_floor)
+        return None
+    c = v.coupling_lhs
     terms = [abs(1.0 - alpha)]
     if v.s2 < 1.0:
         terms.append(v.s1 + c / (1.0 - v.s2))
@@ -242,30 +236,15 @@ def predicted_rate(rc, alpha, beta, q_zeta=None):
 
 
 @dataclass(frozen=True)
-class PlanVerdict:
+class PlanVerdict(Verdict):
     """Region check for a per-agent (alpha_i, beta_i) plan."""
 
-    alpha: np.ndarray = field(repr=False)
-    beta: np.ndarray = field(repr=False)
     s4: float               # 1 - sum alpha_i
-    s5: float               # abar^2 + 2 abar + lambda2_sq
+    s5: float               # amax^2 + 2 amax + lambda2_sq
     s6: float               # sqrt(1 + K2''^2 - 2 K1'') or nan when complex
-    k1pp: float
-    k2pp: float
-    coupling_lhs: float
-    coupling_rhs: float
-    conditions: dict        # name -> bool
-
-    @property
-    def feasible(self):
-        return all(self.conditions.values())
-
-    @property
-    def failed(self):
-        return tuple(nm for nm, ok in self.conditions.items() if not ok)
 
 
-def feasible_region_uncoordinated(costs, report, rc, alpha, beta):
+def feasible_region_uncoordinated(rc, alpha, beta):
     """Per-agent plan region: the sum/max conditions plus the coupling inequality
 
         (1-s4)(1-s5)(1-s6) - bh (1-lambdan_floor) phi ah (2-s4-s5)
@@ -275,14 +254,14 @@ def feasible_region_uncoordinated(costs, report, rc, alpha, beta):
     "alpha-bound"), every beta_i > 0 and K2''^2 < 2 K1'' for s6 to contract,
     and |s4| < 1 for the recursion itself.
     """
-    n = costs.n
-    alpha = np.broadcast_to(np.asarray(alpha, float), (n,)).copy()
-    beta = np.broadcast_to(np.asarray(beta, float), (n,)).copy()
+    n = rc.n
+    alpha = np.broadcast_to(np.asarray(alpha, float), (n,))
+    beta = np.broadcast_to(np.asarray(beta, float), (n,))
     ah = float(alpha.max())
     bh = float(beta.max())
     s4 = 1.0 - float(alpha.sum())
     s5 = _sq(ah) + 2.0 * ah + rc.lambda2_sq
-    k1pp, k2pp = plan_constants(costs, report, alpha, beta)
+    k1pp, k2pp = plan_constants(rc, alpha, beta)
     alpha_max = np.sqrt(2.0 - rc.lambda2_sq) - 1.0
     contracts = _sq(k2pp) < 2.0 * k1pp - MARGIN
     conds = {
@@ -300,11 +279,9 @@ def feasible_region_uncoordinated(costs, report, rc, alpha, beta):
     else:
         s6, lhs, rhs = float("nan"), float("nan"), float("nan")
         conds["coupling"] = False
-    return PlanVerdict(
-        alpha=alpha, beta=beta, s4=float(s4), s5=float(s5), s6=s6,
-        k1pp=k1pp, k2pp=k2pp, coupling_lhs=float(lhs), coupling_rhs=float(rhs),
-        conditions=conds,
-    )
+    return PlanVerdict(s4=float(s4), s5=float(s5), s6=s6,
+                       coupling_lhs=float(lhs), coupling_rhs=float(rhs),
+                       conditions=conds)
 
 
 def wga_default_alpha(rc):

@@ -623,6 +623,7 @@ def test_wga_alpha_sweep_scales_wga_alpha(tmp_path):
     (["sweep", "--axis", "alpha", "--values", "0.5,1.0"], {"wga_alpha": None},
      "wga_alpha"),
     (["compare"], {"wga_alpha": None}, "wga_alpha"),
+    (["compare"], {"alpha": None, "beta": None}, "dta needs a resolved plan"),
 ])
 def test_exit_2_before_compute_on_wga_plan_errors(tmp_path, capsys, argv,
                                                   stepsizes, fragment):
@@ -641,8 +642,9 @@ def test_theta_sweep_includes_silent_network(tmp_path):
     doc = _tiny(engine={"iterations": 11000, "replicas": 1})
     cfg = _write(tmp_path, doc)
     out = tmp_path / "o"
-    assert main(["sweep", cfg, "--axis", "theta",
-                 "--values", "0.8,0.0", "--out", str(out)]) == 0
+    with pytest.warns(PlanWarning, match=r"tiny\[theta=0.0\]: no region check"):
+        assert main(["sweep", cfg, "--axis", "theta",
+                     "--values", "0.8,0.0", "--out", str(out)]) == 0
     s = json.loads((out / "tiny" / "summary.json").read_text())
     # theta=0: no mixing ever happens, the residual plateaus above zero
     assert s["points"][0]["final_ratio"] < s["points"][1]["final_ratio"]
@@ -650,7 +652,54 @@ def test_theta_sweep_includes_silent_network(tmp_path):
     assert s["points"][1]["non_convergent"] is True
 
 
+def test_theta_sweep_checks_each_point_against_its_own_constants(tmp_path):
+    # the plan is tuned for theta = 0.9; at theta = 0.01 the point's own
+    # constants fail the alpha bound and the coupling inequality, and at
+    # theta = 0 there are none
+    with open(os.path.join(EXPERIMENTS, "theta_sweep.yaml")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["engine"].update(iterations=200, replicas=1)
+    doc["rate"] = {"window": 50}
+    cfg = _write(tmp_path, doc)
+    with pytest.warns(PlanWarning) as caught:
+        assert main(["sweep", cfg, "--axis", "theta", "--values", "0.9,0.01,0",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert [str(w.message) for w in caught] == [
+        "theta-sweep[theta=0.01]: stepsizes outside the guaranteed region "
+        "(failing: alpha-bound, coupling); running anyway",
+        "theta-sweep[theta=0.0]: no region check (network is not connected "
+        "in mean); running anyway"]
+
+
+def test_theta_sweep_point_with_constants_out_of_range_warns_once_and_runs(tmp_path):
+    # connected in mean at theta = 1e-10, but K1 = eta (1 - lambda2) c1 ~ 1e-163
+    # has no float square
+    cfg = _write(tmp_path, _tiny(cost={"a": [1e-152, 2e-152], "b": [0.0, 0.0]}))
+    out = tmp_path / "o"
+    with pytest.warns(PlanWarning) as caught:
+        assert main(["sweep", cfg, "--axis", "theta", "--values", "1e-10",
+                     "--out", str(out)]) == 0
+    assert [str(w.message) for w in caught] == [
+        "tiny[theta=1e-10]: no region check (rate constants out of float "
+        "range); running anyway"]
+    assert (out / "tiny" / "theta_00.csv").is_file()
+
+
 # ---------------------------------------------------------------- compare
+
+@pytest.mark.parametrize("wga_alpha,code", [(500.0, 4), ("auto", 0)])
+def test_compare_exit_4_only_when_both_diverge(tmp_path, wga_alpha, code):
+    # dta diverges at beta 500; wga diverges too at wga_alpha 500, not at auto
+    doc = _tiny(stepsizes={"source": "explicit", "alpha": 0.2, "beta": 500.0,
+                           "wga_alpha": wga_alpha})
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    with pytest.warns(PlanWarning, match="outside the guaranteed region"):
+        assert main(["compare", cfg, "--out", str(out)]) == code
+    s = json.loads((out / "tiny" / "summary.json").read_text())
+    assert s["dta"]["diverged"]
+    assert s["wga"]["diverged"] is (code == 4)
+
 
 def test_compare_writes_paired_traces(tmp_path):
     doc = _tiny(engine={"iterations": 400, "replicas": 3},

@@ -101,13 +101,13 @@ def test_empirical_rate_constant_trace():
 
 def test_loglinear_r2_geometric_is_one():
     r = 5.0 * 0.999 ** np.arange(30000)
-    assert loglinear_r2(r, last=5000) == pytest.approx(1.0, abs=1e-12)
+    assert loglinear_r2(r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_loglinear_r2_penalizes_plateau():
     # geometric start then a hard plateau: the tail is far from log-linear
     r = np.concatenate([0.99 ** np.arange(3000), np.full(3000, 0.99 ** 1500)])
-    assert loglinear_r2(r, last=5000) < 0.9
+    assert loglinear_r2(r) < 0.9
 
 
 def test_non_convergent_flags_plateau():
