@@ -52,7 +52,18 @@ outgoing terms and then its incoming ones, each in ascending edge order,
 from 0.0 -- the order two `np.add.at` passes would use, which keeps the
 result bit-identical to the per-edge message passing written that way.
 Every term, bincount slot and residual row belongs to one lane, so a lane's
-bits do not depend on the other lanes.
+bits do not depend on the other lanes.  That lets the kernel run over lane
+tiles: when the S G R lanes' terms and slot index, 2 (2 E S G R u 8) bytes,
+pass KERNEL_BYTES, each operand's G R lanes are split into near-equal tiles
+that fit it (`_kernel_width`).  The tiles share one term buffer and one
+slot index (a narrower last tile has an index of its own), slice the
+step's one (E, G, R) weight array, and each tile's bincount fills its rows
+of one (S, G R, n, u) output allocated with the buffers.  A lane's terms
+and their bincount order are the same in a tile as in one call, so tiling
+keeps every bit.  A 100-agent complete graph (E = 4950) at R = 20 runs
+10-lane tiles, whose terms and slot index take 1.6 MB where every lane's
+took 6.3 MB.  Below the budget, as for DTA on a 10-agent complete graph up
+to 728 lanes, the one call over all lanes stays as it was.
 
 The step runs in place.  Per step, the loop only computes the update and
 the gradient of the new state (the next update's input), each with `out=`
@@ -109,6 +120,10 @@ BLOCK_BYTES = 2 ** 13   # float64 state rows (x, and y for DTA) per lane and blo
 BLOCK_ROWS = 64         # most steps recorded per block
 MEMORY_LIMIT = 2 ** 31  # most bytes a run or a network set-up may need
 GENERATOR_BYTES = 3 * 2 ** 10   # one replica's seed and generator pair, measured
+# most bytes of one kernel tile's terms and slot index.  On a 100-agent
+# complete graph at R = 20, 2 MiB tiles ran faster than one call over all
+# lanes; 1 MiB tiles ran slower, and 4 MiB ones kept 1.4 MiB more resident.
+KERNEL_BYTES = 2 ** 21
 
 
 @dataclass
@@ -159,25 +174,46 @@ def _block_rows(n, u):
     return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * n * u)))
 
 
+def _kernel_width(E, S, u, lanes):
+    """Lanes per mixing-kernel tile for S operands of `lanes` lanes each.
+
+    A lane's terms and int64 slot index take 2 E u entries of 8 bytes each.
+    All S lanes-wide operands run as one tile when theirs fit KERNEL_BYTES;
+    otherwise each operand's lanes are split into the fewest near-equal
+    tiles that fit (at least one lane each), and the last may be narrower.
+    """
+    per_lane = 32 * E * u
+    if per_lane * S * lanes <= KERNEL_BYTES:
+        return S * lanes
+    tiles = -(-lanes // max(1, KERNEL_BYTES // per_lane))
+    return -(-lanes // tiles)
+
+
 def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     """Bytes a `run_points` call of `points` points needs, as estimated before
     any compute: per point its float64 traces (T+1 rows of each column) and
     recorded states; per lane its block's B E activation bytes, its state
     rows and `flush` temporaries (about eight (B+1)-row float64 state
-    blocks) and its mixing-kernel buffers; per replica its generators; and
-    the draw buffers the points share (one replica's block of uniforms,
-    every replica's block of disturbance).
+    blocks), its link weights and its scatter's output; once per kernel
+    tile (`_kernel_width`) its terms and slot index; per link the kernel's
+    node index and each point's theta, stacked and gathered per block; per
+    replica its generators; and the draw buffers the points share (one
+    replica's block of uniforms, every replica's block of disturbance).
     """
     B = _block_rows(n, u)
     S = 2 if algorithm == "dta" else 1
+    lanes = points * R
     traces = (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
     states = S * (T + 1) * R * n * u * 8 if record_states else 0
-    block = B * E + 8 * (B + 1) * n * u * 8
-    # the kernel's float64 terms and int64 slot index (2 E S u entries
-    # each), its link weights (E) and its scatter's output (S n u)
-    kernel = 8 * (4 * E * S * u + E + S * n * u)
+    lane = B * E + 8 * (B + 1) * n * u * 8 + 8 * (E + S * n * u)
+    # float64 terms and int64 slots, 2 E u entries each per lane of a tile,
+    # and a narrower last tile's own slot index
+    width = _kernel_width(E, S, u, lanes)
+    narrow = lanes % width if width <= lanes else 0
+    tiles = 16 * E * u * (2 * width + narrow)
+    links = 16 * E * (1 + points)
     shared = B * E * 8 + (R * B * n * u * 8 if disturbed else 0)
-    return (points * (traces + states + R * (block + kernel))
+    return (points * (traces + states) + lanes * lane + tiles + links
             + R * GENERATOR_BYTES + shared)
 
 
@@ -379,34 +415,72 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         G points' lanes.
 
         The operands are (G, R, n, u) views of node-major (n, S, G, R, u)
-        storage, and the result is (S, G, R, n, u).  The buffers' views are
-        made here, once per count of live points: at n = 10 making them per
-        call costs about 2 us of a 17 us kernel.
+        storage, and the result is (S, G, R, n, u).  One call serves all
+        lanes, or, past KERNEL_BYTES, each operand's lanes run in tiles of
+        `_kernel_width` lanes (see the module docstring).  The buffers'
+        views are made here, once per count of live points: at n = 10
+        making them per call costs about 2 us of a 17 us kernel.
         """
         lanes = G * R
-        # flat output slot of each [t, -t] entry, laid out (2E, S, lanes, u)
-        # -> (S, lanes, n, u)
-        slots = ((np.arange(S * lanes)[None, :, None] * n + nodes[:, None, None]) * u
-                 + np.arange(u)[None, None, :]).ravel()
+        width = _kernel_width(E, S, u, lanes)
         operands = np.empty((n, S, G, R, u))
-        terms = np.empty((2 * E, S, G, R, u))
-        # explicit widths: with no links (E = 0) a -1 width is ambiguous
-        rows = operands.reshape(n, S * lanes * u)
-        pairs, entries = terms.reshape(2 * E, S * lanes * u), terms.ravel()
-        top, bottom = terms[:E], terms[E:]
         w = np.empty((E, G, R))
-        w5 = w[:, None, :, :, None]
-        shape, size = (S, G, R, n, u), S * lanes * n * u
+        shape = (S, G, R, n, u)
+
+        def slots(t):
+            # flat output slot of each [t, -t] entry of t lanes, laid out
+            # (2E, t, u) -> (t, n, u)
+            return ((np.arange(t)[None, :, None] * n + nodes[:, None, None]) * u
+                    + np.arange(u)[None, None, :]).ravel()
+
+        if width == S * lanes:
+            index = slots(S * lanes)
+            terms = np.empty((2 * E, S, G, R, u))
+            # explicit widths: with no links (E = 0) a -1 width is ambiguous
+            rows = operands.reshape(n, S * lanes * u)
+            pairs, entries = terms.reshape(2 * E, S * lanes * u), terms.ravel()
+            top, bottom = terms[:E], terms[E:]
+            w5 = w[:, None, :, :, None]
+
+            def mix_apply():
+                # rows [v_i; v_j] of every edge, then d = v_i - v_j on top.
+                # build_model keeps 0 <= i < j < n, so "clip" never clips; it
+                # lets take write straight into `terms`, where "raise"
+                # buffers the output
+                rows.take(nodes, axis=0, out=pairs, mode="clip")
+                np.subtract(top, bottom, out=top)
+                np.multiply(top, w5, out=top)
+                np.negative(top, out=bottom)
+                return np.bincount(index, entries,
+                                   minlength=S * lanes * n * u).reshape(shape)
+
+            return list(operands.transpose(1, 2, 3, 0, 4)), w, mix_apply
+
+        buf = np.empty(2 * E * width * u)
+        src = operands.reshape(n, S, lanes, u)
+        wl = w.reshape(E, lanes, 1)
+        out = np.empty((S, lanes, n, u))
+        result = out.reshape(shape)
+        index = {width: slots(width)}
+        tiles = []
+        for a in range(0, lanes, width):
+            t = min(width, lanes - a)
+            if t not in index:
+                index[t] = slots(t)
+            terms = buf[:2 * E * t * u].reshape(2 * E, t, u)
+            for s in range(S):
+                tiles.append((src[:, s, a:a + t], terms, terms.ravel(), terms[:E],
+                              terms[E:], wl[:, a:a + t], index[t],
+                              out[s, a:a + t].reshape(-1)))
 
         def mix_apply():
-            # rows [v_i; v_j] of every edge, then d = v_i - v_j in the top half.
-            # build_model keeps 0 <= i < j < n, so "clip" never clips; it lets
-            # take write straight into `terms`, where "raise" buffers the output
-            rows.take(nodes, axis=0, out=pairs, mode="clip")
-            np.subtract(top, bottom, out=top)
-            np.multiply(top, w5, out=top)
-            np.negative(top, out=bottom)
-            return np.bincount(slots, entries, minlength=size).reshape(shape)
+            for rows, pairs, entries, top, bottom, wt, idx, flat in tiles:
+                rows.take(nodes, axis=0, out=pairs, mode="clip")
+                np.subtract(top, bottom, out=top)
+                np.multiply(top, wt, out=top)
+                np.negative(top, out=bottom)
+                flat[...] = np.bincount(idx, entries, minlength=flat.size)
+            return result
 
         return list(operands.transpose(1, 2, 3, 0, 4)), w, mix_apply
 

@@ -108,7 +108,13 @@ def empirical_rate(trace, k_end=25000, window=1000):
 
 
 def loglinear_r2(trace):
-    """R^2 of a straight-line fit to log(residual) over the last R2_LAST points."""
+    """R^2 of a straight-line fit to log(residual) over the last R2_LAST points.
+
+    A least-squares fit with an intercept leaves ss_res <= ss_tot, so R^2 is
+    clamped at 0: on a residual that sits at its float floor, the tail is a
+    plateau of a few float values, ss_tot is at rounding level and the fit's
+    own rounding would otherwise read far below 0.
+    """
     r = np.asarray(trace, float)
     tail = r[-R2_LAST:]
     k = np.arange(len(r))[-R2_LAST:]
@@ -123,7 +129,7 @@ def loglinear_r2(trace):
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot
+    return max(0.0, 1.0 - ss_res / ss_tot)
 
 
 def non_convergent(trace, k_end=None):

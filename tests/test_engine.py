@@ -418,6 +418,57 @@ def test_lanes_under_small_blocks_match_separate_runs(monkeypatch, rows):
             assert not np.shares_memory(a, b)
 
 
+def _tile_cases():
+    """Runs as (problem, [(model, alpha, beta)], run_points keywords), each
+    with an odd number of lanes, so two-lane tiles end in a one-lane tile."""
+    rng = np.random.default_rng(54)
+    prob2 = _random_instance(rng, 6, u=2)
+    gauss = DisturbanceSpec("gaussian", m_zeta=1.5, q_zeta=0.99)
+    main = _main_problem()
+    alpha, beta = 0.0007647132835707233, 14309.704294513564
+    model10 = complete_graph(10, weight=0.0002, theta=0.5)
+    one = allocation_problem(quadratic_costs([1.0], [0.1]), [2.0])
+    return {
+        "dta-u2-gauss": (prob2, [(complete_graph(6, theta=0.6),
+                                  np.linspace(0.02, 0.06, 6),
+                                  np.linspace(0.05, 0.15, 6))], dict(
+            algorithm="dta", iterations=149, replicas=5, seed=19,
+            disturbance=gauss)),
+        "wga-gauss": (main, [(model10, 100.0, None)], dict(
+            algorithm="wga", iterations=149, replicas=3, seed=14,
+            x0=main.demand, disturbance=gauss)),
+        # the second point diverges mid-block; compacting it out rebuilds
+        # the kernel for 6 lanes in place of 9
+        "dta-points-diverging": (main, [
+            (model10, alpha, beta), (model10, 2 * alpha, 50 * beta),
+            (model10, 0.5 * alpha, beta)], dict(
+            algorithm="dta", iterations=150, replicas=3, seed=7)),
+        # no links: the kernel has no terms to tile
+        "one-agent": (one, [(complete_graph(1, theta=0.8), 1 / 3, 1.0)], dict(
+            algorithm="dta", iterations=40, replicas=3, seed=3)),
+    }
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("case", ["dta-u2-gauss", "wga-gauss",
+                                  "dta-points-diverging", "one-agent"])
+def test_kernel_tiles_do_not_change_results(monkeypatch, case, width):
+    # each lane's terms and bincount order are the same in a tile as in the
+    # one call over all lanes, so every output keeps its bits
+    prob, points, kw = _tile_cases()[case]
+    ref = engine.run_points(prob, points, record_states=True, **kw)
+    E, u, lanes = points[0][0].n_edges, prob.u, len(points) * kw["replicas"]
+    S = 2 if kw["algorithm"] == "dta" else 1
+    monkeypatch.setattr(engine, "KERNEL_BYTES", width * 32 * E * u)
+    assert engine._kernel_width(E, S, u, lanes) == (width if E else S * lanes)
+    res = engine.run_points(prob, points, record_states=True, **kw)
+    if case == "dta-points-diverging":
+        assert [r.diverged for r in res] == [False, True, False]
+        assert res[1].diverged_at % engine.BLOCK_ROWS
+    for idx, (a, b) in enumerate(zip(ref, res)):
+        _assert_same_result(a, b, (width, idx))
+
+
 @pytest.mark.parametrize("rows", [1, 2, engine.BLOCK_ROWS])
 @pytest.mark.parametrize("R", [1, 3, 20])
 def test_traces_are_the_aggregate_of_recomputed_residuals(monkeypatch, R, rows):
@@ -501,6 +552,26 @@ def test_footprint_covers_the_measured_peak(n, T):
         tracemalloc.stop()
     assert not res.diverged
     assert need >= 0.75 * peak, f"estimated {need} B, peak {peak} B"
+
+
+def test_footprint_counts_the_kernel_once_per_tile():
+    # at n = 100, R = 20 the kernel runs in tiles of 10 lanes per operand:
+    # the estimate measured 1.06 x the `tracemalloc` peak (T = 200 and
+    # 2000), where counting the kernel's terms and slot index per lane read
+    # 1.97-1.98 x, so 1.25 x separates the two
+    prob, R, T = _random_instance(np.random.default_rng(3), 100), 20, 200
+    model = complete_graph(100, theta=0.5)
+    need = engine._footprint(prob.n, prob.u, model.n_edges, points=1, R=R, T=T,
+                             algorithm="dta", record_states=False, disturbed=False)
+    tracemalloc.start()
+    try:
+        res = run(prob, model, algorithm="dta", alpha=0.05, beta=0.2,
+                  iterations=T, replicas=R, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.diverged
+    assert need <= 1.25 * peak, f"estimated {need} B, peak {peak} B"
 
 
 def test_run_points_requires_shared_edges_and_weights():
@@ -663,9 +734,13 @@ def test_run_validates_inputs():
 
 def test_engine_memory_is_linear_in_links():
     # 44 850 links: a dense E x n incidence alone would take 102.6 MiB, while
-    # the kernel's own buffers are O(E) (the term buffer is 2 E S 8 B = 1.4 MiB)
+    # the kernel's own buffers are O(E) (one operand's term buffer at a time,
+    # 2 E 8 B = 0.7 MiB).  At one lane the per-link arrays are much of the
+    # peak, so the estimate must count them too: it measured 0.99 x the peak
     prob = _random_instance(np.random.default_rng(3), 300)
     model = complete_graph(300, theta=0.5)
+    need = engine._footprint(prob.n, prob.u, model.n_edges, points=1, R=1, T=3,
+                             algorithm="dta", record_states=False, disturbed=False)
     tracemalloc.start()
     try:
         run(prob, model, algorithm="dta", alpha=0.01, beta=0.1,
@@ -674,6 +749,7 @@ def test_engine_memory_is_linear_in_links():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, f"engine.run peak {peak / 2 ** 20:.1f} MiB"
+    assert need >= 0.75 * peak, f"estimated {need} B, peak {peak} B"
 
 
 def test_record_states_shapes_and_trace_columns():

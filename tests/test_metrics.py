@@ -110,6 +110,16 @@ def test_loglinear_r2_penalizes_plateau():
     assert loglinear_r2(r) < 0.9
 
 
+def test_loglinear_r2_stays_in_unit_interval_on_a_float_floor():
+    # a residual that reached its float floor: the fitted tail holds two
+    # adjacent floats, so ss_tot is at rounding level, and the fit's own
+    # rounding read an R^2 of about -23 before the clamp
+    floor = 1.4e-13
+    r = np.concatenate([np.geomspace(1.0, floor, 5000), np.full(5001, floor)])
+    r[-2500:] = np.nextafter(floor, 1.0)
+    assert 0.0 <= loglinear_r2(r) <= 1.0
+
+
 def test_non_convergent_flags_plateau():
     r = np.concatenate([0.999 ** np.arange(2000), np.full(20001, 0.5)])
     assert non_convergent(r, k_end=len(r) - 1)
