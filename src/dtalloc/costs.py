@@ -67,13 +67,15 @@ def quadratic_costs(a, b, c=None, u=None):
     """Build QuadraticCosts from loosely-shaped inputs.
 
     b may be (n,) for u=1 or (n, u); c defaults to zeros.  Raises ValueError
-    on non-positive curvature (strong convexity would fail) or a non-finite
-    coefficient.
+    on no agents, non-positive curvature (strong convexity would fail) or a
+    non-finite coefficient.
     """
     a = np.atleast_1d(np.asarray(a, float))
     b = np.asarray(b, float)
     if a.ndim != 1 or b.ndim not in (1, 2):
         raise ValueError("a must be one value per agent and b (n,) or (n, u)")
+    if a.shape[0] == 0:
+        raise ValueError("the costs need at least one agent, got an empty a")
     if b.ndim == 1:
         b = b[:, None]
     if u is not None and b.shape[1] != u:

@@ -40,30 +40,30 @@ variance-paired for free.
 incidence (+1 at i, -1 at j for edge (i, j)); w(k) holds the active
 negotiated weights, an (E, G, R) array.  The S operands (DTA mixes the
 gradient and the tracker in one call, WGA the gradient) are stacked
-node-major, (n, S, G, R, u), so one row take copies the rows [v_i; v_j] of
-every edge into a (2E, S G R u) term buffer, 2 E S G R u 8 bytes; no E x n
-array exists, and the kernel's work and memory are O(E S G R u).  The top
-half is replaced in place by d = v_i - v_j, which is exact: each term is one
-subtraction, not a sum, so no summation order enters.  d is scaled by the
-step's weights and its negation fills the lower half; a single `np.bincount`
-over [t, -t] with a precomputed slot index scatters the terms back in a
-fixed order.  bincount accumulates in input order, so each agent adds its
-outgoing terms and then its incoming ones, each in ascending edge order,
-from 0.0 -- the order two `np.add.at` passes would use, which keeps the
-result bit-identical to the per-edge message passing written that way.
-Every term, bincount slot and residual row belongs to one lane, so a lane's
-bits do not depend on the other lanes.  That lets the kernel run over lane
-tiles: when the S G R lanes' terms and slot index, 2 (2 E S G R u 8) bytes,
-pass KERNEL_BYTES, each operand's G R lanes are split into near-equal tiles
-that fit it (`_kernel_width`).  The tiles share one term buffer and one
-slot index (a narrower last tile has an index of its own), slice the
-step's one (E, G, R) weight array, and each tile's bincount fills its rows
-of one (S, G R, n, u) output allocated with the buffers.  A lane's terms
-and their bincount order are the same in a tile as in one call, so tiling
-keeps every bit.  A 100-agent complete graph (E = 4950) at R = 20 runs
-10-lane tiles, whose terms and slot index take 1.6 MB where every lane's
-took 6.3 MB.  Below the budget, as for DTA on a 10-agent complete graph up
-to 728 lanes, the one call over all lanes stays as it was.
+node-major, (n, S, G R, u), and the kernel runs over tiles of them.  A tile
+is `ops` operands (all S, or one) by t consecutive lanes: one row take
+copies the rows [v_i; v_j] of every edge into a (2E, ops, t, u) term
+buffer, 2 E ops t u 8 bytes; no E x n array exists, and the kernel's work
+and memory are O(E S G R u).  The top half is replaced in place by
+d = v_i - v_j, which is exact: each term is one subtraction, not a sum, so
+no summation order enters.  d is scaled by the tile's slice of the step's
+weights and its negation fills the lower half; a single `np.bincount` over
+[d w, -d w] with a precomputed slot index scatters the terms in a fixed
+order, and its result fills the tile's rows of one (S, G R, n, u) output
+allocated with the buffers.  bincount accumulates in input order, so each
+agent adds its outgoing terms and then its incoming ones, each in ascending
+edge order, from 0.0 -- the order two `np.add.at` passes would use, which
+keeps the result bit-identical to the per-edge message passing written that
+way.  Every term, bincount slot and residual row belongs to one lane, so a
+lane's terms and their order, and with them its bits, are the same in any
+tile.  `_kernel_width` sizes the tiles: while every lane's terms and slot
+index, 2 (2 E S G R u 8) bytes, fit KERNEL_BYTES, one tile holds all S
+operands and all lanes, as for DTA on a 10-agent complete graph up to 728
+lanes; past it, each operand's G R lanes are split into near-equal tiles
+that fit.  The tiles share one term buffer and one slot index (a narrower
+last tile has an index of its own).  A 100-agent complete graph (E = 4950)
+at R = 20 runs 10-lane tiles, whose terms and slot index take 1.6 MB where
+one tile of every lane would take 6.3 MB.
 
 The step runs in place.  Per step, the loop only computes the update and
 the gradient of the new state (the next update's input), each with `out=`
@@ -121,7 +121,7 @@ BLOCK_ROWS = 64         # most steps recorded per block
 MEMORY_LIMIT = 2 ** 31  # most bytes a run or a network set-up may need
 GENERATOR_BYTES = 3 * 2 ** 10   # one replica's seed and generator pair, measured
 # most bytes of one kernel tile's terms and slot index.  On a 100-agent
-# complete graph at R = 20, 2 MiB tiles ran faster than one call over all
+# complete graph at R = 20, 2 MiB tiles ran faster than one tile of all
 # lanes; 1 MiB tiles ran slower, and 4 MiB ones kept 1.4 MiB more resident.
 KERNEL_BYTES = 2 ** 21
 
@@ -133,7 +133,7 @@ class DisturbanceSpec:
     Per-coordinate scale at step k is (m_zeta / sqrt(n u)) * q_zeta^k, so the
     mean-square norm of zeta(k) is exactly m_zeta * q_zeta^k.  kinds:
     gaussian | laplace (std matched to gaussian) | impulse (fixed magnitude,
-    random sign, zero from `cutoff` on) | none.
+    random sign, zero from `cutoff` on; no other kind takes a cutoff) | none.
     """
 
     kind: str = "none"
@@ -144,17 +144,20 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "laplace", "impulse"):
             raise ValueError(f"unknown disturbance kind {reprlib.repr(self.kind)}")
+        if self.cutoff is not None:
+            if self.kind != "impulse":
+                raise ValueError(f"cutoff applies to the impulse kind only, "
+                                 f"not {reprlib.repr(self.kind)}")
+            if (isinstance(self.cutoff, bool)
+                    or not isinstance(self.cutoff, (int, np.integer))
+                    or self.cutoff < 0):
+                raise ValueError(f"cutoff must be an integer >= 0, "
+                                 f"got {reprlib.repr(self.cutoff)}")
         if self.kind != "none":
             if not (0.0 < self.q_zeta < 1.0):
                 raise ValueError("q_zeta must lie in (0, 1)")
             if not 0.0 <= self.m_zeta < np.inf:
                 raise ValueError("m_zeta must be finite and >= 0")
-            if self.cutoff is not None and (
-                    isinstance(self.cutoff, bool)
-                    or not isinstance(self.cutoff, (int, np.integer))
-                    or self.cutoff < 0):
-                raise ValueError(f"cutoff must be an integer >= 0, "
-                                 f"got {reprlib.repr(self.cutoff)}")
 
     @property
     def active(self):
@@ -163,7 +166,7 @@ class DisturbanceSpec:
     def scales(self, iterations, n, u):
         """Per-step per-coordinate scale, shape (iterations,)."""
         s = (self.m_zeta / np.sqrt(n * u)) * self.q_zeta ** np.arange(iterations)
-        if self.kind == "impulse" and self.cutoff is not None:
+        if self.cutoff is not None:                 # impulse only
             s[self.cutoff:] = 0.0
         return s
 
@@ -360,8 +363,9 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                record_states):
     """All the points as lanes of one step loop; their results in order.
 
-    Working arrays (state, stepsize columns, activations, block buffers)
-    hold the live points in order; per-point outputs are indexed by point.
+    Working arrays (state, broadcast stepsizes and thetas, activations, block
+    buffers) hold the live points in order, rebuilt by `buffers` as points
+    are compacted out; per-point inputs and outputs are indexed by point.
     The loop has a function of its own because `tracemalloc` finds each
     allocation's line by scanning its function's line table from the start:
     with `run_points`' checks ahead of it in one function, an R = 2000 run
@@ -415,66 +419,47 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         G points' lanes.
 
         The operands are (G, R, n, u) views of node-major (n, S, G, R, u)
-        storage, and the result is (S, G, R, n, u).  One call serves all
-        lanes, or, past KERNEL_BYTES, each operand's lanes run in tiles of
-        `_kernel_width` lanes (see the module docstring).  The buffers'
-        views are made here, once per count of live points: at n = 10
-        making them per call costs about 2 us of a 17 us kernel.
+        storage, and the result is one (S, G, R, n, u) buffer that each call
+        refills.  A call runs the tiles `_kernel_width` sizes: one of all S
+        operands' lanes below KERNEL_BYTES, else tiles of one operand's
+        lanes (see the module docstring).  The tiles' views are made here,
+        once per count of live points: at n = 10 making them per call costs
+        about 2 us of a 17 us kernel.
         """
         lanes = G * R
         width = _kernel_width(E, S, u, lanes)
+        ops = max(1, width // lanes)            # operands per tile: S or 1
+        per_tile = width // ops                 # lanes per tile but the last
         operands = np.empty((n, S, G, R, u))
         w = np.empty((E, G, R))
-        shape = (S, G, R, n, u)
+        src = operands.reshape(n, S, lanes, u)
+        wl = w.reshape(E, 1, lanes, 1)
+        out = np.empty((S, lanes, n, u))
+        result = out.reshape(S, G, R, n, u)
+        buf = np.empty(2 * E * width * u)
+        index = {}
+        tiles = []
+        for s in range(0, S, ops):
+            for a in range(0, lanes, per_tile):
+                t = min(per_tile, lanes - a)
+                if t not in index:
+                    # flat output slot of each [d w, -d w] entry of a tile's
+                    # ops t lanes, laid out (2E, ops t, u) -> (ops t, n, u)
+                    index[t] = ((np.arange(ops * t)[None, :, None] * n
+                                 + nodes[:, None, None]) * u
+                                + np.arange(u)[None, None, :]).ravel()
+                # explicit widths: with no links (E = 0) a -1 width is ambiguous
+                terms = buf[:2 * E * ops * t * u].reshape(2 * E, ops, t, u)
+                tiles.append((src[:, s:s + ops, a:a + t], terms, terms.ravel(),
+                              terms[:E], terms[E:], wl[:, :, a:a + t], index[t],
+                              out[s:s + ops, a:a + t].reshape(-1)))
 
-        def slots(t):
-            # flat output slot of each [t, -t] entry of t lanes, laid out
-            # (2E, t, u) -> (t, n, u)
-            return ((np.arange(t)[None, :, None] * n + nodes[:, None, None]) * u
-                    + np.arange(u)[None, None, :]).ravel()
-
-        if width == S * lanes:
-            index = slots(S * lanes)
-            terms = np.empty((2 * E, S, G, R, u))
-            # explicit widths: with no links (E = 0) a -1 width is ambiguous
-            rows = operands.reshape(n, S * lanes * u)
-            pairs, entries = terms.reshape(2 * E, S * lanes * u), terms.ravel()
-            top, bottom = terms[:E], terms[E:]
-            w5 = w[:, None, :, :, None]
-
-            def mix_apply():
+        def mix_apply():
+            for rows, pairs, entries, top, bottom, wt, idx, flat in tiles:
                 # rows [v_i; v_j] of every edge, then d = v_i - v_j on top.
                 # build_model keeps 0 <= i < j < n, so "clip" never clips; it
                 # lets take write straight into `terms`, where "raise"
                 # buffers the output
-                rows.take(nodes, axis=0, out=pairs, mode="clip")
-                np.subtract(top, bottom, out=top)
-                np.multiply(top, w5, out=top)
-                np.negative(top, out=bottom)
-                return np.bincount(index, entries,
-                                   minlength=S * lanes * n * u).reshape(shape)
-
-            return list(operands.transpose(1, 2, 3, 0, 4)), w, mix_apply
-
-        buf = np.empty(2 * E * width * u)
-        src = operands.reshape(n, S, lanes, u)
-        wl = w.reshape(E, lanes, 1)
-        out = np.empty((S, lanes, n, u))
-        result = out.reshape(shape)
-        index = {width: slots(width)}
-        tiles = []
-        for a in range(0, lanes, width):
-            t = min(width, lanes - a)
-            if t not in index:
-                index[t] = slots(t)
-            terms = buf[:2 * E * t * u].reshape(2 * E, t, u)
-            for s in range(S):
-                tiles.append((src[:, s, a:a + t], terms, terms.ravel(), terms[:E],
-                              terms[E:], wl[:, a:a + t], index[t],
-                              out[s, a:a + t].reshape(-1)))
-
-        def mix_apply():
-            for rows, pairs, entries, top, bottom, wt, idx, flat in tiles:
                 rows.take(nodes, axis=0, out=pairs, mode="clip")
                 np.subtract(top, bottom, out=top)
                 np.multiply(top, wt, out=top)
@@ -490,22 +475,23 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     # it steps to, so x(k) and x(k+1) never share memory.
     B = _block_rows(n, u)
 
-    def buffers(G):
-        """All a block writes to for G points' lanes: the kernel, the block's
-        activations, the (B+1)-row state blocks, two temporaries, and alpha
-        and beta broadcast to the state's shape."""
-        full = (G, R, n, u)
-        return (*kernel(G),
-                np.empty((B, E, G, R), dtype=bool),
-                np.empty((B + 1, *full)),
-                np.empty((B + 1, *full)) if is_dta else None,
-                np.empty(full), np.empty(full),
-                np.broadcast_to(al, full).copy(),
-                np.broadcast_to(be, full).copy() if is_dta else None)
+    def buffers(live):
+        """All a block writes to for the live points' lanes: the kernel, the
+        block's activations and their (E, G) thresholds, the (B+1)-row state
+        blocks and lists of their rows (indexing a list per step is cheaper
+        than a view), two temporaries, and alpha and beta broadcast to the
+        state's shape."""
+        full = (live.size, R, n, u)
+        xbuf = np.empty((B + 1, *full))
+        ybuf = np.empty((B + 1, *full)) if is_dta else None
+        return (*kernel(live.size), np.empty((B, E, live.size, R), dtype=bool),
+                thetas[live].T, xbuf, ybuf, list(xbuf),
+                list(ybuf) if is_dta else None, np.empty(full), np.empty(full),
+                np.broadcast_to(al[live], full).copy(),
+                np.broadcast_to(be[live], full).copy() if is_dta else None)
 
-    operands, wv, mix_apply, acts, xbuf, ybuf, tmp1, tmp2, alf, bef = buffers(P)
-    # the block rows as a list: indexing it per step is cheaper than a view
-    xrows, yrows = list(xbuf), list(ybuf) if is_dta else None
+    (operands, wv, mix_apply, acts, th, xbuf, ybuf, xrows, yrows,
+     tmp1, tmp2, alf, bef) = buffers(live)
     ubuf = np.empty((B, E))                 # one replica's uniforms at a time
     zbuf = np.empty((R, B, n, u)) if need_z else None
     gradient = problem.costs.gradient
@@ -579,7 +565,6 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         for k0 in range(0, T, B):
             # the block's draws: row i holds step k0 + i's
             m = min(B, T - k0)
-            th = thetas[live].T                                     # (E, G)
             for r in range(R):
                 np.less(wstreams[r].random(out=ubuf[:m])[:, :, None], th, out=acts[:m, ..., r])
             if need_z:
@@ -619,12 +604,11 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 live = live[keep]
                 if not live.size:
                     break
-                x, g, al = x[keep], operands[0][keep], al[keep]
+                x, g = x[keep], operands[0][keep]
                 if is_dta:
-                    y, be = y[keep], be[keep]
-                operands, wv, mix_apply, acts, xbuf, ybuf, tmp1, tmp2, alf, bef = \
-                    buffers(live.size)
-                xrows, yrows = list(xbuf), list(ybuf) if is_dta else None
+                    y = y[keep]
+                (operands, wv, mix_apply, acts, th, xbuf, ybuf, xrows, yrows,
+                 tmp1, tmp2, alf, bef) = buffers(live)
                 operands[0][...] = g
             # the last state carries over into row 0 of the next block
             xbuf[0] = x

@@ -312,6 +312,26 @@ def test_exit_2_on_a_curvature_past_the_float_range(tmp_path, capsys, a):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("over,fragment", [
+    # a cutoff on a gaussian run was ignored: the trace kept its bytes
+    ({"disturbance": {"kind": "gaussian", "m_zeta": 1.0, "q_zeta": 0.99,
+                      "cutoff": 0}}, "disturbance: cutoff applies"),
+    # zero agents ended bounds and run in an IndexError with exit 1
+    ({"cost": {"a": [], "b": []}, "demand": [],
+      "network": {"topology": "complete", "n": 0}}, "at least one agent"),
+], ids=["stray-cutoff", "zero-agents"])
+def test_exit_2_on_a_stray_cutoff_or_zero_agents(tmp_path, capsys, over, fragment):
+    cfg = _write(tmp_path, _tiny(**over))
+    out = tmp_path / "o"
+    for argv in (["bounds", cfg], ["run", cfg, "--out", str(out)],
+                 ["compare", cfg, "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("config error: ") and fragment in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("theta", [[0.5, 0.5], [[0.5]], []])
 def test_exit_2_before_compute_on_theta_length(tmp_path, capsys, theta):
     doc = _tiny()

@@ -125,12 +125,20 @@ def test_defaults_fill_in():
     *[(lambda d, bad=bad: d.update(name=bad), "name must be one directory name")
       for bad in ("", ".", "..", "../../x", "/tmp/x", "a/b", "x/", "a\0b")],
     (lambda d: d.update(name=5), "name must be a string"),
+    # a cutoff on another kind was ignored, and zero agents crashed in the
+    # spectral report with exit 1
+    (lambda d: d.update(disturbance={"kind": "gaussian", "m_zeta": 1.0,
+                                     "cutoff": 0}), "disturbance: cutoff applies"),
+    (lambda d: d.update(cost={"a": [], "b": []}, demand=[],
+                        network={"topology": "complete", "n": 0}),
+     "at least one agent"),
 ])
 def test_from_dict_rejects(mutate, fragment):
+    # resolve checks what from_dict cannot, such as the number of agents
     d = _minimal()
     mutate(d)
     with pytest.raises(ConfigError, match=fragment):
-        from_dict(d)
+        resolve(from_dict(d))
 
 
 def test_both_yaml_loaders_give_the_same_configs(monkeypatch):

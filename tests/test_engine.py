@@ -449,18 +449,21 @@ def _tile_cases():
     }
 
 
-@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("width", [1, 2, "all-but-one"])
 @pytest.mark.parametrize("case", ["dta-u2-gauss", "wga-gauss",
                                   "dta-points-diverging", "one-agent"])
 def test_kernel_tiles_do_not_change_results(monkeypatch, case, width):
     # each lane's terms and bincount order are the same in a tile as in the
-    # one call over all lanes, so every output keeps its bits
+    # one tile of all operands and lanes, so every output keeps its bits.  A
+    # budget one lane below all S lanes-wide operands gives DTA one
+    # full-width tile per operand, the boundary of the one-tile case
     prob, points, kw = _tile_cases()[case]
     ref = engine.run_points(prob, points, record_states=True, **kw)
     E, u, lanes = points[0][0].n_edges, prob.u, len(points) * kw["replicas"]
     S = 2 if kw["algorithm"] == "dta" else 1
-    monkeypatch.setattr(engine, "KERNEL_BYTES", width * 32 * E * u)
-    assert engine._kernel_width(E, S, u, lanes) == (width if E else S * lanes)
+    budget = S * lanes - 1 if width == "all-but-one" else width
+    monkeypatch.setattr(engine, "KERNEL_BYTES", budget * 32 * E * u)
+    assert engine._kernel_width(E, S, u, lanes) == (min(budget, lanes) if E else S * lanes)
     res = engine.run_points(prob, points, record_states=True, **kw)
     if case == "dta-points-diverging":
         assert [r.diverged for r in res] == [False, True, False]
