@@ -11,10 +11,10 @@ comment line, then a header, then one row per iteration including k=0);
 run-level facts go to summary.json.  Residual columns are aggregated over
 replicas in the mean-square sense.
 
-Exit codes: 0 success; 2 bad config or usage, or a run past the engine's
-memory limit; 3 network infeasible
-(disconnected in mean); 4 divergence (every sweep point diverged, or the
-single requested run did).
+Exit codes: 0 success; 2 bad config or usage, a run past the engine's
+memory limit, or an output directory that cannot be created; 3 network
+infeasible (disconnected in mean); 4 divergence (every sweep point
+diverged, or the single requested run did).
 """
 from __future__ import annotations
 
@@ -66,8 +66,16 @@ def _fmt(v, spec):
 
 
 def _out_dir(args, cfg):
-    base = args.out or os.environ.get("DTALLOC_OUT_DIR") or "runs"
-    return os.path.join(base, cfg.name)
+    """The command's output directory, created once its plans are checked
+    and before any compute; ConfigError if it cannot be."""
+    path = os.path.join(args.out or os.environ.get("DTALLOC_OUT_DIR") or "runs",
+                        cfg.name)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror or exc}") from exc
+    return path
 
 
 def _write_trace_csv(path, traces):
@@ -207,7 +215,6 @@ def _execute_point(res, algorithm, path, label):
         summary["alpha"], summary["beta"] = alpha, beta
     else:
         summary["wga_alpha"] = alpha
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     _write_trace_csv(path, result.traces)
     return summary, result
 
@@ -260,6 +267,7 @@ def cmd_run(args):
     cfg = res.config
     if cfg.sweep is not None:
         return _execute_sweep(args, res, cfg.sweep.axis, cfg.sweep.values)
+    _plan(res, cfg.engine.algorithm)
     outdir = _out_dir(args, cfg)
     csv_path = os.path.join(outdir, "trace.csv")
     summary, result = _execute_point(res, cfg.engine.algorithm, csv_path, cfg.name)

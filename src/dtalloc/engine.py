@@ -30,11 +30,10 @@ activation buffer and an (R, B, n, u) disturbance buffer allocated once per
 run.  A stream gives the same sequence however many steps one call draws,
 so the streams, and every output, are independent of B.  Each block draws a
 replica's uniforms and disturbance block once and shares them among that
-replica's lanes; only the comparison with theta is per lane, and a block
-compares with the thetas of the points still running.  Runs with the same
-seed therefore see identical link failures and disturbances regardless of
-algorithm or of the other points -- the DTA/WGA comparison is
-variance-paired for free.
+replica's lanes; only the comparison with theta is per lane.  Runs with
+the same seed therefore see identical link failures and disturbances
+regardless of algorithm or of the other points -- the DTA/WGA comparison
+is variance-paired for free.
 
 (I - W(k)) v = B' diag(w(k)) B v is applied edge-wise, B being the signed
 incidence (+1 at i, -1 at j for edge (i, j)); w(k) holds the active
@@ -67,19 +66,19 @@ one tile of every lane would take 6.3 MB.
 
 The step runs in place.  Per step, the loop only computes the update and
 the gradient of the new state (the next update's input), each with `out=`
-into storage allocated once per run, and again when diverged points are
-compacted out: the step's weights go to the kernel's (E, G, R) buffer,
-x(k+1) and y(k+1) to their rows of the (B+1, G, R, n, u) block buffers,
-and the gradient straight into the kernel's operand stack.  Row 0 of a
-block carries the state it starts from and rows 1 .. B take the states it
-steps to, so step i reads row i and writes row i + 1, and x(k) and x(k+1)
-never share memory, even at B = 1; after each block its last row is
-copied to row 0.  alpha and beta are broadcast to (G, R, n, u) once per
-run, so their products are same-shape ufuncs, which at n = 10 cost a third
-of a broadcast one, and two (G, R, n, u) temporaries hold them.  Each
-operation is one of the update formulas above, evaluated left to right as
-the plain expressions would be, so every output has their bits; only the
-kernel's scatter allocates an array per step.
+into storage allocated once per call: the step's weights go to the
+kernel's (E, G, R) buffer, x(k+1) and y(k+1) to their rows of the
+(B+1, G, R, n, u) block buffers, and the gradient straight into the
+kernel's operand stack.  Row 0 of a block carries the state it starts from
+and rows 1 .. B take the states it steps to, so step i reads row i and
+writes row i + 1, and x(k) and x(k+1) never share memory, even at B = 1;
+after each block its last row is copied to row 0.  alpha and beta are
+broadcast to (G, R, n, u) once per call, so their products are same-shape
+ufuncs, which at n = 10 cost a third of a broadcast one, and two
+(G, R, n, u) temporaries hold them.  Each operation is one of the update
+formulas above, evaluated left to right as the plain expressions would be,
+so every output has their bits; only the kernel's scatter allocates an
+array per step.
 
 Recording runs once per block of steps, not per step.  Once per block, and
 at step T, `flush` makes one `metrics.residuals` call on the stacked block
@@ -90,9 +89,10 @@ step's zeta(k) over agents in one reduction of the block's draws and adds
 the sums to the totals in step order, and finds each point's
 divergence as the first row where the optimality distance or tracking norm
 of any of its replicas is non-finite or above DIVERGENCE_LIMIT.  That row
-is recorded and ends the point: its later rows stay NaN, its final state is
-that row's, and its lanes are compacted out of the loop, which runs on with
-the others.
+is recorded and ends the point: its later rows stay NaN and its final state
+is that row's.  Its lanes stay in the loop, masked: they step on with the
+others, whose bits do not depend on them, but no later block records
+anything of them, and the loop ends once no point is running.
 Every residual reduction runs over the trailing (n, u) axes of one lane and
 row, and the aggregate sums each (trace, row, point) over its replicas in
 replica order, as a whole (R, T+1) trace's aggregate does, so the block
@@ -101,8 +101,10 @@ B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 n u))) depends on n u alone:
 one lane's B rows of x take at most 8 KiB (64 rows at n u <= 16, 10 at
 n = 100) unless a single step is larger, so a block's R per-replica
 generator calls are spread over B steps however large R and G are.  Each
-block buffer holds (B+1) G R n u float64 values, and a diverging point
-computes at most B - 1 steps past the step that diverged.
+block buffer holds (B+1) G R n u float64 values.  A run of one point stops
+at the end of the block it diverges in, at most B - 1 steps past that step;
+in a run of several, a diverged point's lanes step on to the end unless
+every point stops first.
 """
 from __future__ import annotations
 
@@ -133,7 +135,8 @@ class DisturbanceSpec:
     Per-coordinate scale at step k is (m_zeta / sqrt(n u)) * q_zeta^k, so the
     mean-square norm of zeta(k) is exactly m_zeta * q_zeta^k.  kinds:
     gaussian | laplace (std matched to gaussian) | impulse (fixed magnitude,
-    random sign, zero from `cutoff` on; no other kind takes a cutoff) | none.
+    random sign, zero from `cutoff` on; no other kind takes a cutoff) | none
+    (no m_zeta > 0).  q_zeta and m_zeta are range-checked for every kind.
     """
 
     kind: str = "none"
@@ -153,15 +156,16 @@ class DisturbanceSpec:
                     or self.cutoff < 0):
                 raise ValueError(f"cutoff must be an integer >= 0, "
                                  f"got {reprlib.repr(self.cutoff)}")
-        if self.kind != "none":
-            if not (0.0 < self.q_zeta < 1.0):
-                raise ValueError("q_zeta must lie in (0, 1)")
-            if not 0.0 <= self.m_zeta < np.inf:
-                raise ValueError("m_zeta must be finite and >= 0")
+        if not (0.0 < self.q_zeta < 1.0):
+            raise ValueError("q_zeta must lie in (0, 1)")
+        if not 0.0 <= self.m_zeta < np.inf:
+            raise ValueError("m_zeta must be finite and >= 0")
+        if self.kind == "none" and self.m_zeta > 0:
+            raise ValueError("m_zeta > 0 needs a kind other than 'none'")
 
     @property
     def active(self):
-        return self.kind != "none" and self.m_zeta > 0
+        return self.m_zeta > 0                      # never under kind none
 
     def scales(self, iterations, n, u):
         """Per-step per-coordinate scale, shape (iterations,)."""
@@ -199,7 +203,7 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     rows and `flush` temporaries (about eight (B+1)-row float64 state
     blocks), its link weights and its scatter's output; once per kernel
     tile (`_kernel_width`) its terms and slot index; per link the kernel's
-    node index and each point's theta, stacked and gathered per block; per
+    node index (two int64 entries) and each point's stacked theta; per
     replica its generators; and the draw buffers the points share (one
     replica's block of uniforms, every replica's block of disturbance).
     """
@@ -214,7 +218,7 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     width = _kernel_width(E, S, u, lanes)
     narrow = lanes % width if width <= lanes else 0
     tiles = 16 * E * u * (2 * width + narrow)
-    links = 16 * E * (1 + points)
+    links = 8 * E * (2 + points)
     shared = B * E * 8 + (R * B * n * u * 8 if disturbed else 0)
     return (points * (traces + states) + lanes * lane + tiles + links
             + R * GENERATOR_BYTES + shared)
@@ -363,9 +367,12 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                record_states):
     """All the points as lanes of one step loop; their results in order.
 
-    Working arrays (state, broadcast stepsizes and thetas, activations, block
-    buffers) hold the live points in order, rebuilt by `buffers` as points
-    are compacted out; per-point inputs and outputs are indexed by point.
+    Every working array (state, broadcast stepsizes, thresholds, activations,
+    kernel and block buffers) is allocated once and holds all P points' lanes
+    in point order, so a lane's point index is its index in the inputs and
+    outputs.  `running` masks the points that have not diverged: `flush`
+    records rows and facts for those alone, and a diverged point's lanes
+    step on, unrecorded, until every point has stopped or the run ends.
     The loop has a function of its own because `tracemalloc` finds each
     allocation's line by scanning its function's line table from the start:
     with `run_points`' checks ahead of it in one function, an R = 2000 run
@@ -379,18 +386,16 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     dsum = problem.total_demand
 
     model = points[0][0]
-    ei = model.edges[:, 0]
-    ej = model.edges[:, 1]
     E = model.n_edges
-    weights = model.weights
-    thetas = np.stack([m.theta for m, _, _ in points])          # (P, E)
-    al = _cols([a for _, a, _ in points], n)
-    be = _cols([b for _, _, b in points], n) if is_dta else None
+    th = np.stack([m.theta for m, _, _ in points]).T            # (E, P)
+    full = (P, R, n, u)
+    alf = np.broadcast_to(_cols([a for _, a, _ in points], n), full).copy()
+    bef = (np.broadcast_to(_cols([b for _, _, b in points], n), full).copy()
+           if is_dta else None)
 
     # frozen stream protocol: one child per replica, (W, zeta) pair per child
-    children = np.random.SeedSequence(seed).spawn(R)
     wstreams, zstreams = [], []
-    for child in children:
+    for child in np.random.SeedSequence(seed).spawn(R):
         sw, sz = child.spawn(2)
         wstreams.append(np.random.default_rng(sw))
         zstreams.append(np.random.default_rng(sz))
@@ -406,92 +411,71 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     ) for table in tables]
     cons_drift = np.zeros(P)
     zeta_total = np.zeros((P, R, u)) if need_z else None
-    live = np.arange(P)
+    running = np.ones(P, dtype=bool)
 
-    # mixing kernel state: S stacked operands of shape (G, R, n, u) per call
+    # mixing kernel: S operands, (P, R, n, u) views of node-major
+    # (n, S, P, R, u) storage, mixed into one (S, P, R, n, u) result that
+    # each mix_apply() call refills for the weights in the (E, P, R) buffer
+    # `wv`.  It runs the tiles `_kernel_width` sizes (see the module
+    # docstring), whose views are made once: at n = 10 making them per call
+    # costs about 2 us of a 17 us kernel.
     S = 2 if is_dta else 1
-    nodes = np.concatenate((ei, ej))
-    wcol = weights[:, None, None]
+    lanes = P * R
+    nodes = np.concatenate((model.edges[:, 0], model.edges[:, 1]))
+    wcol = model.weights[:, None, None]
+    width = _kernel_width(E, S, u, lanes)
+    ops = max(1, width // lanes)            # operands per tile: S or 1
+    per_tile = width // ops                 # lanes per tile but the last
+    stack = np.empty((n, S, P, R, u))
+    operands = list(stack.transpose(1, 2, 3, 0, 4))
+    wv = np.empty((E, P, R))
+    src = stack.reshape(n, S, lanes, u)
+    wl = wv.reshape(E, 1, lanes, 1)
+    mixed = np.empty((S, *full))
+    flat_out = mixed.reshape(S, lanes, n, u)
+    buf = np.empty(2 * E * width * u)
+    index = {}
+    tiles = []
+    for s in range(0, S, ops):
+        for a in range(0, lanes, per_tile):
+            t = min(per_tile, lanes - a)
+            if t not in index:
+                # flat output slot of each [d w, -d w] entry of a tile's
+                # ops t lanes, laid out (2E, ops t, u) -> (ops t, n, u)
+                index[t] = ((np.arange(ops * t)[None, :, None] * n
+                             + nodes[:, None, None]) * u
+                            + np.arange(u)[None, None, :]).ravel()
+            # explicit widths: with no links (E = 0) a -1 width is ambiguous
+            terms = buf[:2 * E * ops * t * u].reshape(2 * E, ops, t, u)
+            tiles.append((src[:, s:s + ops, a:a + t], terms, terms.ravel(),
+                          terms[:E], terms[E:], wl[:, :, a:a + t], index[t],
+                          flat_out[s:s + ops, a:a + t].reshape(-1)))
 
-    def kernel(G):
-        """The S operands, the (E, G, R) weight buffer `w` and `mix_apply()`,
-        which returns (I - W) v of each operand v for the weights in `w`, for
-        G points' lanes.
-
-        The operands are (G, R, n, u) views of node-major (n, S, G, R, u)
-        storage, and the result is one (S, G, R, n, u) buffer that each call
-        refills.  A call runs the tiles `_kernel_width` sizes: one of all S
-        operands' lanes below KERNEL_BYTES, else tiles of one operand's
-        lanes (see the module docstring).  The tiles' views are made here,
-        once per count of live points: at n = 10 making them per call costs
-        about 2 us of a 17 us kernel.
-        """
-        lanes = G * R
-        width = _kernel_width(E, S, u, lanes)
-        ops = max(1, width // lanes)            # operands per tile: S or 1
-        per_tile = width // ops                 # lanes per tile but the last
-        operands = np.empty((n, S, G, R, u))
-        w = np.empty((E, G, R))
-        src = operands.reshape(n, S, lanes, u)
-        wl = w.reshape(E, 1, lanes, 1)
-        out = np.empty((S, lanes, n, u))
-        result = out.reshape(S, G, R, n, u)
-        buf = np.empty(2 * E * width * u)
-        index = {}
-        tiles = []
-        for s in range(0, S, ops):
-            for a in range(0, lanes, per_tile):
-                t = min(per_tile, lanes - a)
-                if t not in index:
-                    # flat output slot of each [d w, -d w] entry of a tile's
-                    # ops t lanes, laid out (2E, ops t, u) -> (ops t, n, u)
-                    index[t] = ((np.arange(ops * t)[None, :, None] * n
-                                 + nodes[:, None, None]) * u
-                                + np.arange(u)[None, None, :]).ravel()
-                # explicit widths: with no links (E = 0) a -1 width is ambiguous
-                terms = buf[:2 * E * ops * t * u].reshape(2 * E, ops, t, u)
-                tiles.append((src[:, s:s + ops, a:a + t], terms, terms.ravel(),
-                              terms[:E], terms[E:], wl[:, :, a:a + t], index[t],
-                              out[s:s + ops, a:a + t].reshape(-1)))
-
-        def mix_apply():
-            for rows, pairs, entries, top, bottom, wt, idx, flat in tiles:
-                # rows [v_i; v_j] of every edge, then d = v_i - v_j on top.
-                # build_model keeps 0 <= i < j < n, so "clip" never clips; it
-                # lets take write straight into `terms`, where "raise"
-                # buffers the output
-                rows.take(nodes, axis=0, out=pairs, mode="clip")
-                np.subtract(top, bottom, out=top)
-                np.multiply(top, wt, out=top)
-                np.negative(top, out=bottom)
-                flat[...] = np.bincount(idx, entries, minlength=flat.size)
-            return result
-
-        return list(operands.transpose(1, 2, 3, 0, 4)), w, mix_apply
+    def mix_apply():
+        for rows, pairs, entries, top, bottom, wt, idx, flat in tiles:
+            # rows [v_i; v_j] of every edge, then d = v_i - v_j on top.
+            # build_model keeps 0 <= i < j < n, so "clip" never clips; it
+            # lets take write straight into `terms`, where "raise"
+            # buffers the output
+            rows.take(nodes, axis=0, out=pairs, mode="clip")
+            np.subtract(top, bottom, out=top)
+            np.multiply(top, wt, out=top)
+            np.negative(top, out=bottom)
+            flat[...] = np.bincount(idx, entries, minlength=flat.size)
+        return mixed
 
     # per block: draw its steps' randomness, step each state into a block
     # row, and `flush` -- residual traces, drift maximum, divergence.  Row 0
     # carries the state the block starts from and rows 1 .. B take the states
-    # it steps to, so x(k) and x(k+1) never share memory.
+    # it steps to, so x(k) and x(k+1) never share memory.  Indexing a list of
+    # the rows per step is cheaper than making a view.
     B = _block_rows(n, u)
-
-    def buffers(live):
-        """All a block writes to for the live points' lanes: the kernel, the
-        block's activations and their (E, G) thresholds, the (B+1)-row state
-        blocks and lists of their rows (indexing a list per step is cheaper
-        than a view), two temporaries, and alpha and beta broadcast to the
-        state's shape."""
-        full = (live.size, R, n, u)
-        xbuf = np.empty((B + 1, *full))
-        ybuf = np.empty((B + 1, *full)) if is_dta else None
-        return (*kernel(live.size), np.empty((B, E, live.size, R), dtype=bool),
-                thetas[live].T, xbuf, ybuf, list(xbuf),
-                list(ybuf) if is_dta else None, np.empty(full), np.empty(full),
-                np.broadcast_to(al[live], full).copy(),
-                np.broadcast_to(be[live], full).copy() if is_dta else None)
-
-    (operands, wv, mix_apply, acts, th, xbuf, ybuf, xrows, yrows,
-     tmp1, tmp2, alf, bef) = buffers(live)
+    acts = np.empty((B, E, P, R), dtype=bool)
+    xbuf = np.empty((B + 1, *full))
+    ybuf = np.empty((B + 1, *full)) if is_dta else None
+    xrows = list(xbuf)
+    yrows = list(ybuf) if is_dta else None
+    tmp1, tmp2 = np.empty(full), np.empty(full)
     ubuf = np.empty((B, E))                 # one replica's uniforms at a time
     zbuf = np.empty((R, B, n, u)) if need_z else None
     gradient = problem.costs.gradient
@@ -513,52 +497,53 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     def flush(k0, m):
         """Record block rows [1, m] as the states of steps k0+1 .. k0+m.
 
-        Returns the mask of live points that diverged in the block.  A
+        Returns the mask of running points that diverged in the block.  A
         diverged point's rows after its first bad row stay NaN in the
         traces; its drift maximum covers the rows before that row, and its
-        disturbance sum the rows up to it.
+        disturbance sum the rows up to it.  A point that stopped in an
+        earlier block has no rows checked or recorded, so its drift maximum
+        and disturbance sum stay as they were when it stopped.
         """
-        G = live.size
         xs = xbuf[1:m + 1]
         ys = ybuf[1:m + 1] if is_dta else None
-        res, _ = _metrics.residuals(xs, ys, problem, kkt)       # each (m, G, R)
+        res, _ = _metrics.residuals(xs, ys, problem, kkt)       # each (m, P, R)
         opt = res["optimality_distance"]
         bad = ~np.isfinite(opt) | (opt > DIVERGENCE_LIMIT)
         if is_dta:
             tr = res["tracking_norm"]
             bad |= ~np.isfinite(tr) | (tr > DIVERGENCE_LIMIT)
-        bad_rows = bad.any(axis=2)                              # (m, G)
-        hit = bad_rows.any(axis=0)
-        ok = np.where(hit, bad_rows.argmax(axis=0), m)          # rows checked
-        stop = np.where(hit, ok + 1, m)                         # rows recorded
-        agg = _aggregate(res)                                   # (4, m, G)
+        bad_rows = bad.any(axis=2)                              # (m, P)
+        hit = bad_rows.any(axis=0) & running
+        ok = np.where(hit, bad_rows.argmax(axis=0), m * running)  # rows checked
+        stop = ok + hit                                         # rows recorded
+        agg = _aggregate(res)                                   # (4, m, P)
 
-        for lane, p in enumerate(live):
+        for p in np.flatnonzero(running):
             out = results[p]
-            steps = slice(k0 + 1, k0 + 1 + stop[lane])
-            tables[p][:, steps] = agg[:, :stop[lane], lane]
+            steps = slice(k0 + 1, k0 + 1 + stop[p])
+            tables[p][:, steps] = agg[:, :stop[p], p]
             if record_states:
-                out.states_x[steps] = xs[:stop[lane], lane]
+                out.states_x[steps] = xs[:stop[p], p]
                 if is_dta:
-                    out.states_y[steps] = ys[:stop[lane], lane]
-            if hit[lane]:
-                row = ok[lane]
+                    out.states_y[steps] = ys[:stop[p], p]
+            if hit[p]:
+                row = ok[p]
                 out.diverged = True
                 out.diverged_at = k0 + int(row) + 1
-                out.diverged_replica = int(np.flatnonzero(bad[row, lane])[0])
-                out.final_x = xs[row, lane].copy()
-                out.final_y = ys[row, lane].copy() if is_dta else None
+                out.diverged_replica = int(np.flatnonzero(bad[row, p])[0])
+                out.final_x = xs[row, p].copy()
+                out.final_y = ys[row, p].copy() if is_dta else None
         if need_z:
             # each step's (R, u) sum over agents, accumulated in step order
             zsum = zbuf[:, :m].sum(axis=2).transpose(1, 0, 2)
             acc = np.add.accumulate(np.concatenate(
-                (zeta_total[live][None], np.broadcast_to(zsum[:, None], (m, G, R, u)))))
-            zeta_total[live] = acc[stop, np.arange(G)]
+                (zeta_total[None], np.broadcast_to(zsum[:, None], (m, P, R, u)))))
+            zeta_total[...] = acc[stop, np.arange(P)]
         if is_dta:
-            c = np.abs(ys.sum(axis=-2) - (xs.sum(axis=-2) - dsum))  # (m, G, R, u)
+            c = np.abs(ys.sum(axis=-2) - (xs.sum(axis=-2) - dsum))  # (m, P, R, u)
             checked = (np.arange(m)[:, None] < ok)[:, :, None, None]
             drift = np.where(checked, c, 0.0).max(axis=(0, 2, 3))
-            cons_drift[live] = np.maximum(cons_drift[live], drift)
+            np.maximum(cons_drift, drift, out=cons_drift)
         return hit
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -579,7 +564,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 zbuf[:, :m] *= scales[k0:k0 + m][None, :, None, None]
 
             for i in range(m):
-                np.multiply(wcol, acts[i], out=wv)                  # (E, G, R)
+                np.multiply(wcol, acts[i], out=wv)                  # (E, P, R)
                 x, xn = xrows[i], xrows[i + 1]
                 xz = np.add(x, zbuf[:, i], out=xn) if need_z else x
                 if is_dta:
@@ -596,28 +581,17 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                     np.subtract(xz, np.multiply(alf, mix_apply()[0], out=tmp1), out=xn)
                 gradient(xn, out=operands[0])
 
-            hit = flush(k0, m)
-            x, y = xbuf[m], (ybuf[m] if is_dta else None)
-            if hit.any():
-                # compact the diverged points' lanes out of the loop
-                keep = ~hit
-                live = live[keep]
-                if not live.size:
-                    break
-                x, g = x[keep], operands[0][keep]
-                if is_dta:
-                    y = y[keep]
-                (operands, wv, mix_apply, acts, th, xbuf, ybuf, xrows, yrows,
-                 tmp1, tmp2, alf, bef) = buffers(live)
-                operands[0][...] = g
+            running &= ~flush(k0, m)
+            if not running.any():
+                break
             # the last state carries over into row 0 of the next block
-            xbuf[0] = x
+            xbuf[0] = xbuf[m]
             if is_dta:
-                ybuf[0] = y
+                ybuf[0] = ybuf[m]
 
-    for lane, p in enumerate(live):
-        results[p].final_x = xbuf[0, lane].copy()
-        results[p].final_y = ybuf[0, lane].copy() if is_dta else None
+    for p in np.flatnonzero(running):
+        results[p].final_x = xbuf[0, p].copy()
+        results[p].final_y = ybuf[0, p].copy() if is_dta else None
     for p, out in enumerate(results):
         if is_dta:
             out.max_conservation_drift = float(cons_drift[p])

@@ -319,7 +319,11 @@ def test_exit_2_on_a_curvature_past_the_float_range(tmp_path, capsys, a):
     # zero agents ended bounds and run in an IndexError with exit 1
     ({"cost": {"a": [], "b": []}, "demand": [],
       "network": {"topology": "complete", "n": 0}}, "at least one agent"),
-], ids=["stray-cutoff", "zero-agents"])
+    # kind none ran without a disturbance, ignoring m_zeta and q_zeta
+    ({"disturbance": {"kind": "none", "m_zeta": 4.6, "q_zeta": 0.999}},
+     "disturbance: m_zeta > 0 needs a kind"),
+    ({"disturbance": {"kind": "none", "q_zeta": 7.0}}, "disturbance: q_zeta"),
+], ids=["stray-cutoff", "zero-agents", "stray-m_zeta", "none-q_zeta"])
 def test_exit_2_on_a_stray_cutoff_or_zero_agents(tmp_path, capsys, over, fragment):
     cfg = _write(tmp_path, _tiny(**over))
     out = tmp_path / "o"
@@ -437,6 +441,32 @@ def test_exit_2_when_the_name_leaves_out(tmp_path, capsys, name):
     assert main(["run", cfg, "--out", str(work / "o")]) == 2
     assert "name must be one directory name" in capsys.readouterr().err
     assert _files_under(tmp_path) == ["a/b/exp.yaml"]
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file",
+                                  "name-too-long"])
+def test_exit_2_before_compute_when_the_output_directory_cannot_be_made(
+        tmp_path, capsys, monkeypatch, case):
+    # each ended in a traceback with exit 1 once the whole run had finished
+    def no_compute(*args, **kw):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(dtalloc.engine, "run", no_compute)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    doc = _tiny(name="x" * 300) if case == "name-too-long" else _tiny()
+    cfg = _write(tmp_path, doc)
+    out = str(afile / "sub" if case == "out-under-a-file" else
+              afile if case == "out-is-a-file" else tmp_path / "o")
+    for argv in (["run", cfg], ["compare", cfg],
+                 ["sweep", cfg, "--axis", "beta", "--values", "0.5,1"]):
+        assert main([*argv, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("config error: cannot create output "
+                                       "directory "), captured.err
+        assert "Traceback" not in captured.err
+    assert _files_under(tmp_path) == ["afile", "exp.yaml"]
 
 
 HUGE = 10 ** 400

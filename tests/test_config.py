@@ -132,6 +132,13 @@ def test_defaults_fill_in():
     (lambda d: d.update(cost={"a": [], "b": []}, demand=[],
                         network={"topology": "complete", "n": 0}),
      "at least one agent"),
+    # kind none ignored m_zeta and left q_zeta unchecked
+    (lambda d: d.update(disturbance={"kind": "none", "m_zeta": 4.6}),
+     "disturbance: m_zeta > 0 needs a kind"),
+    (lambda d: d.update(disturbance={"kind": "none", "q_zeta": 7.0}),
+     "disturbance: q_zeta must lie in"),
+    (lambda d: d.update(disturbance={"m_zeta": -1.0}),
+     "disturbance: m_zeta must be finite"),
 ])
 def test_from_dict_rejects(mutate, fragment):
     # resolve checks what from_dict cannot, such as the number of agents

@@ -364,8 +364,8 @@ def _sweep_cases():
             for t in (0.9, 0.3, 0.0)], dict(
             algorithm="dta", iterations=149, replicas=3, seed=15)),
         # points may differ in theta and the plan at once; the second one
-        # diverges at step 7 while points with other thetas run on, over
-        # blocks drawn for the live points' thetas alone
+        # diverges at step 7 while points with other thetas run on, beside
+        # its masked lanes
         "mixed-theta-and-plan": (main, [
             (build_model(10, model10.edges, model10.weights, t,
                          allow_zero_theta=True), s * alpha, sb * beta)
@@ -403,7 +403,7 @@ def test_run_points_lanes_match_separate_runs(case):
 @pytest.mark.parametrize("rows", [1, 2])
 def test_lanes_under_small_blocks_match_separate_runs(monkeypatch, rows):
     # 1.06 diverges at step 275, the first row of a 2-row block, and its
-    # lanes are compacted out while later points run on
+    # lanes step on unrecorded while later points run on
     prob, points, kw = _sweep_cases()["beta-sweep-diverging"]
     alone = [run(prob, model, alpha=alpha, beta=beta, record_states=True, **kw)
              for model, alpha, beta in points]
@@ -437,8 +437,8 @@ def _tile_cases():
         "wga-gauss": (main, [(model10, 100.0, None)], dict(
             algorithm="wga", iterations=149, replicas=3, seed=14,
             x0=main.demand, disturbance=gauss)),
-        # the second point diverges mid-block; compacting it out rebuilds
-        # the kernel for 6 lanes in place of 9
+        # the second point diverges mid-block; its lanes stay in the same
+        # 9-lane tiles, masked, while the other two run on
         "dta-points-diverging": (main, [
             (model10, alpha, beta), (model10, 2 * alpha, 50 * beta),
             (model10, 0.5 * alpha, beta)], dict(
@@ -490,8 +490,8 @@ def test_traces_are_the_aggregate_of_recomputed_residuals(monkeypatch, R, rows):
         "wga-gauss": run(prob, model, algorithm="wga", alpha=100.0,
                          x0=prob.demand, disturbance=gauss, **kw),
     }
-    # one group of three points; the second diverges and is compacted out
-    # while the others run on
+    # one group of three points; the second diverges and is masked out of
+    # the recording while the others run on
     group = list(engine.run_points(
         prob, [(model, alpha, beta), (model, 2 * alpha, 50 * beta),
                (model, 0.5 * alpha, beta)], algorithm="dta", **kw))
