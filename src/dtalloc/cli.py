@@ -19,6 +19,7 @@ diverged, or the single requested run did).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import reprlib
@@ -66,13 +67,29 @@ def _fmt(v, spec):
 
 
 def _out_dir(args, cfg):
-    """The command's output directory, created once its plans are checked
-    and before any compute; ConfigError if it cannot be."""
+    """The command's output directory, created once its engine calls are
+    checked (`_check`) and before any compute; ConfigError if it cannot be.
+
+    The missing components are made one by one, outermost first, so a
+    failure removes exactly the directories made here, while they are
+    empty: a refused command leaves the tree as it found it.
+    """
     path = os.path.join(args.out or os.environ.get("DTALLOC_OUT_DIR") or "runs",
                         cfg.name)
+    missing, head = [], path
+    while head and not os.path.isdir(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    made = []
     try:
-        os.makedirs(path, exist_ok=True)
+        for part in reversed(missing):
+            if not os.path.isdir(part):     # "a/b/.." is there once "a/b" is
+                os.mkdir(part)
+                made.append(part)
     except OSError as exc:
+        for part in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(part)              # fails on a non-empty directory
         raise ConfigError(f"cannot create output directory {path}: "
                           f"{exc.strerror or exc}") from exc
     return path
@@ -122,6 +139,17 @@ def _plan(res, algorithm):
         raise ConfigError("dta needs a resolved plan (source optimal or "
                           "explicit alpha/beta)")
     return res.alpha, res.beta
+
+
+def _check(res, algorithm):
+    """Check one engine call of `algorithm` at `res` before any output
+    directory is made: its plan (`_plan`) and its memory
+    (`engine.check_run`); ConfigError or CapacityError."""
+    _plan(res, algorithm)
+    eng = res.config.engine
+    engine.check_run(res.problem.n, res.problem.u, res.model.n_edges,
+                     replicas=eng.replicas, iterations=eng.iterations,
+                     algorithm=algorithm, disturbed=res.disturbance.active)
 
 
 def _run_summary(res, result, path):
@@ -224,7 +252,7 @@ def _execute_sweep(args, res, axis, values):
     algorithm = cfg.engine.algorithm
     resolved = [sweep_point(res, axis, value) for value in values]
     for point in resolved:
-        _plan(point, algorithm)
+        _check(point, algorithm)
     outdir = _out_dir(args, cfg)
     points = []
     n_diverged = 0
@@ -267,7 +295,7 @@ def cmd_run(args):
     cfg = res.config
     if cfg.sweep is not None:
         return _execute_sweep(args, res, cfg.sweep.axis, cfg.sweep.values)
-    _plan(res, cfg.engine.algorithm)
+    _check(res, cfg.engine.algorithm)
     outdir = _out_dir(args, cfg)
     csv_path = os.path.join(outdir, "trace.csv")
     summary, result = _execute_point(res, cfg.engine.algorithm, csv_path, cfg.name)
@@ -297,7 +325,7 @@ def cmd_compare(args):
     res = _resolve_args(args)
     cfg = res.config
     for algorithm in ("dta", "wga"):
-        _plan(res, algorithm)
+        _check(res, algorithm)
     outdir = _out_dir(args, cfg)
     # identical seed => identical link failures and disturbances in both runs
     s_dta, r_dta = _execute_point(res, "dta", os.path.join(outdir, "dta.csv"), cfg.name)

@@ -66,19 +66,26 @@ one tile of every lane would take 6.3 MB.
 
 The step runs in place.  Per step, the loop only computes the update and
 the gradient of the new state (the next update's input), each with `out=`
-into storage allocated once per call: the step's weights go to the
-kernel's (E, G, R) buffer, x(k+1) and y(k+1) to their rows of the
-(B+1, G, R, n, u) block buffers, and the gradient straight into the
-kernel's operand stack.  Row 0 of a block carries the state it starts from
-and rows 1 .. B take the states it steps to, so step i reads row i and
-writes row i + 1, and x(k) and x(k+1) never share memory, even at B = 1;
-after each block its last row is copied to row 0.  alpha and beta are
-broadcast to (G, R, n, u) once per call, so their products are same-shape
-ufuncs, which at n = 10 cost a third of a broadcast one, and two
-(G, R, n, u) temporaries hold them.  Each operation is one of the update
-formulas above, evaluated left to right as the plain expressions would be,
-so every output has their bits; only the kernel's scatter allocates an
-array per step.
+into storage allocated once per call: x(k+1) and y(k+1) go to their rows
+of the (B+1, G, R, n, u) block buffers, and the gradient to a (G, R, n, u)
+temporary, from which it is copied into the kernel's operand stack (a
+ufunc writing into that strided stack misses numpy's contiguous loop).
+The link weights are made C steps at a time, C = max(1, B // 8)
+(`_weight_rows`): one multiply fills a (C, E, G, R) float64 buffer, no
+larger than the block's boolean activations when B >= 8, and step i of a
+block mixes with row i % C; a block's last chunk holds what is left of it.
+At n = 100 (B = 10) C is 1, one row as when each step made its own.  Row 0
+of a block carries the state it starts from and rows 1 .. B take the
+states it steps to, so step i reads row i and writes row i + 1, and x(k)
+and x(k+1) never share memory, even at B = 1; after each block its last
+row is copied to row 0.  alpha and beta are broadcast to (G, R, n, u) once
+per call, as are the gradient's slope and offset
+(`QuadraticCosts.gradient_for`), so their products and sums are
+same-shape ufuncs, which at n = 10 cost a third to a half of a broadcast
+one, and two (G, R, n, u) temporaries hold them.  Each operation is one of
+the update formulas above, evaluated left to right as the plain
+expressions would be, so every output has their bits; only the kernel's
+scatter allocates an array per step.
 
 Recording runs once per block of steps, not per step.  Once per block, and
 at step T, `flush` makes one `metrics.residuals` call on the stacked block
@@ -181,6 +188,13 @@ def _block_rows(n, u):
     return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * n * u)))
 
 
+def _weight_rows(B):
+    """Steps whose link weights one multiply makes, C: an eighth of a
+    block's B steps, so the float64 weight rows take no more bytes than the
+    block's boolean activations (but at least one row)."""
+    return max(1, B // 8)
+
+
 def _kernel_width(E, S, u, lanes):
     """Lanes per mixing-kernel tile for S operands of `lanes` lanes each.
 
@@ -201,18 +215,21 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     any compute: per point its float64 traces (T+1 rows of each column) and
     recorded states; per lane its block's B E activation bytes, its state
     rows and `flush` temporaries (about eight (B+1)-row float64 state
-    blocks), its link weights and its scatter's output; once per kernel
-    tile (`_kernel_width`) its terms and slot index; per link the kernel's
-    node index (two int64 entries) and each point's stacked theta; per
-    replica its generators; and the draw buffers the points share (one
-    replica's block of uniforms, every replica's block of disturbance).
+    blocks), its C rows of E float64 link weights (`_weight_rows`), its
+    scatter's output and the gradient's slope and offset (`gradient_for`),
+    n u float64 values each; once per kernel tile (`_kernel_width`) its
+    terms and slot index; per link the kernel's node index (two int64
+    entries) and each point's stacked theta; per replica its generators;
+    and the draw buffers the points share (one replica's block of uniforms,
+    every replica's block of disturbance).
     """
     B = _block_rows(n, u)
     S = 2 if algorithm == "dta" else 1
     lanes = points * R
     traces = (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
     states = S * (T + 1) * R * n * u * 8 if record_states else 0
-    lane = B * E + 8 * (B + 1) * n * u * 8 + 8 * (E + S * n * u)
+    lane = (B * E + 8 * (B + 1) * n * u * 8
+            + 8 * (_weight_rows(B) * E + (S + 2) * n * u))
     # float64 terms and int64 slots, 2 E u entries each per lane of a tile,
     # and a narrower last tile's own slot index
     width = _kernel_width(E, S, u, lanes)
@@ -242,6 +259,21 @@ def check_setup(n, E):
     report would pass MEMORY_LIMIT (`_setup_footprint`)."""
     _require(_setup_footprint(n, E),
              f"{reprlib.repr(n)} agents and {reprlib.repr(E)} links")
+
+
+def check_run(n, u, E, *, points=1, replicas, iterations, algorithm,
+              record_states=False, disturbed=False):
+    """Raise CapacityError if a `run_points` call of `points` points on n
+    agents, u resources and E links would pass MEMORY_LIMIT (`_footprint`).
+
+    `run_points` applies it before any compute; a caller that writes
+    outputs applies it first, so a refused run leaves nothing behind.
+    """
+    _require(_footprint(n, u, E, points=points, R=replicas, T=iterations,
+                        algorithm=algorithm, record_states=record_states,
+                        disturbed=disturbed),
+             f"{f'{points} points x ' if points > 1 else ''}"
+             f"{reprlib.repr(replicas)} replicas x {reprlib.repr(iterations)} steps")
 
 
 def _require(need, what):
@@ -354,10 +386,8 @@ def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
         raise ValueError("x0 and y0 must be finite")
     R, T, E, P = int(replicas), int(iterations), first.n_edges, len(points)
     dist = disturbance if disturbance is not None else DisturbanceSpec()
-    _require(_footprint(n, u, E, points=P, R=R, T=T, algorithm=algorithm,
-                        record_states=record_states, disturbed=dist.active),
-             f"{f'{P} points x ' if P > 1 else ''}{reprlib.repr(R)} replicas x "
-             f"{reprlib.repr(T)} steps")
+    check_run(n, u, E, points=P, replicas=R, iterations=T, algorithm=algorithm,
+              record_states=record_states, disturbed=dist.active)
     return _run_lanes(problem, points, kkt=kkt_solve(problem), algorithm=algorithm,
                       T=T, R=R, seed=seed, x0=x0, y0=y0, dist=dist,
                       record_states=record_states)
@@ -415,10 +445,13 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
 
     # mixing kernel: S operands, (P, R, n, u) views of node-major
     # (n, S, P, R, u) storage, mixed into one (S, P, R, n, u) result that
-    # each mix_apply() call refills for the weights in the (E, P, R) buffer
-    # `wv`.  It runs the tiles `_kernel_width` sizes (see the module
-    # docstring), whose views are made once: at n = 10 making them per call
-    # costs about 2 us of a 17 us kernel.
+    # each mix_apply(j) call refills for the weights in row j of the
+    # (C, E, P, R) buffer `wts`, which one multiply fills for C steps of a
+    # block of B.  It runs the tiles `_kernel_width` sizes (see the module
+    # docstring), whose views, one per weight row, are made once: at n = 10
+    # making them per call costs about 2 us of a 17 us kernel.
+    B = _block_rows(n, u)
+    C = _weight_rows(B)
     S = 2 if is_dta else 1
     lanes = P * R
     nodes = np.concatenate((model.edges[:, 0], model.edges[:, 1]))
@@ -428,9 +461,9 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     per_tile = width // ops                 # lanes per tile but the last
     stack = np.empty((n, S, P, R, u))
     operands = list(stack.transpose(1, 2, 3, 0, 4))
-    wv = np.empty((E, P, R))
+    wts = np.empty((C, E, P, R))
     src = stack.reshape(n, S, lanes, u)
-    wl = wv.reshape(E, 1, lanes, 1)
+    wl = wts.reshape(C, E, 1, lanes, 1)
     mixed = np.empty((S, *full))
     flat_out = mixed.reshape(S, lanes, n, u)
     buf = np.empty(2 * E * width * u)
@@ -448,10 +481,11 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             # explicit widths: with no links (E = 0) a -1 width is ambiguous
             terms = buf[:2 * E * ops * t * u].reshape(2 * E, ops, t, u)
             tiles.append((src[:, s:s + ops, a:a + t], terms, terms.ravel(),
-                          terms[:E], terms[E:], wl[:, :, a:a + t], index[t],
-                          flat_out[s:s + ops, a:a + t].reshape(-1)))
+                          terms[:E], terms[E:], list(wl[..., a:a + t, :]),
+                          index[t], flat_out[s:s + ops, a:a + t].reshape(-1)))
 
-    def mix_apply():
+    def mix_apply(j):
+        """Mix the operands with the weights of row j of `wts`."""
         for rows, pairs, entries, top, bottom, wt, idx, flat in tiles:
             # rows [v_i; v_j] of every edge, then d = v_i - v_j on top.
             # build_model keeps 0 <= i < j < n, so "clip" never clips; it
@@ -459,7 +493,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             # buffers the output
             rows.take(nodes, axis=0, out=pairs, mode="clip")
             np.subtract(top, bottom, out=top)
-            np.multiply(top, wt, out=top)
+            np.multiply(top, wt[j], out=top)
             np.negative(top, out=bottom)
             flat[...] = np.bincount(idx, entries, minlength=flat.size)
         return mixed
@@ -469,7 +503,6 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     # carries the state the block starts from and rows 1 .. B take the states
     # it steps to, so x(k) and x(k+1) never share memory.  Indexing a list of
     # the rows per step is cheaper than making a view.
-    B = _block_rows(n, u)
     acts = np.empty((B, E, P, R), dtype=bool)
     xbuf = np.empty((B + 1, *full))
     ybuf = np.empty((B + 1, *full)) if is_dta else None
@@ -478,7 +511,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     tmp1, tmp2 = np.empty(full), np.empty(full)
     ubuf = np.empty((B, E))                 # one replica's uniforms at a time
     zbuf = np.empty((R, B, n, u)) if need_z else None
-    gradient = problem.costs.gradient
+    gradient = problem.costs.gradient_for(full)
 
     xbuf[0] = x0
     if is_dta:
@@ -564,13 +597,17 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 zbuf[:, :m] *= scales[k0:k0 + m][None, :, None, None]
 
             for i in range(m):
-                np.multiply(wcol, acts[i], out=wv)                  # (E, P, R)
+                j = i % C
+                if not j:
+                    # the weights of steps i .. i + c - 1, (c, E, P, R)
+                    c = min(C, m - i)
+                    np.multiply(wcol, acts[i:i + c], out=wts[:c])
                 x, xn = xrows[i], xrows[i + 1]
                 xz = np.add(x, zbuf[:, i], out=xn) if need_z else x
                 if is_dta:
                     y, yn = yrows[i], yrows[i + 1]
                     operands[1][...] = y
-                    mixg, mixy = mix_apply()
+                    mixg, mixy = mix_apply(j)
                     # x(k+1) = (xz - alpha y) - beta mixg
                     np.subtract(xz, np.multiply(alf, y, out=tmp1), out=xn)
                     np.subtract(xn, np.multiply(bef, mixg, out=tmp2), out=xn)
@@ -578,8 +615,10 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                     np.subtract(y, mixy, out=yn)
                     np.add(yn, np.subtract(xn, x, out=tmp1), out=yn)
                 else:
-                    np.subtract(xz, np.multiply(alf, mix_apply()[0], out=tmp1), out=xn)
-                gradient(xn, out=operands[0])
+                    np.subtract(xz, np.multiply(alf, mix_apply(j)[0], out=tmp1), out=xn)
+                # into contiguous tmp1, then copied: a ufunc writing into
+                # the strided operand stack misses numpy's contiguous loop
+                operands[0][...] = gradient(xn, out=tmp1)
 
             running &= ~flush(k0, m)
             if not running.any():

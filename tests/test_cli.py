@@ -16,6 +16,7 @@ import yaml
 import dtalloc
 from dtalloc.cli import main
 from dtalloc.errors import PlanWarning
+from fs_tree import tree
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 EXPERIMENTS = os.path.join(HERE, os.pardir, "experiments")
@@ -248,17 +249,19 @@ def test_exit_2_on_bad_config(tmp_path, capsys):
     doc = _tiny()
     doc["bogus"] = 1
     cfg = _write(tmp_path, doc)
+    before = tree(tmp_path)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("window", [0, 500])
 def test_exit_2_before_compute_on_window_outside_k_end(tmp_path, capsys, window):
     cfg = _write(tmp_path, _tiny(rate={"window": window}))
-    out = tmp_path / "o"
-    assert main(["run", cfg, "--out", str(out)]) == 2
+    before = tree(tmp_path)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "rate.window" in capsys.readouterr().err
-    assert not (out / "tiny" / "trace.csv").exists()
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("over,fragment", [
@@ -286,14 +289,14 @@ def test_exit_2_before_compute_on_window_outside_k_end(tmp_path, capsys, window)
 def test_exit_2_before_compute_on_non_finite_input(tmp_path, capsys, over,
                                                    fragment):
     cfg = _write(tmp_path, _tiny(**over))  # written as YAML .inf / .nan
-    out = tmp_path / "o"
+    before = tree(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     # a huge integer is echoed shortened, not in full
     assert fragment in err and max(map(len, err.splitlines())) < 200, err
-    assert not (out / "tiny" / "trace.csv").exists()
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("a", [[1.0e200, 2.0e200], [1.0e-200, 2.0e-200]],
@@ -302,14 +305,14 @@ def test_exit_2_on_a_curvature_past_the_float_range(tmp_path, capsys, a):
     # phi^2 overflowed a float's ** (huge), and K2^2 underflowed to a zero
     # divisor (tiny): each ended bounds and run in a traceback with exit 1
     cfg = _write(tmp_path, _tiny(cost={"a": a, "b": [0.1, -0.1]}))
-    out = tmp_path / "o"
-    for argv in (["bounds", cfg], ["run", cfg, "--out", str(out)]):
+    before = tree(tmp_path)
+    for argv in (["bounds", cfg], ["run", cfg, "--out", str(tmp_path / "o")]):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 2
         captured = capsys.readouterr()
         assert "config error: cost.a" in captured.err and captured.out == ""
-    assert not out.exists()
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("over,fragment", [
@@ -327,13 +330,14 @@ def test_exit_2_on_a_curvature_past_the_float_range(tmp_path, capsys, a):
 def test_exit_2_on_a_stray_cutoff_or_zero_agents(tmp_path, capsys, over, fragment):
     cfg = _write(tmp_path, _tiny(**over))
     out = tmp_path / "o"
+    before = tree(tmp_path)
     for argv in (["bounds", cfg], ["run", cfg, "--out", str(out)],
                  ["compare", cfg, "--out", str(out)]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("config error: ") and fragment in captured.err
-    assert not out.exists()
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("theta", [[0.5, 0.5], [[0.5]], []])
@@ -342,10 +346,11 @@ def test_exit_2_before_compute_on_theta_length(tmp_path, capsys, theta):
     doc["network"]["theta"] = theta        # the two-agent graph has one link
     cfg = _write(tmp_path, doc)
     out = tmp_path / "o"
+    before = tree(tmp_path)
     assert main(["run", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "network.theta" in err and "each of the 1 links" in err
-    assert not (out / "tiny" / "trace.csv").exists()
+    assert tree(tmp_path) == before
     doc["network"]["theta"] = [0.5]
     assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
 
@@ -362,12 +367,12 @@ def test_exit_2_before_compute_on_stepsize_shape(tmp_path, capsys, argv,
     doc = _tiny()
     doc["stepsizes"].update(stepsizes)
     cfg = _write(tmp_path, doc)
-    out = tmp_path / "o"
-    extra = [] if argv == ["bounds"] else ["--out", str(out)]
+    before = tree(tmp_path)
+    extra = [] if argv == ["bounds"] else ["--out", str(tmp_path / "o")]
     assert main([argv[0], cfg, *argv[1:], *extra]) == 2
     captured = capsys.readouterr()
     assert "per-agent stepsizes" in captured.err and captured.out == ""
-    assert not out.exists()
+    assert tree(tmp_path) == before
 
 
 def test_run_from_the_optimum_reports_na(tmp_path, capsys):
@@ -426,10 +431,6 @@ def test_exit_4_on_divergence(tmp_path):
     assert s["final_ratio"] is None
 
 
-def _files_under(root):
-    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
-
-
 @pytest.mark.parametrize("name", ["../../x", "..", "absolute", "a/b"])
 def test_exit_2_when_the_name_leaves_out(tmp_path, capsys, name):
     # the name becomes the output subdirectory, so it must stay inside --out
@@ -440,24 +441,30 @@ def test_exit_2_when_the_name_leaves_out(tmp_path, capsys, name):
     cfg = _write(work, _tiny(name=name))
     assert main(["run", cfg, "--out", str(work / "o")]) == 2
     assert "name must be one directory name" in capsys.readouterr().err
-    assert _files_under(tmp_path) == ["a/b/exp.yaml"]
+    assert tree(tmp_path) == ["a/", "a/b/", "a/b/exp.yaml"]
 
 
 @pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file",
-                                  "name-too-long"])
+                                  "name-too-long", "name-too-long-under-new-dirs",
+                                  "name-too-long-under-new-dirs-and-dotdot"])
 def test_exit_2_before_compute_when_the_output_directory_cannot_be_made(
         tmp_path, capsys, monkeypatch, case):
-    # each ended in a traceback with exit 1 once the whole run had finished
+    # each ended in a traceback with exit 1 once the whole run had finished.
+    # A name too long under --out directories that do not exist yet left
+    # those directories behind: the ones made before the name failed
     def no_compute(*args, **kw):
         raise AssertionError("the engine ran")
 
     monkeypatch.setattr(dtalloc.engine, "run", no_compute)
     afile = tmp_path / "afile"
     afile.write_text("")
-    doc = _tiny(name="x" * 300) if case == "name-too-long" else _tiny()
+    doc = _tiny(name="x" * 300) if case.startswith("name-too-long") else _tiny()
     cfg = _write(tmp_path, doc)
     out = str(afile / "sub" if case == "out-under-a-file" else
-              afile if case == "out-is-a-file" else tmp_path / "o")
+              afile if case == "out-is-a-file" else
+              tmp_path / "o" / "p" / "q" if case.endswith("new-dirs") else
+              tmp_path / "o" / "p" / ".." / "q" if case.endswith("dotdot") else
+              tmp_path / "o")
     for argv in (["run", cfg], ["compare", cfg],
                  ["sweep", cfg, "--axis", "beta", "--values", "0.5,1"]):
         assert main([*argv, "--out", out]) == 2
@@ -466,7 +473,7 @@ def test_exit_2_before_compute_when_the_output_directory_cannot_be_made(
         assert captured.err.startswith("config error: cannot create output "
                                        "directory "), captured.err
         assert "Traceback" not in captured.err
-    assert _files_under(tmp_path) == ["afile", "exp.yaml"]
+        assert tree(tmp_path) == ["afile", "exp.yaml"]
 
 
 HUGE = 10 ** 400
@@ -499,10 +506,12 @@ def test_exit_2_echoes_a_long_value_shortened(tmp_path, capsys, over, fragment):
     # a 400-digit integer or a 300-item list was echoed in full; the huge
     # numbers of the non-finite and memory-limit tests are checked there
     cfg = _write(tmp_path, _tiny(**over))
+    before = tree(tmp_path)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert fragment in err
     assert err.strip() and max(map(len, err.splitlines())) < 200, err
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("engine_over,size", [
@@ -523,7 +532,22 @@ def test_exit_2_before_compute_past_the_memory_limit(tmp_path, capsys,
         err = capsys.readouterr().err
         assert "capacity error" in err and "GiB limit" in err and size in err
         assert max(map(len, err.splitlines())) < 200, err
-    assert _files_under(tmp_path) == ["exp.yaml"]
+        # the run was refused before its output directory was made
+        assert tree(tmp_path) == ["exp.yaml"]
+
+
+def test_main_yaml_past_the_memory_limit_leaves_no_directory(tmp_path, capsys):
+    # main.yaml at 10 ** 9 replicas exited 2 but left an empty o/main/: the
+    # output directory was made before the engine applied its memory check
+    with open(os.path.join(EXPERIMENTS, "main.yaml")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["engine"]["replicas"] = 1_000_000_000
+    cfg = _write(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PlanWarning)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("capacity error: 1000000000 replicas")
+    assert tree(tmp_path) == ["exp.yaml"]
 
 
 def test_one_agent_runs_and_compares(tmp_path, capsys):
@@ -643,10 +667,10 @@ def test_sweep_exit_4_only_when_every_point_diverges(tmp_path):
 def test_sweep_checks_every_point_before_compute(tmp_path, capsys, argv, over,
                                                  fragment):
     cfg = _write(tmp_path, _tiny(**over))
-    out = tmp_path / "o"
-    assert main([argv[0], cfg, *argv[1:], "--out", str(out)]) == 2
+    before = tree(tmp_path)
+    assert main([argv[0], cfg, *argv[1:], "--out", str(tmp_path / "o")]) == 2
     assert fragment in capsys.readouterr().err
-    assert not out.exists()                   # no point ran, nothing written
+    assert tree(tmp_path) == before           # no point ran, nothing written
 
 
 WGA = {"algorithm": "wga", "iterations": 200, "replicas": 2}
@@ -680,10 +704,10 @@ def test_exit_2_before_compute_on_wga_plan_errors(tmp_path, capsys, argv,
     doc = _tiny(engine=WGA)
     doc["stepsizes"].update(stepsizes)
     cfg = _write(tmp_path, doc)
-    out = tmp_path / "o"
-    assert main([argv[0], cfg, *argv[1:], "--out", str(out)]) == 2
+    before = tree(tmp_path)
+    assert main([argv[0], cfg, *argv[1:], "--out", str(tmp_path / "o")]) == 2
     assert fragment in capsys.readouterr().err
-    assert not out.exists()
+    assert tree(tmp_path) == before
 
 
 def test_theta_sweep_includes_silent_network(tmp_path):

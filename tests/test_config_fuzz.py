@@ -3,7 +3,7 @@
 Each example sets one key of a small valid config (3 agents, 50 steps, 2
 replicas, a 2-point sweep, a disturbance) to a value of the wrong type,
 size or range, then runs `dtalloc run` in-process.  The run must exit 2,
-print no traceback and write no file.
+print no traceback and make no file or directory.
 """
 
 import contextlib
@@ -20,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from dtalloc.cli import main  # noqa: E402
+from fs_tree import tree  # noqa: E402
 
 VALID = {
     "name": "fuzz",
@@ -170,5 +171,5 @@ def test_a_malformed_key_exits_2_before_compute(mutation):
             code = main(["run", cfg, "--out", os.path.join(work, "o")])
         assert code == 2, (path, value, err.getvalue())
         assert "Traceback" not in err.getvalue()
-        written = [os.path.join(d, f) for d, _, fs in os.walk(tmp) for f in fs]
-        assert written == [cfg], (path, value)
+        # no file and no directory made
+        assert tree(tmp) == ["work/", "work/c.yaml"], (path, value)

@@ -472,6 +472,57 @@ def test_kernel_tiles_do_not_change_results(monkeypatch, case, width):
         _assert_same_result(a, b, (width, idx))
 
 
+def _weight_row_cases():
+    """Runs as (problem, [(model, alpha, beta)], run_points keywords) of 149
+    steps, a count that no block's weight chunks divide (see the test)."""
+    rng = np.random.default_rng(55)
+    prob2 = _random_instance(rng, 6, u=2)
+    gauss = DisturbanceSpec("gaussian", m_zeta=1.5, q_zeta=0.99)
+    main = _main_problem()
+    alpha, beta = 0.0007647132835707233, 14309.704294513564
+    model10 = complete_graph(10, weight=0.0002, theta=0.5)
+    return {
+        # the second point diverges at step 12, the fourth row of an
+        # 8-row chunk and the second of a 2-row one, while the others run on
+        "dta-points-diverging": (main, [
+            (model10, alpha, beta), (model10, 2 * alpha, 10 * beta),
+            (model10, 0.5 * alpha, beta)], dict(
+            algorithm="dta", iterations=149, replicas=3, seed=7)),
+        "wga-gauss": (main, [(model10, 100.0, None)], dict(
+            algorithm="wga", iterations=149, replicas=3, seed=14,
+            x0=main.demand, disturbance=gauss)),
+        "dta-u2-gauss": (prob2, [(complete_graph(6, theta=0.6),
+                                  np.linspace(0.02, 0.06, 6),
+                                  np.linspace(0.05, 0.15, 6))], dict(
+            algorithm="dta", iterations=149, replicas=3, seed=19,
+            disturbance=gauss)),
+    }
+
+
+@pytest.mark.parametrize("rows,chunk", [(7, 1), (17, 2)])
+@pytest.mark.parametrize("case", ["dta-points-diverging", "wga-gauss",
+                                  "dta-u2-gauss"])
+def test_weight_rows_do_not_change_results(monkeypatch, case, rows, chunk):
+    # one multiply makes the link weights of C steps, and step i of a block
+    # mixes with row i % C.  Against the default 64-row blocks (C = 8), runs
+    # with C = 1 and C = 2 must keep every bit; a step that read another
+    # step's row would not.  Each block of 149 steps ends in a partial chunk
+    # (149 % 64 = 21 = 2 * 8 + 5, and 17-row blocks hold 8 chunks and a row)
+    prob, points, kw = _weight_row_cases()[case]
+    ref = engine.run_points(prob, points, record_states=True, **kw)
+    monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
+    B = engine._block_rows(prob.n, prob.u)
+    assert (B, engine._weight_rows(B)) == (rows, chunk)
+    assert engine._weight_rows(64) == 8 and kw["iterations"] % 64 % 8
+    res = engine.run_points(prob, points, record_states=True, **kw)
+    if case == "dta-points-diverging":
+        assert [r.diverged for r in res] == [False, True, False]
+        step = res[1].diverged_at - 1             # its row in the block
+        assert step % 8 and (chunk == 1 or step % B % chunk)
+    for idx, (a, b) in enumerate(zip(ref, res)):
+        _assert_same_result(a, b, (rows, idx))
+
+
 @pytest.mark.parametrize("rows", [1, 2, engine.BLOCK_ROWS])
 @pytest.mark.parametrize("R", [1, 3, 20])
 def test_traces_are_the_aggregate_of_recomputed_residuals(monkeypatch, R, rows):
