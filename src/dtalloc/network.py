@@ -29,7 +29,7 @@ class NetworkModel:
 
     n: int
     edges: np.ndarray   # (E, 2) int, i < j
-    weights: np.ndarray  # (E,) negotiated min-proposals, > 0
+    weights: np.ndarray  # (E,) link weights m_e, > 0
     theta: np.ndarray   # (E,) activation probabilities
 
     @property
@@ -37,11 +37,10 @@ class NetworkModel:
         return self.edges.shape[0]
 
     def row_load(self):
-        """Per-agent sum of incident negotiated weights (all links up)."""
-        load = np.zeros(self.n)
-        np.add.at(load, self.edges[:, 0], self.weights)
-        np.add.at(load, self.edges[:, 1], self.weights)
-        return load
+        """Per-agent sum of incident link weights (all links up), summed over
+        the links' i-ends in edge order and then their j-ends."""
+        return np.bincount(self.edges.T.ravel(), np.tile(self.weights, 2),
+                           minlength=self.n)
 
 
 def _validate(model, allow_zero_theta=False):
@@ -92,15 +91,12 @@ def build_model(n, edges, weights, theta, allow_zero_theta=False):
 
 
 def metropolis_weights(n, edges):
-    """Default proposal rule: w_i^j = 1/(max(deg_i, deg_j) + 1).
-
-    Symmetric, so negotiation is a no-op; guarantees positive self-weights
-    on any graph.
+    """Metropolis link weights m_ij = 1/(max(deg_i, deg_j) + 1), the
+    `proposal: metropolis` rule; they keep every self-weight positive on any
+    graph.
     """
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-    deg = np.zeros(n, dtype=int)
-    np.add.at(deg, edges[:, 0], 1)
-    np.add.at(deg, edges[:, 1], 1)
+    deg = np.bincount(edges.T.ravel(), minlength=n)
     return 1.0 / (np.maximum(deg[edges[:, 0]], deg[edges[:, 1]]) + 1.0)
 
 
@@ -195,13 +191,14 @@ def spectral_report(model):
         return SpectralReport(1, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     EW = expected_weight_matrix(model)
     EW2 = expected_square_matrix(model)
-    lam = np.sort(np.linalg.eigvalsh(EW))[::-1]
-    lam_sq = np.sort(np.linalg.eigvalsh(EW2))[::-1]
-    lam2e, lamne = float(lam[1]), float(lam[-1])
-    lam2s = float(lam_sq[1])
+    # eigvalsh returns the eigenvalues in ascending order
+    lam = np.linalg.eigvalsh(EW)
+    lam_sq = np.linalg.eigvalsh(EW2)
+    lam2e, lamne = float(lam[-2]), float(lam[0])
+    lam2s = float(lam_sq[-2])
     floor = max(1.0 - 2.0 * float(model.row_load().max()), -1.0 + 1e-12)
     rho_mean = max(abs(lam2e), abs(lamne))
-    rho_sq = max(abs(lam2s), abs(float(lam_sq[-1])))  # E{W^2} is PSD; |.| for safety
+    rho_sq = max(abs(lam2s), abs(float(lam_sq[0])))  # E{W^2} is PSD; |.| for safety
     return SpectralReport(
         n=n,
         lambda2_mean=lam2e,

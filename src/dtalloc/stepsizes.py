@@ -13,6 +13,9 @@ that object and nothing else.  Two recursions are analyzed:
 
 The link statistics are time-invariant, so the fixed-network constants
 K1'/K2' of the mean recursion equal K1/K2 and both recursions read `k1`/`k2`.
+A per-agent plan folds each beta_i into the cost moduli: its (K1'', K2'')
+are (K1, K2) at the moduli (beta_min eta, beta_max phi), computed by the same
+function (`_k_constants`) as the shared constants.
 All feasibility inequalities are strict with margin 1e-12, and every
 region requires positive stepsizes: alpha_i > 0 belongs to the alpha bound
 and beta_i > 0 to the beta bound (to the s6 contraction in the per-agent
@@ -55,13 +58,16 @@ class RateConstants:
     lambdan_floor: float
 
 
-def _shape_factor(n, eta, phi):
-    if n == 1:
-        return 1.0
-    # a square past the float range makes this, and K1, 0, inf or NaN;
-    # `resolve` refuses such constants
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (phi + (n - 1) * eta) / np.sqrt(n * (_sq(phi) + (n - 1) * _sq(eta)))
+def _k_constants(n, eta, phi, lambda2_mean, lambdan_mean):
+    """`RateConstants`' (c1, K1, K2) at the cost moduli (eta, phi)."""
+    c1 = 1.0
+    if n > 1:
+        # a square past the float range makes c1, and K1, 0, inf or NaN;
+        # `resolve` refuses such constants, and a plan's fail s6-contracts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c1 = float((phi + (n - 1) * eta)
+                       / np.sqrt(n * (_sq(phi) + (n - 1) * _sq(eta))))
+    return c1, eta * (1.0 - lambda2_mean) * c1, phi * (1.0 - lambdan_mean)
 
 
 def constants(costs, report):
@@ -73,9 +79,8 @@ def constants(costs, report):
         )
     n = costs.n
     eta, phi = costs.eta_lo, costs.phi_hi
-    c1 = float(_shape_factor(n, eta, phi))
-    k1 = eta * (1.0 - report.lambda2_mean) * c1
-    k2 = phi * (1.0 - report.lambdan_mean)
+    c1, k1, k2 = _k_constants(n, eta, phi, report.lambda2_mean,
+                              report.lambdan_mean)
     return RateConstants(
         n=n, eta_lo=eta, phi_hi=phi, c1=c1,
         k1=k1, k2=k2,
@@ -86,32 +91,21 @@ def constants(costs, report):
     )
 
 
-def plan_constants(rc, alpha, beta):
+def plan_constants(rc, beta):
     """Per-agent-plan contraction constants (K1'', K2'').
 
-    The per-agent beta_i fold into the moduli: with bl = min beta_i,
-    bh = max beta_i,
+    The per-agent beta_i fold into the cost moduli, so (K1'', K2'') are
+    (K1, K2) at the moduli (bl eta, bh phi), with bl = min beta_i and
+    bh = max beta_i:
 
-        K1'' = bl eta (1 - lambda2_mean) [bh phi + (n-1) eta bl]
-               / sqrt(n [bh^2 phi^2 + (n-1) eta^2 bl^2])
+        K1'' = bl eta (1 - lambda2_mean) c1(bl eta, bh phi)
         K2'' = bh phi (1 - lambdan_mean)
     """
-    n = rc.n
-    eta, phi = rc.eta_lo, rc.phi_hi
-    beta = np.broadcast_to(np.asarray(beta, float), (n,))
+    beta = np.broadcast_to(np.asarray(beta, float), (rc.n,))
     bl, bh = float(beta.min()), float(beta.max())
-    if n == 1:
-        k1pp = bl * eta * (1.0 - rc.lambda2_mean)
-    else:
-        # a huge beta makes this inf / inf: NaN, which fails s6-contracts
-        with np.errstate(invalid="ignore"):
-            k1pp = (
-                bl * eta * (1.0 - rc.lambda2_mean)
-                * (bh * phi + (n - 1) * eta * bl)
-                / np.sqrt(n * (_sq(bh) * phi**2 + (n - 1) * eta**2 * _sq(bl)))
-            )
-    k2pp = bh * phi * (1.0 - rc.lambdan_mean)
-    return float(k1pp), float(k2pp)
+    _, k1pp, k2pp = _k_constants(rc.n, bl * rc.eta_lo, bh * rc.phi_hi,
+                                 rc.lambda2_mean, rc.lambdan_mean)
+    return k1pp, k2pp
 
 
 @dataclass(frozen=True)
@@ -261,9 +255,11 @@ def feasible_region_uncoordinated(rc, alpha, beta):
     bh = float(beta.max())
     s4 = 1.0 - float(alpha.sum())
     s5 = _sq(ah) + 2.0 * ah + rc.lambda2_sq
-    k1pp, k2pp = plan_constants(rc, alpha, beta)
+    k1pp, k2pp = plan_constants(rc, beta)
     alpha_max = np.sqrt(2.0 - rc.lambda2_sq) - 1.0
-    contracts = _sq(k2pp) < 2.0 * k1pp - MARGIN
+    # K1'' is inf where c1's squares underflow to 0 (a tiny beta), and NaN
+    # or 0 where they overflow; neither contracts
+    contracts = bool(np.isfinite(k1pp)) and _sq(k2pp) < 2.0 * k1pp - MARGIN
     conds = {
         "sum-alpha": alpha.sum() < 2.0 - MARGIN,
         "alpha-bound": alpha.min() > 0.0 and ah < alpha_max - MARGIN,

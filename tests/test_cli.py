@@ -959,3 +959,28 @@ def test_summary_bytes_pinned_across_front_end_changes(tmp_path, monkeypatch):
         "7f51f91d97686d38e5997a1b9fbae2d778e047f53916cf354ce3529ac58a766d"
     assert _sha256(tmp_path / "compare" / "irregular" / "summary.json") == \
         "80208e21333a2968660fc38b2d4f753cc008dbd925aefcd023e681ef6c3c0e95"
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("main",
+     "b0f9086103d674771987263cf75b276dd59287d39dc0c26b3d5d2fb313ed0164"),
+    ("uncoordinated",
+     "02cd2ceeb073264bb9917f0e632138bf60c7dbd8e069e4df6c7c6d72636d0c19"),
+    ("wide",
+     "5e71da256e2f8cce4ae2ae895940cb9f21433e7b42b5a1cd7c52bf846b1eacac"),
+])
+def test_bounds_stdout_pinned(tmp_path, capsys, name, digest):
+    """`dtalloc bounds` stdout, pinned: a shared optimal plan (main.yaml),
+    a per-agent plan (uncoordinated.yaml), and the 60-agent WIDE config
+    (per-agent plan, u = 2, per-edge theta).
+
+    The digests were recorded before the shared and per-agent contraction
+    constants were computed by one function.
+    """
+    if name == "wide":
+        cfg = _write(tmp_path, WIDE, "wide.yaml")
+    else:
+        cfg = os.path.join(EXPERIMENTS, f"{name}.yaml")
+    assert main(["bounds", cfg]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,6 +4,7 @@ Numeric literals in this file are regression pins computed from the closed
 forms at float64 and double-checked against independent implementations.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -14,7 +15,11 @@ from dtalloc import (build_model, constants,
                      feasible_region_uncoordinated, optimal_stepsizes,
                      plan_constants, predicted_rate, quadratic_costs,
                      spectral_report, wga_default_alpha)
+from dtalloc.config import load_config, resolve
 from dtalloc.network import complete_edges, metropolis_weights
+
+UNCOORDINATED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "experiments", "uncoordinated.yaml")
 
 A10 = [0.0314, 0.0342, 0.0392, 0.0379, 0.0366, 0.0304, 0.0385, 0.0393, 0.0368, 0.0396]
 B10 = [0.352, 0.349, 0.278, 0.331, 0.234, 0.341, 0.206, 0.255, 0.209, 0.219]
@@ -215,9 +220,44 @@ def test_plan_constants_uniform_collapse():
     rep = spectral_report(model)
     rc = constants(costs, rep)
     beta = np.full(10, 2.7)
-    k1pp, k2pp = plan_constants(rc, np.full(10, 0.015), beta)
+    k1pp, k2pp = plan_constants(rc, beta)
     assert k1pp == pytest.approx(2.7 * rc.k1, rel=1e-12)
     assert k2pp == pytest.approx(2.7 * rc.k2, rel=1e-12)
+
+
+def _written_out_plan_constants(rc, beta):
+    # the paper's closed forms, term by term
+    n, eta, phi = rc.n, rc.eta_lo, rc.phi_hi
+    bl, bh = min(beta), max(beta)
+    k1pp = (bl * eta * (1.0 - rc.lambda2_mean) * (bh * phi + (n - 1) * eta * bl)
+            / np.sqrt(n * (bh**2 * phi**2 + (n - 1) * eta**2 * bl**2)))
+    return k1pp, bh * phi * (1.0 - rc.lambdan_mean)
+
+
+def test_plan_constants_match_the_written_out_formula():
+    # (K1, K2) at the moduli (bl eta, bh phi) against the paper's K1''/K2'',
+    # to rel 1e-14: a 10x spread of beta on 10 agents, and a single agent
+    rc10 = _metropolis_rc(0.9)
+    beta10 = [0.3, 2.1, 0.9, 3.0, 1.2, 0.45, 2.7, 1.5, 0.6, 1.8]
+    model1 = build_model(1, np.zeros((0, 2), int), np.zeros(0), np.zeros(0))
+    rc1 = constants(quadratic_costs([2.0], [0.0]), spectral_report(model1))
+    for rc, beta in ((rc10, beta10), (rc1, [0.7])):
+        got = plan_constants(rc, np.array(beta))
+        want = _written_out_plan_constants(rc, beta)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-300, 1e300])
+def test_uncoordinated_verdict_at_float_edges(scale):
+    # uncoordinated.yaml's plan with beta scaled to the float range's edges:
+    # no beta contracts (0 fails beta > 0; at 1e-300 the squares in K1''
+    # underflow and it is inf, at 1e300 they overflow), and no RuntimeWarning,
+    # which the suite turns into an error
+    res = resolve(load_config(UNCOORDINATED))
+    v = feasible_region_uncoordinated(res.rc, res.alpha,
+                                      np.asarray(res.beta) * scale)
+    assert not v.conditions["s6-contracts"]
+    assert not v.feasible and np.isnan(v.s6)
 
 
 def test_uncoordinated_region_box_corners():
