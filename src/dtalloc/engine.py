@@ -27,13 +27,16 @@ Per step, activations are `rng.random(E) < theta` and disturbance draws are
 one (n, u) block from the second stream.  Each block of B steps (see below)
 draws its steps' randomness as it starts, into a (B, E, G, R) boolean
 activation buffer and an (R, B, n, u) disturbance buffer allocated once per
-run.  A stream gives the same sequence however many steps one call draws,
-so the streams, and every output, are independent of B.  Each block draws a
+run.  A stream gives the same sequence however many steps one call draws, so
+the streams, and every output, are independent of B.  Each block draws a
 replica's uniforms and disturbance block once and shares them among that
-replica's lanes; only the comparison with theta is per lane.  Runs with
-the same seed therefore see identical link failures and disturbances
-regardless of algorithm or of the other points -- the DTA/WGA comparison
-is variance-paired for free.
+replica's lanes; only the comparison with theta is per lane.  One multiply
+scales the block's draws by each step's envelope into a (B, 1, R, n, u)
+buffer, so step i adds zeta(k) as its row i, a contiguous row that
+broadcasts over the points.  Runs with the same seed therefore see identical
+link failures and disturbances regardless of algorithm or of the other
+points -- the DTA/WGA comparison is variance-paired for free.
+
 
 (I - W(k)) v = B' diag(w(k)) B v is applied edge-wise, B being the signed
 incidence (+1 at i, -1 at j for edge (i, j)); w(k) holds the active
@@ -67,39 +70,45 @@ one tile of every lane would take 6.3 MB.
 The step runs in place.  Per step, the loop only computes the update and
 the gradient of the new state (the next update's input), each with `out=`
 into storage allocated once per call: x(k+1) and y(k+1) go to their rows
-of the (B+1, G, R, n, u) block buffers, and the gradient to a (G, R, n, u)
-temporary, from which it is copied into the kernel's operand stack (a
-ufunc writing into that strided stack misses numpy's contiguous loop).
-The link weights are made C steps at a time, C = max(1, B // 8)
-(`_weight_rows`): one multiply fills a (C, E, G, R) float64 buffer, no
-larger than the block's boolean activations when B >= 8, and step i of a
-block mixes with row i % C; a block's last chunk holds what is left of it.
-At n = 100 (B = 10) C is 1, one row as when each step made its own.  Row 0
-of a block carries the state it starts from and rows 1 .. B take the
-states it steps to, so step i reads row i and writes row i + 1, and x(k)
-and x(k+1) never share memory, even at B = 1; after each block its last
-row is copied to row 0.  alpha and beta are broadcast to (G, R, n, u) once
-per call, as are the gradient's slope and offset
-(`QuadraticCosts.gradient_for`), so their products and sums are
-same-shape ufuncs, which at n = 10 cost a third to a half of a broadcast
-one, and two (G, R, n, u) temporaries hold them.  Each operation is one of
-the update formulas above, evaluated left to right as the plain
-expressions would be, so every output has their bits; only the kernel's
-scatter allocates an array per step.
+of the (B+1, G, R, n, u) block buffers, and the gradient of x(k+1) to its
+row of a (B, G, R, n, u) gradient block, which `flush` reads and from
+which it is copied into the kernel's operand stack (a ufunc writing into
+that strided stack misses numpy's contiguous loop).  The link weights are
+made C steps at a time, C = max(1, B // 8) (`_weight_rows`): one multiply
+fills a (C, E, G, R) float64 buffer, no larger than the block's boolean
+activations when B >= 8, and step i of a block mixes with row i % C; a
+block's last chunk holds what is left of it.  At n = 100 (B = 10) C is 1,
+one row as when each step made its own.  Row 0 of a block carries the state
+it starts from and rows 1 .. B take the states it steps to, so step i
+reads row i and writes row i + 1, and x(k) and x(k+1) never share memory,
+even at B = 1; after each block its last row is copied to row 0.  alpha and
+beta are broadcast to (G, R, n, u) once per call, as are the gradient's
+slope and offset (`QuadraticCosts.gradient_for`), so their products and
+sums are same-shape ufuncs, which at n = 10 cost a third to a half of a
+broadcast one.  The step's gradient row holds its products until the
+gradient overwrites it, and the stepsize times the mixed gradient is
+formed in place in the kernel's output.  Each operation is one of the
+update formulas above, evaluated left to right as the plain expressions
+would be, so every output has their bits; per step only the kernel's
+scatter allocates array data.
 
 Recording runs once per block of steps, not per step.  Once per block, and
-at step T, `flush` makes one `metrics.residuals` call on the stacked block
-and one `metrics.aggregate` call on its four residuals, stacked with the
-replicas as the outer axis, to fill B rows of every point's traces, reduces
-the conservation drift over the block's rows, with a disturbance sums each
-step's zeta(k) over agents in one reduction of the block's draws and adds
-the sums to the totals in step order, and finds each point's
-divergence as the first row where the optimality distance or tracking norm
-of any of its replicas is non-finite or above DIVERGENCE_LIMIT.  That row
-is recorded and ends the point: its later rows stay NaN and its final state
-is that row's.  Its lanes stay in the loop, masked: they step on with the
-others, whose bits do not depend on them, but no later block records
-anything of them, and the loop ends once no point is running.
+at step T, `flush` makes one call of the `metrics.residuals_for` function
+made for the block's shape (x* broadcast to it once, and one scratch block
+for every difference and square) on the stacked states and the gradients
+the steps computed, and one `metrics.aggregate` call on the four
+residuals, stacked with the replicas as the outer axis, to fill B rows of
+every point's traces.  The residual pass's 1'x - 1'd also gives the
+conservation drift 1'y - (1'x - 1'd) over the block's rows.  With a
+disturbance it sums each step's zeta(k) over agents in one reduction of
+the block's scaled rows and adds the sums to the totals in step order.  It
+finds each point's divergence as the first row where the optimality
+distance or tracking norm of any of its replicas is non-finite or above
+DIVERGENCE_LIMIT.  That row is recorded and ends the point: its later rows
+stay NaN and its final state is that row's.  Its lanes stay in the loop,
+masked: they step on with the others, whose bits do not depend on them,
+but no later block records anything of them, and the loop ends once no
+point is running.
 Every residual reduction runs over the trailing (n, u) axes of one lane and
 row, and the aggregate sums each (trace, row, point) over its replicas in
 replica order, as a whole (R, T+1) trace's aggregate does, so the block
@@ -107,9 +116,10 @@ gives the same bits as per-step residuals aggregated at the end.
 B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 n u))) depends on n u alone:
 one lane's B rows of x take at most 8 KiB (64 rows at n u <= 16, 10 at
 n = 100) unless a single step is larger, so a block's R per-replica
-generator calls are spread over B steps however large R and G are.  Each
-block buffer holds (B+1) G R n u float64 values.  A run of one point stops
-at the end of the block it diverges in, at most B - 1 steps past that step;
+generator calls are spread over B steps however large R and G are.  Each block buffer
+holds (B+1) G R n u float64 values, and the gradient block and the
+residual pass's x* and scratch B G R n u each.  A run of one point stops at
+the end of the block it diverges in, at most B - 1 steps past that step;
 in a run of several, a diverged point's lanes step on to the end unless
 every point stops first.
 """
@@ -213,30 +223,32 @@ def _kernel_width(E, S, u, lanes):
 def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     """Bytes a `run_points` call of `points` points needs, as estimated before
     any compute: per point its float64 traces (T+1 rows of each column) and
-    recorded states; per lane its block's B E activation bytes, its state
-    rows and `flush` temporaries (about eight (B+1)-row float64 state
-    blocks), its C rows of E float64 link weights (`_weight_rows`), its
-    scatter's output and the gradient's slope and offset (`gradient_for`),
-    n u float64 values each; once per kernel tile (`_kernel_width`) its
-    terms and slot index; per link the kernel's node index (two int64
-    entries) and each point's stacked theta; per replica its generators;
-    and the draw buffers the points share (one replica's block of uniforms,
-    every replica's block of disturbance).
+    recorded states; per lane its block's B E activation bytes, five float64
+    blocks of about B+1 rows of n u (x, y, the gradients, and the residual
+    pass's x* and scratch), the 16 + 6 u float64 values per row `flush`
+    makes (residuals, their aggregate, agent sums), C rows of E float64 link
+    weights (`_weight_rows`) and 2 S + 4 rows of n u float64 values (the
+    stepsizes, the gradient's slope and offset, the kernel's operands and
+    output); once per kernel tile (`_kernel_width`) its terms and slot
+    index; per link the kernel's node index (two int64 entries) and each
+    point's theta; per replica its generators; and the draw buffers the
+    points share (one replica's block of uniforms, and every replica's
+    block of disturbance, as drawn and as scaled).
     """
     B = _block_rows(n, u)
     S = 2 if algorithm == "dta" else 1
     lanes = points * R
     traces = (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
     states = S * (T + 1) * R * n * u * 8 if record_states else 0
-    lane = (B * E + 8 * (B + 1) * n * u * 8
-            + 8 * (_weight_rows(B) * E + (S + 2) * n * u))
+    lane = (B * E + 5 * (B + 1) * n * u * 8 + B * (16 + 6 * u) * 8
+            + 8 * (_weight_rows(B) * E + (2 * S + 4) * n * u))
     # float64 terms and int64 slots, 2 E u entries each per lane of a tile,
     # and a narrower last tile's own slot index
     width = _kernel_width(E, S, u, lanes)
     narrow = lanes % width if width <= lanes else 0
     tiles = 16 * E * u * (2 * width + narrow)
     links = 8 * E * (2 + points)
-    shared = B * E * 8 + (R * B * n * u * 8 if disturbed else 0)
+    shared = B * E * 8 + (2 * R * B * n * u * 8 if disturbed else 0)
     return (points * (traces + states) + lanes * lane + tiles + links
             + R * GENERATOR_BYTES + shared)
 
@@ -413,7 +425,6 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     is_dta = algorithm == "dta"
     need_z = dist.active
     scales = dist.scales(T, n, u) if need_z else None
-    dsum = problem.total_demand
 
     model = points[0][0]
     E = model.n_edges
@@ -465,6 +476,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     src = stack.reshape(n, S, lanes, u)
     wl = wts.reshape(C, E, 1, lanes, 1)
     mixed = np.empty((S, *full))
+    mixes = list(mixed)
     flat_out = mixed.reshape(S, lanes, n, u)
     buf = np.empty(2 * E * width * u)
     index = {}
@@ -496,7 +508,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             np.multiply(top, wt[j], out=top)
             np.negative(top, out=bottom)
             flat[...] = np.bincount(idx, entries, minlength=flat.size)
-        return mixed
+        return mixes
 
     # per block: draw its steps' randomness, step each state into a block
     # row, and `flush` -- residual traces, drift maximum, divergence.  Row 0
@@ -506,12 +518,16 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     acts = np.empty((B, E, P, R), dtype=bool)
     xbuf = np.empty((B + 1, *full))
     ybuf = np.empty((B + 1, *full)) if is_dta else None
+    gbuf = np.empty((B, *full))             # grad f of the states in rows 1 .. B
     xrows = list(xbuf)
     yrows = list(ybuf) if is_dta else None
-    tmp1, tmp2 = np.empty(full), np.empty(full)
+    grows = list(gbuf)
     ubuf = np.empty((B, E))                 # one replica's uniforms at a time
-    zbuf = np.empty((R, B, n, u)) if need_z else None
+    zbuf = np.empty((R, B, n, u)) if need_z else None          # as drawn
+    zblock = np.empty((B, 1, R, n, u)) if need_z else None     # scaled, by step
+    zrows = list(zblock) if need_z else None
     gradient = problem.costs.gradient_for(full)
+    residuals = _metrics.residuals_for((B, *full), problem, kkt)
 
     xbuf[0] = x0
     if is_dta:
@@ -539,7 +555,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         """
         xs = xbuf[1:m + 1]
         ys = ybuf[1:m + 1] if is_dta else None
-        res, _ = _metrics.residuals(xs, ys, problem, kkt)       # each (m, P, R)
+        res, fe = residuals(xs, ys, gbuf[:m])                   # each (m, P, R)
         opt = res["optimality_distance"]
         bad = ~np.isfinite(opt) | (opt > DIVERGENCE_LIMIT)
         if is_dta:
@@ -568,12 +584,12 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 out.final_y = ys[row, p].copy() if is_dta else None
         if need_z:
             # each step's (R, u) sum over agents, accumulated in step order
-            zsum = zbuf[:, :m].sum(axis=2).transpose(1, 0, 2)
+            zsum = zblock[:m, 0].sum(axis=-2)                   # (m, R, u)
             acc = np.add.accumulate(np.concatenate(
                 (zeta_total[None], np.broadcast_to(zsum[:, None], (m, P, R, u)))))
             zeta_total[...] = acc[stop, np.arange(P)]
         if is_dta:
-            c = np.abs(ys.sum(axis=-2) - (xs.sum(axis=-2) - dsum))  # (m, P, R, u)
+            c = np.abs(ys.sum(axis=-2) - fe)                    # (m, P, R, u)
             checked = (np.arange(m)[:, None] < ok)[:, :, None, None]
             drift = np.where(checked, c, 0.0).max(axis=(0, 2, 3))
             np.maximum(cons_drift, drift, out=cons_drift)
@@ -594,7 +610,8 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                         zbuf[r, :m] = zstreams[r].laplace(0.0, 1.0 / np.sqrt(2.0), (m, n, u))
                     else:  # impulse: fixed magnitude, random sign
                         zbuf[r, :m] = np.where(zstreams[r].random((m, n, u)) < 0.5, 1.0, -1.0)
-                zbuf[:, :m] *= scales[k0:k0 + m][None, :, None, None]
+                np.multiply(zbuf[:, :m].transpose(1, 0, 2, 3)[:, None],
+                            scales[k0:k0 + m, None, None, None, None], out=zblock[:m])
 
             for i in range(m):
                 j = i % C
@@ -602,23 +619,25 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                     # the weights of steps i .. i + c - 1, (c, E, P, R)
                     c = min(C, m - i)
                     np.multiply(wcol, acts[i:i + c], out=wts[:c])
-                x, xn = xrows[i], xrows[i + 1]
-                xz = np.add(x, zbuf[:, i], out=xn) if need_z else x
+                # gn holds the step's products until it takes grad f(x(k+1))
+                x, xn, gn = xrows[i], xrows[i + 1], grows[i]
+                xz = np.add(x, zrows[i], out=xn) if need_z else x
                 if is_dta:
                     y, yn = yrows[i], yrows[i + 1]
                     operands[1][...] = y
                     mixg, mixy = mix_apply(j)
                     # x(k+1) = (xz - alpha y) - beta mixg
-                    np.subtract(xz, np.multiply(alf, y, out=tmp1), out=xn)
-                    np.subtract(xn, np.multiply(bef, mixg, out=tmp2), out=xn)
+                    np.subtract(xz, np.multiply(alf, y, out=gn), out=xn)
+                    np.subtract(xn, np.multiply(bef, mixg, out=mixg), out=xn)
                     # y(k+1) = (y - mixy) + (x(k+1) - x(k))
                     np.subtract(y, mixy, out=yn)
-                    np.add(yn, np.subtract(xn, x, out=tmp1), out=yn)
+                    np.add(yn, np.subtract(xn, x, out=gn), out=yn)
                 else:
-                    np.subtract(xz, np.multiply(alf, mix_apply(j)[0], out=tmp1), out=xn)
-                # into contiguous tmp1, then copied: a ufunc writing into
+                    mixg = mix_apply(j)[0]
+                    np.subtract(xz, np.multiply(alf, mixg, out=mixg), out=xn)
+                # into its contiguous row, then copied: a ufunc writing into
                 # the strided operand stack misses numpy's contiguous loop
-                operands[0][...] = gradient(xn, out=tmp1)
+                operands[0][...] = gradient(xn, out=gn)
 
             running &= ~flush(k0, m)
             if not running.any():

@@ -27,6 +27,7 @@ def residuals(x, y, problem, kkt):
     x, y: (..., n, u) stacks; y is None when the algorithm carries no
     tracker.  Returns ({name: (...) array}, grad f(x)); the gradient is
     handed back so a caller stepping from x does not compute it twice.
+    This is `residuals_for` x's own shape, given `costs.gradient(x)`.
 
     optimality_distance   ||x - x*||_F
     feasibility_gap       ||1'x - 1'd||_2
@@ -34,20 +35,46 @@ def residuals(x, y, problem, kkt):
     gradient_dispersion   ||(I - 11'/n) grad f(x)||_F
     """
     x = np.asarray(x, float)
-    dx = x - kkt.x_star
-    fe = x.sum(axis=-2) - problem.total_demand
     g = problem.costs.gradient(x)
-    gd = g - g.mean(axis=-2, keepdims=True)
-    if y is None:
-        track = np.zeros(x.shape[:-2])
-    else:
-        track = np.sqrt((y * y).sum(axis=(-2, -1)))
-    return {
-        "optimality_distance": np.sqrt((dx * dx).sum(axis=(-2, -1))),
-        "feasibility_gap": np.sqrt((fe * fe).sum(axis=-1)),
-        "tracking_norm": track,
-        "gradient_dispersion": np.sqrt((gd * gd).sum(axis=(-2, -1))),
-    }, g
+    return residuals_for(x.shape, problem, kkt)(x, y, g)[0], g
+
+
+def residuals_for(shape, problem, kkt):
+    """`residuals` for (..., n, u) stacks of one `shape`, as res(x, y, g).
+
+    g is grad f(x), which a caller stepping from x already holds.  x* is
+    broadcast to `shape` once, and one scratch block of that shape takes
+    each difference and then its squares in turn, so a call allocates only
+    its reductions' results.  x, y and g may hold fewer rows than `shape`
+    on the leading axis, as a block's last rows do.  Returns the residuals
+    and fe = 1'x - 1'd, the (..., u) feasibility vector, which the engine's
+    conservation drift reuses.
+
+    Each element is the difference, square and sum the plain expressions
+    (x - x*, g - mean(g) and their squares) give, reduced over the same
+    contiguous (n, u) values, and the mean is `np.mean`'s sum and division,
+    so the bits do not depend on `shape`.
+    """
+    xstar = np.broadcast_to(kkt.x_star, shape).copy()
+    dsum = problem.total_demand
+    scratch = np.empty(shape)
+
+    def res(x, y, g):
+        sc = scratch[:len(x)]
+
+        def norm(v):
+            """||v||_F of each (n, u) stack, v's squares taking the scratch."""
+            return np.sqrt(np.add.reduce(np.multiply(v, v, out=sc), axis=(-2, -1)))
+
+        fe = np.add.reduce(x, axis=-2) - dsum
+        mean = np.add.reduce(g, axis=-2, keepdims=True) / x.shape[-2]
+        return {
+            "optimality_distance": norm(np.subtract(x, xstar[:len(x)], out=sc)),
+            "feasibility_gap": np.sqrt(np.add.reduce(fe * fe, axis=-1)),
+            "tracking_norm": np.zeros(x.shape[:-2]) if y is None else norm(y),
+            "gradient_dispersion": norm(np.subtract(g, mean, out=sc)),
+        }, fe
+    return res
 
 
 def aggregate(per_replica):

@@ -343,6 +343,7 @@ def _sweep_cases():
     """Sweeps as (problem, [(model, alpha, beta)], run_points keywords)."""
     rng = np.random.default_rng(53)
     prob3 = _random_instance(rng, 6, u=3)
+    prob2 = _random_instance(rng, 6, u=2)
     gauss = DisturbanceSpec("gaussian", m_zeta=1.5, q_zeta=0.99)
     main = _main_problem()
     alpha, beta = 0.0007647132835707233, 14309.704294513564
@@ -380,11 +381,25 @@ def _sweep_cases():
             (model6, s * al6, s * be6) for s in (0.5, 40.0, 1.0, 2.0)], dict(
             algorithm="dta", iterations=149, replicas=3, seed=17,
             disturbance=gauss)),
+        # the other two draw kinds, each point's lanes adding the same
+        # (1, R, n, u) row of zeta(k); the second point diverges at step 16
+        "laplace-u2": (prob2, [
+            (model6, s * al6, s * be6) for s in (0.5, 20.0, 1.0)], dict(
+            algorithm="dta", iterations=149, replicas=3, seed=21,
+            disturbance=DisturbanceSpec("laplace", m_zeta=2.0, q_zeta=0.99))),
+        # the impulse switches off at step 75 and the second point diverges
+        # at step 22, each mid-block for 7- and 64-row blocks
+        "impulse-u2-cutoff": (prob2, [
+            (model6, a, None) for a in (0.1, 2.0, 0.5)], dict(
+            algorithm="wga", iterations=149, replicas=3, seed=22,
+            x0=prob2.demand, disturbance=DisturbanceSpec(
+                "impulse", m_zeta=2.0, q_zeta=0.99, cutoff=75))),
     }
 
 
 SWEEP_CASES = ["beta-sweep-diverging", "theta-sweep-with-zero",
-               "mixed-theta-and-plan", "wga-alpha-sweep-gauss", "per-agent-u3"]
+               "mixed-theta-and-plan", "wga-alpha-sweep-gauss", "per-agent-u3",
+               "laplace-u2", "impulse-u2-cutoff"]
 
 
 @pytest.mark.parametrize("case", SWEEP_CASES)
@@ -416,6 +431,26 @@ def test_lanes_under_small_blocks_match_separate_runs(monkeypatch, rows):
     for i, a in enumerate(finals):
         for b in finals[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("case", ["laplace-u2", "impulse-u2-cutoff"])
+def test_disturbed_lanes_under_small_blocks_match_separate_runs(monkeypatch, case, rows):
+    # a block scales each replica's draws once into one row per step, which
+    # every point's lanes add; one- and seven-row blocks must give each
+    # point the bits of a separate default-block run, with the divergence
+    # and the impulse cutoff mid-block for 7- and 64-row blocks
+    prob, points, kw = _sweep_cases()[case]
+    alone = [run(prob, model, alpha=alpha, beta=beta, record_states=True, **kw)
+             for model, alpha, beta in points]
+    steps = [r.diverged_at for r in alone]
+    assert steps[0] is None and steps[2] is None and steps[1] % 64 and steps[1] % 7
+    cutoff = kw["disturbance"].cutoff
+    assert cutoff is None or (cutoff % 64 and cutoff % 7 and cutoff < kw["iterations"])
+    monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
+    lanes = engine.run_points(prob, points, record_states=True, **kw)
+    for idx, (ref, res) in enumerate(zip(alone, lanes)):
+        _assert_same_result(ref, res, (rows, idx))
 
 
 def _tile_cases():

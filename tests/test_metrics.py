@@ -5,6 +5,7 @@ import pytest
 
 from dtalloc import (aggregate, allocation_problem, empirical_rate, kkt_solve,
                      loglinear_r2, non_convergent, quadratic_costs, residuals)
+from dtalloc.metrics import residuals_for
 
 
 def _toy_problem():
@@ -34,6 +35,54 @@ def test_residuals_hand_values():
     shift = 2.0 * np.array([0.5, 1.0, 1.5])
     assert r["gradient_dispersion"] == pytest.approx(
         np.linalg.norm(shift - shift.mean()))
+
+
+def _plain_residuals(x, y, prob, kkt):
+    """The residuals as plain numpy expressions, and 1'x - 1'd: the oracle
+    for the bits of both residual paths."""
+    dx = x - kkt.x_star
+    fe = x.sum(axis=-2) - prob.total_demand
+    g = prob.costs.gradient(x)
+    gd = g - g.mean(axis=-2, keepdims=True)
+    track = (np.zeros(x.shape[:-2]) if y is None
+             else np.sqrt((y * y).sum(axis=(-2, -1))))
+    return {
+        "optimality_distance": np.sqrt((dx * dx).sum(axis=(-2, -1))),
+        "feasibility_gap": np.sqrt((fe * fe).sum(axis=-1)),
+        "tracking_norm": track,
+        "gradient_dispersion": np.sqrt((gd * gd).sum(axis=(-2, -1))),
+    }, fe
+
+
+@pytest.mark.parametrize("tracker", [False, True])
+@pytest.mark.parametrize("u", [1, 3])
+@pytest.mark.parametrize("n", [1, 10, 130])
+def test_fixed_shape_residuals_give_the_bits_of_residuals(n, u, tracker):
+    # the engine's path: one `residuals_for` a (B, G, R, n, u) block, given
+    # the gradient its step computed, on a whole block and then on a
+    # block's first rows.  Values over eleven decades make the summation
+    # order show in the last bits; n = 130 passes numpy's 128-value
+    # pairwise-sum block
+    rng = np.random.default_rng(100 * n + u)
+    costs = quadratic_costs(rng.uniform(0.5, 2.0, n), rng.uniform(-1.0, 1.0, (n, u)))
+    prob = allocation_problem(costs, rng.uniform(-2.0, 2.0, (n, u)))
+    kkt = kkt_solve(prob)
+    shape = (5, 2, 3, n, u)
+    x = kkt.x_star + rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, shape)
+    y = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, shape) if tracker else None
+    fixed = residuals_for(shape, prob, kkt)
+    for rows in (5, 2):
+        xs, ys = x[:rows], None if y is None else y[:rows]
+        got, fe = fixed(xs, ys, costs.gradient(xs))
+        ref, g = residuals(xs, ys, prob, kkt)
+        plain, plain_fe = _plain_residuals(xs, ys, prob, kkt)
+        assert g.tobytes() == costs.gradient(xs).tobytes()
+        assert fe.shape == (rows, 2, 3, u) and fe.tobytes() == plain_fe.tobytes()
+        assert set(got) == set(ref) == set(plain)
+        for name in plain:
+            assert got[name].shape == ref[name].shape == (rows, 2, 3), name
+            assert got[name].tobytes() == ref[name].tobytes(), (rows, name)
+            assert ref[name].tobytes() == plain[name].tobytes(), (rows, name)
 
 
 def test_aggregate_mean_square():
