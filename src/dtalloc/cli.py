@@ -13,8 +13,8 @@ replicas in the mean-square sense.
 
 Exit codes: 0 success; 2 bad config or usage, a run past the engine's
 memory limit, or an output directory that cannot be created; 3 network
-infeasible (disconnected in mean); 4 divergence (every sweep point
-diverged, or the single requested run did).
+infeasible (disconnected in mean); 4 divergence: every engine call of the
+command diverged (the one run, both halves of compare, every sweep point).
 """
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ def _fmt(v, spec):
 
 def _out_dir(args, cfg):
     """The command's output directory, created once its engine calls are
-    checked (`_check`) and before any compute; ConfigError if it cannot be.
+    checked (`_execute`) and before any compute; ConfigError if it cannot be.
 
     The missing components are made one by one, outermost first, so a
     failure removes exactly the directories made here, while they are
@@ -141,17 +141,6 @@ def _plan(res, algorithm):
     return res.alpha, res.beta
 
 
-def _check(res, algorithm):
-    """Check one engine call of `algorithm` at `res` before any output
-    directory is made: its plan (`_plan`) and its memory
-    (`engine.check_run`); ConfigError or CapacityError."""
-    _plan(res, algorithm)
-    eng = res.config.engine
-    engine.check_run(res.problem.n, res.problem.u, res.model.n_edges,
-                     replicas=eng.replicas, iterations=eng.iterations,
-                     algorithm=algorithm, disturbed=res.disturbance.active)
-
-
 def _run_summary(res, result, path):
     opt = result.traces["optimality_distance"]
     out = {
@@ -217,57 +206,69 @@ def cmd_bounds(args):
     return EXIT_OK
 
 
-def _execute_point(res, algorithm, path, label):
-    """Run `algorithm` at one resolved point and write its trace to `path`.
+def _execute(args, res, calls):
+    """Run a command's engine calls, (resolved point, algorithm, trace file
+    name, label) tuples, yielding each (summary, result) in turn.
 
-    Returns the point's summary (with the plan that ran) and the result."""
-    alpha, beta = _plan(res, algorithm)
-    if res.rc is None:
-        why = ("network is not connected in mean"
-               if not res.report.connected_in_mean
-               else "rate constants out of float range")
-        warnings.warn(f"{label}: no region check ({why}); running anyway",
-                      PlanWarning, stacklevel=2)
-    verdict = _plan_verdict(res) if algorithm == "dta" else None
-    if verdict is not None and verdict.failed:
-        warnings.warn(f"{label}: stepsizes outside the guaranteed region "
-                      f"(failing: {', '.join(verdict.failed)}); running anyway",
-                      PlanWarning, stacklevel=2)
-    cfg = res.config
-    result = engine.run(
-        res.problem, res.model, algorithm=algorithm, alpha=alpha, beta=beta,
-        iterations=cfg.engine.iterations, replicas=cfg.engine.replicas,
-        seed=cfg.seed, x0=res.x0, disturbance=res.disturbance)
-    summary = _run_summary(res, result, path)
-    if algorithm == "dta":
-        summary["alpha"], summary["beta"] = alpha, beta
-    else:
-        summary["wga_alpha"] = alpha
-    _write_trace_csv(path, result.traces)
-    return summary, result
+    Every call's plan and memory are checked before the output directory is
+    made; then each call warns, runs and writes its trace before the next.
+    """
+    for point, algorithm, _, _ in calls:
+        _plan(point, algorithm)
+        eng = point.config.engine
+        engine.check_run(point.problem.n, point.problem.u, point.model.n_edges,
+                         replicas=eng.replicas, iterations=eng.iterations,
+                         algorithm=algorithm, disturbed=point.disturbance.active)
+    outdir = _out_dir(args, res.config)
+    for point, algorithm, fname, label in calls:
+        alpha, beta = _plan(point, algorithm)
+        if point.rc is None:
+            why = ("network is not connected in mean"
+                   if not point.report.connected_in_mean
+                   else "rate constants out of float range")
+            warnings.warn(f"{label}: no region check ({why}); running anyway",
+                          PlanWarning, stacklevel=2)
+        verdict = _plan_verdict(point) if algorithm == "dta" else None
+        if verdict is not None and verdict.failed:
+            warnings.warn(f"{label}: stepsizes outside the guaranteed region "
+                          f"(failing: {', '.join(verdict.failed)}); running anyway",
+                          PlanWarning, stacklevel=2)
+        eng = point.config.engine
+        result = engine.run(
+            point.problem, point.model, algorithm=algorithm, alpha=alpha,
+            beta=beta, iterations=eng.iterations, replicas=eng.replicas,
+            seed=point.config.seed, x0=point.x0, disturbance=point.disturbance)
+        path = os.path.join(outdir, fname)
+        summary = _run_summary(point, result, path)
+        if algorithm == "dta":
+            summary["alpha"], summary["beta"] = alpha, beta
+        else:
+            summary["wga_alpha"] = alpha
+        _write_trace_csv(path, result.traces)
+        yield summary, result
+
+
+def _exit_code(diverged):
+    """EXIT_DIVERGED when every engine call of the command diverged."""
+    return EXIT_DIVERGED if all(diverged) else EXIT_OK
 
 
 def _execute_sweep(args, res, axis, values):
     cfg = res.config
     algorithm = cfg.engine.algorithm
-    resolved = [sweep_point(res, axis, value) for value in values]
-    for point in resolved:
-        _check(point, algorithm)
-    outdir = _out_dir(args, cfg)
+    labels = [f"{cfg.name}[{axis}={value!r}]" for value in values]
+    calls = [(sweep_point(res, axis, value), algorithm, f"{axis}_{idx:02d}.csv",
+              label) for idx, (value, label) in enumerate(zip(values, labels))]
     points = []
-    n_diverged = 0
-    for idx, (value, point) in enumerate(zip(values, resolved)):
-        label = f"{cfg.name}[{axis}={value!r}]"
-        record, result = _execute_point(
-            point, algorithm, os.path.join(outdir, f"{axis}_{idx:02d}.csv"), label)
-        record["axis"] = axis
-        record["value"] = value
+    for (record, _), value, label in zip(_execute(args, res, calls), values, labels):
+        record.update(axis=axis, value=value)
         points.append(record)
-        if result.diverged:
-            n_diverged += 1
-            print(f"{label}: diverged at iteration {result.diverged_at}")
+        if record["diverged"]:
+            print(f"{label}: diverged at iteration {record['diverged_at']}")
         else:
             print(f"{label}: q_n {_fmt(record['empirical_rate']['q'], '.6f')}")
+    outdir = os.path.dirname(record["files"]["trace"])
+    diverged = [p["diverged"] for p in points]
     summary = {
         "name": cfg.name,
         "axis": axis,
@@ -275,11 +276,11 @@ def _execute_sweep(args, res, axis, values):
         "seed": cfg.seed,
         "algorithm": algorithm,
         "points": points,
-        "n_diverged": n_diverged,
+        "n_diverged": sum(diverged),
     }
     _write_summary(os.path.join(outdir, "summary.json"), summary)
     print(f"{cfg.name}: wrote {len(values)} traces to {outdir}")
-    return EXIT_DIVERGED if n_diverged == len(values) else EXIT_OK
+    return _exit_code(diverged)
 
 
 def _resolve_args(args):
@@ -295,19 +296,19 @@ def cmd_run(args):
     cfg = res.config
     if cfg.sweep is not None:
         return _execute_sweep(args, res, cfg.sweep.axis, cfg.sweep.values)
-    _check(res, cfg.engine.algorithm)
-    outdir = _out_dir(args, cfg)
-    csv_path = os.path.join(outdir, "trace.csv")
-    summary, result = _execute_point(res, cfg.engine.algorithm, csv_path, cfg.name)
-    _write_summary(os.path.join(outdir, "summary.json"), summary)
+    calls = [(res, cfg.engine.algorithm, "trace.csv", cfg.name)]
+    [(summary, result)] = _execute(args, res, calls)
+    csv_path = summary["files"]["trace"]
+    _write_summary(os.path.join(os.path.dirname(csv_path), "summary.json"),
+                   summary)
     print(f"{cfg.name}: wrote {csv_path}")
     if result.diverged:
         print(f"{cfg.name}: diverged at iteration {result.diverged_at} "
               f"(replica {result.diverged_replica})", file=sys.stderr)
-        return EXIT_DIVERGED
-    print(f"{cfg.name}: final ratio {_fmt(summary['final_ratio'], '.3e')}, "
-          f"q_n {_fmt(summary['empirical_rate']['q'], '.6f')}")
-    return EXIT_OK
+    else:
+        print(f"{cfg.name}: final ratio {_fmt(summary['final_ratio'], '.3e')}, "
+              f"q_n {_fmt(summary['empirical_rate']['q'], '.6f')}")
+    return _exit_code([result.diverged])
 
 
 def cmd_sweep(args):
@@ -324,12 +325,9 @@ def cmd_sweep(args):
 def cmd_compare(args):
     res = _resolve_args(args)
     cfg = res.config
-    for algorithm in ("dta", "wga"):
-        _check(res, algorithm)
-    outdir = _out_dir(args, cfg)
     # identical seed => identical link failures and disturbances in both runs
-    s_dta, r_dta = _execute_point(res, "dta", os.path.join(outdir, "dta.csv"), cfg.name)
-    s_wga, r_wga = _execute_point(res, "wga", os.path.join(outdir, "wga.csv"), cfg.name)
+    calls = [(res, alg, f"{alg}.csv", cfg.name) for alg in ("dta", "wga")]
+    [(s_dta, r_dta), (s_wga, r_wga)] = _execute(args, res, calls)
     fin_d = s_dta["final_ratio"]
     fin_w = s_wga["final_ratio"]
     summary = {
@@ -341,12 +339,11 @@ def cmd_compare(args):
             if (fin_d not in (None, 0.0) and fin_w is not None) else None,
         "wga_gap_identity_err": r_wga.wga_drift_err,
     }
+    outdir = os.path.dirname(s_dta["files"]["trace"])
     _write_summary(os.path.join(outdir, "summary.json"), summary)
     print(f"{cfg.name}: dta final ratio {_fmt(fin_d, '.3e')}, "
           f"wga final ratio {_fmt(fin_w, '.3e')}")
-    if r_dta.diverged and r_wga.diverged:
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return _exit_code([r_dta.diverged, r_wga.diverged])
 
 
 def build_parser():
@@ -360,30 +357,30 @@ def build_parser():
     pb.add_argument("config")
     pb.set_defaults(func=cmd_bounds)
 
-    pr = sub.add_parser("run", help="run the configured experiment "
-                                    "(including its sweep section, if any)")
-    pr.add_argument("config")
-    pr.add_argument("--out", default=None,
-                    help="output directory (default $DTALLOC_OUT_DIR or ./runs)")
-    pr.add_argument("--seed", type=int, default=None)
+    # the config, output directory and seed of every command that runs
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config")
+    common.add_argument("--out", default=None,
+                        help="output directory (default $DTALLOC_OUT_DIR or ./runs)")
+    common.add_argument("--seed", type=int, default=None)
+
+    pr = sub.add_parser("run", parents=[common],
+                        help="run the configured experiment "
+                             "(including its sweep section, if any)")
     pr.set_defaults(func=cmd_run)
 
-    pc = sub.add_parser("compare", help="run dta and wga on identical random "
-                                        "streams and report both")
-    pc.add_argument("config")
-    pc.add_argument("--out", default=None)
-    pc.add_argument("--seed", type=int, default=None)
+    pc = sub.add_parser("compare", parents=[common],
+                        help="run dta and wga on identical random "
+                             "streams and report both")
     pc.set_defaults(func=cmd_compare)
 
-    ps = sub.add_parser("sweep", help="sweep one axis, overriding any sweep "
-                                      "section in the config")
-    ps.add_argument("config")
+    ps = sub.add_parser("sweep", parents=[common],
+                        help="sweep one axis, overriding any sweep "
+                             "section in the config")
     ps.add_argument("--axis", required=True, choices=("alpha", "beta", "theta"))
     ps.add_argument("--values", required=True,
                     help="comma-separated numbers; alpha/beta values multiply "
                          "the resolved plan, theta values are absolute")
-    ps.add_argument("--out", default=None)
-    ps.add_argument("--seed", type=int, default=None)
     ps.set_defaults(func=cmd_sweep)
     return p
 

@@ -326,7 +326,8 @@ def test_exit_2_on_a_curvature_past_the_float_range(tmp_path, capsys, a):
     ({"disturbance": {"kind": "none", "m_zeta": 4.6, "q_zeta": 0.999}},
      "disturbance: m_zeta > 0 needs a kind"),
     ({"disturbance": {"kind": "none", "q_zeta": 7.0}}, "disturbance: q_zeta"),
-], ids=["stray-cutoff", "zero-agents", "stray-m_zeta", "none-q_zeta"])
+    ({"u": 0}, "u must be >= 1, got 0"),
+], ids=["stray-cutoff", "zero-agents", "stray-m_zeta", "none-q_zeta", "zero-u"])
 def test_exit_2_on_a_stray_cutoff_or_zero_agents(tmp_path, capsys, over, fragment):
     cfg = _write(tmp_path, _tiny(**over))
     out = tmp_path / "o"
@@ -538,16 +539,45 @@ def test_exit_2_before_compute_past_the_memory_limit(tmp_path, capsys,
 
 def test_main_yaml_past_the_memory_limit_leaves_no_directory(tmp_path, capsys):
     # main.yaml at 10 ** 9 replicas exited 2 but left an empty o/main/: the
-    # output directory was made before the engine applied its memory check
+    # output directory was made before the engine applied its memory check.
+    # Every main.yaml run warns (its plan fails coupling); a refused command
+    # warns of nothing, since all its checks come before any call runs.
     with open(os.path.join(EXPERIMENTS, "main.yaml")) as fh:
         doc = yaml.safe_load(fh)
     doc["engine"]["replicas"] = 1_000_000_000
     cfg = _write(tmp_path, doc)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PlanWarning)
-        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("capacity error: 1000000000 replicas")
-    assert tree(tmp_path) == ["exp.yaml"]
+    for argv in (["run", cfg], ["compare", cfg],
+                 ["sweep", cfg, "--axis", "beta", "--values", "0.5,1"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert not [w for w in caught if issubclass(w.category, PlanWarning)]
+        assert capsys.readouterr().err.startswith(
+            "capacity error: 1000000000 replicas")
+        assert tree(tmp_path) == ["exp.yaml"]
+
+
+@pytest.mark.parametrize("spelled,plain", [
+    # one b_i per agent goes to every resource coordinate
+    ({"u": 2, "cost": {"a": [1.0, 2.0], "b": [0.1, -0.1]},
+      "demand": [[1.0, 0.5], [1.0, 1.5]]},
+     {"u": 2, "cost": {"a": [1.0, 2.0], "b": [[0.1, 0.1], [-0.1, -0.1]]},
+      "demand": [[1.0, 0.5], [1.0, 1.5]]}),
+    # an integral float runs as that integer
+    ({"engine": {"iterations": 300.0, "replicas": 2}},
+     {"engine": {"iterations": 300, "replicas": 2}}),
+    # an explicit x0 is the array engine.run starts from, as demand's is
+    ({"engine": {"iterations": 200, "replicas": 2, "x0": [1.0, 1.0]}},
+     {"engine": {"iterations": 200, "replicas": 2, "x0": "demand"}}),
+], ids=["flat-b", "integral-float", "x0-list"])
+def test_two_spellings_of_one_config_write_the_same_trace(tmp_path, spelled,
+                                                          plain):
+    traces = []
+    for tag, over in (("spelled", spelled), ("plain", plain)):
+        cfg = _write(tmp_path, _tiny(**over), f"{tag}.yaml")
+        assert main(["run", cfg, "--out", str(tmp_path / tag)]) == 0
+        traces.append((tmp_path / tag / "tiny" / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_one_agent_runs_and_compares(tmp_path, capsys):

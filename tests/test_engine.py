@@ -92,15 +92,16 @@ def test_run_matches_hand_step():
     assert np.array_equal(res.states_y[1, 0], np.array([[-1.0], [-0.8]]))
 
 
-@pytest.mark.parametrize("start", [
-    dict(x0=np.array([[np.inf], [0.0]])),
-    dict(x0=np.array([[0.0], [np.nan]])),
-    dict(y0=np.array([[0.0], [np.nan]])),
-], ids=["x0-inf", "x0-nan", "y0-nan"])
-def test_run_rejects_nonfinite_start(start):
-    with pytest.raises(ValueError, match="finite"):
-        run(_pair_problem(), _pair_model(), algorithm="dta", alpha=0.1,
-            beta=0.1, iterations=1, **start)
+@pytest.mark.parametrize("start,match", [
+    (dict(x0=np.array([[np.inf], [0.0]])), "finite"),
+    (dict(x0=np.array([[0.0], [np.nan]])), "finite"),
+    (dict(y0=np.array([[0.0], [np.nan]])), "finite"),
+    (dict(x0=np.zeros(2)), r"x0 shape \(2,\), expected \(2, 1\)"),  # n without u
+], ids=["x0-inf", "x0-nan", "y0-nan", "x0-shape"])
+def test_run_rejects_nonfinite_start(start, match):
+    with pytest.raises(ValueError, match=match):
+        engine.run_points(_pair_problem(), [(_pair_model(), 0.1, 0.1)],
+                          algorithm="dta", iterations=1, **start)
 
 
 def test_wga_step_preserves_total():
