@@ -87,9 +87,10 @@ class QuadraticCosts:
 def quadratic_costs(a, b, c=None, u=None):
     """Build QuadraticCosts from loosely-shaped inputs.
 
-    b may be (n,) for u=1 or (n, u); c defaults to zeros.  Raises ValueError
-    on no agents, non-positive curvature (strong convexity would fail) or a
-    non-finite coefficient.
+    b may be (n, u), or (n,) or (n, 1) at any u: each agent's one b_i then
+    goes to every resource coordinate (without u, u is 1).  c defaults to
+    zeros.  Raises ValueError on no agents, non-positive curvature (strong
+    convexity would fail) or a non-finite coefficient.
     """
     a = np.atleast_1d(np.asarray(a, float))
     b = np.asarray(b, float)

@@ -69,46 +69,52 @@ one tile of every lane would take 6.3 MB.
 
 The step runs in place.  Per step, the loop only computes the update and
 the gradient of the new state (the next update's input), each with `out=`
-into storage allocated once per call: x(k+1) and y(k+1) go to their rows
-of the (B+1, G, R, n, u) block buffers, and the gradient of x(k+1) to its
-row of a (B, G, R, n, u) gradient block, which `flush` reads and from
-which it is copied into the kernel's operand stack (a ufunc writing into
-that strided stack misses numpy's contiguous loop).  The link weights are
-made C steps at a time, C = max(1, B // 8) (`_weight_rows`): one multiply
-fills a (C, E, G, R) float64 buffer, no larger than the block's boolean
-activations when B >= 8, and step i of a block mixes with row i % C; a
-block's last chunk holds what is left of it.  At n = 100 (B = 10) C is 1,
-one row as when each step made its own.  Row 0 of a block carries the state
-it starts from and rows 1 .. B take the states it steps to, so step i
-reads row i and writes row i + 1, and x(k) and x(k+1) never share memory,
-even at B = 1; after each block its last row is copied to row 0.  alpha and
-beta are broadcast to (G, R, n, u) once per call, as are the gradient's
-slope and offset (`QuadraticCosts.gradient_for`), so their products and
-sums are same-shape ufuncs, which at n = 10 cost a third to a half of a
-broadcast one.  The step's gradient row holds its products until the
-gradient overwrites it, and the stepsize times the mixed gradient is
-formed in place in the kernel's output.  Each operation is one of the
-update formulas above, evaluated left to right as the plain expressions
-would be, so every output has their bits; per step only the kernel's
-scatter allocates array data.
+into storage allocated once per call: x(k+1) and y(k+1) go to their rows of
+one (S, B+1, G, R, n, u) state block, x as its [0] and y as its [1] (S = 2
+for DTA, 1 for WGA), so each state's rows stay contiguous; the gradient of
+x(k+1) goes to its row of a (B, G, R, n, u) gradient block, which `flush`
+reads and from which it is copied into the kernel's operand stack (a ufunc
+writing into that strided stack misses numpy's contiguous loop).  The link
+weights are made C steps at a time, C = max(1, B // 8) (`_weight_rows`):
+one multiply fills a (C, E, G, R) float64 buffer, no larger than the
+block's boolean activations when B >= 8, and step i of a block mixes with
+row i % C; a block's last chunk holds what is left of it.  At n = 100
+(B = 10) C is 1, one row as when each step made its own.  Row 0 of a block
+carries the state it starts from and rows 1 .. B take the states it steps
+to, so step i reads row i and writes row i + 1, and x(k) and x(k+1) never
+share memory, even at B = 1; after each block one copy carries its last row
+of every state to row 0.  alpha and beta are broadcast to (G, R, n, u) once
+per call, as are the gradient's slope and offset
+(`QuadraticCosts.gradient_for`), so their products and sums are same-shape
+ufuncs, which at n = 10 cost a third to a half of a broadcast one.  The
+step's gradient row holds its products until the gradient overwrites it,
+and the stepsize times the mixed gradient is formed in place in the
+kernel's output.  Each operation is one of the update formulas above,
+evaluated left to right as the plain expressions would be, so every output
+has their bits; per step only the kernel's scatter allocates array data.
 
-Recording runs once per block of steps, not per step.  Once per block, and
-at step T, `flush` makes one call of the `metrics.residuals_for` function
-made for the block's shape (x* broadcast to it once, and one scratch block
-for every difference and square) on the stacked states and the gradients
-the steps computed, and one `metrics.aggregate` call on the four
-residuals, stacked with the replicas as the outer axis, to fill B rows of
-every point's traces.  The residual pass's 1'x - 1'd also gives the
-conservation drift 1'y - (1'x - 1'd) over the block's rows.  With a
-disturbance it sums each step's zeta(k) over agents in one reduction of
-the block's scaled rows and adds the sums to the totals in step order.  It
-finds each point's divergence as the first row where the optimality
-distance or tracking norm of any of its replicas is non-finite or above
-DIVERGENCE_LIMIT.  That row is recorded and ends the point: its later rows
-stay NaN and its final state is that row's.  Its lanes stay in the loop,
-masked: they step on with the others, whose bits do not depend on them,
-but no later block records anything of them, and the loop ends once no
-point is running.
+Recording runs once per block of steps, not per step.  The start row is a
+block of one row: grad f(x(0)) goes to gradient row 0, the first step's
+operand.  Once per block, and at step T, `flush` makes one call of the
+`metrics.residuals_for` function made for the block's shape (x* broadcast
+to it once, and one scratch block for every difference and square) on the
+stacked states and the gradients the steps computed, and one
+`metrics.aggregate` call on the four residuals, stacked with the replicas
+as the outer axis, to fill B rows of every point's traces; with
+`record_states` one copy per point fills its rows of an (S, T+1, R, n, u)
+history, whose [0] and [1] are its `states_x` and `states_y`.  The residual
+pass's 1'x - 1'd also gives the conservation drift 1'y - (1'x - 1'd) over
+the block's rows.  With a disturbance it sums each step's zeta(k) over
+agents in one reduction of the block's scaled rows and adds the sums in
+step order onto one (R, u) total, which every running point shares (zeta is
+drawn per replica); a point that diverges at block row i keeps the total as
+it stood after row i.  It finds each point's divergence as the first row
+where the optimality distance or tracking norm of any of its replicas is
+non-finite or above DIVERGENCE_LIMIT.  That row is recorded and ends the
+point: its later rows stay NaN and its final state is that row's.  Its
+lanes stay in the loop, masked: they step on with the others, whose bits do
+not depend on them, but no later block records anything of them, and the
+loop ends once no point is running.
 Every residual reduction runs over the trailing (n, u) axes of one lane and
 row, and the aggregate sums each (trace, row, point) over its replicas in
 replica order, as a whole (R, T+1) trace's aggregate does, so the block
@@ -116,12 +122,12 @@ gives the same bits as per-step residuals aggregated at the end.
 B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 n u))) depends on n u alone:
 one lane's B rows of x take at most 8 KiB (64 rows at n u <= 16, 10 at
 n = 100) unless a single step is larger, so a block's R per-replica
-generator calls are spread over B steps however large R and G are.  Each block buffer
-holds (B+1) G R n u float64 values, and the gradient block and the
-residual pass's x* and scratch B G R n u each.  A run of one point stops at
-the end of the block it diverges in, at most B - 1 steps past that step;
-in a run of several, a diverged point's lanes step on to the end unless
-every point stops first.
+generator calls are spread over B steps however large R and G are.  The
+state block holds S (B+1) G R n u float64 values, and the gradient block
+and the residual pass's x* and scratch B G R n u each.  A run of one point
+stops at the end of the block it diverges in, at most B - 1 steps past that
+step; in a run of several, a diverged point's lanes step on to the end
+unless every point stops first.
 """
 from __future__ import annotations
 
@@ -423,6 +429,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     n, u = problem.n, problem.u
     P = len(points)
     is_dta = algorithm == "dta"
+    S = 2 if is_dta else 1                  # states and mixed operands: x (and y)
     need_z = dist.active
     scales = dist.scales(T, n, u) if need_z else None
 
@@ -441,17 +448,26 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         wstreams.append(np.random.default_rng(sw))
         zstreams.append(np.random.default_rng(sz))
 
-    # one result per point, filled in as its rows are recorded: its traces
-    # are the rows of its own (4, T+1) table
+    def pair(rows):
+        """x's and y's of S stacked state rows; y is None for WGA."""
+        return rows[0], rows[1] if is_dta else None
+
+    def finish(out, last, zeta):
+        """Give `out` its own copies of its last states and zeta total."""
+        out.final_x, out.final_y = pair([s.copy() for s in last])
+        out.zeta_total = None if zeta is None else zeta.copy()
+
+    # one result per point, filled in as its rows are recorded into its own
+    # (4, T+1) trace table and, with record_states, (S, T+1, R, n, u) history
     tables = [np.full((len(_metrics.TRACE_COLUMNS), T + 1), np.nan) for _ in range(P)]
-    results = [RunResult(
-        traces=dict(zip(_metrics.TRACE_COLUMNS, table)),
-        algorithm=algorithm, iterations=T, replicas=R, seed=seed,
-        states_x=np.full((T + 1, R, n, u), np.nan) if record_states else None,
-        states_y=np.full((T + 1, R, n, u), np.nan) if record_states and is_dta else None,
-    ) for table in tables]
-    cons_drift = np.zeros(P)
-    zeta_total = np.zeros((P, R, u)) if need_z else None
+    results = [RunResult(traces=dict(zip(_metrics.TRACE_COLUMNS, table)),
+                         algorithm=algorithm, iterations=T, replicas=R, seed=seed)
+               for table in tables]
+    if record_states:
+        history = [np.full((S, T + 1, R, n, u), np.nan) for _ in range(P)]
+        for out, h in zip(results, history):
+            out.states_x, out.states_y = pair(h)
+    cons_drift = np.zeros(P) if is_dta else np.full(P, np.nan)
     running = np.ones(P, dtype=bool)
 
     # mixing kernel: S operands, (P, R, n, u) views of node-major
@@ -463,7 +479,6 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     # making them per call costs about 2 us of a 17 us kernel.
     B = _block_rows(n, u)
     C = _weight_rows(B)
-    S = 2 if is_dta else 1
     lanes = P * R
     nodes = np.concatenate((model.edges[:, 0], model.edges[:, 1]))
     wcol = model.weights[:, None, None]
@@ -510,38 +525,32 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             flat[...] = np.bincount(idx, entries, minlength=flat.size)
         return mixes
 
-    # per block: draw its steps' randomness, step each state into a block
-    # row, and `flush` -- residual traces, drift maximum, divergence.  Row 0
-    # carries the state the block starts from and rows 1 .. B take the states
-    # it steps to, so x(k) and x(k+1) never share memory.  Indexing a list of
-    # the rows per step is cheaper than making a view.
+    # per block: draw its steps' randomness, step the states, x and y, into
+    # rows of the state block, and `flush` -- residual traces, drift maximum,
+    # divergence.  Row 0 carries the states the block starts from and rows
+    # 1 .. B take those it steps to, so x(k) and x(k+1) never share memory.
+    # Indexing a list of the rows per step is cheaper than making a view.
     acts = np.empty((B, E, P, R), dtype=bool)
-    xbuf = np.empty((B + 1, *full))
-    ybuf = np.empty((B + 1, *full)) if is_dta else None
+    sbuf = np.empty((S, B + 1, *full))
     gbuf = np.empty((B, *full))             # grad f of the states in rows 1 .. B
-    xrows = list(xbuf)
-    yrows = list(ybuf) if is_dta else None
+    xrows, yrows = pair([list(s) for s in sbuf])
     grows = list(gbuf)
     ubuf = np.empty((B, E))                 # one replica's uniforms at a time
     zbuf = np.empty((R, B, n, u)) if need_z else None          # as drawn
     zblock = np.empty((B, 1, R, n, u)) if need_z else None     # scaled, by step
     zrows = list(zblock) if need_z else None
+    zeta_total = np.zeros((R, u)) if need_z else None   # shared by the running points
     gradient = problem.costs.gradient_for(full)
     residuals = _metrics.residuals_for((B, *full), problem, kkt)
 
-    xbuf[0] = x0
-    if is_dta:
-        ybuf[0] = y0
-    x, y = xbuf[0], ybuf[0] if is_dta else None
-    res0, g = _metrics.residuals(x, y, problem, kkt)            # each (P, R)
-    agg0 = _aggregate(res0)                                     # (4, P)
-    for p, out in enumerate(results):
-        tables[p][:, 0] = agg0[:, p]
+    # the start row, recorded as a one-row block; its gradient is step 0's operand
+    sbuf[:, 0] = np.stack((x0, y0)[:S])[:, None, None]
+    operands[0][...] = gradient(xrows[0], out=grows[0])
+    agg0 = _aggregate(residuals(*pair(sbuf[:, :1]), gbuf[:1])[0])  # (4, 1, P)
+    for p in range(P):
+        tables[p][:, :1] = agg0[..., p]
         if record_states:
-            out.states_x[0] = x[p]
-            if is_dta:
-                out.states_y[0] = y[p]
-    operands[0][...] = g
+            history[p][:, 0] = sbuf[:, 0, p]
 
     def flush(k0, m):
         """Record block rows [1, m] as the states of steps k0+1 .. k0+m.
@@ -553,41 +562,37 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         earlier block has no rows checked or recorded, so its drift maximum
         and disturbance sum stay as they were when it stopped.
         """
-        xs = xbuf[1:m + 1]
-        ys = ybuf[1:m + 1] if is_dta else None
+        states = sbuf[:, 1:m + 1]
+        xs, ys = pair(states)
         res, fe = residuals(xs, ys, gbuf[:m])                   # each (m, P, R)
-        opt = res["optimality_distance"]
+        # WGA's tracking norm is 0.0, which never trips the check
+        opt, tr = res["optimality_distance"], res["tracking_norm"]
         bad = ~np.isfinite(opt) | (opt > DIVERGENCE_LIMIT)
-        if is_dta:
-            tr = res["tracking_norm"]
-            bad |= ~np.isfinite(tr) | (tr > DIVERGENCE_LIMIT)
+        bad |= ~np.isfinite(tr) | (tr > DIVERGENCE_LIMIT)
         bad_rows = bad.any(axis=2)                              # (m, P)
         hit = bad_rows.any(axis=0) & running
         ok = np.where(hit, bad_rows.argmax(axis=0), m * running)  # rows checked
         stop = ok + hit                                         # rows recorded
         agg = _aggregate(res)                                   # (4, m, P)
+        if need_z:
+            # each step's (R, u) sum over agents, accumulated in step order:
+            # row i holds the total after block row i
+            acc = np.add.accumulate(np.concatenate(
+                (zeta_total[None], zblock[:m, 0].sum(axis=-2))))  # (m+1, R, u)
+            zeta_total[...] = acc[m]
 
         for p in np.flatnonzero(running):
             out = results[p]
             steps = slice(k0 + 1, k0 + 1 + stop[p])
             tables[p][:, steps] = agg[:, :stop[p], p]
             if record_states:
-                out.states_x[steps] = xs[:stop[p], p]
-                if is_dta:
-                    out.states_y[steps] = ys[:stop[p], p]
+                history[p][:, steps] = states[:, :stop[p], p]
             if hit[p]:
                 row = ok[p]
                 out.diverged = True
                 out.diverged_at = k0 + int(row) + 1
                 out.diverged_replica = int(np.flatnonzero(bad[row, p])[0])
-                out.final_x = xs[row, p].copy()
-                out.final_y = ys[row, p].copy() if is_dta else None
-        if need_z:
-            # each step's (R, u) sum over agents, accumulated in step order
-            zsum = zblock[:m, 0].sum(axis=-2)                   # (m, R, u)
-            acc = np.add.accumulate(np.concatenate(
-                (zeta_total[None], np.broadcast_to(zsum[:, None], (m, P, R, u)))))
-            zeta_total[...] = acc[stop, np.arange(P)]
+                finish(out, states[:, row, p], acc[row + 1] if need_z else None)
         if is_dta:
             c = np.abs(ys.sum(axis=-2) - fe)                    # (m, P, R, u)
             checked = (np.arange(m)[:, None] < ok)[:, :, None, None]
@@ -642,21 +647,15 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             running &= ~flush(k0, m)
             if not running.any():
                 break
-            # the last state carries over into row 0 of the next block
-            xbuf[0] = xbuf[m]
-            if is_dta:
-                ybuf[0] = ybuf[m]
+            # the last states carry over into row 0 of the next block
+            sbuf[:, 0] = sbuf[:, m]
 
     for p in np.flatnonzero(running):
-        results[p].final_x = xbuf[0, p].copy()
-        results[p].final_y = ybuf[0, p].copy() if is_dta else None
+        finish(results[p], sbuf[:, 0, p], zeta_total)
     for p, out in enumerate(results):
-        if is_dta:
-            out.max_conservation_drift = float(cons_drift[p])
-        if need_z:
-            out.zeta_total = zeta_total[p]
-            if algorithm == "wga" and not out.diverged:
-                # WGA conserves 1'x, so 1'x(T) - 1'x(0) is the injected mass alone
-                drift = out.final_x.sum(axis=1) - x0.sum(axis=0)     # (R, u)
-                out.wga_drift_err = float(np.abs(drift - out.zeta_total).max())
+        out.max_conservation_drift = float(cons_drift[p])
+        if need_z and not is_dta and not out.diverged:
+            # WGA conserves 1'x, so 1'x(T) - 1'x(0) is the injected mass alone
+            drift = out.final_x.sum(axis=1) - x0.sum(axis=0)     # (R, u)
+            out.wga_drift_err = float(np.abs(drift - out.zeta_total).max())
     return results

@@ -106,16 +106,19 @@ class RateEstimate:
     exact_convergence: bool  # terminal residual exactly zero -> q = 0
 
 
-def empirical_rate(trace, k_end=25000, window=1000):
+def empirical_rate(trace, k_end=None, window=1000):
     """Geometric mean of successive residual ratios over the final window.
 
-    q = (r[k_end] / r[k_end - N])^(1/N) by telescoping.  Zero residuals
+    q = (r[k_end] / r[k_end - N])^(1/N) by telescoping; k_end defaults to
+    the trace's last row, as in `non_convergent`.  Zero residuals
     cannot enter a geometric mean: if the terminal residual is exactly zero
     the run converged to machine zero and the rate is reported as 0; an
     interior zero shrinks the window to the trailing all-positive span, and
     a zero just before a nonzero terminal residual leaves no span: q is NaN.
     """
     r = np.asarray(trace, float)
+    if k_end is None:
+        k_end = len(r) - 1
     if k_end >= len(r):
         raise ValueError(f"k_end={k_end} outside trace of length {len(r)}")
     if window < 1 or window > k_end:

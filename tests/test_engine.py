@@ -776,6 +776,74 @@ def test_zeta_total_tracks_injected_mass():
     assert np.allclose(gap, res.zeta_total, rtol=0, atol=1e-9)
 
 
+def _zeta_oracle(seed, R, T, n, u, dist):
+    """The (T+1, R, u) running sums of a gaussian zeta(k) over agents, drawn
+    afresh from the frozen stream protocol: row k holds the sum of zeta(0)
+    .. zeta(k-1), added in step order from zero."""
+    scales = dist.scales(T, n, u)[:, None, None]
+    sums = [(np.random.default_rng(child.spawn(2)[1]).standard_normal((T, n, u))
+             * scales).sum(axis=1)
+            for child in np.random.SeedSequence(seed).spawn(R)]
+    return np.add.accumulate(np.concatenate((np.zeros((1, R, u)),
+                                             np.stack(sums, axis=1))))
+
+
+def test_diverged_zeta_total_matches_a_redrawn_oracle():
+    prob, model, kw = _block_cases()["wga-gauss-diverging"]
+    res = run(prob, model, **kw)
+    assert res.diverged and res.diverged_at == 6
+    acc = _zeta_oracle(kw["seed"], kw["replicas"], kw["iterations"], prob.n,
+                       prob.u, kw["disturbance"])
+    assert _same_bits(res.zeta_total, acc[res.diverged_at])
+
+
+def test_sweep_zeta_totals_match_a_redrawn_oracle():
+    # the 1e6 point diverges; the others run on to the last step
+    prob, points, kw = _sweep_cases()["wga-alpha-sweep-gauss"]
+    results = engine.run_points(prob, points, record_states=True, **kw)
+    assert [r.diverged for r in results] == [False, True, False, False]
+    acc = _zeta_oracle(kw["seed"], kw["replicas"], kw["iterations"], prob.n,
+                       prob.u, kw["disturbance"])
+    for res in results:
+        assert _same_bits(res.zeta_total, acc[res.diverged_at or -1])
+        assert res.states_x.flags.c_contiguous and res.states_y is None
+    totals = [r.zeta_total for r in results]
+    for i, a in enumerate(totals):
+        for b in totals[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("algorithm", ["dta", "wga"])
+def test_zero_iterations_return_the_start(algorithm):
+    prob = _main_problem()
+    model = complete_graph(10, weight=0.0002, theta=0.5)
+    x0 = 0.5 * prob.demand
+    R = 3
+    res = engine.run_points(
+        prob, [(model, 0.0007647132835707233, 14309.704294513564)],
+        algorithm=algorithm, iterations=0, replicas=R, seed=7, x0=x0,
+        record_states=True,
+        disturbance=DisturbanceSpec("gaussian", m_zeta=1.5, q_zeta=0.99))[0]
+    y0 = x0 - prob.demand if algorithm == "dta" else None
+    xs = np.broadcast_to(x0, (R, *x0.shape))
+    ys = None if y0 is None else np.broadcast_to(y0, xs.shape)
+    start = residuals(xs, ys, prob, kkt_solve(prob))[0]
+    for name in TRACE_COLUMNS:
+        assert _same_bits(res.traces[name], aggregate(start[name][:, None])), name
+    assert _same_bits(res.final_x, xs) and not np.shares_memory(res.final_x, x0)
+    assert _same_bits(res.final_y, ys)
+    assert res.zeta_total.shape == (R, 1) and np.all(res.zeta_total == 0.0)
+    assert res.states_x.shape == (1, R, 10, 1)
+    assert _same_bits(res.states_x[0], xs)
+    if algorithm == "dta":
+        assert res.states_y.shape == (1, R, 10, 1)
+        assert not np.shares_memory(res.final_x, res.final_y)
+        assert res.max_conservation_drift == 0.0
+    else:
+        assert res.states_y is None and res.wga_drift_err == 0.0
+    assert not res.diverged
+
+
 def test_wga_drift_excludes_initial_infeasibility():
     prob = _main_problem()
     model = complete_graph(10, weight=0.0002, theta=0.5)

@@ -120,6 +120,12 @@ def test_empirical_rate_windows():
         empirical_rate(r, k_end=2000, window=0)
 
 
+def test_empirical_rate_defaults_to_the_last_row():
+    r = 2.0 * 0.99 ** np.arange(2001)
+    assert empirical_rate(r) == empirical_rate(r, k_end=2000)
+    assert empirical_rate(r).k_end == 2000
+
+
 def test_empirical_rate_exact_zero_terminal():
     r = np.concatenate([0.5 ** np.arange(100), np.zeros(50)])
     est = empirical_rate(r, k_end=149, window=80)
