@@ -150,7 +150,7 @@ class StepsizeSection:
 @dataclass
 class RateSection:
     k_end: int | None = None            # defaults to engine.iterations
-    window: int = 1000
+    window: int | None = None           # None: `metrics.empirical_rate`'s default
 
 
 @dataclass
@@ -246,7 +246,8 @@ def from_dict(d):
     rate = cfg.rate = _section(RateSection, cfg.rate, "rate")
     if rate.k_end is not None:
         rate.k_end = _int(rate.k_end, "rate.k_end")
-    rate.window = _int(rate.window, "rate.window")
+    if rate.window is not None:
+        rate.window = _int(rate.window, "rate.window")
 
     if cfg.sweep is not None:
         sweep = cfg.sweep = _section(SweepSection, cfg.sweep, "sweep")
@@ -364,7 +365,7 @@ class ResolvedExperiment:
     x0: np.ndarray | None
     disturbance: DisturbanceSpec
     k_end: int
-    window: int
+    window: int | None               # None: `metrics.empirical_rate`'s default
 
 
 def resolve(cfg):
@@ -414,10 +415,12 @@ def resolve(cfg):
     dist = cfg.disturbance if cfg.disturbance is not None else DisturbanceSpec()
 
     k_end = cfg.rate.k_end if cfg.rate.k_end is not None else cfg.engine.iterations
+    if k_end < 1:
+        raise ConfigError(f"rate.k_end={_short(k_end)} must be >= 1")
     if k_end > cfg.engine.iterations:
         raise ConfigError(f"rate.k_end={_short(k_end)} exceeds engine.iterations="
                           f"{_short(cfg.engine.iterations)}")
-    if not 1 <= cfg.rate.window <= k_end:
+    if cfg.rate.window is not None and not 1 <= cfg.rate.window <= k_end:
         raise ConfigError(f"rate.window={_short(cfg.rate.window)} must lie in "
                           f"[1, rate.k_end={_short(k_end)}]")
 
@@ -425,7 +428,7 @@ def resolve(cfg):
                               report=report, rc=rc, optimal=opt, alpha=alpha,
                               beta=beta, wga_alpha=wga_alpha, x0=x0,
                               disturbance=dist, k_end=int(k_end),
-                              window=int(cfg.rate.window))
+                              window=cfg.rate.window)
 
 
 def _squares_in_range(rc):

@@ -98,23 +98,26 @@ block of one row: grad f(x(0)) goes to gradient row 0, the first step's
 operand.  Once per block, and at step T, `flush` makes one call of the
 `metrics.residuals_for` function made for the block's shape (x* broadcast
 to it once, and one scratch block for every difference and square) on the
-stacked states and the gradients the steps computed, and one
-`metrics.aggregate` call on the four residuals, stacked with the replicas
-as the outer axis, to fill B rows of every point's traces; with
-`record_states` one copy per point fills its rows of an (S, T+1, R, n, u)
-history, whose [0] and [1] are its `states_x` and `states_y`.  The residual
-pass's 1'x - 1'd also gives the conservation drift 1'y - (1'x - 1'd) over
-the block's rows.  With a disturbance it sums each step's zeta(k) over
-agents in one reduction of the block's scaled rows and adds the sums in
-step order onto one (R, u) total, which every running point shares (zeta is
-drawn per replica); a point that diverges at block row i keeps the total as
-it stood after row i.  It finds each point's divergence as the first row
-where the optimality distance or tracking norm of any of its replicas is
-non-finite or above DIVERGENCE_LIMIT.  That row is recorded and ends the
-point: its later rows stay NaN and its final state is that row's.  Its
-lanes stay in the loop, masked: they step on with the others, whose bits do
-not depend on them, but no later block records anything of them, and the
-loop ends once no point is running.
+stacked states and the gradients the steps computed.  It writes the four
+residuals once, through the (4, B, G, R) transpose of one (R, 4, B, G)
+residual block allocated with the other block buffers, whose replica axis
+is the outer one and whose columns follow TRACE_COLUMNS: the divergence
+test reads the block's rows in place, and one `metrics.aggregate` call on
+its first rows fills B rows of every point's traces.  With `record_states`
+one copy per point fills its rows of an (S, T+1, R, n, u) history, whose
+[0] and [1] are its `states_x` and `states_y`.  The residual pass's
+1'x - 1'd also gives the conservation drift 1'y - (1'x - 1'd) over the
+block's rows.  With a disturbance it sums each step's zeta(k) over agents
+in one reduction of the block's scaled rows and adds the sums in step order
+onto one (R, u) total, which every running point shares (zeta is drawn per
+replica); a point that diverges at block row i keeps the total as it stood
+after row i.  A point diverges at the first row where the optimality
+distance or tracking norm of any of its replicas is not <= DIVERGENCE_LIMIT,
+which takes in NaN and inf.  That row is recorded and ends the point: its
+later rows stay NaN and its final state is that row's.  Its lanes stay in
+the loop, masked: they step on with the others, whose bits do not depend on
+them, but no later block records anything of them, and the loop ends once
+no point is running.
 Every residual reduction runs over the trailing (n, u) axes of one lane and
 row, and the aggregate sums each (trace, row, point) over its replicas in
 replica order, as a whole (R, T+1) trace's aggregate does, so the block
@@ -123,11 +126,11 @@ B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 n u))) depends on n u alone:
 one lane's B rows of x take at most 8 KiB (64 rows at n u <= 16, 10 at
 n = 100) unless a single step is larger, so a block's R per-replica
 generator calls are spread over B steps however large R and G are.  The
-state block holds S (B+1) G R n u float64 values, and the gradient block
-and the residual pass's x* and scratch B G R n u each.  A run of one point
-stops at the end of the block it diverges in, at most B - 1 steps past that
-step; in a run of several, a diverged point's lanes step on to the end
-unless every point stops first.
+state block holds S (B+1) G R n u float64 values, the gradient block and
+the residual pass's x* and scratch B G R n u each, and the residual block
+4 B G R.  A run of one point stops at the end of the block it diverges in,
+at most B - 1 steps past that step; in a run of several, a diverged point's
+lanes step on to the end unless every point stops first.
 """
 from __future__ import annotations
 
@@ -231,11 +234,11 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     any compute: per point its float64 traces (T+1 rows of each column) and
     recorded states; per lane its block's B E activation bytes, five float64
     blocks of about B+1 rows of n u (x, y, the gradients, and the residual
-    pass's x* and scratch), the 16 + 6 u float64 values per row `flush`
-    makes (residuals, their aggregate, agent sums), C rows of E float64 link
-    weights (`_weight_rows`) and 2 S + 4 rows of n u float64 values (the
-    stepsizes, the gradient's slope and offset, the kernel's operands and
-    output); once per kernel tile (`_kernel_width`) its terms and slot
+    pass's x* and scratch), 8 + 6 u float64 values per row (the residual
+    block, the squares its aggregate takes, and agent sums), C rows of E
+    float64 link weights (`_weight_rows`) and 2 S + 4 rows of n u float64
+    values (the stepsizes, the gradient's slope and offset, the kernel's
+    operands and output); once per kernel tile (`_kernel_width`) its terms and slot
     index; per link the kernel's node index (two int64 entries) and each
     point's theta; per replica its generators; and the draw buffers the
     points share (one replica's block of uniforms, and every replica's
@@ -246,7 +249,7 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     lanes = points * R
     traces = (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
     states = S * (T + 1) * R * n * u * 8 if record_states else 0
-    lane = (B * E + 5 * (B + 1) * n * u * 8 + B * (16 + 6 * u) * 8
+    lane = (B * E + 5 * (B + 1) * n * u * 8 + B * (8 + 6 * u) * 8
             + 8 * (_weight_rows(B) * E + (2 * S + 4) * n * u))
     # float64 terms and int64 slots, 2 E u entries each per lane of a tile,
     # and a narrower last tile's own slot index
@@ -302,20 +305,6 @@ def _require(need, what):
         gib = need / 2 ** 30 if need < 2 ** 1000 else float("inf")
         raise CapacityError(f"{what} need about {gib:.3g} GiB, "
                             f"past the {MEMORY_LIMIT / 2 ** 30:g} GiB limit")
-
-
-def _aggregate(res):
-    """The four mean-square traces of a {name: (..., R)} residual block, (4, ...).
-
-    One `metrics.aggregate` call on the columns stacked into a C-contiguous
-    (R, 4 ...) array: its replica axis is the outer one and at least four
-    values wide, so numpy sums the replicas in order, as it does for a whole
-    (R, T+1) trace (a single (R, 1) column would be summed pairwise).
-    """
-    cols = [res[name] for name in _metrics.TRACE_COLUMNS]
-    shape, R = cols[0].shape[:-1], cols[0].shape[-1]
-    flat = np.concatenate([c.reshape(-1, R) for c in cols])         # (4 ..., R)
-    return _metrics.aggregate(np.ascontiguousarray(flat.T)).reshape(len(cols), *shape)
 
 
 def _cols(values, n):
@@ -542,11 +531,17 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     zeta_total = np.zeros((R, u)) if need_z else None   # shared by the running points
     gradient = problem.costs.gradient_for(full)
     residuals = _metrics.residuals_for((B, *full), problem, kkt)
+    # the block's residuals, replicas outermost and columns in TRACE_COLUMNS
+    # order, as `metrics.aggregate` reads them; `res` is the (4, B, P, R)
+    # view the residual pass writes through
+    block = np.empty((R, len(_metrics.TRACE_COLUMNS), B, P))
+    res = block.transpose(1, 2, 3, 0)
 
     # the start row, recorded as a one-row block; its gradient is step 0's operand
     sbuf[:, 0] = np.stack((x0, y0)[:S])[:, None, None]
     operands[0][...] = gradient(xrows[0], out=grows[0])
-    agg0 = _aggregate(residuals(*pair(sbuf[:, :1]), gbuf[:1])[0])  # (4, 1, P)
+    residuals(*pair(sbuf[:, :1]), gbuf[:1], res[:, :1])
+    agg0 = _metrics.aggregate(block[:, :, :1])                  # (4, 1, P)
     for p in range(P):
         tables[p][:, :1] = agg0[..., p]
         if record_states:
@@ -564,16 +559,15 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         """
         states = sbuf[:, 1:m + 1]
         xs, ys = pair(states)
-        res, fe = residuals(xs, ys, gbuf[:m])                   # each (m, P, R)
-        # WGA's tracking norm is 0.0, which never trips the check
-        opt, tr = res["optimality_distance"], res["tracking_norm"]
-        bad = ~np.isfinite(opt) | (opt > DIVERGENCE_LIMIT)
-        bad |= ~np.isfinite(tr) | (tr > DIVERGENCE_LIMIT)
+        fe = residuals(xs, ys, gbuf[:m], res[:, :m])
+        # the optimality distance or tracking norm (WGA's is 0.0) of a
+        # replica is bad when not <= the limit: NaN compares false
+        bad = ~(res[0::2, :m] <= DIVERGENCE_LIMIT).all(axis=0)  # (m, P, R)
         bad_rows = bad.any(axis=2)                              # (m, P)
         hit = bad_rows.any(axis=0) & running
         ok = np.where(hit, bad_rows.argmax(axis=0), m * running)  # rows checked
         stop = ok + hit                                         # rows recorded
-        agg = _aggregate(res)                                   # (4, m, P)
+        agg = _metrics.aggregate(block[:, :, :m])               # (4, m, P)
         if need_z:
             # each step's (R, u) sum over agents, accumulated in step order:
             # row i holds the total after block row i

@@ -36,57 +36,66 @@ def residuals(x, y, problem, kkt):
     """
     x = np.asarray(x, float)
     g = problem.costs.gradient(x)
-    return residuals_for(x.shape, problem, kkt)(x, y, g)[0], g
+    out = np.empty((len(TRACE_COLUMNS), *x.shape[:-2]))
+    residuals_for(x.shape, problem, kkt)(x, y, g, out)
+    return dict(zip(TRACE_COLUMNS, out)), g
 
 
 def residuals_for(shape, problem, kkt):
-    """`residuals` for (..., n, u) stacks of one `shape`, as res(x, y, g).
+    """`residuals` for (..., n, u) stacks of one `shape`, as res(x, y, g, out).
 
-    g is grad f(x), which a caller stepping from x already holds.  x* is
-    broadcast to `shape` once, and one scratch block of that shape takes
-    each difference and then its squares in turn, so a call allocates only
-    its reductions' results.  x, y and g may hold fewer rows than `shape`
-    on the leading axis, as a block's last rows do.  Returns the residuals
-    and fe = 1'x - 1'd, the (..., u) feasibility vector, which the engine's
+    g is grad f(x), which a caller stepping from x already holds.  The four
+    residuals go to out[0] .. out[3] in TRACE_COLUMNS order; out is a
+    (4, ...) array, x.shape[:-2] after its first axis, and may be strided,
+    as the engine's replica-outermost residual block is.  x* is broadcast
+    to `shape` once, and one scratch block of that shape takes each
+    difference and then its squares in turn, so a call allocates only its
+    feasibility and mean reductions.  x, y and g may hold fewer rows than
+    `shape` on the leading axis, as a block's last rows do.  Returns
+    fe = 1'x - 1'd, the (..., u) feasibility vector, which the engine's
     conservation drift reuses.
 
     Each element is the difference, square and sum the plain expressions
     (x - x*, g - mean(g) and their squares) give, reduced over the same
     contiguous (n, u) values, and the mean is `np.mean`'s sum and division,
-    so the bits do not depend on `shape`.
+    so the bits depend on neither `shape` nor out's strides.
     """
     xstar = np.broadcast_to(kkt.x_star, shape).copy()
     dsum = problem.total_demand
     scratch = np.empty(shape)
 
-    def res(x, y, g):
+    def res(x, y, g, out):
         sc = scratch[:len(x)]
 
-        def norm(v):
-            """||v||_F of each (n, u) stack, v's squares taking the scratch."""
-            return np.sqrt(np.add.reduce(np.multiply(v, v, out=sc), axis=(-2, -1)))
+        def norm(v, o):
+            """||v||_F of each (n, u) stack into o, v's squares taking the scratch."""
+            np.sqrt(np.add.reduce(np.multiply(v, v, out=sc), axis=(-2, -1), out=o), out=o)
 
         fe = np.add.reduce(x, axis=-2) - dsum
         mean = np.add.reduce(g, axis=-2, keepdims=True) / x.shape[-2]
-        return {
-            "optimality_distance": norm(np.subtract(x, xstar[:len(x)], out=sc)),
-            "feasibility_gap": np.sqrt(np.add.reduce(fe * fe, axis=-1)),
-            "tracking_norm": np.zeros(x.shape[:-2]) if y is None else norm(y),
-            "gradient_dispersion": norm(np.subtract(g, mean, out=sc)),
-        }, fe
+        # out[i, ...] is an array view even where out[i] would be a scalar
+        norm(np.subtract(x, xstar[:len(x)], out=sc), out[0, ...])
+        np.sqrt(np.add.reduce(fe * fe, axis=-1, out=out[1, ...]), out=out[1, ...])
+        out[2] = 0.0                        # the tracking norm without a tracker
+        if y is not None:
+            norm(y, out[2, ...])
+        norm(np.subtract(g, mean, out=sc), out[3, ...])
+        return fe
     return res
 
 
 def aggregate(per_replica):
     """Mean-square aggregate: sqrt(mean over axis 0 of squares).
 
-    per_replica: (R, K) array of per-replica residual magnitudes, such as
+    per_replica: (R, ...) array of per-replica residual magnitudes, such as
     whole (R, T+1) traces.  The engine calls it once per record block, on
-    the block's four residuals stacked into a C-contiguous (R, 4 B G)
-    array: with K >= 2 numpy sums axis 0 in replica order, so each column
-    gets the bits of its whole-trace aggregate (a lone (R, 1) column is
-    summed pairwise instead, which can differ in the last ulp for R >= 8).
-    A single replica passes through unchanged.
+    the replica-outermost (R, 4, m, G) slice of its residual block, which
+    is strided when the block's m rows are fewer than its B.  The squares
+    are a fresh C-contiguous array, and with at least two values after the
+    replica axis numpy sums that axis in replica order, so each column gets
+    the bits of its whole-trace aggregate (a lone (R, 1) column is summed
+    pairwise instead, which can differ in the last ulp for R >= 8).  A
+    single replica passes through unchanged.
     """
     a = np.asarray(per_replica, float)
     if a.ndim == 1:
@@ -106,21 +115,22 @@ class RateEstimate:
     exact_convergence: bool  # terminal residual exactly zero -> q = 0
 
 
-def empirical_rate(trace, k_end=None, window=1000):
+def empirical_rate(trace, k_end=None, window=None):
     """Geometric mean of successive residual ratios over the final window.
 
     q = (r[k_end] / r[k_end - N])^(1/N) by telescoping; k_end defaults to
-    the trace's last row, as in `non_convergent`.  Zero residuals
+    the trace's last row, as in `non_convergent`, and the window N to
+    min(1000, k_end), the one place that default is kept.  Zero residuals
     cannot enter a geometric mean: if the terminal residual is exactly zero
     the run converged to machine zero and the rate is reported as 0; an
     interior zero shrinks the window to the trailing all-positive span, and
     a zero just before a nonzero terminal residual leaves no span: q is NaN.
     """
     r = np.asarray(trace, float)
-    if k_end is None:
-        k_end = len(r) - 1
-    if k_end >= len(r):
-        raise ValueError(f"k_end={k_end} outside trace of length {len(r)}")
+    k_end = len(r) - 1 if k_end is None else k_end
+    if not 1 <= k_end < len(r):
+        raise ValueError(f"k_end={k_end} outside [1, {len(r) - 1}] for a trace of length {len(r)}")
+    window = min(1000, k_end) if window is None else window
     if window < 1 or window > k_end:
         raise ValueError("window must satisfy 1 <= window <= k_end")
     if r[k_end] == 0.0:

@@ -255,6 +255,31 @@ def test_exit_2_on_bad_config(tmp_path, capsys):
     assert tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("rate", [None, {"window": None}], ids=["no-section", "null-window"])
+def test_an_unset_rate_window_covers_a_short_run(tmp_path, rate):
+    # an unset window is min(1000, k_end): a 500-step run is read over 500
+    doc = _tiny(engine={"iterations": 500, "replicas": 2})
+    if rate is None:
+        del doc["rate"]
+    else:
+        doc["rate"] = rate
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+    assert len((out / "tiny" / "trace.csv").read_text().splitlines()) == 2 + 501
+    est = json.loads((out / "tiny" / "summary.json").read_text())["empirical_rate"]
+    assert (est["k_end"], est["window"]) == (500, 500)
+
+
+@pytest.mark.parametrize("k_end", [0, -5])
+def test_exit_2_before_compute_on_k_end_below_one(tmp_path, capsys, k_end):
+    cfg = _write(tmp_path, _tiny(rate={"k_end": k_end}))
+    before = tree(tmp_path)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"rate.k_end={k_end} must be >= 1" in err and "rate.window" not in err
+    assert tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("window", [0, 500])
 def test_exit_2_before_compute_on_window_outside_k_end(tmp_path, capsys, window):
     cfg = _write(tmp_path, _tiny(rate={"window": window}))

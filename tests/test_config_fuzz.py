@@ -126,7 +126,7 @@ BAD = {
     "rate": wrong_type(),
     # the window is 10 and the horizon 50
     "rate.k_end": st.one_of(integers(None, low=10, high=50), wrong_type(none_ok=True)),
-    "rate.window": st.one_of(integers(None, low=1, high=50), wrong_type()),
+    "rate.window": st.one_of(integers(None, low=1, high=50), wrong_type(none_ok=True)),
     "sweep": wrong_type(none_ok=True),
     "sweep.axis": wrong_type(("alpha", "beta", "theta")),
     "sweep.values": st.one_of(st.just([]), numbers(), wrong_type(),

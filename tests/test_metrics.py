@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from dtalloc import (aggregate, allocation_problem, empirical_rate, kkt_solve,
-                     loglinear_r2, non_convergent, quadratic_costs, residuals)
+from dtalloc import (TRACE_COLUMNS, aggregate, allocation_problem, empirical_rate,
+                     kkt_solve, loglinear_r2, non_convergent, quadratic_costs,
+                     residuals)
 from dtalloc.metrics import residuals_for
 
 
@@ -60,9 +61,10 @@ def _plain_residuals(x, y, prob, kkt):
 def test_fixed_shape_residuals_give_the_bits_of_residuals(n, u, tracker):
     # the engine's path: one `residuals_for` a (B, G, R, n, u) block, given
     # the gradient its step computed, on a whole block and then on a
-    # block's first rows.  Values over eleven decades make the summation
-    # order show in the last bits; n = 130 passes numpy's 128-value
-    # pairwise-sum block
+    # block's first rows, written into the (4, B, G, R) view of a
+    # replica-outermost (R, 4, B, G) block, whose first rows are strided.
+    # Values over eleven decades make the summation order show in the last
+    # bits; n = 130 passes numpy's 128-value pairwise-sum block
     rng = np.random.default_rng(100 * n + u)
     costs = quadratic_costs(rng.uniform(0.5, 2.0, n), rng.uniform(-1.0, 1.0, (n, u)))
     prob = allocation_problem(costs, rng.uniform(-2.0, 2.0, (n, u)))
@@ -72,10 +74,14 @@ def test_fixed_shape_residuals_give_the_bits_of_residuals(n, u, tracker):
     y = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, shape) if tracker else None
     fixed = residuals_for(shape, prob, kkt)
     for rows in (5, 2):
+        block = np.full((3, len(TRACE_COLUMNS), 5, 2), np.nan)
+        out = block.transpose(1, 2, 3, 0)[:, :rows]
         xs, ys = x[:rows], None if y is None else y[:rows]
-        got, fe = fixed(xs, ys, costs.gradient(xs))
+        fe = fixed(xs, ys, costs.gradient(xs), out)
+        got = dict(zip(TRACE_COLUMNS, out))
         ref, g = residuals(xs, ys, prob, kkt)
         plain, plain_fe = _plain_residuals(xs, ys, prob, kkt)
+        assert np.isnan(block[:, :, rows:]).all()
         assert g.tobytes() == costs.gradient(xs).tobytes()
         assert fe.shape == (rows, 2, 3, u) and fe.tobytes() == plain_fe.tobytes()
         assert set(got) == set(ref) == set(plain)
@@ -124,6 +130,21 @@ def test_empirical_rate_defaults_to_the_last_row():
     r = 2.0 * 0.99 ** np.arange(2001)
     assert empirical_rate(r) == empirical_rate(r, k_end=2000)
     assert empirical_rate(r).k_end == 2000
+
+
+def test_empirical_rate_window_defaults_to_at_most_k_end():
+    # the window defaults to min(1000, k_end): a trace of 1000 rows or fewer
+    # is read over all of it, a longer one over its last 1000 steps
+    est = empirical_rate(0.9 ** np.arange(101))
+    assert est.q == pytest.approx(0.9, abs=1e-12)
+    assert (est.k_end, est.window) == (100, 100) and not est.shrunk
+    r = 2.0 * 0.99 ** np.arange(2001)
+    assert empirical_rate(r) == empirical_rate(r, k_end=2000, window=1000)
+    assert empirical_rate(r, k_end=600) == empirical_rate(r, k_end=600, window=600)
+    # a one-row trace has no step to read: the error names k_end, not the window
+    for k_end in (None, 0, -5):
+        with pytest.raises(ValueError, match=r"k_end=-?\d+ outside \[1, 0\]"):
+            empirical_rate(np.ones(1), k_end=k_end)
 
 
 def test_empirical_rate_exact_zero_terminal():
