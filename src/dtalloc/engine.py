@@ -82,8 +82,9 @@ row i % C; a block's last chunk holds what is left of it.  At n = 100
 (B = 10) C is 1, one row as when each step made its own.  Row 0 of a block
 carries the state it starts from and rows 1 .. B take the states it steps
 to, so step i reads row i and writes row i + 1, and x(k) and x(k+1) never
-share memory, even at B = 1; after each block one copy carries its last row
-of every state to row 0.  alpha and beta are broadcast to (G, R, n, u) once
+share memory, even at B = 1; before each block one copy carries the last
+row of every state that the previous block, or the start, recorded to row
+0.  alpha and beta are broadcast to (G, R, n, u) once
 per call, as are the gradient's slope and offset
 (`QuadraticCosts.gradient_for`), so their products and sums are same-shape
 ufuncs, which at n = 10 cost a third to a half of a broadcast one.  The
@@ -93,9 +94,12 @@ kernel's output.  Each operation is one of the update formulas above,
 evaluated left to right as the plain expressions would be, so every output
 has their bits; per step only the kernel's scatter allocates array data.
 
-Recording runs once per block of steps, not per step.  The start row is a
-block of one row: grad f(x(0)) goes to gradient row 0, the first step's
-operand.  Once per block, and at step T, `flush` makes one call of the
+Recording runs once per block of steps, not per step, and `flush` is the
+one place that records a row, checks it and ends a point.  The start is a
+block of one row: x(0) and y(0) go to state row 1 and grad f(x(0)) to
+gradient row 0, from which it is copied into the first step's operand, and
+`flush` records it as step 0, inside the same `np.errstate` as every
+block.  Once per block `flush` makes one call of the
 `metrics.residuals_for` function made for the block's shape (x* broadcast
 to it once, and one scratch block for every difference and square) on the
 stacked states and the gradients the steps computed.  It writes the four
@@ -107,17 +111,21 @@ its first rows fills B rows of every point's traces.  With `record_states`
 one copy per point fills its rows of an (S, T+1, R, n, u) history, whose
 [0] and [1] are its `states_x` and `states_y`.  The residual pass's
 1'x - 1'd also gives the conservation drift 1'y - (1'x - 1'd) over the
-block's rows.  With a disturbance it sums each step's zeta(k) over agents
-in one reduction of the block's scaled rows and adds the sums in step order
-onto one (R, u) total, which every running point shares (zeta is drawn per
-replica); a point that diverges at block row i keeps the total as it stood
-after row i.  A point diverges at the first row where the optimality
-distance or tracking norm of any of its replicas is not <= DIVERGENCE_LIMIT,
-which takes in NaN and inf.  That row is recorded and ends the point: its
-later rows stay NaN and its final state is that row's.  Its lanes stay in
-the loop, masked: they step on with the others, whose bits do not depend on
-them, but no later block records anything of them, and the loop ends once
-no point is running.
+block's rows, row 0 included.  With a disturbance it sums each step's
+zeta(k) over agents in one reduction of the block's scaled rows and adds
+the sums in step order onto one (R, u) total, which every running point
+shares (zeta is drawn per replica); the scaled rows start zero-filled, so
+the start adds exactly nothing, and a point that diverges at block row i
+keeps the total as it stood after row i.  A point diverges at the first
+row, row 0 included, where the optimality distance or tracking norm of any
+of its replicas is not <= DIVERGENCE_LIMIT, which takes in NaN and inf.
+That row is recorded and ends the point: its later rows stay NaN and its
+final state is that row's.  A point that does not diverge ends at the last
+row of the block that reaches step T.  Where a point ends, `flush` gives it
+its own copies of its final states and zeta total.  A diverged point's
+lanes stay in the loop, masked: they step on with the others, whose bits do
+not depend on them, but no later block records anything of them, and the
+loop ends once no point is running.
 Every residual reduction runs over the trailing (n, u) axes of one lane and
 row, and the aggregate sums each (trace, row, point) over its replicas in
 replica order, as a whole (R, T+1) trace's aggregate does, so the block
@@ -407,9 +415,13 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     Every working array (state, broadcast stepsizes, thresholds, activations,
     kernel and block buffers) is allocated once and holds all P points' lanes
     in point order, so a lane's point index is its index in the inputs and
-    outputs.  `running` masks the points that have not diverged: `flush`
-    records rows and facts for those alone, and a diverged point's lanes
-    step on, unrecorded, until every point has stopped or the run ends.
+    outputs.  The start is recorded as a block of one row, and `flush`
+    records every row, checks it for divergence and ends each point, all
+    inside one `np.errstate`, so a start past DIVERGENCE_LIMIT, even one
+    whose residual squares overflow, stops at row 0 without a warning.
+    `running` masks the points that have not diverged: `flush` records rows
+    and facts for those alone, and a diverged point's lanes step on,
+    unrecorded, until every point has stopped or the run ends.
     The loop has a function of its own because `tracemalloc` finds each
     allocation's line by scanning its function's line table from the start:
     with `run_points`' checks ahead of it in one function, an R = 2000 run
@@ -440,11 +452,6 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     def pair(rows):
         """x's and y's of S stacked state rows; y is None for WGA."""
         return rows[0], rows[1] if is_dta else None
-
-    def finish(out, last, zeta):
-        """Give `out` its own copies of its last states and zeta total."""
-        out.final_x, out.final_y = pair([s.copy() for s in last])
-        out.zeta_total = None if zeta is None else zeta.copy()
 
     # one result per point, filled in as its rows are recorded into its own
     # (4, T+1) trace table and, with record_states, (S, T+1, R, n, u) history
@@ -526,7 +533,8 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     grows = list(gbuf)
     ubuf = np.empty((B, E))                 # one replica's uniforms at a time
     zbuf = np.empty((R, B, n, u)) if need_z else None          # as drawn
-    zblock = np.empty((B, 1, R, n, u)) if need_z else None     # scaled, by step
+    # scaled, by step; zero until the first block draws, so the start adds none
+    zblock = np.zeros((B, 1, R, n, u)) if need_z else None
     zrows = list(zblock) if need_z else None
     zeta_total = np.zeros((R, u)) if need_z else None   # shared by the running points
     gradient = problem.costs.gradient_for(full)
@@ -537,25 +545,16 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     block = np.empty((R, len(_metrics.TRACE_COLUMNS), B, P))
     res = block.transpose(1, 2, 3, 0)
 
-    # the start row, recorded as a one-row block; its gradient is step 0's operand
-    sbuf[:, 0] = np.stack((x0, y0)[:S])[:, None, None]
-    operands[0][...] = gradient(xrows[0], out=grows[0])
-    residuals(*pair(sbuf[:, :1]), gbuf[:1], res[:, :1])
-    agg0 = _metrics.aggregate(block[:, :, :1])                  # (4, 1, P)
-    for p in range(P):
-        tables[p][:, :1] = agg0[..., p]
-        if record_states:
-            history[p][:, 0] = sbuf[:, 0, p]
-
     def flush(k0, m):
         """Record block rows [1, m] as the states of steps k0+1 .. k0+m.
 
-        Returns the mask of running points that diverged in the block.  A
-        diverged point's rows after its first bad row stay NaN in the
-        traces; its drift maximum covers the rows before that row, and its
-        disturbance sum the rows up to it.  A point that stopped in an
-        earlier block has no rows checked or recorded, so its drift maximum
-        and disturbance sum stay as they were when it stopped.
+        The start is the block k0 = -1, m = 1.  Returns the mask of running
+        points that diverged in the block.  A diverged point's rows after
+        its first bad row stay NaN in the traces; its drift maximum covers
+        the rows before that row, and its disturbance sum the rows up to it.
+        A point ends here, at that row or at step T, and takes its own
+        copies of its last states and zeta total.  A point that ended in an
+        earlier block has no rows checked or recorded.
         """
         states = sbuf[:, 1:m + 1]
         xs, ys = pair(states)
@@ -574,6 +573,11 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             acc = np.add.accumulate(np.concatenate(
                 (zeta_total[None], zblock[:m, 0].sum(axis=-2))))  # (m+1, R, u)
             zeta_total[...] = acc[m]
+        if is_dta:
+            c = np.abs(ys.sum(axis=-2) - fe)                    # (m, P, R, u)
+            checked = (np.arange(m)[:, None] < ok)[:, :, None, None]
+            drift = np.where(checked, c, 0.0).max(axis=(0, 2, 3))
+            np.maximum(cons_drift, drift, out=cons_drift)
 
         for p in np.flatnonzero(running):
             out = results[p]
@@ -582,20 +586,34 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             if record_states:
                 history[p][:, steps] = states[:, :stop[p], p]
             if hit[p]:
-                row = ok[p]
                 out.diverged = True
-                out.diverged_at = k0 + int(row) + 1
-                out.diverged_replica = int(np.flatnonzero(bad[row, p])[0])
-                finish(out, states[:, row, p], acc[row + 1] if need_z else None)
-        if is_dta:
-            c = np.abs(ys.sum(axis=-2) - fe)                    # (m, P, R, u)
-            checked = (np.arange(m)[:, None] < ok)[:, :, None, None]
-            drift = np.where(checked, c, 0.0).max(axis=(0, 2, 3))
-            np.maximum(cons_drift, drift, out=cons_drift)
+                out.diverged_at = k0 + int(ok[p]) + 1
+                out.diverged_replica = int(np.flatnonzero(bad[ok[p], p])[0])
+            elif k0 + m < T:
+                continue
+            row = stop[p] - 1                                   # its last row
+            out.final_x, out.final_y = pair([s.copy() for s in states[:, row, p]])
+            out.zeta_total = acc[row + 1].copy() if need_z else None
+            out.max_conservation_drift = float(cons_drift[p])
+            if need_z and not is_dta and not hit[p]:
+                # WGA conserves 1'x, so 1'x(T) - 1'x(0) is the injected mass alone
+                drift = out.final_x.sum(axis=1) - x0.sum(axis=0)     # (R, u)
+                out.wga_drift_err = float(np.abs(drift - out.zeta_total).max())
         return hit
 
     with np.errstate(over="ignore", invalid="ignore"):
+        # the start, x(0) and y(0), is a block of one row; its gradient is
+        # step 0's operand
+        sbuf[:, 1] = np.stack((x0, y0)[:S])[:, None, None]
+        operands[0][...] = gradient(xrows[1], out=grows[0])
+        running &= ~flush(-1, 1)
+        m = 1
         for k0 in range(0, T, B):
+            if not running.any():
+                break
+            # the last states the start or the previous block recorded
+            # carry over into row 0
+            sbuf[:, 0] = sbuf[:, m]
             # the block's draws: row i holds step k0 + i's
             m = min(B, T - k0)
             for r in range(R):
@@ -639,17 +657,4 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 operands[0][...] = gradient(xn, out=gn)
 
             running &= ~flush(k0, m)
-            if not running.any():
-                break
-            # the last states carry over into row 0 of the next block
-            sbuf[:, 0] = sbuf[:, m]
-
-    for p in np.flatnonzero(running):
-        finish(results[p], sbuf[:, 0, p], zeta_total)
-    for p, out in enumerate(results):
-        out.max_conservation_drift = float(cons_drift[p])
-        if need_z and not is_dta and not out.diverged:
-            # WGA conserves 1'x, so 1'x(T) - 1'x(0) is the injected mass alone
-            drift = out.final_x.sum(axis=1) - x0.sum(axis=0)     # (R, u)
-            out.wga_drift_err = float(np.abs(drift - out.zeta_total).max())
     return results

@@ -107,8 +107,9 @@ def complete_edges(n):
 
 
 def ring_edges(n):
-    """The links (i, i + 1 mod n) of the ring, (E, 2); two agents share one."""
-    i = np.arange(1 if n == 2 else n)
+    """The links (i, i + 1 mod n) of the ring, (E, 2); two agents share one,
+    and one agent has none."""
+    i = np.arange(n if n > 2 else n - 1)
     return np.column_stack((i, (i + 1) % n))
 
 

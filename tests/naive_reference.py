@@ -71,8 +71,12 @@ def naive_dta_step(x, y, W, a, b, alpha, beta, zeta=None):
 
 
 def naive_wga_step(x, W, a, b, alpha, zeta=None):
-    """One weighted-gradient step: x+ = x + zeta - alpha (I - W) grad f(x)."""
+    """One weighted-gradient step: x+ = x + zeta - alpha (I - W) grad f(x).
+
+    alpha: a scalar or a length-n per-agent array.
+    """
     n, u = x.shape
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
     g = naive_grad(x, a, b)
     x_next = np.zeros((n, u))
     for i in range(n):
@@ -81,7 +85,7 @@ def naive_wga_step(x, W, a, b, alpha, zeta=None):
             for j in range(n):
                 if j != i:
                     mix += W[i][j] * (g[i][r] - g[j][r])
-            x_next[i][r] = x[i][r] - alpha * mix
+            x_next[i][r] = x[i][r] - alpha[i] * mix
             if zeta is not None:
                 x_next[i][r] += zeta[i][r]
     return x_next

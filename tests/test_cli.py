@@ -457,6 +457,38 @@ def test_exit_4_on_divergence(tmp_path):
     assert s["final_ratio"] is None
 
 
+@pytest.mark.parametrize("algorithm", ["dta", "wga"])
+def test_exit_4_at_iteration_0_when_the_start_overflows(tmp_path, capsys, algorithm):
+    # the start's residual squares overflow; the suite turns a numpy
+    # floating-point warning into an exception, which would escape main
+    doc = _tiny(engine={"iterations": 200, "replicas": 2, "algorithm": algorithm,
+                        "x0": [1e200, 1e200]})
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "diverged at iteration 0" in err and "Traceback" not in err
+    s = json.loads((out / "tiny" / "summary.json").read_text())
+    assert s["diverged"] and s["diverged_at"] == 0
+
+
+def test_a_one_agent_ring_runs_as_the_one_agent_complete_graph(tmp_path, capsys):
+    # neither has a link, so both run the same steps
+    traces = []
+    for topology in ("ring", "complete"):
+        doc = _tiny(cost={"a": [1.0], "b": [0.1]}, demand=[2.0],
+                    network={"topology": topology, "n": 1, "theta": 0.8},
+                    stepsizes={"source": "optimal"},
+                    engine={"iterations": 40, "replicas": 2}, rate={"window": 20})
+        cfg = _write(tmp_path, doc, f"{topology}.yaml")
+        assert main(["bounds", cfg]) == 0
+        out = tmp_path / topology
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        assert "q_n 0.666667" in capsys.readouterr().out
+        traces.append((out / "tiny" / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
 @pytest.mark.parametrize("name", ["../../x", "..", "absolute", "a/b"])
 def test_exit_2_when_the_name_leaves_out(tmp_path, capsys, name):
     # the name becomes the output subdirectory, so it must stay inside --out

@@ -6,6 +6,7 @@ point)."""
 import dataclasses
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -721,6 +722,61 @@ def test_divergence_sets_flag_and_pads_with_nan():
         assert np.isfinite(states[:res.diverged_at]).all()
 
 
+def _main_plan(algorithm):
+    """main.yaml's optimal plan for DTA, or a stable WGA stepsize."""
+    return ((0.0007647132835707233, 14309.704294513564) if algorithm == "dta"
+            else (100.0, None))
+
+
+@pytest.mark.parametrize("algorithm", ["dta", "wga"])
+@pytest.mark.parametrize("scale", [1e13, 1e200], ids=["past-limit", "overflowing"])
+def test_a_start_past_the_limit_diverges_at_row_0(algorithm, scale):
+    # at 1e13 row 0's distance, 3.16e13, is finite and past the limit; at
+    # 1e200 its squares overflow.  Either way row 0 is recorded and checked
+    # like any other row, without a floating-point warning
+    prob = _main_problem()
+    model = complete_graph(10, weight=0.0002, theta=0.5)
+    alpha, beta = _main_plan(algorithm)
+    x0 = np.full((10, 1), scale)
+    R = 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(prob, model, algorithm=algorithm, alpha=alpha, beta=beta,
+                  iterations=200, replicas=R, seed=7, x0=x0, record_states=True,
+                  disturbance=DisturbanceSpec("gaussian", m_zeta=1.5, q_zeta=0.99))
+    assert res.diverged and (res.diverged_at, res.diverged_replica) == (0, 0)
+    xs = np.broadcast_to(x0, (R, 10, 1))
+    ys = xs - prob.demand if algorithm == "dta" else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = residuals(xs, ys, prob, kkt_solve(prob))[0]
+        for name in TRACE_COLUMNS:
+            assert _same_bits(res.traces[name][:1], aggregate(start[name][:, None])), name
+            assert np.isnan(res.traces[name][1:]).all(), name
+    assert _same_bits(res.final_x, xs) and not np.shares_memory(res.final_x, x0)
+    assert _same_bits(res.final_y, ys)
+    assert np.all(res.zeta_total == 0.0)
+    for states, start_state in ((res.states_x, xs), (res.states_y, ys)):
+        if start_state is not None:
+            assert _same_bits(states[0], start_state)
+            assert np.isnan(states[1:]).all()
+
+
+@pytest.mark.parametrize("start", ["zeros", "demand", "offset-tracker"])
+def test_the_conservation_drift_covers_row_0(start):
+    # 1'y(0) = 1'x(0) - 1'd holds exactly for the zeros and demand starts; a
+    # tracker started 0.5 per agent above x(0) - d drifts 10 x 0.5 at row 0
+    prob = _main_problem()
+    alpha, beta = _main_plan("dta")
+    x0 = prob.demand if start == "demand" else np.zeros((10, 1))
+    y0 = x0 - prob.demand + 0.5 if start == "offset-tracker" else None
+    res = run(prob, complete_graph(10, weight=0.0002, theta=0.5), alpha=alpha,
+              beta=beta, iterations=0, replicas=2, x0=x0, y0=y0)
+    if y0 is None:
+        assert res.max_conservation_drift == 0.0
+    else:
+        assert res.max_conservation_drift == pytest.approx(5.0, rel=1e-12)
+
+
 # ----------------------------------------------------------- disturbance
 
 def test_disturbance_spec_validation():
@@ -778,16 +834,27 @@ def test_zeta_total_tracks_injected_mass():
     assert np.allclose(gap, res.zeta_total, rtol=0, atol=1e-9)
 
 
+def _redrawn_zeta(seed, R, T, n, u, dist):
+    """Each replica's zeta(0) .. zeta(T-1) of any kind, (R, T, n, u), drawn
+    afresh from the frozen stream protocol and scaled by the envelope."""
+    zs = []
+    for child in np.random.SeedSequence(seed).spawn(R):
+        gz = np.random.default_rng(child.spawn(2)[1])
+        if dist.kind == "gaussian":
+            zs.append(gz.standard_normal((T, n, u)))
+        elif dist.kind == "laplace":
+            zs.append(gz.laplace(0.0, 1.0 / np.sqrt(2.0), (T, n, u)))
+        else:
+            zs.append(np.where(gz.random((T, n, u)) < 0.5, 1.0, -1.0))
+    return np.stack(zs) * dist.scales(T, n, u)[:, None, None]
+
+
 def _zeta_oracle(seed, R, T, n, u, dist):
-    """The (T+1, R, u) running sums of a gaussian zeta(k) over agents, drawn
-    afresh from the frozen stream protocol: row k holds the sum of zeta(0)
-    .. zeta(k-1), added in step order from zero."""
-    scales = dist.scales(T, n, u)[:, None, None]
-    sums = [(np.random.default_rng(child.spawn(2)[1]).standard_normal((T, n, u))
-             * scales).sum(axis=1)
-            for child in np.random.SeedSequence(seed).spawn(R)]
-    return np.add.accumulate(np.concatenate((np.zeros((1, R, u)),
-                                             np.stack(sums, axis=1))))
+    """The (T+1, R, u) running sums of zeta(k) over agents, drawn afresh
+    from the frozen stream protocol: row k holds the sum of zeta(0) ..
+    zeta(k-1), added in step order from zero."""
+    sums = _redrawn_zeta(seed, R, T, n, u, dist).sum(axis=2).transpose(1, 0, 2)
+    return np.add.accumulate(np.concatenate((np.zeros((1, R, u)), sums)))
 
 
 def test_diverged_zeta_total_matches_a_redrawn_oracle():
@@ -952,13 +1019,52 @@ def _unequal_fields(ref, res):
     return bad
 
 
+def _random_start(rng, n, u):
+    """x0 for `_random_run`: the default start (None) in half the cases, else
+    standard normal entries, scaled by 1e13 in one case of ten, which puts
+    row 0 past DIVERGENCE_LIMIT, and by 1e200 in another, whose residual
+    squares overflow."""
+    draw = rng.random()
+    if draw >= 0.5:
+        return None
+    return rng.standard_normal((n, u)) * (1e13 if draw < 0.1 else 1e200 if draw < 0.2 else 1.0)
+
+
+def _naive_replay(prob, point, kw, rows):
+    """Replica 0's first `rows` states of `point` as `naive_reference` steps
+    them, x and y (None for WGA) as (rows, n, u) stacks: W(k) from the
+    replica's link stream and zeta(k) redrawn from its disturbance stream."""
+    (model, alpha, beta), n, u, dist = point, prob.n, prob.u, kw["disturbance"]
+    acts = _replay_acts(kw["seed"], 1, rows - 1, model.n_edges, model.theta)[0]
+    zeta = None if dist is None else _redrawn_zeta(kw["seed"], 1, rows - 1, n, u, dist)[0]
+    proposals = np.zeros((n, n))
+    for (i, j), we in zip(model.edges, model.weights):
+        proposals[i, j] = proposals[j, i] = we
+    x = np.zeros((n, u)) if kw["x0"] is None else kw["x0"]
+    y = x - prob.demand
+    xs, ys = [x], [y]
+    for k in range(rows - 1):
+        active = np.zeros((n, n), bool)
+        for e, (i, j) in enumerate(model.edges):
+            active[i, j] = active[j, i] = acts[k, e]
+        W = naive_weight_matrix(proposals, active)
+        z = None if zeta is None else zeta[k]
+        if kw["algorithm"] == "dta":
+            x, y = naive_dta_step(x, y, W, prob.costs.a, prob.costs.b, alpha, beta, z)
+        else:
+            x = naive_wga_step(x, W, prob.costs.a, prob.costs.b, alpha, z)
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys) if kw["algorithm"] == "dta" else None
+
+
 def _random_run(seed):
     """A run_points call as (problem, points, keywords), drawn from `seed`:
     n 1-7 agents and u 1-3 resources, a random edge subset (non-empty when
     n > 1) with weights under 1 / (max degree + 1), each point's theta
     scalar or per link and its plan shared or per agent over a 20x scale,
     whose top diverges, any disturbance kind, T 0-149 steps and R 1-4
-    replicas, a random or the default start, DTA or WGA.  A numpy generator
+    replicas, a start from `_random_start`, DTA or WGA.  A numpy generator
     draws them uniformly: hypothesis's own strategies lean to their simplest
     values, and drawn with them 38 of 60 examples had no disturbance and 14
     ran no step."""
@@ -986,8 +1092,7 @@ def _random_run(seed):
         kind, m_zeta=rng.uniform(0.1, 5.0), q_zeta=rng.uniform(0.5, 0.999), cutoff=cutoff)
     kw = dict(algorithm=algorithm, iterations=int(rng.integers(0, 150)),
               replicas=int(rng.integers(1, 5)), seed=int(rng.integers(2 ** 16)),
-              x0=rng.standard_normal((n, u)) if rng.random() < 0.5 else None,
-              disturbance=dist)
+              x0=_random_start(rng, n, u), disturbance=dist)
     return _random_instance(rng, n, u), points, kw
 
 
@@ -997,8 +1102,9 @@ def test_random_runs_agree_across_points_blocks_and_tiles(seed):
     # (a) each point of a run_points call is bit-equal, in every RunResult
     # field, to a run of it alone; (b) 1-, 3- and 7-row blocks, and kernel
     # tiles narrower than one tile of every operand, change no bit; (d) a
-    # gaussian zeta total is the redrawn sum up to the point's last recorded
-    # step.  The constants are patched within each example: the
+    # zeta total of any kind is the redrawn sum up to the point's last
+    # recorded step; (c) at R = 1, the states agree with naive message
+    # passing.  The constants are patched within each example: the
     # function-scoped monkeypatch fixture would be shared by all of them
     prob, points, kw = _random_run(seed)
     ref = engine.run_points(prob, points, record_states=True, **kw)
@@ -1020,7 +1126,20 @@ def test_random_runs_agree_across_points_blocks_and_tiles(seed):
         for a, b in zip(ref, got):
             assert _unequal_fields(a, b) == [], (name, value)
     dist, T = kw["disturbance"], kw["iterations"]
-    if dist is not None and dist.kind == "gaussian":
+    if dist is not None:
         acc = _zeta_oracle(kw["seed"], kw["replicas"], T, prob.n, u, dist)
         for res in ref:
-            assert _same_bits(res.zeta_total, acc[res.diverged_at or T])
+            assert _same_bits(res.zeta_total, acc[T if res.diverged_at is None
+                                                  else res.diverged_at])
+    if kw["replicas"] == 1:
+        # (c) the recorded states agree with naive message passing to 1e-12
+        # of each row's largest entry, over the rows before the point's stop
+        for point, res in zip(points, ref):
+            rows = T + 1 if res.diverged_at is None else res.diverged_at
+            if not rows:
+                continue
+            got = [s[:rows, 0] for s in (res.states_x, res.states_y) if s is not None]
+            want = [s for s in _naive_replay(prob, point, kw, rows) if s is not None]
+            top = np.max([np.abs(g).max(axis=(1, 2)) for g in got], axis=0)
+            for g, w in zip(got, want, strict=True):
+                assert (np.abs(g - w).max(axis=(1, 2)) <= 1e-12 * top).all()

@@ -48,10 +48,13 @@ def _random_model(rng, n=None):
 def test_edge_arrays_match_their_loop_forms():
     for n in range(7):
         complete = [[i, j] for i in range(n) for j in range(i + 1, n)]
-        ring = [[0, 1]] if n == 2 else [[i, (i + 1) % n] for i in range(n)]
+        # one agent has no link and two share one
+        ring = ([] if n < 2 else [[0, 1]] if n == 2
+                else [[i, (i + 1) % n] for i in range(n)])
         assert complete_edges(n).tolist() == complete
         assert ring_edges(n).tolist() == ring
         assert complete_edges(n).shape == (len(complete), 2)
+        assert ring_edges(n).shape == (len(ring), 2)
 
 
 def test_metropolis_weights_ring():
