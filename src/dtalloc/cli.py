@@ -26,6 +26,7 @@ import reprlib
 import sys
 import warnings
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -96,18 +97,34 @@ def _out_dir(args, cfg):
 
 
 def _write_trace_csv(path, traces):
+    """Write `traces` as a trace CSV: row k is k, then each column's repr.
+
+    Each block of TRACE_CSV_ROWS rows is formatted by one `%` call on its
+    values, as Python floats, whose repr is the shortest round-trip form, so
+    no whole trace is held as objects.  The rows after the last one that
+    holds a number, the steps a diverged run never reached, are written as
+    fixed "k,nan,..." lines: repr(nan) is 'nan', so the bytes are the same.
+    """
     cols = metrics.TRACE_COLUMNS
     series = [np.asarray(traces[c], float) for c in cols]
+    unfilled = np.isnan(series[0])
+    for s in series[1:]:
+        unfilled &= np.isnan(s)
+    filled = np.flatnonzero(~unfilled)
+    end = int(filled[-1]) + 1 if filled.size else 0
+    rows = len(unfilled)
+    line = "%d" + ",%r" * len(cols) + "\n"
+    blank = "%d" + ",nan" * len(cols) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# schema_version: {SCHEMA_VERSION}\n")
         fh.write("k," + ",".join(cols) + "\n")
-        # a block of rows at a time as Python floats, whose repr is the
-        # shortest round-trip form, so no whole trace is held as objects
-        for k0 in range(0, len(series[0]), TRACE_CSV_ROWS):
-            k1 = k0 + TRACE_CSV_ROWS
-            block = [map(repr, s[k0:k1].tolist()) for s in series]
-            fh.writelines(",".join(row) + "\n"
-                          for row in zip(map(str, range(k0, k1)), *block))
+        for k0 in range(0, end, TRACE_CSV_ROWS):
+            k1 = min(k0 + TRACE_CSV_ROWS, end)
+            values = zip(range(k0, k1), *(s[k0:k1].tolist() for s in series))
+            fh.write(line * (k1 - k0) % tuple(chain.from_iterable(values)))
+        for k0 in range(end, rows, TRACE_CSV_ROWS):
+            k1 = min(k0 + TRACE_CSV_ROWS, rows)
+            fh.write(blank * (k1 - k0) % tuple(range(k0, k1)))
 
 
 def _write_summary(path, payload):

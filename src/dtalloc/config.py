@@ -72,13 +72,53 @@ def _section(cls, d, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _plain(text):
+    """What `text` loads as, written as a plain (unquoted) YAML scalar."""
+    try:
+        return yaml.load(text, Loader=LOADER)
+    except yaml.YAMLError:
+        return None
+
+
+def _string_hint(v):
+    """A refusal's note, "; ...", on the first string of v, at any depth of
+    its lists, that reads as a finite number: how to write it so that it
+    loads as one.  '' when there is none.
+
+    YAML 1.1 reads a plain scalar as a float only with a decimal point and,
+    in an exponent, a sign: 7e-4 and 7.0e4 are strings, 7.0e-4 and 7.0e+4
+    floats.  A quoted number is a string too.  Which of the two happened is
+    told by how the string loads unquoted: as its number, it was quoted;
+    else an exponent spelling is offered that loads as the same float, with
+    no quotes, since the string may have been quoted as well.  Only a string
+    that `_short` shows whole gets a note, so the message stays one short line.
+    """
+    if isinstance(v, list):
+        return next(filter(None, map(_string_hint, v)), "")
+    try:
+        x = float(v) if isinstance(v, str) and _short(v) == repr(v) else None
+    except ValueError:
+        x = None
+    if x is None or not np.isfinite(x):
+        return ""
+    if _plain(v) == x:
+        return f"; {_short(v)} is a string: write the number without quotes"
+    mantissa, e, exponent = v.strip().lower().partition("e")
+    fix = (mantissa + ("" if "." in mantissa else ".0") + "e"
+           + ("" if exponent[:1] in ("+", "-") else "+") + exponent)
+    if not e or _plain(fix) != x:
+        return ""
+    return f"; YAML 1.1 reads {_short(v)} as a string: write {fix}, unquoted"
+
+
 def _int(v, where):
     """v as an integer; integral floats pass."""
     if isinstance(v, float) and v.is_integer():
         return int(v)
     if isinstance(v, int) and not isinstance(v, bool):
         return v
-    raise ConfigError(f"{where} must be an integer, got {_short(v)}")
+    raise ConfigError(f"{where} must be an integer, "
+                      f"got {_short(v)}{_string_hint(v)}")
 
 
 def _number(v, where):
@@ -89,7 +129,8 @@ def _number(v, where):
     except OverflowError:                    # an integer past the float range
         ok = False
     if not ok:
-        raise ConfigError(f"{where} must be a finite number, got {_short(v)}")
+        raise ConfigError(f"{where} must be a finite number, "
+                          f"got {_short(v)}{_string_hint(v)}")
     return v
 
 
@@ -111,7 +152,8 @@ def _finite(v, where, words=()):
     except (TypeError, ValueError, OverflowError):  # Overflow: a huge integer
         ok = False
     if not ok:
-        raise ConfigError(f"{where} must be finite numbers, got {_short(v)}")
+        raise ConfigError(f"{where} must be finite numbers, "
+                          f"got {_short(v)}{_string_hint(v)}")
     return v
 
 

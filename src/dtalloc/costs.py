@@ -68,9 +68,11 @@ class QuadraticCosts:
         slope = np.broadcast_to(2.0 * self.a[:, None], shape).copy()
         offset = np.broadcast_to(self.b, shape).copy()
 
+        multiply, add = np.multiply, np.add     # bound once, as in the engine
+
         def grad(x, out=None):
-            out = np.multiply(slope, x, out=out)
-            return np.add(out, offset, out=out)
+            out = multiply(slope, x, out)
+            return add(out, offset, out)
         return grad
 
     @property

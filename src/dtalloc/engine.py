@@ -68,7 +68,7 @@ at R = 20 runs 10-lane tiles, whose terms and slot index take 1.6 MB where
 one tile of every lane would take 6.3 MB.
 
 The step runs in place.  Per step, the loop only computes the update and
-the gradient of the new state (the next update's input), each with `out=`
+the gradient of the new state (the next update's input), each written
 into storage allocated once per call: x(k+1) and y(k+1) go to their rows of
 one (S, B+1, G, R, n, u) state block, x as its [0] and y as its [1] (S = 2
 for DTA, 1 for WGA), so each state's rows stay contiguous; the gradient of
@@ -503,22 +503,32 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                             + np.arange(u)[None, None, :]).ravel()
             # explicit widths: with no links (E = 0) a -1 width is ambiguous
             terms = buf[:2 * E * ops * t * u].reshape(2 * E, ops, t, u)
-            tiles.append((src[:, s:s + ops, a:a + t], terms, terms.ravel(),
+            flat = flat_out[s:s + ops, a:a + t].reshape(-1)
+            tiles.append((src[:, s:s + ops, a:a + t].take, terms, terms.ravel(),
                           terms[:E], terms[E:], list(wl[..., a:a + t, :]),
-                          index[t], flat_out[s:s + ops, a:a + t].reshape(-1)))
+                          index[t], flat, flat.size))
+
+    # The step loop's ufuncs, its tiles' `take` and bincount are bound once,
+    # and their outputs passed positionally, not as `out=`: an R = 1 step at
+    # n = 10 is about 17 calls on 10-element arrays, where the module lookup
+    # and numpy's keyword parsing take about 15 % of each (np.add(a, b,
+    # out=c) 368 ns, add(a, b, c) 314 ns).  Each call is the same operation on the
+    # same operands in the same order, so every bit is the same.
+    subtract, multiply, add, negative = np.subtract, np.multiply, np.add, np.negative
+    bincount = np.bincount
 
     def mix_apply(j):
         """Mix the operands with the weights of row j of `wts`."""
-        for rows, pairs, entries, top, bottom, wt, idx, flat in tiles:
+        for take, pairs, entries, top, bottom, wt, idx, flat, size in tiles:
             # rows [v_i; v_j] of every edge, then d = v_i - v_j on top.
             # build_model keeps 0 <= i < j < n, so "clip" never clips; it
             # lets take write straight into `terms`, where "raise"
             # buffers the output
-            rows.take(nodes, axis=0, out=pairs, mode="clip")
-            np.subtract(top, bottom, out=top)
-            np.multiply(top, wt[j], out=top)
-            np.negative(top, out=bottom)
-            flat[...] = np.bincount(idx, entries, minlength=flat.size)
+            take(nodes, 0, pairs, "clip")
+            subtract(top, bottom, top)
+            multiply(top, wt[j], top)
+            negative(top, bottom)
+            flat[...] = bincount(idx, entries, size)
         return mixes
 
     # per block: draw its steps' randomness, step the states, x and y, into
@@ -551,7 +561,8 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
         The start is the block k0 = -1, m = 1.  Returns the mask of running
         points that diverged in the block.  A diverged point's rows after
         its first bad row stay NaN in the traces; its drift maximum covers
-        the rows before that row, and its disturbance sum the rows up to it.
+        the rows before that row (NaN when there is none: it diverged at row
+        0), and its disturbance sum the rows up to it.
         A point ends here, at that row or at step T, and takes its own
         copies of its last states and zeta total.  A point that ended in an
         earlier block has no rows checked or recorded.
@@ -594,7 +605,9 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             row = stop[p] - 1                                   # its last row
             out.final_x, out.final_y = pair([s.copy() for s in states[:, row, p]])
             out.zeta_total = acc[row + 1].copy() if need_z else None
-            out.max_conservation_drift = float(cons_drift[p])
+            # a point that diverged at row 0 had no row's drift measured
+            out.max_conservation_drift = (float("nan") if out.diverged_at == 0
+                                          else float(cons_drift[p]))
             if need_z and not is_dta and not hit[p]:
                 # WGA conserves 1'x, so 1'x(T) - 1'x(0) is the injected mass alone
                 drift = out.final_x.sum(axis=1) - x0.sum(axis=0)     # (R, u)
@@ -635,26 +648,26 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 if not j:
                     # the weights of steps i .. i + c - 1, (c, E, P, R)
                     c = min(C, m - i)
-                    np.multiply(wcol, acts[i:i + c], out=wts[:c])
+                    multiply(wcol, acts[i:i + c], wts[:c])
                 # gn holds the step's products until it takes grad f(x(k+1))
                 x, xn, gn = xrows[i], xrows[i + 1], grows[i]
-                xz = np.add(x, zrows[i], out=xn) if need_z else x
+                xz = add(x, zrows[i], xn) if need_z else x
                 if is_dta:
                     y, yn = yrows[i], yrows[i + 1]
                     operands[1][...] = y
                     mixg, mixy = mix_apply(j)
                     # x(k+1) = (xz - alpha y) - beta mixg
-                    np.subtract(xz, np.multiply(alf, y, out=gn), out=xn)
-                    np.subtract(xn, np.multiply(bef, mixg, out=mixg), out=xn)
+                    subtract(xz, multiply(alf, y, gn), xn)
+                    subtract(xn, multiply(bef, mixg, mixg), xn)
                     # y(k+1) = (y - mixy) + (x(k+1) - x(k))
-                    np.subtract(y, mixy, out=yn)
-                    np.add(yn, np.subtract(xn, x, out=gn), out=yn)
+                    subtract(y, mixy, yn)
+                    add(yn, subtract(xn, x, gn), yn)
                 else:
                     mixg = mix_apply(j)[0]
-                    np.subtract(xz, np.multiply(alf, mixg, out=mixg), out=xn)
+                    subtract(xz, multiply(alf, mixg, mixg), xn)
                 # into its contiguous row, then copied: a ufunc writing into
                 # the strided operand stack misses numpy's contiguous loop
-                operands[0][...] = gradient(xn, out=gn)
+                operands[0][...] = gradient(xn, gn)
 
             running &= ~flush(k0, m)
     return results

@@ -14,8 +14,10 @@ import pytest
 import yaml
 
 import dtalloc
-from dtalloc.cli import main
+from dtalloc.cli import TRACE_CSV_ROWS, _write_trace_csv, main
+from dtalloc.config import SCHEMA_VERSION
 from dtalloc.errors import PlanWarning
+from dtalloc.metrics import TRACE_COLUMNS
 from fs_tree import tree
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -324,6 +326,30 @@ def test_exit_2_before_compute_on_non_finite_input(tmp_path, capsys, over,
     assert tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("key, written, fix", [
+    ("alpha", "7e-4", "7.0e-4"),
+    ("alpha", "1.5E3", "1.5e+3"),
+    ("beta", "[1e-1, 2e-1]", "1.0e-1"),
+])
+def test_an_exponent_yaml_reads_as_a_string_exits_2_naming_the_fix(
+        tmp_path, capsys, key, written, fix):
+    # YAML 1.1 reads a float only with a decimal point and a signed
+    # exponent, so 7e-4 loads as the string '7e-4'.  It is still refused,
+    # and the message names the spelling and one that reads as its float
+    value = written.strip("[]").split(",")[0]
+    text = yaml.safe_dump(_tiny(), sort_keys=False)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(text.replace(f"{key}: {TINY['stepsizes'][key]}\n", f"{key}: {written}\n"))
+    assert f"{key}: {written}\n" in cfg.read_text()
+    before = tree(tmp_path)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"; YAML 1.1 reads {value!r} as a string: write {fix}, unquoted\n"), err
+    assert err.startswith(f"config error: stepsizes.{key} must be finite numbers, got ")
+    assert yaml.safe_load(f"v: {fix}")["v"] == float(value)
+    assert tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("a", [[1.0e200, 2.0e200], [1.0e-200, 2.0e-200]],
                          ids=["huge", "tiny"])
 def test_exit_2_on_a_curvature_past_the_float_range(tmp_path, capsys, a):
@@ -470,6 +496,16 @@ def test_exit_4_at_iteration_0_when_the_start_overflows(tmp_path, capsys, algori
     assert "diverged at iteration 0" in err and "Traceback" not in err
     s = json.loads((out / "tiny" / "summary.json").read_text())
     assert s["diverged"] and s["diverged_at"] == 0
+
+
+@pytest.mark.parametrize("scale", [1e13, 1e200], ids=["past-limit", "overflowing"])
+def test_a_run_diverged_at_row_0_reports_no_drift(tmp_path, scale):
+    # no row's conservation drift was measured: null, not 0.0
+    doc = _tiny(engine={"iterations": 200, "replicas": 2, "x0": [scale, scale]})
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 4
+    s = json.loads((out / "tiny" / "summary.json").read_text())
+    assert s["diverged_at"] == 0 and s["max_conservation_drift"] is None
 
 
 def test_a_one_agent_ring_runs_as_the_one_agent_complete_graph(tmp_path, capsys):
@@ -1052,6 +1088,25 @@ def test_summary_bytes_pinned_across_front_end_changes(tmp_path, monkeypatch):
         "80208e21333a2968660fc38b2d4f753cc008dbd925aefcd023e681ef6c3c0e95"
 
 
+def test_a_diverged_trace_bytes_pinned(tmp_path):
+    """The tiny sweep's beta = 5000 point diverges at iteration 5, so rows
+    6 .. 200 of its trace hold no number; its bytes are pinned.
+
+    The digest was recorded while every row was formatted from its own
+    values' reprs.
+    """
+    with pytest.warns(PlanWarning, match="outside the guaranteed region"):
+        assert main(["sweep", _write(tmp_path, _tiny(), "tiny.yaml"),
+                     "--axis", "beta", "--values", "0.5,1.0,5000",
+                     "--out", str(tmp_path / "o")]) == 0
+    trace = tmp_path / "o" / "tiny" / "beta_02.csv"
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 2 + 201 and "nan" not in lines[2 + 5]
+    assert lines[2 + 6:] == [f"{k},nan,nan,nan,nan" for k in range(6, 201)]
+    assert _sha256(trace) == \
+        "4268580550878dbfece680395f9f741e8aaea28c2019e95ccfa95971ddaf138f"
+
+
 @pytest.mark.parametrize("name, digest", [
     ("main",
      "b0f9086103d674771987263cf75b276dd59287d39dc0c26b3d5d2fb313ed0164"),
@@ -1075,3 +1130,65 @@ def test_bounds_stdout_pinned(tmp_path, capsys, name, digest):
     assert main(["bounds", cfg]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ------------------------------------------------- trace writer
+
+def _oracle_csv(traces):
+    """A trace CSV as written one row at a time: k and each column's repr,
+    joined by commas."""
+    rows = zip(*(np.asarray(traces[c], float).tolist() for c in TRACE_COLUMNS))
+    lines = [f"# schema_version: {SCHEMA_VERSION}", "k," + ",".join(TRACE_COLUMNS)]
+    lines += [",".join(map(repr, (k, *row))) for k, row in enumerate(rows)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+# values whose repr takes each of its forms: signed zeros and infinities,
+# the least subnormal, the largest float, and both sides of the switches to
+# exponent form at 1e16 and 1e-4
+SPECIALS = [np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
+            1e16, 9999999999999998.0, 1e-05, 0.0001, 0.1, 2.0]
+
+
+def _writer_cases():
+    rng = np.random.default_rng(28)
+    rows, nan = TRACE_CSV_ROWS, np.nan
+    cases = {}
+    a = rng.standard_normal((2 * rows + 88, 4))
+    a[300:] = nan                                   # a tail over 2 blocks
+    cases["nan-tail"] = a
+    a = rng.standard_normal((rows + 5, 4))
+    a[7] = nan                                      # numbers after it
+    a[9, 1] = a[rows + 4, :3] = nan
+    cases["nan-row-then-numbers"] = a
+    a = np.full((201, 4), nan)
+    a[0] = [np.inf, np.inf, 2.0, np.inf]            # the overflowing start
+    cases["inf-start-then-nan"] = a
+    a = np.full((rows + 40, 4), nan)
+    a[rows - 1] = [nan, -0.0, nan, nan]             # the last number ends a block
+    cases["block-ends-at-the-last-number"] = a
+    cases["specials"] = np.resize(SPECIALS + [-v for v in SPECIALS], (rows + 1, 4))
+    cases["one-row"] = [[1.5, 0.0, -0.0, 1e16]]
+    cases["one-nan-row"] = [[nan] * 4]
+    cases["all-nan"] = np.full((rows + 1, 4), nan)
+    cases["one-block"] = rng.random((rows, 4))
+    # any float64 bits, with NaN rows and NaN tails of random length
+    for i in range(4):
+        T = int(rng.integers(1, 3 * rows))
+        a = rng.integers(0, 2 ** 64, (T, 4), dtype=np.uint64).view(float).copy()
+        a[rng.random(T) < 0.1] = nan
+        a[int(rng.integers(0, T + 1)):] = nan
+        cases[f"random-{i}"] = a
+    return cases
+
+
+WRITER_CASES = _writer_cases()
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_the_trace_writer_matches_the_row_by_row_oracle(tmp_path, case):
+    a = np.asarray(WRITER_CASES[case], float)
+    traces = dict(zip(TRACE_COLUMNS, a.T))
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(path, traces)
+    assert path.read_bytes() == _oracle_csv(traces)

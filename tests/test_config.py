@@ -213,6 +213,42 @@ def test_load_config_bad_yaml(tmp_path):
         load_config(p)
 
 
+def test_a_number_yaml_reads_as_a_string_stays_a_string(tmp_path):
+    # YAML 1.1 reads 1e5, and any quoted number, as a string; the loader
+    # keeps that reading, so a name spelled so is the string, and a number
+    # spelled so is refused with the spelling to use
+    p = tmp_path / "exp.yaml"
+    text = yaml.safe_dump(_minimal(), sort_keys=False)
+    p.write_text(text.replace("name: tiny\n", "name: 1e5\n"))
+    assert load_config(p).name == "1e5"
+    # whether the string was quoted is told by how it loads unquoted, so a
+    # quoted exponent spelling is told to drop its quotes as well
+    for written, value, hint in (
+            ("3e-1", "3e-1", "YAML 1.1 reads '3e-1' as a string: write 3.0e-1, unquoted"),
+            ('"3e-1"', "3e-1", "YAML 1.1 reads '3e-1' as a string: write 3.0e-1, unquoted"),
+            ("'3.0e-1'", "3.0e-1", "'3.0e-1' is a string: write the number without quotes"),
+            ("'0.3'", "0.3", "'0.3' is a string: write the number without quotes")):
+        p.write_text(text.replace("proposal: 0.3\n", f"proposal: {written}\n"))
+        with pytest.raises(ConfigError) as info:
+            load_config(p)
+        assert str(info.value) == (f"network.proposal must be a finite number, "
+                                   f"got {value!r}; {hint}")
+    # an integer key gets the same note, and the spelling it names passes
+    p.write_text(text.replace("n: 2\n", "n: 2e0\n"))
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value) == ("network.n must be an integer, got '2e0'; YAML 1.1 "
+                               "reads '2e0' as a string: write 2.0e+0, unquoted")
+    p.write_text(text.replace("n: 2\n", "n: 2.0e+0\n"))
+    assert load_config(p).network.n == 2
+    # a string that loads unquoted as another number gets no note: YAML 1.1
+    # reads 017 as the octal 15
+    p.write_text(text.replace("proposal: 0.3\n", "proposal: '017'\n"))
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value) == "network.proposal must be a finite number, got '017'"
+
+
 def test_resolve_rejects_bad_proposal():
     d = _minimal()
     d["network"]["proposal"] = "equal-ish"

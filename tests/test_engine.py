@@ -745,6 +745,8 @@ def test_a_start_past_the_limit_diverges_at_row_0(algorithm, scale):
                   iterations=200, replicas=R, seed=7, x0=x0, record_states=True,
                   disturbance=DisturbanceSpec("gaussian", m_zeta=1.5, q_zeta=0.99))
     assert res.diverged and (res.diverged_at, res.diverged_replica) == (0, 0)
+    # no row's conservation drift was measured (WGA has none to measure)
+    assert np.isnan(res.max_conservation_drift)
     xs = np.broadcast_to(x0, (R, 10, 1))
     ys = xs - prob.demand if algorithm == "dta" else None
     with np.errstate(over="ignore", invalid="ignore"):
