@@ -130,15 +130,31 @@ Every residual reduction runs over the trailing (n, u) axes of one lane and
 row, and the aggregate sums each (trace, row, point) over its replicas in
 replica order, as a whole (R, T+1) trace's aggregate does, so the block
 gives the same bits as per-step residuals aggregated at the end.
-B = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 n u))) depends on n u alone:
-one lane's B rows of x take at most 8 KiB (64 rows at n u <= 16, 10 at
-n = 100) unless a single step is larger, so a block's R per-replica
-generator calls are spread over B steps however large R and G are.  The
-state block holds S (B+1) G R n u float64 values, the gradient block and
-the residual pass's x* and scratch B G R n u each, and the residual block
-4 B G R.  A run of one point stops at the end of the block it diverges in,
-at most B - 1 steps past that step; in a run of several, a diverged point's
-lanes step on to the end unless every point stops first.
+`_block_rows` decides B once per call from the whole call, and
+`_footprint` estimates the call's buffers with the same B:
+
+    B = max(1, min(BLOCK_ROWS, T, max(min(LANE_ROWS, BLOCK_BYTES // (8 n u)),
+                                      CALL_BYTES // (G R (8 S n u + E) + 8 E))))
+
+The per-lane term lets one lane's B rows of x take up to 8 KiB (64 rows at
+n u <= 16, 10 at n = 100) unless a single step is larger, so a block's R
+per-replica generator calls are spread over B steps however large R and G
+are.  The per-call term gives a call of few lanes longer blocks, up to
+BLOCK_ROWS = 256, while B rows of the whole call -- every lane's S n u
+float64 state values and E activation bytes, and one replica's E float64
+uniforms per row -- fit CALL_BYTES = 100 KiB: a block has a fixed cost,
+`flush`'s small numpy calls and the draws, about 77 us at n = 10, which
+one lane pays once per 256 steps in place of once per 64.  One lane on
+beta_sweep.yaml's 21 links gets 256 rows (the per-lane term decides from
+8 DTA lanes there), one on a 10-agent complete graph 181 and
+uncoordinated.yaml's 3 lanes on it 105; on that graph the per-lane term
+decides (64 rows) from 6 DTA lanes, or 10 WGA ones, and 20 lanes at
+n = 100 keep 10.  No block is longer than the run.  The state block
+holds S (B+1) G R n u float64 values, the gradient block and the residual
+pass's x* and scratch B G R n u each, and the residual block 4 B G R.  A run of one point stops at the end of the
+block it diverges in, at most B - 1 steps past that step (up to 255 at one
+lane); in a run of several, a diverged point's lanes step on to the end
+unless every point stops first.
 """
 from __future__ import annotations
 
@@ -152,10 +168,13 @@ from .costs import kkt_solve
 from .errors import CapacityError
 
 DIVERGENCE_LIMIT = 1e12
+BLOCK_ROWS = 256        # most steps recorded per block
+LANE_ROWS = 64          # most rows the per-lane budget alone gives
 BLOCK_BYTES = 2 ** 13   # float64 state rows (x, and y for DTA) per lane and block
-BLOCK_ROWS = 64         # most steps recorded per block
+CALL_BYTES = 100 * 2 ** 10  # one block row of the whole call (`_block_rows`)
 MEMORY_LIMIT = 2 ** 31  # most bytes a run or a network set-up may need
 GENERATOR_BYTES = 3 * 2 ** 10   # one replica's seed and generator pair, measured
+VIEW_BYTES = 168        # one ndarray view of a block row, measured
 # most bytes of one kernel tile's terms and slot index.  On a 100-agent
 # complete graph at R = 20, 2 MiB tiles ran faster than one tile of all
 # lanes; 1 MiB tiles ran slower, and 4 MiB ones kept 1.4 MiB more resident.
@@ -209,10 +228,19 @@ class DisturbanceSpec:
         return s
 
 
-def _block_rows(n, u):
-    """Steps per block, B: as many as fit one lane's float64 state rows in
-    BLOCK_BYTES, and at most BLOCK_ROWS (but at least one)."""
-    return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * n * u)))
+def _block_rows(n, u, E, *, lanes, S, T):
+    """Steps per block, B, for a call of `lanes` lanes of S states each.
+
+    At least as many rows as fit one lane's float64 state rows in
+    BLOCK_BYTES (but no more than LANE_ROWS), and more while that many
+    block rows of the whole call fit CALL_BYTES: a row is every lane's
+    S n u float64 state values and E activation bytes, and one replica's
+    E float64 uniforms.  At most BLOCK_ROWS and the run's T steps, and at
+    least one.
+    """
+    lane = min(LANE_ROWS, BLOCK_BYTES // (8 * n * u))
+    call = CALL_BYTES // (lanes * (8 * S * n * u + E) + 8 * E)
+    return max(1, min(BLOCK_ROWS, T, max(lane, call)))
 
 
 def _weight_rows(B):
@@ -248,13 +276,16 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     values (the stepsizes, the gradient's slope and offset, the kernel's
     operands and output); once per kernel tile (`_kernel_width`) its terms and slot
     index; per link the kernel's node index (two int64 entries) and each
-    point's theta; per replica its generators; and the draw buffers the
+    point's theta; per replica its generators; the draw buffers the
     points share (one replica's block of uniforms, and every replica's
-    block of disturbance, as drawn and as scaled).
+    block of disturbance, as drawn and as scaled); and per block row the
+    views the step loop indexes, of each state's, the gradient's and the
+    scaled disturbance's rows, which at one lane weigh as much as its
+    float64 rows.
     """
-    B = _block_rows(n, u)
     S = 2 if algorithm == "dta" else 1
     lanes = points * R
+    B = _block_rows(n, u, E, lanes=lanes, S=S, T=T)
     traces = (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
     states = S * (T + 1) * R * n * u * 8 if record_states else 0
     lane = (B * E + 5 * (B + 1) * n * u * 8 + B * (8 + 6 * u) * 8
@@ -266,8 +297,9 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     tiles = 16 * E * u * (2 * width + narrow)
     links = 8 * E * (2 + points)
     shared = B * E * 8 + (2 * R * B * n * u * 8 if disturbed else 0)
+    views = (S + 2 if disturbed else S + 1) * (B + 1) * VIEW_BYTES
     return (points * (traces + states) + lanes * lane + tiles + links
-            + R * GENERATOR_BYTES + shared)
+            + R * GENERATOR_BYTES + shared + views)
 
 
 def _setup_footprint(n, E):
@@ -473,9 +505,9 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     # block of B.  It runs the tiles `_kernel_width` sizes (see the module
     # docstring), whose views, one per weight row, are made once: at n = 10
     # making them per call costs about 2 us of a 17 us kernel.
-    B = _block_rows(n, u)
-    C = _weight_rows(B)
     lanes = P * R
+    B = _block_rows(n, u, E, lanes=lanes, S=S, T=T)
+    C = _weight_rows(B)
     nodes = np.concatenate((model.edges[:, 0], model.edges[:, 1]))
     wcol = model.weights[:, None, None]
     width = _kernel_width(E, S, u, lanes)

@@ -278,8 +278,8 @@ def _block_cases():
         "wga-gauss-diverging": (main, model10, dict(
             algorithm="wga", alpha=1e6, iterations=149, replicas=2, seed=16,
             x0=main.demand, disturbance=gauss)),
-        # the impulse switches off at step 75, mid-block for 2-, 7- and
-        # 64-row blocks
+        # the impulse switches off at step 75, mid-block for 2- and 7-row
+        # blocks and the case's default ones
         "wga-impulse-cutoff": (main, model10, dict(
             algorithm="wga", alpha=100.0, iterations=149, replicas=3, seed=18,
             x0=main.demand, disturbance=DisturbanceSpec(
@@ -293,6 +293,15 @@ def _block_cases():
             algorithm="dta", alpha=0.05, beta=0.1, iterations=149, replicas=2,
             seed=31, disturbance=laplace)),
     }
+
+
+def _call_rows(prob, points, kw):
+    """The B, steps per block, of a run_points call of `points` with `kw`,
+    computed from the call's own arguments as the engine computes it."""
+    S = 2 if kw.get("algorithm", "dta") == "dta" else 1
+    return engine._block_rows(prob.n, prob.u, points[0][0].n_edges,
+                              lanes=len(points) * kw.get("replicas", 1), S=S,
+                              T=kw["iterations"])
 
 
 RESULT_FIELDS = ("final_x", "final_y", "states_x", "states_y",
@@ -324,14 +333,16 @@ def _assert_same_result(ref, res, tag):
 def test_block_size_does_not_change_results(monkeypatch, case):
     prob, model, kw = _block_cases()[case]
     ref = run(prob, model, record_states=True, **kw)
+    call = [(model, kw.get("alpha"), kw.get("beta"))]
+    B = _call_rows(prob, call, kw)
     if case.endswith("diverging"):
-        # mid-block for the default 64-row block and for 7-row blocks
-        assert ref.diverged and ref.diverged_at % 64 and ref.diverged_at % 7
+        # mid-block for the case's default blocks and for 7-row blocks
+        assert ref.diverged and ref.diverged_at % B and ref.diverged_at % 7
     if case.endswith("cutoff"):
         # WGA conserves 1'x and the impulse adds nothing from its cutoff on,
         # so from there 1'x(k) - 1'x(0) is the whole injected sum
         cutoff = kw["disturbance"].cutoff
-        assert not ref.diverged and cutoff % 64 and cutoff % 7 and cutoff % 2
+        assert not ref.diverged and cutoff % B and cutoff % 7 and cutoff % 2
         mass = ref.states_x.sum(axis=2) - ref.states_x[0].sum(axis=1)
         assert np.abs(mass[cutoff:] - ref.zeta_total).max() < 1e-9
 
@@ -339,6 +350,7 @@ def test_block_size_does_not_change_results(monkeypatch, case):
     for rows in (1, 2, 7):
         with monkeypatch.context() as m:
             m.setattr(engine, "BLOCK_ROWS", rows)
+            assert _call_rows(prob, call, kw) == rows
             res = run(prob, model, record_states=True, **kw)
         _assert_same_result(ref, res, rows)
 
@@ -392,7 +404,7 @@ def _sweep_cases():
             algorithm="dta", iterations=149, replicas=3, seed=21,
             disturbance=DisturbanceSpec("laplace", m_zeta=2.0, q_zeta=0.99))),
         # the impulse switches off at step 75 and the second point diverges
-        # at step 22, each mid-block for 7- and 64-row blocks
+        # at step 22, each mid-block for 7-row blocks and the default ones
         "impulse-u2-cutoff": (prob2, [
             (model6, a, None) for a in (0.1, 2.0, 0.5)], dict(
             algorithm="wga", iterations=149, replicas=3, seed=22,
@@ -427,6 +439,7 @@ def test_lanes_under_small_blocks_match_separate_runs(monkeypatch, rows):
     alone = [run(prob, model, alpha=alpha, beta=beta, record_states=True, **kw)
              for model, alpha, beta in points]
     monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
+    assert _call_rows(prob, points, kw) == rows
     lanes = list(engine.run_points(prob, points, record_states=True, **kw))
     assert [r.diverged_at for r in lanes] == [None, 275, None, 204, 426]
     for idx, (ref, res) in enumerate(zip(alone, lanes)):
@@ -443,15 +456,18 @@ def test_disturbed_lanes_under_small_blocks_match_separate_runs(monkeypatch, cas
     # a block scales each replica's draws once into one row per step, which
     # every point's lanes add; one- and seven-row blocks must give each
     # point the bits of a separate default-block run, with the divergence
-    # and the impulse cutoff mid-block for 7- and 64-row blocks
+    # and the impulse cutoff mid-block for 7-row blocks and the default
+    # blocks of a call of all the points
     prob, points, kw = _sweep_cases()[case]
     alone = [run(prob, model, alpha=alpha, beta=beta, record_states=True, **kw)
              for model, alpha, beta in points]
+    B = _call_rows(prob, points, kw)
     steps = [r.diverged_at for r in alone]
-    assert steps[0] is None and steps[2] is None and steps[1] % 64 and steps[1] % 7
+    assert steps[0] is None and steps[2] is None and steps[1] % B and steps[1] % 7
     cutoff = kw["disturbance"].cutoff
-    assert cutoff is None or (cutoff % 64 and cutoff % 7 and cutoff < kw["iterations"])
+    assert cutoff is None or (cutoff % B and cutoff % 7 and cutoff < kw["iterations"])
     monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
+    assert _call_rows(prob, points, kw) == rows
     lanes = engine.run_points(prob, points, record_states=True, **kw)
     for idx, (ref, res) in enumerate(zip(alone, lanes)):
         _assert_same_result(ref, res, (rows, idx))
@@ -497,6 +513,7 @@ def test_kernel_tiles_do_not_change_results(monkeypatch, case, width):
     # budget one lane below all S lanes-wide operands gives DTA one
     # full-width tile per operand, the boundary of the one-tile case
     prob, points, kw = _tile_cases()[case]
+    B = _call_rows(prob, points, kw)
     ref = engine.run_points(prob, points, record_states=True, **kw)
     E, u, lanes = points[0][0].n_edges, prob.u, len(points) * kw["replicas"]
     S = 2 if kw["algorithm"] == "dta" else 1
@@ -506,7 +523,7 @@ def test_kernel_tiles_do_not_change_results(monkeypatch, case, width):
     res = engine.run_points(prob, points, record_states=True, **kw)
     if case == "dta-points-diverging":
         assert [r.diverged for r in res] == [False, True, False]
-        assert res[1].diverged_at % engine.BLOCK_ROWS
+        assert res[1].diverged_at % B
     for idx, (a, b) in enumerate(zip(ref, res)):
         _assert_same_result(a, b, (width, idx))
 
@@ -543,26 +560,30 @@ def _weight_row_cases():
                                   "dta-u2-gauss"])
 def test_weight_rows_do_not_change_results(monkeypatch, case, rows, chunk):
     # one multiply makes the link weights of C steps, and step i of a block
-    # mixes with row i % C.  Against the default 64-row blocks (C = 8), runs
-    # with C = 1 and C = 2 must keep every bit; a step that read another
+    # mixes with row i % C.  Against each case's default blocks (64 rows and
+    # C = 8 for the three points, 138 or 139 rows and C = 17 for the others),
+    # runs with C = 1 and C = 2 must keep every bit; a step that read another
     # step's row would not.  Each block of 149 steps ends in a partial chunk
-    # (149 % 64 = 21 = 2 * 8 + 5, and 17-row blocks hold 8 chunks and a row)
+    # (149 % 64 = 21 = 2 * 8 + 5, 149 % 139 = 10 and 149 % 138 = 11 are
+    # under 17, and 17-row blocks hold 8 chunks and a row)
     prob, points, kw = _weight_row_cases()[case]
+    B0 = _call_rows(prob, points, kw)
+    C0 = engine._weight_rows(B0)
+    assert C0 > chunk and kw["iterations"] % B0 % C0
     ref = engine.run_points(prob, points, record_states=True, **kw)
     monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
-    B = engine._block_rows(prob.n, prob.u)
+    B = _call_rows(prob, points, kw)
     assert (B, engine._weight_rows(B)) == (rows, chunk)
-    assert engine._weight_rows(64) == 8 and kw["iterations"] % 64 % 8
     res = engine.run_points(prob, points, record_states=True, **kw)
     if case == "dta-points-diverging":
         assert [r.diverged for r in res] == [False, True, False]
         step = res[1].diverged_at - 1             # its row in the block
-        assert step % 8 and (chunk == 1 or step % B % chunk)
+        assert step % B0 % C0 and (chunk == 1 or step % B % chunk)
     for idx, (a, b) in enumerate(zip(ref, res)):
         _assert_same_result(a, b, (rows, idx))
 
 
-@pytest.mark.parametrize("rows", [1, 2, engine.BLOCK_ROWS])
+@pytest.mark.parametrize("rows", [1, 2, 64])
 @pytest.mark.parametrize("R", [1, 3, 20])
 def test_traces_are_the_aggregate_of_recomputed_residuals(monkeypatch, R, rows):
     # the engine reduces each block over the replicas as it records it; the
@@ -575,6 +596,9 @@ def test_traces_are_the_aggregate_of_recomputed_residuals(monkeypatch, R, rows):
     gauss = DisturbanceSpec("gaussian", m_zeta=4.0, q_zeta=0.99)
     kw = dict(iterations=150, replicas=R, seed=7, record_states=True)
     monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
+    for points, S in ((1, 2), (1, 1), (3, 2)):
+        assert engine._block_rows(prob.n, prob.u, model.n_edges, lanes=points * R,
+                                  S=S, T=kw["iterations"]) == rows
     results = {
         "dta": run(prob, model, algorithm="dta", alpha=alpha, beta=beta, **kw),
         "wga-gauss": run(prob, model, algorithm="wga", alpha=100.0,
@@ -619,21 +643,29 @@ def test_engine_memory_does_not_grow_with_replica_traces():
     assert grow < per_replica / 8, f"peak grew {grow} B, per-replica traces {per_replica} B"
 
 
-@pytest.mark.parametrize("T", [200, 2000])
-@pytest.mark.parametrize("n", [10, 100])
-def test_footprint_covers_the_measured_peak(n, T):
+@pytest.mark.parametrize("n,T,R", [
+    pytest.param(10, 200, 2000, id="10-200"),
+    pytest.param(10, 2000, 2000, id="10-2000"),
+    pytest.param(100, 200, 20, id="100-200"),
+    pytest.param(100, 2000, 20, id="100-2000"),
+    pytest.param(10, 2000, 1, id="10-2000-R1"),
+])
+def test_footprint_covers_the_measured_peak(n, T, R):
     # the estimate that MEMORY_LIMIT gates must count what a run allocates:
     # at n = 10, R = 2000 each lane's block -- its activations, state rows
     # and `flush` temporaries -- is most of the peak; at n = 100, R = 20 the
-    # mixing kernel's term buffer and slot index are
+    # mixing kernel's term buffer and slot index are.  A one-lane call at
+    # n = 10 runs blocks of more than 64 rows
     if n == 10:
-        prob, R = _main_problem(), 2000
+        prob = _main_problem()
         model = complete_graph(10, weight=0.0002, theta=0.5)
         alpha, beta = 0.0007647132835707233, 14309.704294513564
     else:
-        prob, R = _random_instance(np.random.default_rng(3), n), 20
+        prob = _random_instance(np.random.default_rng(3), n)
         model = complete_graph(n, theta=0.5)
         alpha, beta = 0.05, 0.2
+    B = engine._block_rows(prob.n, prob.u, model.n_edges, lanes=R, S=2, T=T)
+    assert B > 64 if R == 1 else B == (64 if n == 10 else 10)
     need = engine._footprint(prob.n, prob.u, model.n_edges, points=1, R=R, T=T,
                              algorithm="dta", record_states=False, disturbed=False)
     tracemalloc.start()
@@ -645,6 +677,33 @@ def test_footprint_covers_the_measured_peak(n, T):
         tracemalloc.stop()
     assert not res.diverged
     assert need >= 0.75 * peak, f"estimated {need} B, peak {peak} B"
+
+
+def test_blocks_are_no_longer_than_the_run():
+    # a 3-step run at n = 10, R = 20 allocates 3-row blocks, not 64-row
+    # ones: the estimate falls by more than the 64-row activations that go,
+    # and the run keeps every bit of one made with 64-row blocks
+    prob = _main_problem()
+    model = complete_graph(10, weight=0.0002, theta=0.5)
+    kw = dict(algorithm="dta", alpha=0.0007647132835707233,
+              beta=14309.704294513564, iterations=3, replicas=20, seed=9,
+              record_states=True)
+    E = model.n_edges
+
+    def need(T):
+        return engine._footprint(prob.n, prob.u, E, points=1, R=20, T=T,
+                                 algorithm="dta", record_states=False,
+                                 disturbed=False)
+
+    assert engine._block_rows(prob.n, prob.u, E, lanes=20, S=2, T=3) == 3
+    assert engine._block_rows(prob.n, prob.u, E, lanes=20, S=2, T=64) == 64
+    assert engine._block_rows(prob.n, prob.u, E, lanes=20, S=2, T=0) == 1
+    assert need(3) < need(64) - 20 * (64 - 3) * E
+    ref = run(prob, model, **kw)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_block_rows", lambda *args, **kwargs: 64)
+        res = run(prob, model, **kw)
+    _assert_same_result(ref, res, "64 rows")
 
 
 def test_footprint_counts_the_kernel_once_per_tile():
@@ -1124,6 +1183,9 @@ def test_random_runs_agree_across_points_blocks_and_tiles(seed):
             m.setattr(engine, name, value)
             if name == "KERNEL_BYTES":
                 assert engine._kernel_width(E, S, u, lanes) < S * lanes
+            else:
+                # the forced rows, or one block when the run is shorter
+                assert _call_rows(prob, points, kw) == min(value, max(1, kw["iterations"]))
             got = engine.run_points(prob, points, record_states=True, **kw)
         for a, b in zip(ref, got):
             assert _unequal_fields(a, b) == [], (name, value)
