@@ -25,12 +25,16 @@ it): SeedSequence(seed).spawn(replicas) gives one child per replica, and
 child.spawn(2) yields the (link-activation, disturbance) generator pair.
 Per step, activations are `rng.random(E) < theta` and disturbance draws are
 one (n, u) block from the second stream.  Each block of B steps (see below)
-draws its steps' randomness as it starts, into a (B, E, G, R) boolean
-activation buffer and an (R, B, n, u) disturbance buffer allocated once per
-run.  A stream gives the same sequence however many steps one call draws, so
-the streams, and every output, are independent of B.  Each block draws a
-replica's uniforms and disturbance block once and shares them among that
-replica's lanes; only the comparison with theta is per lane.  One multiply
+draws its steps' randomness as it starts, into one (B, E, t) boolean
+activation block per lane span of the kernel's tiles (below) and an
+(R, B, n, u) disturbance buffer, all allocated once per run.  A stream gives
+the same sequence however many steps one call draws, so the streams, and
+every output, are independent of B.  Each block draws a replica's uniforms
+and disturbance block once and shares them among that replica's lanes; only
+the comparison with theta is per lane, and it writes straight into the
+replica's lanes of each span: lane p R + r, so in span [a, a + t) points
+p0 = ceil((a - r) / R) .. p1 - 1, p1 = ceil((a + t - r) / R), a stride-R run
+of the span's columns from p0 R + r - a.  One multiply
 scales the block's draws by each step's envelope into a (B, 1, R, n, u)
 buffer, so step i adds zeta(k) as its row i, a contiguous row that
 broadcasts over the points.  Runs with the same seed therefore see identical
@@ -39,8 +43,8 @@ points -- the DTA/WGA comparison is variance-paired for free.
 
 
 (I - W(k)) v = B' diag(w(k)) B v is applied edge-wise, B being the signed
-incidence (+1 at i, -1 at j for edge (i, j)); w(k) holds the active
-negotiated weights, an (E, G, R) array.  The S operands (DTA mixes the
+incidence (+1 at i, -1 at j for edge (i, j)); w(k) holds every lane's
+active negotiated weights.  The S operands (DTA mixes the
 gradient and the tracker in one call, WGA the gradient) are stacked
 node-major, (n, S, G R, u), and the kernel runs over tiles of them.  A tile
 is `ops` operands (all S, or one) by t consecutive lanes: one row take
@@ -60,12 +64,19 @@ way.  Every term, bincount slot and residual row belongs to one lane, so a
 lane's terms and their order, and with them its bits, are the same in any
 tile.  `_kernel_width` sizes the tiles: while every lane's terms and slot
 index, 2 (2 E S G R u 8) bytes, fit KERNEL_BYTES, one tile holds all S
-operands and all lanes, as for DTA on a 10-agent complete graph up to 728
+operands and all lanes, as for DTA on a 10-agent complete graph up to 364
 lanes; past it, each operand's G R lanes are split into near-equal tiles
 that fit.  The tiles share one term buffer and one slot index (a narrower
-last tile has an index of its own).  A 100-agent complete graph (E = 4950)
-at R = 20 runs 10-lane tiles, whose terms and slot index take 1.6 MB where
-one tile of every lane would take 6.3 MB.
+last tile has an index of its own).  A tile's t lanes are a span
+[a, a + t), the same spans for each operand, and each span has its own
+(B, E, t) activations and (C, E, t) link weights (below), so a tile scales
+its terms by one contiguous (E, t) block: at n = 100, R = 20 a 5-lane
+tile's multiply takes 13 us, where a view of the same lanes of one
+(E, G R) weight row, whose edge stride is every lane, takes 37 us.  A call
+of one tile has one span of all lanes, whose blocks are laid out as
+(B, E, G, R) ones.  A 100-agent complete graph (E = 4950) at R = 20 runs
+four 5-lane spans, whose terms and slot index take 0.8 MB where one tile of
+every lane would take 6.3 MB.
 
 The step runs in place.  Per step, the loop only computes the update and
 the gradient of the new state (the next update's input), each written
@@ -76,12 +87,18 @@ x(k+1) goes to its row of a (B, G, R, n, u) gradient block, which `flush`
 reads and from which it is copied into the kernel's operand stack (a ufunc
 writing into that strided stack misses numpy's contiguous loop).  The link
 weights are made C steps at a time, C = max(1, B // 8) (`_weight_rows`):
-one multiply fills a (C, E, G, R) float64 buffer, no larger than the
-block's boolean activations when B >= 8, and step i of a block mixes with
-row i % C; a block's last chunk holds what is left of it.  At n = 100
-(B = 10) C is 1, one row as when each step made its own.  Row 0 of a block
-carries the state it starts from and rows 1 .. B take the states it steps
-to, so step i reads row i and writes row i + 1, and x(k) and x(k+1) never
+per span, one multiply of its activations by the (E, t) weight row of its
+width (each link's weight repeated t times, made once per distinct width)
+fills its (C, E, t) float64 block, and the spans' blocks take no more bytes
+than the boolean activations when B >= 8.  With the row, every operand is
+contiguous and numpy runs one loop over E t values, where an (E, 1) column
+broadcast over t lanes runs E loops of t: at n = 100, R = 20 the four
+spans' fills take 83 us per step, one column-broadcast fill of every lane
+126 us.  Step i of a block mixes with row i % C; a block's last chunk holds
+what is left of it.  At n = 100 (B = 10) C is 1, one row as when each step
+made its own.  Row 0 of a block carries the state it starts from and rows
+1 .. B take the states it steps to, so step i reads row i and writes row
+i + 1, and x(k) and x(k+1) never
 share memory, even at B = 1; before each block one copy carries the last
 row of every state that the previous block, or the start, recorded to row
 0.  alpha and beta are broadcast to (G, R, n, u) once
@@ -175,10 +192,20 @@ CALL_BYTES = 100 * 2 ** 10  # one block row of the whole call (`_block_rows`)
 MEMORY_LIMIT = 2 ** 31  # most bytes a run or a network set-up may need
 GENERATOR_BYTES = 3 * 2 ** 10   # one replica's seed and generator pair, measured
 VIEW_BYTES = 168        # one ndarray view of a block row, measured
-# most bytes of one kernel tile's terms and slot index.  On a 100-agent
-# complete graph at R = 20, 2 MiB tiles ran faster than one tile of all
-# lanes; 1 MiB tiles ran slower, and 4 MiB ones kept 1.4 MiB more resident.
-KERNEL_BYTES = 2 ** 21
+# most bytes of one kernel tile's terms and slot index.  Engine CPU time
+# with each lane span's own activation and weight blocks, against one
+# (C, E, G, R) weight buffer and 2 MiB tiles (complete graphs, DTA, pinned
+# to one CPU, median of 6 rounds), and the `tracemalloc` peak in MiB (4.81
+# and 15.93 with one buffer):
+#
+#   budget     n = 100, R = 20    n = 10, R = 400
+#   512 KiB    1.020  (4.06)      0.871  (15.34)
+#   1 MiB      0.883  (4.20)      0.880  (15.67)
+#   2 MiB      0.901  (5.14)      0.988  (16.22)
+#
+# 1 MiB is fast on both graphs; 2 MiB tiles are no faster at n = 100 and
+# keep 0.9 MiB more, and 512 KiB ones are slower there.
+KERNEL_BYTES = 2 ** 20
 
 
 @dataclass
@@ -274,13 +301,14 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     block, the squares its aggregate takes, and agent sums), C rows of E
     float64 link weights (`_weight_rows`) and 2 S + 4 rows of n u float64
     values (the stepsizes, the gradient's slope and offset, the kernel's
-    operands and output); once per kernel tile (`_kernel_width`) its terms and slot
-    index; per link the kernel's node index (two int64 entries) and each
-    point's theta; per replica its generators; the draw buffers the
-    points share (one replica's block of uniforms, and every replica's
-    block of disturbance, as drawn and as scaled); and per block row the
-    views the step loop indexes, of each state's, the gradient's and the
-    scaled disturbance's rows, which at one lane weigh as much as its
+    operands and output); once per kernel tile (`_kernel_width`) its terms
+    and slot index, and once per distinct lane-span width t its (E, t)
+    float64 weight row; per link the kernel's node index (two int64
+    entries) and each point's theta; per replica its generators; the draw
+    buffers the points share (one replica's block of uniforms, and every
+    replica's block of disturbance, as drawn and as scaled); and per block
+    row the views the step loop indexes, of each state's, the gradient's and
+    the scaled disturbance's rows, which at one lane weigh as much as its
     float64 rows.
     """
     S = 2 if algorithm == "dta" else 1
@@ -291,10 +319,12 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     lane = (B * E + 5 * (B + 1) * n * u * 8 + B * (8 + 6 * u) * 8
             + 8 * (_weight_rows(B) * E + (2 * S + 4) * n * u))
     # float64 terms and int64 slots, 2 E u entries each per lane of a tile,
-    # and a narrower last tile's own slot index
+    # and a narrower last tile's own slot index; the float64 weight row of
+    # each span width, E per lane of it
     width = _kernel_width(E, S, u, lanes)
-    narrow = lanes % width if width <= lanes else 0
-    tiles = 16 * E * u * (2 * width + narrow)
+    span = min(width, lanes)
+    narrow = lanes % span
+    tiles = 16 * E * u * (2 * width + narrow) + 8 * E * (span + narrow)
     links = 8 * E * (2 + points)
     shared = B * E * 8 + (2 * R * B * n * u * 8 if disturbed else 0)
     views = (S + 2 if disturbed else S + 1) * (B + 1) * VIEW_BYTES
@@ -500,24 +530,35 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
 
     # mixing kernel: S operands, (P, R, n, u) views of node-major
     # (n, S, P, R, u) storage, mixed into one (S, P, R, n, u) result that
-    # each mix_apply(j) call refills for the weights in row j of the
-    # (C, E, P, R) buffer `wts`, which one multiply fills for C steps of a
-    # block of B.  It runs the tiles `_kernel_width` sizes (see the module
-    # docstring), whose views, one per weight row, are made once: at n = 10
-    # making them per call costs about 2 us of a 17 us kernel.
+    # each mix_apply(j) call refills for the weights of row j.  It runs the
+    # tiles `_kernel_width` sizes, each over one span [a, a + t) of the P R
+    # lanes with the span's own (B, E, t) activations and (C, E, t) weights
+    # (see the module docstring).  The tiles' views, one per weight row, are
+    # made once: at n = 10 making them per call costs about 2 us of a 17 us
+    # kernel.
     lanes = P * R
     B = _block_rows(n, u, E, lanes=lanes, S=S, T=T)
     C = _weight_rows(B)
     nodes = np.concatenate((model.edges[:, 0], model.edges[:, 1]))
-    wcol = model.weights[:, None, None]
     width = _kernel_width(E, S, u, lanes)
     ops = max(1, width // lanes)            # operands per tile: S or 1
-    per_tile = width // ops                 # lanes per tile but the last
+    per_tile = width // ops                 # lanes per span but the last
+    spans = [(a, min(per_tile, lanes - a)) for a in range(0, lanes, per_tile)]
+    wrows = {t: np.repeat(model.weights[:, None], t, axis=1) for _, t in spans}
+    sacts = [np.empty((B, E, t), dtype=bool) for _, t in spans]
+    swts = [np.empty((C, E, t)) for _, t in spans]
+    fills = [(wrows[t], act, wt) for (_, t), act, wt in zip(spans, sacts, swts)]
+    # replica r's lanes in span [a, a + t) are points p0 .. p1 - 1, the
+    # stride-R run of the span's columns from p0 R + r - a
+    draws = [[] for _ in range(R)]
+    for (a, t), act in zip(spans, sacts):
+        for r in range(R):
+            p0, p1 = -((r - a) // R), -((r - a - t) // R)
+            if p0 < p1:
+                draws[r].append((th[:, p0:p1], act[:, :, p0 * R + r - a::R]))
     stack = np.empty((n, S, P, R, u))
     operands = list(stack.transpose(1, 2, 3, 0, 4))
-    wts = np.empty((C, E, P, R))
     src = stack.reshape(n, S, lanes, u)
-    wl = wts.reshape(C, E, 1, lanes, 1)
     mixed = np.empty((S, *full))
     mixes = list(mixed)
     flat_out = mixed.reshape(S, lanes, n, u)
@@ -525,8 +566,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     index = {}
     tiles = []
     for s in range(0, S, ops):
-        for a in range(0, lanes, per_tile):
-            t = min(per_tile, lanes - a)
+        for (a, t), wt in zip(spans, swts):
             if t not in index:
                 # flat output slot of each [d w, -d w] entry of a tile's
                 # ops t lanes, laid out (2E, ops t, u) -> (ops t, n, u)
@@ -537,7 +577,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             terms = buf[:2 * E * ops * t * u].reshape(2 * E, ops, t, u)
             flat = flat_out[s:s + ops, a:a + t].reshape(-1)
             tiles.append((src[:, s:s + ops, a:a + t].take, terms, terms.ravel(),
-                          terms[:E], terms[E:], list(wl[..., a:a + t, :]),
+                          terms[:E], terms[E:], list(wt.reshape(C, E, 1, t, 1)),
                           index[t], flat, flat.size))
 
     # The step loop's ufuncs, its tiles' `take` and bincount are bound once,
@@ -547,10 +587,11 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     # out=c) 368 ns, add(a, b, c) 314 ns).  Each call is the same operation on the
     # same operands in the same order, so every bit is the same.
     subtract, multiply, add, negative = np.subtract, np.multiply, np.add, np.negative
+    less = np.less
     bincount = np.bincount
 
     def mix_apply(j):
-        """Mix the operands with the weights of row j of `wts`."""
+        """Mix the operands with the weights of row j of the spans' blocks."""
         for take, pairs, entries, top, bottom, wt, idx, flat, size in tiles:
             # rows [v_i; v_j] of every edge, then d = v_i - v_j on top.
             # build_model keeps 0 <= i < j < n, so "clip" never clips; it
@@ -568,7 +609,6 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     # divergence.  Row 0 carries the states the block starts from and rows
     # 1 .. B take those it steps to, so x(k) and x(k+1) never share memory.
     # Indexing a list of the rows per step is cheaper than making a view.
-    acts = np.empty((B, E, P, R), dtype=bool)
     sbuf = np.empty((S, B + 1, *full))
     gbuf = np.empty((B, *full))             # grad f of the states in rows 1 .. B
     xrows, yrows = pair([list(s) for s in sbuf])
@@ -661,8 +701,10 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             sbuf[:, 0] = sbuf[:, m]
             # the block's draws: row i holds step k0 + i's
             m = min(B, T - k0)
-            for r in range(R):
-                np.less(wstreams[r].random(out=ubuf[:m])[:, :, None], th, out=acts[:m, ..., r])
+            for r, lanes_r in enumerate(draws):
+                uniforms = wstreams[r].random(out=ubuf[:m])[:, :, None]
+                for thr, act in lanes_r:
+                    less(uniforms, thr, act[:m])
             if need_z:
                 for r in range(R):
                     if dist.kind == "gaussian":
@@ -678,9 +720,10 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             for i in range(m):
                 j = i % C
                 if not j:
-                    # the weights of steps i .. i + c - 1, (c, E, P, R)
+                    # the weights of steps i .. i + c - 1, (c, E, t) per span
                     c = min(C, m - i)
-                    multiply(wcol, acts[i:i + c], wts[:c])
+                    for row, act, wt in fills:
+                        multiply(row, act[i:i + c], wt[:c])
                 # gn holds the step's products until it takes grad f(x(k+1))
                 x, xn, gn = xrows[i], xrows[i + 1], grows[i]
                 xz = add(x, zrows[i], xn) if need_z else x

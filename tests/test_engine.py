@@ -501,25 +501,42 @@ def _tile_cases():
         # no links: the kernel has no terms to tile
         "one-agent": (one, [(complete_graph(1, theta=0.8), 1 / 3, 1.0)], dict(
             algorithm="dta", iterations=40, replicas=3, seed=3)),
+        # 15 lanes, each point with its own theta: in spans of 4 lanes
+        # (4, 4, 4 and a narrower 3) a replica's three lanes r, r + 5 and
+        # r + 10 fall in three spans, each drawn into at its own column
+        "dta-points-split": (main, [
+            (complete_graph(10, weight=0.0002, theta=theta), alpha, beta)
+            for theta in (0.3, 0.5, 0.8)], dict(
+            algorithm="dta", iterations=150, replicas=5, seed=23,
+            disturbance=gauss)),
     }
 
 
-@pytest.mark.parametrize("width", [1, 2, "all-but-one"])
-@pytest.mark.parametrize("case", ["dta-u2-gauss", "wga-gauss",
-                                  "dta-points-diverging", "one-agent"])
+@pytest.mark.parametrize("case,width", [
+    pytest.param(case, width, id=f"{case}-{width}")
+    for case in ("dta-u2-gauss", "wga-gauss", "dta-points-diverging",
+                 "one-agent", "dta-points-split")
+    for width in (1, 2, "all-but-one")] + [
+    pytest.param("dta-points-split", 4, id="dta-points-split-4")])
 def test_kernel_tiles_do_not_change_results(monkeypatch, case, width):
     # each lane's terms and bincount order are the same in a tile as in the
-    # one tile of all operands and lanes, so every output keeps its bits.  A
-    # budget one lane below all S lanes-wide operands gives DTA one
+    # one tile of all operands and lanes, and each lane's activations and
+    # weights are the same in its span's blocks, so every output keeps its
+    # bits.  A budget one lane below all S lanes-wide operands gives DTA one
     # full-width tile per operand, the boundary of the one-tile case
     prob, points, kw = _tile_cases()[case]
     B = _call_rows(prob, points, kw)
     ref = engine.run_points(prob, points, record_states=True, **kw)
-    E, u, lanes = points[0][0].n_edges, prob.u, len(points) * kw["replicas"]
+    E, u, R = points[0][0].n_edges, prob.u, kw["replicas"]
+    lanes = len(points) * R
     S = 2 if kw["algorithm"] == "dta" else 1
     budget = S * lanes - 1 if width == "all-but-one" else width
     monkeypatch.setattr(engine, "KERNEL_BYTES", budget * 32 * E * u)
     assert engine._kernel_width(E, S, u, lanes) == (min(budget, lanes) if E else S * lanes)
+    if width == 4:
+        # replica 0's lanes 0, 5 and 10 in three spans, the last narrower
+        assert {lane // width for lane in range(0, lanes, R)} == {0, 1, 2}
+        assert lanes % width == 3
     res = engine.run_points(prob, points, record_states=True, **kw)
     if case == "dta-points-diverging":
         assert [r.diverged for r in res] == [False, True, False]
@@ -643,19 +660,21 @@ def test_engine_memory_does_not_grow_with_replica_traces():
     assert grow < per_replica / 8, f"peak grew {grow} B, per-replica traces {per_replica} B"
 
 
-@pytest.mark.parametrize("n,T,R", [
-    pytest.param(10, 200, 2000, id="10-200"),
-    pytest.param(10, 2000, 2000, id="10-2000"),
-    pytest.param(100, 200, 20, id="100-200"),
-    pytest.param(100, 2000, 20, id="100-2000"),
-    pytest.param(10, 2000, 1, id="10-2000-R1"),
+@pytest.mark.parametrize("n,T,R,spans", [
+    pytest.param(10, 200, 2000, 3, id="10-200"),
+    pytest.param(10, 2000, 2000, 3, id="10-2000"),
+    pytest.param(100, 200, 20, 4, id="100-200"),
+    pytest.param(100, 2000, 20, 4, id="100-2000"),
+    pytest.param(10, 2000, 1, 1, id="10-2000-R1"),
+    pytest.param(100, 20, 140, 24, id="100-20-R140"),
 ])
-def test_footprint_covers_the_measured_peak(n, T, R):
+def test_footprint_covers_the_measured_peak(n, T, R, spans):
     # the estimate that MEMORY_LIMIT gates must count what a run allocates:
     # at n = 10, R = 2000 each lane's block -- its activations, state rows
     # and `flush` temporaries -- is most of the peak; at n = 100, R = 20 the
     # mixing kernel's term buffer and slot index are.  A one-lane call at
-    # n = 10 runs blocks of more than 64 rows
+    # n = 10 runs blocks of more than 64 rows, and 140 lanes at n = 100 run
+    # 24 lane spans, each with its own activation and weight blocks
     if n == 10:
         prob = _main_problem()
         model = complete_graph(10, weight=0.0002, theta=0.5)
@@ -666,6 +685,8 @@ def test_footprint_covers_the_measured_peak(n, T, R):
         alpha, beta = 0.05, 0.2
     B = engine._block_rows(prob.n, prob.u, model.n_edges, lanes=R, S=2, T=T)
     assert B > 64 if R == 1 else B == (64 if n == 10 else 10)
+    width = engine._kernel_width(model.n_edges, 2, prob.u, R)
+    assert -(-R // min(width, R)) == spans
     need = engine._footprint(prob.n, prob.u, model.n_edges, points=1, R=R, T=T,
                              algorithm="dta", record_states=False, disturbed=False)
     tracemalloc.start()
@@ -707,10 +728,10 @@ def test_blocks_are_no_longer_than_the_run():
 
 
 def test_footprint_counts_the_kernel_once_per_tile():
-    # at n = 100, R = 20 the kernel runs in tiles of 10 lanes per operand:
-    # the estimate measured 1.06 x the `tracemalloc` peak (T = 200 and
-    # 2000), where counting the kernel's terms and slot index per lane read
-    # 1.97-1.98 x, so 1.25 x separates the two
+    # at n = 100, R = 20 the kernel runs in tiles of 5 lanes per operand:
+    # the estimate measured 1.00 x the `tracemalloc` peak (T = 200 and
+    # 2000), where counting the kernel's terms and slot index per lane
+    # reads 2.26 x, so 1.25 x separates the two
     prob, R, T = _random_instance(np.random.default_rng(3), 100), 20, 200
     model = complete_graph(100, theta=0.5)
     need = engine._footprint(prob.n, prob.u, model.n_edges, points=1, R=R, T=T,
