@@ -281,6 +281,9 @@ def from_dict(d):
             raise ConfigError("stepsizes.source 'explicit' needs both alpha and beta")
 
     if cfg.disturbance is not None:
+        if isinstance(cfg.disturbance, dict) and cfg.disturbance.get("cutoff") is not None:
+            cutoff = _int(cfg.disturbance["cutoff"], "disturbance.cutoff")
+            cfg.disturbance = {**cfg.disturbance, "cutoff": cutoff}
         dist = cfg.disturbance = _section(DisturbanceSpec, cfg.disturbance, "disturbance")
         _number(dist.m_zeta, "disturbance.m_zeta")
         _number(dist.q_zeta, "disturbance.q_zeta")

@@ -59,11 +59,10 @@ class QuadraticCosts:
 
         The slope 2 a and the offset b are broadcast to `shape` once, into
         two contiguous float64 arrays of that shape, so each call on a
-        contiguous x and `out` is two same-shape ufuncs.  At the engine's
-        (1, 20, 10, 1) state that took 0.8 us where broadcasting an (n, 1)
-        slope and an (n, u) offset per call took 2.1 us (2-core Xeon,
-        numpy 2.4).  Every element is the same product and sum as with
-        broadcasting, so the bits do not depend on `shape`.
+        contiguous x and `out` is two same-shape ufuncs, where broadcasting
+        an (n, 1) slope and an (n, u) offset would cost more per call.
+        Every element is the same product and sum as with broadcasting, so
+        the bits do not depend on `shape`.
         """
         slope = np.broadcast_to(2.0 * self.a[:, None], shape).copy()
         offset = np.broadcast_to(self.b, shape).copy()

@@ -10,168 +10,77 @@ and the weighted-gradient baseline (no tracker, conserves 1'x):
 
     x(k+1) = x(k) [+ zeta(k)] - alpha_w (I - W(k)) grad f(x(k))
 
-Points run as lanes.  `run_points` runs points -- (model, alpha, beta)
-triples that share the problem, the edges and the weights, as a sweep's do
--- in one step loop; `run` is the one-point case.  A lane is one (point,
-replica) pair: the state is a (G, R, n, u) stack, alpha and beta (WGA's
-alpha too) are (G, 1, n, 1) columns, and theta is a (G, E) activation
-threshold.  A point's traces are its four residuals aggregated over the
-replicas (`metrics.aggregate`), (T+1) 4 float64 values whatever R is.
-`_footprint` estimates what a call holds, all its points at once, and
-MEMORY_LIMIT bounds it.
+`run_points` runs P points -- (model, alpha, beta) triples that share the
+edges and weights, as a sweep's do -- as the lanes of one step loop; `run`
+is its one-point case.  Lane p R + r is replica r of point p; a state is a
+(P, R, n, u) stack, and S = 2 states (x, y) step for DTA, S = 1 (x) for WGA.
+A point's traces are its four residuals aggregated over its replicas.
+`_footprint` estimates what a call holds and MEMORY_LIMIT bounds it; README
+"Memory" gives the figures.  A change to the loop must keep five rules, on
+which every output's bits rest.
 
-Randomness discipline (frozen; determinism and paired comparisons depend on
-it): SeedSequence(seed).spawn(replicas) gives one child per replica, and
-child.spawn(2) yields the (link-activation, disturbance) generator pair.
-Per step, activations are `rng.random(E) < theta` and disturbance draws are
-one (n, u) block from the second stream.  Each block of B steps (see below)
-draws its steps' randomness as it starts, into one (B, E, t) boolean
-activation block per lane span of the kernel's tiles (below) and an
-(R, B, n, u) disturbance buffer, all allocated once per run.  A stream gives
-the same sequence however many steps one call draws, so the streams, and
-every output, are independent of B.  Each block draws a replica's uniforms
-and disturbance block once and shares them among that replica's lanes; only
-the comparison with theta is per lane, and it writes straight into the
-replica's lanes of each span: lane p R + r, so in span [a, a + t) points
-p0 = ceil((a - r) / R) .. p1 - 1, p1 = ceil((a + t - r) / R), a stride-R run
-of the span's columns from p0 R + r - a.  One multiply
-scales the block's draws by each step's envelope into a (B, 1, R, n, u)
-buffer, so step i adds zeta(k) as its row i, a contiguous row that
-broadcasts over the points.  Runs with the same seed therefore see identical
-link failures and disturbances regardless of algorithm or of the other
-points -- the DTA/WGA comparison is variance-paired for free.
+1. Streams (frozen).  SeedSequence(seed).spawn(R) gives one child per
+   replica, and child.spawn(2) its (link-activation, disturbance) generator
+   pair.  Per step a replica draws E uniforms, and link e is active in a
+   lane of point p when its uniform is < p's theta[e].  With a disturbance
+   it also draws one (n, u) block -- standard normal, Laplace of scale
+   1/sqrt(2), or impulse signs (+1 where a uniform is < 0.5) -- which the
+   step's envelope (`DisturbanceSpec.scales`) scales into zeta(k).  A block
+   draws its steps with one call per stream, which yields what one call per
+   step would, so no output depends on B.  All lanes of a replica share its
+   draws, so runs with one seed see the same link failures and zeta(k)
+   whatever the algorithm or the other points.
 
+2. Term order.  (I - W(k)) v = B' diag(w(k)) B v is applied edge-wise, B
+   being the signed incidence (+1 at i, -1 at j for edge (i, j)).  A row
+   take copies [v_i; v_j] of every edge into a (2E, ops, t, u) term buffer;
+   its top half becomes d = v_i - v_j (one subtraction, so exact), is
+   scaled by w(k), and its negation fills the bottom half.  One
+   `np.bincount` over [d w, -d w] with a fixed slot index then sums each
+   agent's outgoing terms and then its incoming ones, each in ascending
+   edge order, from 0.0: the order of two `np.add.at` passes, as the
+   message-passing oracle (tests/naive_reference.py) writes it.  Every
+   other operation is one of the update formulas above, evaluated left to
+   right as the plain expression would be.  Every term, slot and residual
+   belongs to one lane, so a lane's bits depend on neither its tile, nor B,
+   nor the other lanes.
 
-(I - W(k)) v = B' diag(w(k)) B v is applied edge-wise, B being the signed
-incidence (+1 at i, -1 at j for edge (i, j)); w(k) holds every lane's
-active negotiated weights.  The S operands (DTA mixes the
-gradient and the tracker in one call, WGA the gradient) are stacked
-node-major, (n, S, G R, u), and the kernel runs over tiles of them.  A tile
-is `ops` operands (all S, or one) by t consecutive lanes: one row take
-copies the rows [v_i; v_j] of every edge into a (2E, ops, t, u) term
-buffer, 2 E ops t u 8 bytes; no E x n array exists, and the kernel's work
-and memory are O(E S G R u).  The top half is replaced in place by
-d = v_i - v_j, which is exact: each term is one subtraction, not a sum, so
-no summation order enters.  d is scaled by the tile's slice of the step's
-weights and its negation fills the lower half; a single `np.bincount` over
-[d w, -d w] with a precomputed slot index scatters the terms in a fixed
-order, and its result fills the tile's rows of one (S, G R, n, u) output
-allocated with the buffers.  bincount accumulates in input order, so each
-agent adds its outgoing terms and then its incoming ones, each in ascending
-edge order, from 0.0 -- the order two `np.add.at` passes would use, which
-keeps the result bit-identical to the per-edge message passing written that
-way.  Every term, bincount slot and residual row belongs to one lane, so a
-lane's terms and their order, and with them its bits, are the same in any
-tile.  `_kernel_width` sizes the tiles: while every lane's terms and slot
-index, 2 (2 E S G R u 8) bytes, fit KERNEL_BYTES, one tile holds all S
-operands and all lanes, as for DTA on a 10-agent complete graph up to 364
-lanes; past it, each operand's G R lanes are split into near-equal tiles
-that fit.  The tiles share one term buffer and one slot index (a narrower
-last tile has an index of its own).  A tile's t lanes are a span
-[a, a + t), the same spans for each operand, and each span has its own
-(B, E, t) activations and (C, E, t) link weights (below), so a tile scales
-its terms by one contiguous (E, t) block: at n = 100, R = 20 a 5-lane
-tile's multiply takes 13 us, where a view of the same lanes of one
-(E, G R) weight row, whose edge stride is every lane, takes 37 us.  A call
-of one tile has one span of all lanes, whose blocks are laid out as
-(B, E, G, R) ones.  A 100-agent complete graph (E = 4950) at R = 20 runs
-four 5-lane spans, whose terms and slot index take 0.8 MB where one tile of
-every lane would take 6.3 MB.
+3. Block rows.  Steps run in blocks of B.  Row 0 of the (S, B+1, P, R, n, u)
+   state block (x as its [0], y as its [1]) carries the state the block
+   starts from; step i reads row i and writes row i + 1, so x(k) and x(k+1)
+   never share memory, and the gradient of row i + 1's x goes to row i of a
+   (B, P, R, n, u) gradient block.  The start is a block of one row.
+   `flush(k0, m)` records block rows 1 .. m as steps k0+1 .. k0+m; it is
+   the one place a row is recorded, checked and ends a point.  It writes
+   the four residuals once, into an (R, 4, B, P) block (replicas outermost,
+   columns in TRACE_COLUMNS order) that the divergence test and one
+   `metrics.aggregate` read in place, summing each (trace, row, point) over
+   the replicas in replica order as a whole trace's aggregate would.  It
+   keeps DTA's drift max |1'y - (1'x - 1'd)|, adds each row's zeta(k),
+   summed over agents, in step order onto one (R, u) total, and gives an
+   ending point its own copies of its final x and zeta total.
 
-The step runs in place.  Per step, the loop only computes the update and
-the gradient of the new state (the next update's input), each written
-into storage allocated once per call: x(k+1) and y(k+1) go to their rows of
-one (S, B+1, G, R, n, u) state block, x as its [0] and y as its [1] (S = 2
-for DTA, 1 for WGA), so each state's rows stay contiguous; the gradient of
-x(k+1) goes to its row of a (B, G, R, n, u) gradient block, which `flush`
-reads and from which it is copied into the kernel's operand stack (a ufunc
-writing into that strided stack misses numpy's contiguous loop).  The link
-weights are made C steps at a time, C = max(1, B // 8) (`_weight_rows`):
-per span, one multiply of its activations by the (E, t) weight row of its
-width (each link's weight repeated t times, made once per distinct width)
-fills its (C, E, t) float64 block, and the spans' blocks take no more bytes
-than the boolean activations when B >= 8.  With the row, every operand is
-contiguous and numpy runs one loop over E t values, where an (E, 1) column
-broadcast over t lanes runs E loops of t: at n = 100, R = 20 the four
-spans' fills take 83 us per step, one column-broadcast fill of every lane
-126 us.  Step i of a block mixes with row i % C; a block's last chunk holds
-what is left of it.  At n = 100 (B = 10) C is 1, one row as when each step
-made its own.  Row 0 of a block carries the state it starts from and rows
-1 .. B take the states it steps to, so step i reads row i and writes row
-i + 1, and x(k) and x(k+1) never
-share memory, even at B = 1; before each block one copy carries the last
-row of every state that the previous block, or the start, recorded to row
-0.  alpha and beta are broadcast to (G, R, n, u) once
-per call, as are the gradient's slope and offset
-(`QuadraticCosts.gradient_for`), so their products and sums are same-shape
-ufuncs, which at n = 10 cost a third to a half of a broadcast one.  The
-step's gradient row holds its products until the gradient overwrites it,
-and the stepsize times the mixed gradient is formed in place in the
-kernel's output.  Each operation is one of the update formulas above,
-evaluated left to right as the plain expressions would be, so every output
-has their bits; per step only the kernel's scatter allocates array data.
+4. Divergence.  A point diverges at the first row, row 0 included, where
+   the optimality distance or tracking norm of any of its replicas is not
+   <= DIVERGENCE_LIMIT (so NaN and inf diverge).  That row is recorded and
+   ends the point; its later rows stay NaN.  Its lanes step on, masked and
+   unrecorded, and the loop ends once no point runs, so a lone point stops
+   at the end of the block it diverges in.
 
-Recording runs once per block of steps, not per step, and `flush` is the
-one place that records a row, checks it and ends a point.  The start is a
-block of one row: x(0) and y(0) go to state row 1 and grad f(x(0)) to
-gradient row 0, from which it is copied into the first step's operand, and
-`flush` records it as step 0, inside the same `np.errstate` as every
-block.  Once per block `flush` makes one call of the
-`metrics.residuals_for` function made for the block's shape (x* broadcast
-to it once, and one scratch block for every difference and square) on the
-stacked states and the gradients the steps computed.  It writes the four
-residuals once, through the (4, B, G, R) transpose of one (R, 4, B, G)
-residual block allocated with the other block buffers, whose replica axis
-is the outer one and whose columns follow TRACE_COLUMNS: the divergence
-test reads the block's rows in place, and one `metrics.aggregate` call on
-its first rows fills B rows of every point's traces.  With `record_states`
-one copy per point fills its rows of an (S, T+1, R, n, u) history, whose
-[0] and [1] are its `states_x` and `states_y`.  The residual pass's
-1'x - 1'd also gives the conservation drift 1'y - (1'x - 1'd) over the
-block's rows, row 0 included.  With a disturbance it sums each step's
-zeta(k) over agents in one reduction of the block's scaled rows and adds
-the sums in step order onto one (R, u) total, which every running point
-shares (zeta is drawn per replica); the scaled rows start zero-filled, so
-the start adds exactly nothing, and a point that diverges at block row i
-keeps the total as it stood after row i.  A point diverges at the first
-row, row 0 included, where the optimality distance or tracking norm of any
-of its replicas is not <= DIVERGENCE_LIMIT, which takes in NaN and inf.
-That row is recorded and ends the point: its later rows stay NaN and its
-final state is that row's.  A point that does not diverge ends at the last
-row of the block that reaches step T.  Where a point ends, `flush` gives it
-its own copies of its final states and zeta total.  A diverged point's
-lanes stay in the loop, masked: they step on with the others, whose bits do
-not depend on them, but no later block records anything of them, and the
-loop ends once no point is running.
-Every residual reduction runs over the trailing (n, u) axes of one lane and
-row, and the aggregate sums each (trace, row, point) over its replicas in
-replica order, as a whole (R, T+1) trace's aggregate does, so the block
-gives the same bits as per-step residuals aggregated at the end.
-`_block_rows` decides B once per call from the whole call, and
-`_footprint` estimates the call's buffers with the same B:
+5. Sizes.  `_block_rows` sets B once per call, for the loop and
+   `_footprint` alike, from the call's L = P R lanes:
 
-    B = max(1, min(BLOCK_ROWS, T, max(min(LANE_ROWS, BLOCK_BYTES // (8 n u)),
-                                      CALL_BYTES // (G R (8 S n u + E) + 8 E))))
+       B = max(1, min(BLOCK_ROWS, T, max(min(LANE_ROWS, BLOCK_BYTES // (8 n u)),
+                                         CALL_BYTES // (L (8 S n u + E) + 8 E))))
 
-The per-lane term lets one lane's B rows of x take up to 8 KiB (64 rows at
-n u <= 16, 10 at n = 100) unless a single step is larger, so a block's R
-per-replica generator calls are spread over B steps however large R and G
-are.  The per-call term gives a call of few lanes longer blocks, up to
-BLOCK_ROWS = 256, while B rows of the whole call -- every lane's S n u
-float64 state values and E activation bytes, and one replica's E float64
-uniforms per row -- fit CALL_BYTES = 100 KiB: a block has a fixed cost,
-`flush`'s small numpy calls and the draws, about 77 us at n = 10, which
-one lane pays once per 256 steps in place of once per 64.  One lane on
-beta_sweep.yaml's 21 links gets 256 rows (the per-lane term decides from
-8 DTA lanes there), one on a 10-agent complete graph 181 and
-uncoordinated.yaml's 3 lanes on it 105; on that graph the per-lane term
-decides (64 rows) from 6 DTA lanes, or 10 WGA ones, and 20 lanes at
-n = 100 keep 10.  No block is longer than the run.  The state block
-holds S (B+1) G R n u float64 values, the gradient block and the residual
-pass's x* and scratch B G R n u each, and the residual block 4 B G R.  A run of one point stops at the end of the
-block it diverges in, at most B - 1 steps past that step (up to 255 at one
-lane); in a run of several, a diverged point's lanes step on to the end
-unless every point stops first.
+   The link weights of C = max(1, B // 8) steps are made at once
+   (`_weight_rows`).  While every lane's terms and int64 slot index,
+   32 E S L u bytes, fit KERNEL_BYTES, one kernel tile holds all S operands
+   and L lanes; past it, each operand's lanes split into the fewest
+   near-equal tiles of at most KERNEL_BYTES // (32 E u) lanes
+   (`_kernel_width`).  A tile's t lanes are a span [a, a + t), the same
+   spans for every operand, each with its own (B, E, t) activations and
+   (C, E, t) weights.
 """
 from __future__ import annotations
 
@@ -184,28 +93,15 @@ from . import metrics as _metrics
 from .costs import kkt_solve
 from .errors import CapacityError
 
-DIVERGENCE_LIMIT = 1e12
-BLOCK_ROWS = 256        # most steps recorded per block
-LANE_ROWS = 64          # most rows the per-lane budget alone gives
-BLOCK_BYTES = 2 ** 13   # float64 state rows (x, and y for DTA) per lane and block
-CALL_BYTES = 100 * 2 ** 10  # one block row of the whole call (`_block_rows`)
-MEMORY_LIMIT = 2 ** 31  # most bytes a run or a network set-up may need
-GENERATOR_BYTES = 3 * 2 ** 10   # one replica's seed and generator pair, measured
-VIEW_BYTES = 168        # one ndarray view of a block row, measured
-# most bytes of one kernel tile's terms and slot index.  Engine CPU time
-# with each lane span's own activation and weight blocks, against one
-# (C, E, G, R) weight buffer and 2 MiB tiles (complete graphs, DTA, pinned
-# to one CPU, median of 6 rounds), and the `tracemalloc` peak in MiB (4.81
-# and 15.93 with one buffer):
-#
-#   budget     n = 100, R = 20    n = 10, R = 400
-#   512 KiB    1.020  (4.06)      0.871  (15.34)
-#   1 MiB      0.883  (4.20)      0.880  (15.67)
-#   2 MiB      0.901  (5.14)      0.988  (16.22)
-#
-# 1 MiB is fast on both graphs; 2 MiB tiles are no faster at n = 100 and
-# keep 0.9 MiB more, and 512 KiB ones are slower there.
-KERNEL_BYTES = 2 ** 20
+DIVERGENCE_LIMIT = 1e12     # bounds a running point's optimality distance and tracking norm
+BLOCK_ROWS = 256            # bounds B, the steps per record block
+LANE_ROWS = 64              # bounds the per-lane term of B
+BLOCK_BYTES = 2 ** 13       # bounds one lane's float64 x rows of a block: per-lane term
+CALL_BYTES = 100 * 2 ** 10  # bounds B rows of the whole call: per-call term
+KERNEL_BYTES = 2 ** 20      # bounds one kernel tile's terms and slot index
+MEMORY_LIMIT = 2 ** 31      # bounds the estimated bytes of a run or a network set-up
+GENERATOR_BYTES = 3 * 2 ** 10   # one replica's seed and generators in the estimate, measured
+VIEW_BYTES = 168            # one view of a block row in the estimate, measured
 
 
 @dataclass
@@ -256,15 +152,9 @@ class DisturbanceSpec:
 
 
 def _block_rows(n, u, E, *, lanes, S, T):
-    """Steps per block, B, for a call of `lanes` lanes of S states each.
-
-    At least as many rows as fit one lane's float64 state rows in
-    BLOCK_BYTES (but no more than LANE_ROWS), and more while that many
-    block rows of the whole call fit CALL_BYTES: a row is every lane's
-    S n u float64 state values and E activation bytes, and one replica's
-    E float64 uniforms.  At most BLOCK_ROWS and the run's T steps, and at
-    least one.
-    """
+    """Steps per block, B, for `lanes` lanes of S states (rule 5).  The
+    per-call term's block row is every lane's S n u float64 state values and
+    E activation bytes, and one replica's E float64 uniforms."""
     lane = min(LANE_ROWS, BLOCK_BYTES // (8 * n * u))
     call = CALL_BYTES // (lanes * (8 * S * n * u + E) + 8 * E)
     return max(1, min(BLOCK_ROWS, T, max(lane, call)))
@@ -278,13 +168,9 @@ def _weight_rows(B):
 
 
 def _kernel_width(E, S, u, lanes):
-    """Lanes per mixing-kernel tile for S operands of `lanes` lanes each.
-
-    A lane's terms and int64 slot index take 2 E u entries of 8 bytes each.
-    All S lanes-wide operands run as one tile when theirs fit KERNEL_BYTES;
-    otherwise each operand's lanes are split into the fewest near-equal
-    tiles that fit (at least one lane each), and the last may be narrower.
-    """
+    """Lanes per mixing-kernel tile for S operands of `lanes` lanes each
+    (rule 5): S lanes-wide when all fit KERNEL_BYTES, else the width of the
+    fewest near-equal tiles of one operand that fit, at least one lane."""
     per_lane = 32 * E * u
     if per_lane * S * lanes <= KERNEL_BYTES:
         return S * lanes
@@ -294,30 +180,26 @@ def _kernel_width(E, S, u, lanes):
 
 def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     """Bytes a `run_points` call of `points` points needs, as estimated before
-    any compute: per point its float64 traces (T+1 rows of each column) and
-    recorded states; per lane its block's B E activation bytes, five float64
-    blocks of about B+1 rows of n u (x, y, the gradients, and the residual
-    pass's x* and scratch), 8 + 6 u float64 values per row (the residual
-    block, the squares its aggregate takes, and agent sums), C rows of E
-    float64 link weights (`_weight_rows`) and 2 S + 4 rows of n u float64
-    values (the stepsizes, the gradient's slope and offset, the kernel's
-    operands and output); once per kernel tile (`_kernel_width`) its terms
-    and slot index, and once per distinct lane-span width t its (E, t)
-    float64 weight row; per link the kernel's node index (two int64
-    entries) and each point's theta; per replica its generators; the draw
-    buffers the points share (one replica's block of uniforms, and every
-    replica's block of disturbance, as drawn and as scaled); and per block
-    row the views the step loop indexes, of each state's, the gradient's and
-    the scaled disturbance's rows, which at one lane weigh as much as its
-    float64 rows.
+    any compute with the loop's own B and C.  Per point: its float64 traces
+    and recorded states.  Per lane: B E activation bytes; S + 3 float64
+    blocks of about B+1 rows of n u (the states, the gradients, and the
+    residual pass's x* and scratch); 8 + 6 u float64 values per row (the
+    residual block, the squares its aggregate takes, and agent sums); C rows
+    of E float64 link weights; and 3 S + 2 rows of n u float64 values (the
+    stepsizes, the gradient's slope and offset, and the kernel's operands
+    and outputs).  Per kernel tile, its terms and slot index, and per lane
+    span width t, its (E, t) weight row.  Per link, the node index and each
+    point's theta.  Per replica, its generators and the shared draw buffers
+    (one replica's uniforms, every replica's disturbance as drawn and as
+    scaled).  Per block row, the views the step loop indexes.
     """
     S = 2 if algorithm == "dta" else 1
     lanes = points * R
     B = _block_rows(n, u, E, lanes=lanes, S=S, T=T)
     traces = (T + 1) * len(_metrics.TRACE_COLUMNS) * 8
     states = S * (T + 1) * R * n * u * 8 if record_states else 0
-    lane = (B * E + 5 * (B + 1) * n * u * 8 + B * (8 + 6 * u) * 8
-            + 8 * (_weight_rows(B) * E + (2 * S + 4) * n * u))
+    lane = (B * E + (S + 3) * (B + 1) * n * u * 8 + B * (8 + 6 * u) * 8
+            + 8 * (_weight_rows(B) * E + (3 * S + 2) * n * u))
     # float64 terms and int64 slots, 2 E u entries each per lane of a tile,
     # and a narrower last tile's own slot index; the float64 weight row of
     # each span width, E per lane of it
@@ -334,14 +216,11 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
 
 def _setup_footprint(n, E):
     """Bytes `config.resolve` needs for an n-agent network of E links, as
-    estimated before it builds anything.
-
-    Building and validating the edge arrays peaks at about 12 int64 or
-    float64 values per link.  The spectral report then holds three dense
-    n x n float64 matrices at once (E{W}, E{W^2} and a product or an
-    eigensolver's copy) beside the model's 4 values per link.  Measured with
-    `tracemalloc` at n = 1000, both are within 1 % of the peak.
-    """
+    estimated before it builds anything: building and validating the edge
+    arrays peaks at about 12 int64 or float64 values per link, and the
+    spectral report then holds three dense n x n float64 matrices at once
+    (E{W}, E{W^2} and a product or an eigensolver's copy) beside the
+    model's 4 values per link."""
     return 8 * max(12 * E, 3 * n * n + 4 * E)
 
 
@@ -393,7 +272,6 @@ class RunResult:
     replicas: int
     seed: int
     final_x: np.ndarray | None = field(repr=False, default=None)
-    final_y: np.ndarray | None = field(repr=False, default=None)
     diverged: bool = False
     diverged_replica: int | None = None
     diverged_at: int | None = None
@@ -409,14 +287,13 @@ def run(problem, model, *, algorithm="dta", alpha=None, beta=None,
         record_states=False):
     """Run `replicas` independent chains for `iterations` steps.
 
-    algorithm: "dta" (alpha, beta scalars or per-agent vectors) or
-    "wga" (alpha only).  y0 overrides the canonical tracker start x0 - d
-    (useful for probing fixed points); x0 and y0 must be finite.
-    Divergence (non-finite state or residual beyond 1e12) stops the run;
-    remaining trace entries and recorded states stay NaN and the replica and
-    iteration are reported on the result instead of raising, so sweeps can
-    cross the stability boundary on purpose.  record_states keeps every
-    replica's x(k) (and y(k) for DTA), (T+1, R, n, u) each, from which
+    algorithm: "dta" (alpha, beta scalars or per-agent vectors) or "wga"
+    (alpha only).  y0 overrides the canonical tracker start x0 - d (useful
+    for probing fixed points); x0 and y0 must be finite.  A run that
+    diverges (rule 4 of the module docstring) reports the replica and
+    iteration instead of raising, and its later trace rows and states stay
+    NaN, so sweeps can cross the stability boundary.  record_states keeps
+    every replica's x(k) (and y(k) for DTA), (T+1, R, n, u) each, from which
     `metrics.residuals` gives the per-replica residuals.  This is
     `run_points` with the one point (model, alpha, beta).
     """
@@ -474,20 +351,10 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                record_states):
     """All the points as lanes of one step loop; their results in order.
 
-    Every working array (state, broadcast stepsizes, thresholds, activations,
-    kernel and block buffers) is allocated once and holds all P points' lanes
-    in point order, so a lane's point index is its index in the inputs and
-    outputs.  The start is recorded as a block of one row, and `flush`
-    records every row, checks it for divergence and ends each point, all
-    inside one `np.errstate`, so a start past DIVERGENCE_LIMIT, even one
-    whose residual squares overflow, stops at row 0 without a warning.
-    `running` masks the points that have not diverged: `flush` records rows
-    and facts for those alone, and a diverged point's lanes step on,
-    unrecorded, until every point has stopped or the run ends.
-    The loop has a function of its own because `tracemalloc` finds each
-    allocation's line by scanning its function's line table from the start:
-    with `run_points`' checks ahead of it in one function, an R = 2000 run
-    took about 1.3 times as long under `tracemalloc`.
+    Every working array is allocated once per call and holds all P points'
+    lanes in point order; `running` masks the points not yet diverged.  One
+    `np.errstate` covers the start and every block, so a start whose
+    residual squares overflow diverges at row 0 without a warning.
     """
     n, u = problem.n, problem.u
     P = len(points)
@@ -528,14 +395,10 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     cons_drift = np.zeros(P) if is_dta else np.full(P, np.nan)
     running = np.ones(P, dtype=bool)
 
-    # mixing kernel: S operands, (P, R, n, u) views of node-major
-    # (n, S, P, R, u) storage, mixed into one (S, P, R, n, u) result that
-    # each mix_apply(j) call refills for the weights of row j.  It runs the
-    # tiles `_kernel_width` sizes, each over one span [a, a + t) of the P R
-    # lanes with the span's own (B, E, t) activations and (C, E, t) weights
-    # (see the module docstring).  The tiles' views, one per weight row, are
-    # made once: at n = 10 making them per call costs about 2 us of a 17 us
-    # kernel.
+    # mixing kernel (rules 2 and 5): S operands, (P, R, n, u) views of
+    # node-major (n, S, P, R, u) storage, mixed into one (S, P, R, n, u)
+    # result that mix_apply(j) refills with the weights of row j, one tile
+    # per lane span and operand group, each tile's views made here once
     lanes = P * R
     B = _block_rows(n, u, E, lanes=lanes, S=S, T=T)
     C = _weight_rows(B)
@@ -580,12 +443,8 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                           terms[:E], terms[E:], list(wt.reshape(C, E, 1, t, 1)),
                           index[t], flat, flat.size))
 
-    # The step loop's ufuncs, its tiles' `take` and bincount are bound once,
-    # and their outputs passed positionally, not as `out=`: an R = 1 step at
-    # n = 10 is about 17 calls on 10-element arrays, where the module lookup
-    # and numpy's keyword parsing take about 15 % of each (np.add(a, b,
-    # out=c) 368 ns, add(a, b, c) 314 ns).  Each call is the same operation on the
-    # same operands in the same order, so every bit is the same.
+    # bound once, outputs passed positionally: the same operations on the
+    # same operands in the same order as the `out=` form, so the same bits
     subtract, multiply, add, negative = np.subtract, np.multiply, np.add, np.negative
     less = np.less
     bincount = np.bincount
@@ -604,11 +463,8 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             flat[...] = bincount(idx, entries, size)
         return mixes
 
-    # per block: draw its steps' randomness, step the states, x and y, into
-    # rows of the state block, and `flush` -- residual traces, drift maximum,
-    # divergence.  Row 0 carries the states the block starts from and rows
-    # 1 .. B take those it steps to, so x(k) and x(k+1) never share memory.
-    # Indexing a list of the rows per step is cheaper than making a view.
+    # the block buffers (rule 3), with each state's rows, the gradient's and
+    # the scaled disturbance's listed once for the step loop to index
     sbuf = np.empty((S, B + 1, *full))
     gbuf = np.empty((B, *full))             # grad f of the states in rows 1 .. B
     xrows, yrows = pair([list(s) for s in sbuf])
@@ -628,17 +484,8 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     res = block.transpose(1, 2, 3, 0)
 
     def flush(k0, m):
-        """Record block rows [1, m] as the states of steps k0+1 .. k0+m.
-
-        The start is the block k0 = -1, m = 1.  Returns the mask of running
-        points that diverged in the block.  A diverged point's rows after
-        its first bad row stay NaN in the traces; its drift maximum covers
-        the rows before that row (NaN when there is none: it diverged at row
-        0), and its disturbance sum the rows up to it.
-        A point ends here, at that row or at step T, and takes its own
-        copies of its last states and zeta total.  A point that ended in an
-        earlier block has no rows checked or recorded.
-        """
+        """Record block rows [1, m] as steps k0+1 .. k0+m (the start is
+        k0 = -1, m = 1); return the mask of running points that diverged."""
         states = sbuf[:, 1:m + 1]
         xs, ys = pair(states)
         fe = residuals(xs, ys, gbuf[:m], res[:, :m])
@@ -675,7 +522,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             elif k0 + m < T:
                 continue
             row = stop[p] - 1                                   # its last row
-            out.final_x, out.final_y = pair([s.copy() for s in states[:, row, p]])
+            out.final_x = states[0, row, p].copy()
             out.zeta_total = acc[row + 1].copy() if need_z else None
             # a point that diverged at row 0 had no row's drift measured
             out.max_conservation_drift = (float("nan") if out.diverged_at == 0
@@ -699,7 +546,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             # the last states the start or the previous block recorded
             # carry over into row 0
             sbuf[:, 0] = sbuf[:, m]
-            # the block's draws: row i holds step k0 + i's
+            # the block's draws (rule 1): row i holds step k0 + i's
             m = min(B, T - k0)
             for r, lanes_r in enumerate(draws):
                 uniforms = wstreams[r].random(out=ubuf[:m])[:, :, None]
@@ -740,8 +587,8 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
                 else:
                     mixg = mix_apply(j)[0]
                     subtract(xz, multiply(alf, mixg, mixg), xn)
-                # into its contiguous row, then copied: a ufunc writing into
-                # the strided operand stack misses numpy's contiguous loop
+                # grad f(x(k+1)) into its gradient row, which `flush` reads,
+                # and then into the next step's operand
                 operands[0][...] = gradient(xn, gn)
 
             running &= ~flush(k0, m)

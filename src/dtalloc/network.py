@@ -52,7 +52,7 @@ def _validate(model, allow_zero_theta=False):
     if np.any(e[:, 0] >= e[:, 1]) or np.any(e < 0) or np.any(e >= model.n):
         raise ValueError("edges must satisfy 0 <= i < j < n")
     # each link's flat index into the n x n adjacency, sorted: a repeat is a
-    # duplicate link (np.unique over the rows takes 40x as long at n = 100)
+    # duplicate link (far cheaper than np.unique over the rows)
     keys = np.sort(np.ravel_multi_index((e[:, 0], e[:, 1]), (model.n, model.n)))
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("duplicate edges")

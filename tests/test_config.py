@@ -249,6 +249,22 @@ def test_a_number_yaml_reads_as_a_string_stays_a_string(tmp_path):
     assert str(info.value) == "network.proposal must be a finite number, got '017'"
 
 
+def test_disturbance_cutoff_is_read_as_every_integer_key_is(tmp_path):
+    # an integral float passes as for engine.iterations, and an exponent
+    # spelling YAML 1.1 reads as a string is refused with the spelling to use
+    p = tmp_path / "exp.yaml"
+    text = yaml.safe_dump(_minimal(), sort_keys=False) + (
+        "disturbance: {kind: impulse, m_zeta: 1.0, cutoff: %s}\n")
+    p.write_text(text % "1000.0")
+    cutoff = load_config(p).disturbance.cutoff
+    assert cutoff == 1000 and type(cutoff) is int
+    p.write_text(text % "1e3")
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value) == ("disturbance.cutoff must be an integer, got '1e3'; "
+                               "YAML 1.1 reads '1e3' as a string: write 1.0e+3, unquoted")
+
+
 def test_resolve_rejects_bad_proposal():
     d = _minimal()
     d["network"]["proposal"] = "equal-ish"

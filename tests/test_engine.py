@@ -304,7 +304,8 @@ def _call_rows(prob, points, kw):
                               T=kw["iterations"])
 
 
-RESULT_FIELDS = ("final_x", "final_y", "states_x", "states_y",
+# y's bits are checked through states_y, which holds every recorded y(k)
+RESULT_FIELDS = ("final_x", "states_x", "states_y",
                  "max_conservation_drift", "zeta_total", "wga_drift_err")
 
 
@@ -316,7 +317,9 @@ def _same_bits(a, b):
 
 
 def _assert_same_result(ref, res, tag):
-    """Every trace, state and diagnostic of `res` is bit-equal to `ref`."""
+    """Every trace, state and diagnostic of `res` is bit-equal to `ref`, both
+    `record_states` runs."""
+    assert ref.states_x is not None and res.states_x is not None, tag
     assert set(ref.traces) == set(res.traces)
     for name in ref.traces:
         assert _same_bits(ref.traces[name], res.traces[name]), (tag, name)
@@ -444,7 +447,7 @@ def test_lanes_under_small_blocks_match_separate_runs(monkeypatch, rows):
     assert [r.diverged_at for r in lanes] == [None, 275, None, 204, 426]
     for idx, (ref, res) in enumerate(zip(alone, lanes)):
         _assert_same_result(ref, res, (rows, idx))
-    finals = [a for r in lanes for a in (r.final_x, r.final_y)]
+    finals = [a for r in lanes for a in (r.final_x, r.states_x, r.states_y)]
     for i, a in enumerate(finals):
         for b in finals[i + 1:]:
             assert not np.shares_memory(a, b)
@@ -747,6 +750,50 @@ def test_footprint_counts_the_kernel_once_per_tile():
     assert need <= 1.25 * peak, f"estimated {need} B, peak {peak} B"
 
 
+# (B, lane spans) of each footprint case by algorithm, points and u: one
+# point's 4 lanes take the per-call term of B, and 3 points at R = 83
+# (249 lanes) the per-lane one; at u = 3 those 249 lanes run as two spans,
+# of 125 and 124 lanes
+FOOTPRINT_SHAPES = {("dta", 1, 1): (86, 1), ("dta", 1, 3): (41, 1),
+                    ("dta", 3, 1): (64, 1), ("dta", 3, 3): (34, 2),
+                    ("wga", 1, 1): (119, 1), ("wga", 1, 3): (68, 1),
+                    ("wga", 3, 1): (64, 1), ("wga", 3, 3): (34, 2)}
+
+
+@pytest.mark.parametrize("u", [1, 3])
+@pytest.mark.parametrize("record_states", [False, True], ids=["no-states", "states"])
+@pytest.mark.parametrize("points", [1, 3])
+@pytest.mark.parametrize("kind", ["none", "gaussian", "laplace", "impulse"])
+@pytest.mark.parametrize("algorithm", ["dta", "wga"])
+def test_footprint_covers_every_branch(algorithm, kind, points, record_states, u):
+    # every term `_footprint` estimates -- WGA's one state, the disturbance
+    # buffers, several points, recorded states and u > 1 -- stays within
+    # 0.75 and 1.25 times the `tracemalloc` peak of the run it estimates
+    n, T = 10, 128
+    R = 4 if points == 1 else 83
+    prob = _random_instance(np.random.default_rng(3), n, u)
+    models = [complete_graph(n, theta=th) for th in (0.5, 0.3, 0.8)[:points]]
+    call = [(m, 0.05, 0.2 if algorithm == "dta" else None) for m in models]
+    dist = (None if kind == "none" else DisturbanceSpec(
+        kind, m_zeta=1.0, q_zeta=0.99, cutoff=T // 2 if kind == "impulse" else None))
+    E, S, lanes = models[0].n_edges, 2 if algorithm == "dta" else 1, points * R
+    width = engine._kernel_width(E, S, u, lanes)
+    assert (engine._block_rows(n, u, E, lanes=lanes, S=S, T=T),
+            -(-lanes // min(width, lanes))) == FOOTPRINT_SHAPES[algorithm, points, u]
+    need = engine._footprint(n, u, E, points=points, R=R, T=T, algorithm=algorithm,
+                             record_states=record_states, disturbed=dist is not None)
+    tracemalloc.start()
+    try:
+        results = engine.run_points(prob, call, algorithm=algorithm, iterations=T,
+                                    replicas=R, seed=5, disturbance=dist,
+                                    record_states=record_states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(r.diverged for r in results)
+    assert 0.75 * peak <= need <= 1.25 * peak, f"estimated {need} B, peak {peak} B"
+
+
 def test_run_points_requires_shared_edges_and_weights():
     prob = _main_problem()
     alpha, beta = 0.0007647132835707233, 14309.704294513564
@@ -835,7 +882,7 @@ def test_a_start_past_the_limit_diverges_at_row_0(algorithm, scale):
             assert _same_bits(res.traces[name][:1], aggregate(start[name][:, None])), name
             assert np.isnan(res.traces[name][1:]).all(), name
     assert _same_bits(res.final_x, xs) and not np.shares_memory(res.final_x, x0)
-    assert _same_bits(res.final_y, ys)
+    assert (res.states_y is None) == (ys is None)
     assert np.all(res.zeta_total == 0.0)
     for states, start_state in ((res.states_x, xs), (res.states_y, ys)):
         if start_state is not None:
@@ -982,13 +1029,13 @@ def test_zero_iterations_return_the_start(algorithm):
     for name in TRACE_COLUMNS:
         assert _same_bits(res.traces[name], aggregate(start[name][:, None])), name
     assert _same_bits(res.final_x, xs) and not np.shares_memory(res.final_x, x0)
-    assert _same_bits(res.final_y, ys)
+    assert not np.shares_memory(res.final_x, res.states_x)
+    assert _same_bits(res.states_y, None if ys is None else ys[None])
     assert res.zeta_total.shape == (R, 1) and np.all(res.zeta_total == 0.0)
     assert res.states_x.shape == (1, R, 10, 1)
     assert _same_bits(res.states_x[0], xs)
     if algorithm == "dta":
         assert res.states_y.shape == (1, R, 10, 1)
-        assert not np.shares_memory(res.final_x, res.final_y)
         assert res.max_conservation_drift == 0.0
     else:
         assert res.states_y is None and res.wga_drift_err == 0.0
@@ -1080,9 +1127,9 @@ def test_wga_tracking_trace_is_zero():
     prob = _pair_problem()
     model = _pair_model()
     res = run(prob, model, algorithm="wga", alpha=0.3,
-              iterations=10, replicas=1, seed=0)
+              iterations=10, replicas=1, seed=0, record_states=True)
     assert np.all(res.traces["tracking_norm"] == 0.0)
-    assert res.final_y is None
+    assert res.states_y is None
 
 
 # ------------------------------------------------- randomized differential
