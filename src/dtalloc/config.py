@@ -280,13 +280,15 @@ def from_dict(d):
         if steps.alpha is None or steps.beta is None:
             raise ConfigError("stepsizes.source 'explicit' needs both alpha and beta")
 
+    if isinstance(cfg.disturbance, dict):
+        # its numbers are read as every other number key's are, before
+        # DisturbanceSpec compares them; a null cutoff is the default, none
+        dist = cfg.disturbance = dict(cfg.disturbance)
+        for key, read in (("m_zeta", _number), ("q_zeta", _number), ("cutoff", _int)):
+            if key in dist and (dist[key] is not None or key != "cutoff"):
+                dist[key] = read(dist[key], f"disturbance.{key}")
     if cfg.disturbance is not None:
-        if isinstance(cfg.disturbance, dict) and cfg.disturbance.get("cutoff") is not None:
-            cutoff = _int(cfg.disturbance["cutoff"], "disturbance.cutoff")
-            cfg.disturbance = {**cfg.disturbance, "cutoff": cutoff}
-        dist = cfg.disturbance = _section(DisturbanceSpec, cfg.disturbance, "disturbance")
-        _number(dist.m_zeta, "disturbance.m_zeta")
-        _number(dist.q_zeta, "disturbance.q_zeta")
+        cfg.disturbance = _section(DisturbanceSpec, cfg.disturbance, "disturbance")
 
     rate = cfg.rate = _section(RateSection, cfg.rate, "rate")
     if rate.k_end is not None:

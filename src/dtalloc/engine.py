@@ -23,13 +23,12 @@ which every output's bits rest.
    replica, and child.spawn(2) its (link-activation, disturbance) generator
    pair.  Per step a replica draws E uniforms, and link e is active in a
    lane of point p when its uniform is < p's theta[e].  With a disturbance
-   it also draws one (n, u) block -- standard normal, Laplace of scale
-   1/sqrt(2), or impulse signs (+1 where a uniform is < 0.5) -- which the
-   step's envelope (`DisturbanceSpec.scales`) scales into zeta(k).  A block
-   draws its steps with one call per stream, which yields what one call per
-   step would, so no output depends on B.  All lanes of a replica share its
-   draws, so runs with one seed see the same link failures and zeta(k)
-   whatever the algorithm or the other points.
+   it also draws one (n, u) block of its kind (`DisturbanceSpec.draw`),
+   which the step's envelope (`DisturbanceSpec.scales`) scales into
+   zeta(k).  A block draws its steps with one call per stream, which yields
+   what one call per step would, so no output depends on B.  All lanes of a
+   replica share its draws, so runs with one seed see the same link
+   failures and zeta(k) whatever the algorithm or the other points.
 
 2. Term order.  (I - W(k)) v = B' diag(w(k)) B v is applied edge-wise, B
    being the signed incidence (+1 at i, -1 at j for edge (i, j)).  A row
@@ -49,7 +48,10 @@ which every output's bits rest.
    state block (x as its [0], y as its [1]) carries the state the block
    starts from; step i reads row i and writes row i + 1, so x(k) and x(k+1)
    never share memory, and the gradient of row i + 1's x goes to row i of a
-   (B, P, R, n, u) gradient block.  The start is a block of one row.
+   (B, P, R, n, u) gradient block.  The start is a block of one row.  Each
+   replica's draws of rule 1 go straight into its column of a
+   (B, 1, R, n, u) zeta block, which is then scaled in place, so row i is
+   zeta(k0 + i); it is zero for the start.
    `flush(k0, m)` records block rows 1 .. m as steps k0+1 .. k0+m; it is
    the one place a row is recorded, checked and ends a point.  It writes
    the four residuals once, into an (R, 4, B, P) block (replicas outermost,
@@ -150,6 +152,17 @@ class DisturbanceSpec:
             s[self.cutoff:] = 0.0
         return s
 
+    def draw(self, rng, shape):
+        """A `shape` block of this kind's unit draws from `rng`, for `scales`
+        to scale (rule 1): standard normal for gaussian, Laplace of scale
+        1/sqrt(2) for laplace (unit variance, as the gaussian's), and for
+        impulse +1 where a uniform is < 0.5, else -1."""
+        if self.kind == "laplace":
+            return rng.laplace(0.0, 1.0 / np.sqrt(2.0), shape)
+        if self.kind == "impulse":
+            return np.where(rng.random(shape) < 0.5, 1.0, -1.0)
+        return rng.standard_normal(shape)
+
 
 def _block_rows(n, u, E, *, lanes, S, T):
     """Steps per block, B, for `lanes` lanes of S states (rule 5).  The
@@ -189,9 +202,11 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     stepsizes, the gradient's slope and offset, and the kernel's operands
     and outputs).  Per kernel tile, its terms and slot index, and per lane
     span width t, its (E, t) weight row.  Per link, the node index and each
-    point's theta.  Per replica, its generators and the shared draw buffers
-    (one replica's uniforms, every replica's disturbance as drawn and as
-    scaled).  Per block row, the views the step loop indexes.
+    point's theta.  Per replica, its generators.  Shared, one replica's
+    uniforms and, with a disturbance, every replica's scaled block and one
+    replica's draw temporaries (B n u float64 values each for the impulse
+    kind's uniforms and signs).  Per block row, the views the step loop
+    indexes.
     """
     S = 2 if algorithm == "dta" else 1
     lanes = points * R
@@ -208,7 +223,7 @@ def _footprint(n, u, E, *, points, R, T, algorithm, record_states, disturbed):
     narrow = lanes % span
     tiles = 16 * E * u * (2 * width + narrow) + 8 * E * (span + narrow)
     links = 8 * E * (2 + points)
-    shared = B * E * 8 + (2 * R * B * n * u * 8 if disturbed else 0)
+    shared = B * E * 8 + ((R + 2) * B * n * u * 8 if disturbed else 0)
     views = (S + 2 if disturbed else S + 1) * (B + 1) * VIEW_BYTES
     return (points * (traces + states) + lanes * lane + tiles + links
             + R * GENERATOR_BYTES + shared + views)
@@ -470,8 +485,8 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     xrows, yrows = pair([list(s) for s in sbuf])
     grows = list(gbuf)
     ubuf = np.empty((B, E))                 # one replica's uniforms at a time
-    zbuf = np.empty((R, B, n, u)) if need_z else None          # as drawn
-    # scaled, by step; zero until the first block draws, so the start adds none
+    # the disturbance by step, each replica's drawn into its column and
+    # then scaled; zero until the first block draws, so the start adds none
     zblock = np.zeros((B, 1, R, n, u)) if need_z else None
     zrows = list(zblock) if need_z else None
     zeta_total = np.zeros((R, u)) if need_z else None   # shared by the running points
@@ -548,21 +563,16 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
             sbuf[:, 0] = sbuf[:, m]
             # the block's draws (rule 1): row i holds step k0 + i's
             m = min(B, T - k0)
-            for r, lanes_r in enumerate(draws):
-                uniforms = wstreams[r].random(out=ubuf[:m])[:, :, None]
+            for r, (wrng, zrng, lanes_r) in enumerate(zip(wstreams, zstreams, draws)):
+                uniforms = wrng.random(out=ubuf[:m])[:, :, None]
                 for thr, act in lanes_r:
                     less(uniforms, thr, act[:m])
+                if need_z:
+                    zblock[:m, 0, r] = dist.draw(zrng, (m, n, u))
             if need_z:
-                for r in range(R):
-                    if dist.kind == "gaussian":
-                        zstreams[r].standard_normal(out=zbuf[r, :m])
-                    elif dist.kind == "laplace":
-                        # unit variance to match the gaussian envelope
-                        zbuf[r, :m] = zstreams[r].laplace(0.0, 1.0 / np.sqrt(2.0), (m, n, u))
-                    else:  # impulse: fixed magnitude, random sign
-                        zbuf[r, :m] = np.where(zstreams[r].random((m, n, u)) < 0.5, 1.0, -1.0)
-                np.multiply(zbuf[:, :m].transpose(1, 0, 2, 3)[:, None],
-                            scales[k0:k0 + m, None, None, None, None], out=zblock[:m])
+                # one in-place multiply of the contiguous block: R multiplies
+                # of a replica's rows, each broadcasting a scale per row, cost more
+                multiply(zblock[:m], scales[k0:k0 + m, None, None, None, None], zblock[:m])
 
             for i in range(m):
                 j = i % C

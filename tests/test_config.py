@@ -265,6 +265,35 @@ def test_disturbance_cutoff_is_read_as_every_integer_key_is(tmp_path):
                                "YAML 1.1 reads '1e3' as a string: write 1.0e+3, unquoted")
 
 
+# (key, its value in the YAML text, the refusal after "must be a finite number, ")
+DISTURBANCE_NUMBERS = [
+    ("q_zeta", "7e-4", "got '7e-4'; YAML 1.1 reads '7e-4' as a string: write 7.0e-4, unquoted"),
+    ("q_zeta", "9e-1", "got '9e-1'; YAML 1.1 reads '9e-1' as a string: write 9.0e-1, unquoted"),
+    ("q_zeta", "'0.5'", "got '0.5'; '0.5' is a string: write the number without quotes"),
+    ("q_zeta", "1e400", "got '1e400'"),
+    ("q_zeta", "[0.5]", "got [0.5]"),
+    ("q_zeta", "true", "got True"),
+    ("q_zeta", "null", "got None"),
+    ("m_zeta", "4e0", "got '4e0'; YAML 1.1 reads '4e0' as a string: write 4.0e+0, unquoted"),
+    ("m_zeta", "null", "got None"),
+]
+
+
+@pytest.mark.parametrize("key,value,message", DISTURBANCE_NUMBERS,
+                         ids=[f"{key}={value}" for key, value, _ in DISTURBANCE_NUMBERS])
+def test_disturbance_numbers_are_read_as_every_number_key_is(tmp_path, key, value, message):
+    # DisturbanceSpec compared a string, list or null with a float first and
+    # exited 2 with Python's TypeError text, and compared a bool as 0 or 1
+    p = tmp_path / "exp.yaml"
+    section = {"m_zeta": "1.0", "q_zeta": "0.9", key: value}
+    p.write_text(yaml.safe_dump(_minimal(), sort_keys=False)
+                 + "disturbance: {kind: gaussian, m_zeta: %(m_zeta)s, q_zeta: %(q_zeta)s}\n"
+                 % section)
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value) == f"disturbance.{key} must be a finite number, {message}"
+
+
 def test_resolve_rejects_bad_proposal():
     d = _minimal()
     d["network"]["proposal"] = "equal-ish"

@@ -932,6 +932,19 @@ def test_disturbance_scales_envelope():
     assert np.array_equal(si[:40], s[:40])
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "laplace", "impulse"])
+def test_a_block_of_draws_is_its_rows_drawn_in_parts(kind):
+    # rule 1: a block's draws do not depend on B, so one draw of m1 + m2
+    # rows is a draw of m1 rows and then one of m2 from the same stream
+    spec, m1, m2, n, u = DisturbanceSpec(kind, m_zeta=1.0), 37, 27, 10, 3
+    whole = spec.draw(np.random.default_rng(11), (m1 + m2, n, u))
+    rng = np.random.default_rng(11)
+    parts = np.concatenate((spec.draw(rng, (m1, n, u)), spec.draw(rng, (m2, n, u))))
+    assert whole.dtype == np.float64 and _same_bits(whole, parts)
+    if kind == "impulse":
+        assert set(np.unique(whole)) == {-1.0, 1.0}
+
+
 def test_laplace_draws_variance_matched():
     # the laplace branch is scaled so its variance matches the gaussian one.
     # With every link silent, WGA's mixing term is zero, so each step is
