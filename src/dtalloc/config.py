@@ -16,6 +16,14 @@ one-point sweep; a theta sweep replaces the link-activation probability
 outright and keeps the plan fixed, checked against each point's own rate
 constants.
 
+The section dataclasses' annotations are the schema: each key is read as
+its annotation says (`_reader`) -- a `Literal` is a choice of words, `int`
+an integer, `float` one finite number, `Numbers` finite numbers (a scalar or
+lists of them), `str` and `list` a value of that type, a dataclass a nested
+section, and `X | None` lets the key be null.  `from_dict` keeps only the
+rules an annotation cannot state: the schema version, the name's path rule,
+the lower bounds, and the rules that tie two keys together.
+
 `load_config` parses with libyaml when PyYAML has it, else with the
 pure-Python parser, which gives the same data more slowly; either way it
 first refuses a document nested more than MAX_DEPTH levels deep, or holding
@@ -23,9 +31,12 @@ more than MAX_NODES nodes once its aliases are expanded.
 """
 from __future__ import annotations
 
+import functools
 import os
 from reprlib import repr as _short   # a long value's repr, cut short
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from types import NoneType, UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -51,25 +62,61 @@ MAX_NODES = 10 ** 6
 LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+class Numbers:
+    """Annotation marker of a key that holds finite numbers: one, or lists
+    of them (`_finite`)."""
+
+
 def _section(cls, d, where):
-    """`cls(**d)`, once `d` is a mapping of `cls`'s fields holding every field
-    without a default; a section left out of the config is already `cls`."""
-    if isinstance(d, cls):
-        return d
+    """`cls` built from the mapping `d`, once `d` holds only `cls`'s fields
+    and every field without a default, each value read as its annotation
+    says; a top-level key is named alone, a section's as `where.key`."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a mapping, got {_short(d)}")
-    names = [f.name for f in fields(cls)]
-    unknown = set(d) - set(names)
+    schema = _schema(cls)
+    unknown = set(d) - schema.keys()
     if unknown:
         raise ConfigError(f"unknown key(s) {_short(sorted(unknown))} in {where}; "
-                          f"allowed: {sorted(names)}")
-    for f in fields(cls):
-        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing required key {f.name!r} in {where}")
+                          f"allowed: {sorted(schema)}")
+    for name, (_, required) in schema.items():
+        if required and name not in d:
+            raise ConfigError(f"missing required key {name!r} in {where}")
+    prefix = "" if cls is ExperimentConfig else where + "."
+    values = {k: schema[k][0](v, prefix + k) for k, v in d.items()}
     try:
-        return cls(**d)
-    except (TypeError, ValueError) as exc:   # DisturbanceSpec checks itself
+        return cls(**values)
+    except ValueError as exc:                # DisturbanceSpec checks itself
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+@functools.cache
+def _schema(cls):
+    """Each field of `cls` by name: (its reader, whether it is required).
+    The annotations are evaluated once per class."""
+    hints = get_type_hints(cls)
+    return {f.name: (_reader(hints[f.name]),
+                     f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _reader(hint):
+    """read(v, where) for a key annotated `hint`: None where the annotation
+    allows it, a word of its `Literal`, else what the reader of its one
+    other type returns (`_READERS`, or a nested section for a dataclass)."""
+    members = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
+    words = [w for m in members if get_origin(m) is Literal for w in get_args(m)]
+    kind = next((m for m in members
+                 if get_origin(m) is not Literal and m is not NoneType), None)
+    read_kind = (functools.partial(_section, kind) if is_dataclass(kind)
+                 else _READERS.get(kind))
+
+    def read(v, where):
+        if (v is None and NoneType in members) or (isinstance(v, str) and v in words):
+            return v
+        if read_kind is None:                # a choice of words alone
+            raise ConfigError(f"{where} must be {'|'.join(words)}, got {_short(v)}")
+        return read_kind(v, where)
+    return read
 
 
 def _plain(text):
@@ -140,11 +187,8 @@ def _has(v, kinds):
                                     and any(_has(item, kinds) for item in v))
 
 
-def _finite(v, where, words=()):
-    """v unchanged, once checked to be finite numbers or one of `words`
-    (strings, or None)."""
-    if (v is None or isinstance(v, str)) and v in words:
-        return v
+def _finite(v, where):
+    """v unchanged, once checked to be finite numbers: one, or lists of them."""
     try:
         # YAML true/false would read as 1.0/0.0, and '0' as 0.0
         ok = (not _has(v, (bool, str, bytes))
@@ -157,36 +201,52 @@ def _finite(v, where, words=()):
     return v
 
 
+def _of_type(kind, noun):
+    """The reader of a `kind` value: v unchanged, once checked to be one."""
+    def read(v, where):
+        if not isinstance(v, kind):
+            raise ConfigError(f"{where} must be {noun}, got {_short(v)}")
+        return v
+    return read
+
+
+# the reader of each annotation type; a list's entries are checked beside
+# the key they go with: the edges in `from_dict`, a sweep's values in
+# `sweep_point`
+_READERS = {int: _int, float: _number, Numbers: _finite,
+            str: _of_type(str, "a string"), list: _of_type(list, "a list")}
+
+
 @dataclass
 class CostSection:
-    a: list
-    b: list
-    c: object = 0.0
+    a: Numbers
+    b: Numbers
+    c: Numbers = 0.0
 
 
 @dataclass
 class NetworkSection:
-    topology: str = "complete"          # complete | ring | edges
+    topology: Literal["complete", "ring", "edges"] = "complete"
     n: int | None = None                # required for complete/ring
-    proposal: object = "metropolis"     # scalar or "metropolis"
+    proposal: Literal["metropolis"] | float = "metropolis"
     edges: list | None = None           # [[i, j, w], ...] for topology: edges
-    theta: object = 1.0                 # scalar or per-edge list
+    theta: Numbers = 1.0                # scalar or per-edge list
 
 
 @dataclass
 class EngineSection:
-    algorithm: str = "dta"              # dta | wga
+    algorithm: Literal["dta", "wga"] = "dta"
     iterations: int = 1000
     replicas: int = 1
-    x0: object = "zeros"                # zeros | demand | list
+    x0: Literal["zeros", "demand"] | Numbers | None = "zeros"
 
 
 @dataclass
 class StepsizeSection:
-    source: str = "optimal"             # optimal | explicit
-    alpha: object = None
-    beta: object = None
-    wga_alpha: object = "auto"          # auto | value
+    source: Literal["optimal", "explicit"] = "optimal"
+    alpha: Numbers | None = None        # a scalar, or one value per agent
+    beta: Numbers | None = None
+    wga_alpha: Literal["auto"] | float | None = "auto"
 
 
 @dataclass
@@ -197,7 +257,7 @@ class RateSection:
 
 @dataclass
 class SweepSection:
-    axis: str                           # alpha | beta | theta
+    axis: Literal["alpha", "beta", "theta"]
     values: list
 
 
@@ -205,7 +265,7 @@ class SweepSection:
 class ExperimentConfig:
     name: str
     cost: CostSection
-    demand: list
+    demand: Numbers
     network: NetworkSection
     schema_version: int = SCHEMA_VERSION
     seed: int = 0
@@ -219,30 +279,21 @@ class ExperimentConfig:
 
 def from_dict(d):
     cfg = _section(ExperimentConfig, d, "config")
-    if isinstance(cfg.schema_version, bool) or cfg.schema_version != SCHEMA_VERSION:
+    if cfg.schema_version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {_short(cfg.schema_version)} "
                           f"(expected {SCHEMA_VERSION})")
-    if not isinstance(cfg.name, str):
-        raise ConfigError(f"name must be a string, got {_short(cfg.name)}")
     # the name is the output subdirectory: one path component, inside --out
     if cfg.name in ("", ".", "..") or any(
             s and s in cfg.name for s in ("/", os.sep, os.altsep, "\0")):
         raise ConfigError(f"name must be one directory name (no '/' and not "
                           f"'', '.' or '..'), got {_short(cfg.name)}")
-    cfg.seed, cfg.u = _int(cfg.seed, "seed"), _int(cfg.u, "u")
-    if cfg.u < 1:
-        raise ConfigError(f"u must be >= 1, got {_short(cfg.u)}")
-    cfg.cost = _section(CostSection, cfg.cost, "cost")
-    for where, v in (("cost.a", cfg.cost.a), ("cost.b", cfg.cost.b),
-                     ("cost.c", cfg.cost.c), ("demand", cfg.demand)):
-        _finite(v, where)
-
-    net = cfg.network = _section(NetworkSection, cfg.network, "network")
-    if net.topology not in ("complete", "ring", "edges"):
-        raise ConfigError(f"network.topology must be complete|ring|edges, "
-                          f"got {_short(net.topology)}")
+    net, eng, steps = cfg.network, cfg.engine, cfg.stepsizes
+    for where, v in (("u", cfg.u), ("engine.iterations", eng.iterations),
+                     ("engine.replicas", eng.replicas)):
+        if v < 1:
+            raise ConfigError(f"{where} must be >= 1, got {_short(v)}")
     if net.topology == "edges":
-        if not (isinstance(net.edges, list) and net.edges):
+        if not net.edges:
             raise ConfigError("network.topology 'edges' needs a network.edges list")
         for item in net.edges:
             if not (isinstance(item, list) and len(item) == 3):
@@ -253,56 +304,11 @@ def from_dict(d):
             _finite(item[2], "network.edges weight")
     elif net.n is None:
         raise ConfigError(f"network.topology {_short(net.topology)} needs network.n")
-    if net.n is not None:
-        net.n = _int(net.n, "network.n")
-    if net.proposal != "metropolis":
-        _number(net.proposal, "network.proposal")
-    _finite(net.theta, "network.theta")
-
-    eng = cfg.engine = _section(EngineSection, cfg.engine, "engine")
-    eng.iterations = _int(eng.iterations, "engine.iterations")
-    eng.replicas = _int(eng.replicas, "engine.replicas")
-    _finite(eng.x0, "engine.x0", ("zeros", "demand", None))
-    if eng.algorithm not in ("dta", "wga"):
-        raise ConfigError(f"engine.algorithm must be dta|wga, got {_short(eng.algorithm)}")
-    if eng.iterations < 1 or eng.replicas < 1:
-        raise ConfigError("engine.iterations and engine.replicas must be >= 1")
-
-    steps = cfg.stepsizes = _section(StepsizeSection, cfg.stepsizes, "stepsizes")
-    _finite(steps.alpha, "stepsizes.alpha", (None,))
-    _finite(steps.beta, "stepsizes.beta", (None,))
-    if steps.wga_alpha not in ("auto", None):
-        _number(steps.wga_alpha, "stepsizes.wga_alpha")
-    if steps.source not in ("optimal", "explicit"):
-        raise ConfigError(f"stepsizes.source must be optimal|explicit, "
-                          f"got {_short(steps.source)}")
     if steps.source == "explicit" and eng.algorithm == "dta":
         if steps.alpha is None or steps.beta is None:
             raise ConfigError("stepsizes.source 'explicit' needs both alpha and beta")
-
-    if isinstance(cfg.disturbance, dict):
-        # its numbers are read as every other number key's are, before
-        # DisturbanceSpec compares them; a null cutoff is the default, none
-        dist = cfg.disturbance = dict(cfg.disturbance)
-        for key, read in (("m_zeta", _number), ("q_zeta", _number), ("cutoff", _int)):
-            if key in dist and (dist[key] is not None or key != "cutoff"):
-                dist[key] = read(dist[key], f"disturbance.{key}")
-    if cfg.disturbance is not None:
-        cfg.disturbance = _section(DisturbanceSpec, cfg.disturbance, "disturbance")
-
-    rate = cfg.rate = _section(RateSection, cfg.rate, "rate")
-    if rate.k_end is not None:
-        rate.k_end = _int(rate.k_end, "rate.k_end")
-    if rate.window is not None:
-        rate.window = _int(rate.window, "rate.window")
-
-    if cfg.sweep is not None:
-        sweep = cfg.sweep = _section(SweepSection, cfg.sweep, "sweep")
-        if sweep.axis not in ("alpha", "beta", "theta"):
-            raise ConfigError(f"sweep.axis must be alpha|beta|theta, got {_short(sweep.axis)}")
-        if not (isinstance(sweep.values, list) and sweep.values):
-            raise ConfigError(f"sweep.values must be a non-empty list, "
-                              f"got {_short(sweep.values)}")
+    if cfg.sweep is not None and not cfg.sweep.values:
+        raise ConfigError("sweep.values must be a non-empty list, got []")
     return cfg
 
 

@@ -88,11 +88,11 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from . import metrics as _metrics
-from .costs import kkt_solve
 from .errors import CapacityError
 
 DIVERGENCE_LIMIT = 1e12     # bounds a running point's optimality distance and tracking norm
@@ -117,7 +117,7 @@ class DisturbanceSpec:
     (no m_zeta > 0).  q_zeta and m_zeta are range-checked for every kind.
     """
 
-    kind: str = "none"
+    kind: Literal["none", "gaussian", "laplace", "impulse"] = "none"
     m_zeta: float = 0.0
     q_zeta: float = 0.999
     cutoff: int | None = None
@@ -272,7 +272,7 @@ def _require(need, what):
 
 
 def _cols(values, n):
-    """Per-point stepsizes, scalar or per-agent, as a (G, 1, n, 1) stack."""
+    """Per-point stepsizes, scalar or per-agent, as a (P, 1, n, 1) stack."""
     return np.stack([np.broadcast_to(np.asarray(v, float), (n,))
                      for v in values]).reshape(-1, 1, n, 1)
 
@@ -357,12 +357,11 @@ def run_points(problem, points, *, algorithm="dta", iterations, replicas=1,
     dist = disturbance if disturbance is not None else DisturbanceSpec()
     check_run(n, u, E, points=P, replicas=R, iterations=T, algorithm=algorithm,
               record_states=record_states, disturbed=dist.active)
-    return _run_lanes(problem, points, kkt=kkt_solve(problem), algorithm=algorithm,
-                      T=T, R=R, seed=seed, x0=x0, y0=y0, dist=dist,
-                      record_states=record_states)
+    return _run_lanes(problem, points, algorithm=algorithm, T=T, R=R, seed=seed,
+                      x0=x0, y0=y0, dist=dist, record_states=record_states)
 
 
-def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
+def _run_lanes(problem, points, *, algorithm, T, R, seed, x0, y0, dist,
                record_states):
     """All the points as lanes of one step loop; their results in order.
 
@@ -491,7 +490,7 @@ def _run_lanes(problem, points, *, kkt, algorithm, T, R, seed, x0, y0, dist,
     zrows = list(zblock) if need_z else None
     zeta_total = np.zeros((R, u)) if need_z else None   # shared by the running points
     gradient = problem.costs.gradient_for(full)
-    residuals = _metrics.residuals_for((B, *full), problem, kkt)
+    residuals = _metrics.residuals_for((B, *full), problem)
     # the block's residuals, replicas outermost and columns in TRACE_COLUMNS
     # order, as `metrics.aggregate` reads them; `res` is the (4, B, P, R)
     # view the residual pass writes through

@@ -10,7 +10,7 @@ class InfeasibleNetworkError(ValueError):
 
 
 class CapacityError(ValueError):
-    """A run or an exact enumeration would pass a stated size limit."""
+    """A run, or the set-up of a network, would pass `engine.MEMORY_LIMIT`."""
 
 
 class PlanWarning(UserWarning):

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import kkt_solve
+
 TRACE_COLUMNS = (
     "optimality_distance",
     "feasibility_gap",
@@ -21,13 +23,12 @@ STALL_LOOKBACK = 10000  # ... and no decrease over this many trailing steps
 STALL_TOL = 1e-9        # ... within this relative tolerance
 
 
-def residuals(x, y, problem, kkt):
+def residuals(x, y, problem):
     """The four residuals of a state, batched over any leading axes.
 
     x, y: (..., n, u) stacks; y is None when the algorithm carries no
-    tracker.  Returns ({name: (...) array}, grad f(x)); the gradient is
-    handed back so a caller stepping from x does not compute it twice.
-    This is `residuals_for` x's own shape, given `costs.gradient(x)`.
+    tracker.  Returns {name: (...) array}.  This is `residuals_for` x's own
+    shape, given `costs.gradient(x)`.
 
     optimality_distance   ||x - x*||_F
     feasibility_gap       ||1'x - 1'd||_2
@@ -35,23 +36,22 @@ def residuals(x, y, problem, kkt):
     gradient_dispersion   ||(I - 11'/n) grad f(x)||_F
     """
     x = np.asarray(x, float)
-    g = problem.costs.gradient(x)
     out = np.empty((len(TRACE_COLUMNS), *x.shape[:-2]))
-    residuals_for(x.shape, problem, kkt)(x, y, g, out)
-    return dict(zip(TRACE_COLUMNS, out)), g
+    residuals_for(x.shape, problem)(x, y, problem.costs.gradient(x), out)
+    return dict(zip(TRACE_COLUMNS, out))
 
 
-def residuals_for(shape, problem, kkt):
+def residuals_for(shape, problem):
     """`residuals` for (..., n, u) stacks of one `shape`, as res(x, y, g, out).
 
     g is grad f(x), which a caller stepping from x already holds.  The four
     residuals go to out[0] .. out[3] in TRACE_COLUMNS order; out is a
     (4, ...) array, x.shape[:-2] after its first axis, and may be strided,
-    as the engine's replica-outermost residual block is.  x* is broadcast
-    to `shape` once, and one scratch block of that shape takes each
-    difference and then its squares in turn, so a call allocates only its
-    feasibility and mean reductions.  x, y and g may hold fewer rows than
-    `shape` on the leading axis, as a block's last rows do.  Returns
+    as the engine's replica-outermost residual block is.  x* (`kkt_solve`)
+    is broadcast to `shape` once, and one scratch block of that shape takes
+    each difference and then its squares in turn, so a call allocates only
+    its feasibility and mean reductions.  x, y and g may hold fewer rows
+    than `shape` on the leading axis, as a block's last rows do.  Returns
     fe = 1'x - 1'd, the (..., u) feasibility vector, which the engine's
     conservation drift reuses.
 
@@ -60,7 +60,7 @@ def residuals_for(shape, problem, kkt):
     contiguous (n, u) values, and the mean is `np.mean`'s sum and division,
     so the bits depend on neither `shape` nor out's strides.
     """
-    xstar = np.broadcast_to(kkt.x_star, shape).copy()
+    xstar = np.broadcast_to(kkt_solve(problem).x_star, shape).copy()
     dsum = problem.total_demand
     scratch = np.empty(shape)
 
@@ -89,7 +89,7 @@ def aggregate(per_replica):
 
     per_replica: (R, ...) array of per-replica residual magnitudes, such as
     whole (R, T+1) traces.  The engine calls it once per record block, on
-    the replica-outermost (R, 4, m, G) slice of its residual block, which
+    the replica-outermost (R, 4, m, P) slice of its residual block, which
     is strided when the block's m rows are fewer than its B.  The squares
     are a fresh C-contiguous array, and with at least two values after the
     replica axis numpy sums that axis in replica order, so each column gets

@@ -119,26 +119,34 @@ def complete_graph(n, weight=None, theta=1.0):
     return build_model(n, edges, w, theta)
 
 
+def _subtract_edges(M, model, w):
+    """M - sum_e w_e B_e, in place, for a (P, n, n) M and (P, E) weights w.
+
+    Each off-diagonal (i, j) gains w_e, and each diagonal subtracts its
+    edges' weights in one fixed order (the i-ends in edge order, then the
+    j-ends), which keeps E{W} and E{W^2} -- and everything derived from
+    their spectra -- reproducible to the last bit.
+    """
+    rows = np.arange(len(w))[:, None]
+    ei, ej = model.edges[:, 0], model.edges[:, 1]
+    M[rows, ei, ej] += w
+    M[rows, ej, ei] += w
+    np.add.at(M, (rows, ei, ei), -w)
+    np.add.at(M, (rows, ej, ej), -w)
+    return M
+
+
 def mixing_matrix(model, w):
     """Dense symmetric I - sum_e w_e B_e for edge weights w of shape (..., E).
 
-    Returns (..., n, n).  Each diagonal subtracts its edges' weights in one
-    fixed order (the i-ends in edge order, then the j-ends), which keeps
-    E{W} -- and everything derived from its spectrum -- reproducible to the
-    last bit.
+    Returns (..., n, n), assembled by `_subtract_edges`.
     """
     w = np.asarray(w, float)
-    n, E = model.n, model.n_edges
-    lead = w.shape[:-1]
-    flat = w.reshape(int(np.prod(lead)), E)
-    W = np.broadcast_to(np.eye(n), (flat.shape[0], n, n)).copy()
-    rows = np.arange(flat.shape[0])[:, None]
-    ei, ej = model.edges[:, 0], model.edges[:, 1]
-    W[rows, ei, ej] += flat
-    W[rows, ej, ei] += flat
-    np.add.at(W, (rows, ei, ei), -flat)
-    np.add.at(W, (rows, ej, ej), -flat)
-    return W.reshape(lead + (n, n))
+    n, lead = model.n, w.shape[:-1]
+    # explicit widths: with no links (E = 0) a -1 width is ambiguous
+    flat = w.reshape(int(np.prod(lead)), model.n_edges)
+    W = np.broadcast_to(np.eye(n), (len(flat), n, n)).copy()
+    return _subtract_edges(W, model, flat).reshape(lead + (n, n))
 
 
 def expected_weight_matrix(model):
@@ -148,16 +156,11 @@ def expected_weight_matrix(model):
 def expected_square_matrix(model):
     """E{W(k)^2} under independent link activations, in closed form:
     E{W}^2 + sum_e 2 theta_e (1 - theta_e) m_e^2 B_e (exact, any edge count).
+    Adding c B_e is subtracting -c B_e, bit for bit: negation is exact.
     """
     EW = expected_weight_matrix(model)
-    EW2 = EW @ EW
-    ei, ej = model.edges[:, 0], model.edges[:, 1]
     corr = 2.0 * model.theta * (1.0 - model.theta) * model.weights**2
-    EW2[ei, ej] -= corr
-    EW2[ej, ei] -= corr
-    np.add.at(EW2, (ei, ei), corr)
-    np.add.at(EW2, (ej, ej), corr)
-    return EW2
+    return _subtract_edges((EW @ EW)[None], model, -corr[None])[0]
 
 
 @dataclass(frozen=True)

@@ -408,8 +408,7 @@ def test_ac09_exact_algebraic_invariants(main_run):
     fixed = _run_resolved(res, x0=xs, y0=np.zeros_like(xs), replicas=2,
                           record_states=True)
     # each replica's residuals, recomputed from its states
-    per = residuals(fixed.states_x, fixed.states_y, res.problem,
-                    kkt_solve(res.problem))[0]
+    per = residuals(fixed.states_x, fixed.states_y, res.problem)
     fixed_drift = max(per["optimality_distance"].max(),
                       per["tracking_norm"].max())
 

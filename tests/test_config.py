@@ -294,6 +294,23 @@ def test_disturbance_numbers_are_read_as_every_number_key_is(tmp_path, key, valu
     assert str(info.value) == f"disturbance.{key} must be a finite number, {message}"
 
 
+# (a section of the minimal config, the whole refusal)
+ONE_KEY_REFUSALS = [
+    ({"disturbance": {"kind": "pink"}},
+     "disturbance.kind must be none|gaussian|laplace|impulse, got 'pink'"),
+    ({"engine": {"replicas": 0}}, "engine.replicas must be >= 1, got 0"),
+    ({"engine": {"iterations": 0}}, "engine.iterations must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("over,message", ONE_KEY_REFUSALS,
+                         ids=["kind-pink", "replicas-0", "iterations-0"])
+def test_a_refusal_names_its_one_key(over, message):
+    with pytest.raises(ConfigError) as info:
+        from_dict(_minimal(**over))
+    assert str(info.value) == message
+
+
 def test_resolve_rejects_bad_proposal():
     d = _minimal()
     d["network"]["proposal"] = "equal-ish"

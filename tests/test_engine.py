@@ -65,7 +65,7 @@ def _random_instance(rng, n, u=1):
 def _per_replica(res, prob):
     """Each replica's residual traces, {name: (T+1, R)}, recomputed from the
     states a `record_states` run kept."""
-    return residuals(res.states_x, res.states_y, prob, kkt_solve(prob))[0]
+    return residuals(res.states_x, res.states_y, prob)
 
 
 # ---------------------------------------------------------- single steps
@@ -877,7 +877,7 @@ def test_a_start_past_the_limit_diverges_at_row_0(algorithm, scale):
     xs = np.broadcast_to(x0, (R, 10, 1))
     ys = xs - prob.demand if algorithm == "dta" else None
     with np.errstate(over="ignore", invalid="ignore"):
-        start = residuals(xs, ys, prob, kkt_solve(prob))[0]
+        start = residuals(xs, ys, prob)
         for name in TRACE_COLUMNS:
             assert _same_bits(res.traces[name][:1], aggregate(start[name][:, None])), name
             assert np.isnan(res.traces[name][1:]).all(), name
@@ -1038,7 +1038,7 @@ def test_zero_iterations_return_the_start(algorithm):
     y0 = x0 - prob.demand if algorithm == "dta" else None
     xs = np.broadcast_to(x0, (R, *x0.shape))
     ys = None if y0 is None else np.broadcast_to(y0, xs.shape)
-    start = residuals(xs, ys, prob, kkt_solve(prob))[0]
+    start = residuals(xs, ys, prob)
     for name in TRACE_COLUMNS:
         assert _same_bits(res.traces[name], aggregate(start[name][:, None])), name
     assert _same_bits(res.final_x, xs) and not np.shares_memory(res.final_x, x0)

@@ -167,6 +167,43 @@ def test_expected_square_frozen_path_instance():
     assert np.allclose(EW2, EW2.T) and np.allclose(EW2.sum(axis=1), 1.0)
 
 
+def test_expected_square_has_the_bits_of_its_written_out_form():
+    # E{W} and E{W}^2 + sum_e 2 theta_e (1 - theta_e) m_e^2 B_e, one edge at
+    # a time: the off-diagonals, then each diagonal's i-ends in edge order
+    # and then its j-ends.  Random graphs of 1 to 12 agents, not all
+    # connected, with links that never or always fail
+    rng = np.random.default_rng(2024)
+    for n in (1, 1, 2, 3, 5, 8, 12, 12):
+        if n == 1:
+            edges = np.zeros((0, 2), int)
+        else:
+            edges = np.argwhere(np.triu(rng.random((n, n)) < 0.5, 1))
+            if len(edges) == 0:
+                edges = np.array([[0, n - 1]])
+        deg = np.bincount(edges.ravel(), minlength=n)
+        m = rng.uniform(0.05, 0.95, len(edges)) / np.maximum(
+            deg[edges[:, 0]], deg[edges[:, 1]])
+        theta = rng.choice([0.0, 1.0, 0.3, 0.8], len(edges))
+        model = build_model(n, edges, m, theta, allow_zero_theta=True)
+        EW = np.eye(n)
+        for (i, j), c in zip(edges, theta * m):
+            EW[i, j] += c
+            EW[j, i] += c
+        for ends in (edges[:, 0], edges[:, 1]):
+            for i, c in zip(ends, theta * m):
+                EW[i, i] -= c
+        expect = EW @ EW
+        corr = 2.0 * theta * (1.0 - theta) * m ** 2
+        for (i, j), c in zip(edges, corr):
+            expect[i, j] -= c
+            expect[j, i] -= c
+        for ends in (edges[:, 0], edges[:, 1]):
+            for i, c in zip(ends, corr):
+                expect[i, i] += c
+        assert expected_weight_matrix(model).tobytes() == EW.tobytes(), n
+        assert expected_square_matrix(model).tobytes() == expect.tobytes(), n
+
+
 def test_expected_square_monte_carlo_mode():
     model = _random_model(np.random.default_rng(55), n=5)
     closed = expected_square_matrix(model)
