@@ -50,15 +50,10 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return f if np.isfinite(f) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
     return obj
 
 
@@ -176,9 +171,7 @@ def _run_summary(res, result, path):
     }
     if not result.diverged:
         est = metrics.empirical_rate(opt, k_end=res.k_end, window=res.window)
-        out["empirical_rate"] = {"q": est.q, "k_end": est.k_end,
-                                 "window": est.window, "shrunk": est.shrunk,
-                                 "exact_convergence": est.exact_convergence}
+        out["empirical_rate"] = asdict(est)
         out["non_convergent"] = metrics.non_convergent(opt, k_end=res.k_end)
         out["loglinear_r2"] = metrics.loglinear_r2(opt)
     else:
@@ -191,20 +184,16 @@ def _run_summary(res, result, path):
 def cmd_bounds(args):
     res = resolve(load_config(args.config))
     rc, rep = res.rc, res.report
-    kkt = kkt_solve(res.problem)
     payload = {
         "name": res.config.name,
         "spectral": {**asdict(rep), "connected_in_mean": rep.connected_in_mean},
-        "kkt": {"x_star": kkt.x_star, "mu_star": kkt.mu_star},
+        "kkt": asdict(kkt_solve(res.problem)),
         "constants": asdict(rc),
         "wga_alpha": res.wga_alpha,
         "plan": {"alpha": res.alpha, "beta": res.beta},
     }
     if res.optimal is not None:
-        opt = res.optimal
-        payload["optimal"] = {"alpha": opt.alpha, "beta": opt.beta,
-                              "branches": list(opt.branches),
-                              "active_branch": opt.active_branch}
+        payload["optimal"] = asdict(res.optimal)
     # a verdict prints whole, with `feasible`; a shared region lists its
     # conditions in order (alpha bound, beta bound, coupling)
     verdict = _plan_verdict(res)
@@ -227,18 +216,18 @@ def _execute(args, res, calls):
     """Run a command's engine calls, (resolved point, algorithm, trace file
     name, label) tuples, yielding each (summary, result) in turn.
 
-    Every call's plan and memory are checked before the output directory is
-    made; then each call warns, runs and writes its trace before the next.
+    Every call's plan, then every call's memory, is checked before the
+    output directory is made; then each call warns, runs and writes its
+    trace before the next.
     """
+    plans = [_plan(point, algorithm) for point, algorithm, _, _ in calls]
     for point, algorithm, _, _ in calls:
-        _plan(point, algorithm)
         eng = point.config.engine
         engine.check_run(point.problem.n, point.problem.u, point.model.n_edges,
                          replicas=eng.replicas, iterations=eng.iterations,
                          algorithm=algorithm, disturbed=point.disturbance.active)
     outdir = _out_dir(args, res.config)
-    for point, algorithm, fname, label in calls:
-        alpha, beta = _plan(point, algorithm)
+    for (point, algorithm, fname, label), (alpha, beta) in zip(calls, plans):
         if point.rc is None:
             why = ("network is not connected in mean"
                    if not point.report.connected_in_mean

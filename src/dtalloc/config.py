@@ -233,6 +233,11 @@ class NetworkSection:
     theta: Numbers = 1.0                # scalar or per-edge list
 
 
+# the network key each topology does not read; a config that sets it, to
+# any value, is refused
+_UNREAD = {"complete": "edges", "ring": "edges", "edges": "proposal"}
+
+
 @dataclass
 class EngineSection:
     algorithm: Literal["dta", "wga"] = "dta"
@@ -292,6 +297,8 @@ def from_dict(d):
                      ("engine.replicas", eng.replicas)):
         if v < 1:
             raise ConfigError(f"{where} must be >= 1, got {_short(v)}")
+    if (unread := _UNREAD[net.topology]) in d["network"]:
+        raise ConfigError(f"network.{unread} does not apply to topology {net.topology!r}")
     if net.topology == "edges":
         if not net.edges:
             raise ConfigError("network.topology 'edges' needs a network.edges list")
@@ -313,8 +320,11 @@ def from_dict(d):
 
 
 def to_dict(cfg):
-    """The config as plain data, without the optional sections it leaves out."""
-    return {k: v for k, v in asdict(cfg).items() if v is not None}
+    """The config as plain data, without the optional sections it leaves out
+    or the network key its topology does not read."""
+    d = {k: v for k, v in asdict(cfg).items() if v is not None}
+    d["network"].pop(_UNREAD[cfg.network.topology])
+    return d
 
 
 def _check_depth(text):
@@ -523,21 +533,18 @@ def sweep_point(res, axis, value):
 
     alpha/beta sweeps multiply the plan of the configured algorithm by
     `value` (for wga that is `wga_alpha`, and there is no beta to sweep); a
-    theta sweep rebuilds the network with the activation probability set to
-    `value`, and its spectral report and rate constants with it (theta 0 is
-    allowed here — every link silent — so the boundary case can be
-    demonstrated).  `rc` is None at a theta point whose network is not
-    connected in mean, or whose constants `resolve` would refuse.
+    theta sweep replaces the resolved model's activation probabilities with
+    `value` in [0, 1], keeping its edge and weight arrays, and recomputes
+    the spectral report and rate constants (theta 0 -- every link silent --
+    is a sweep point only, so the boundary case can be demonstrated).  `rc`
+    is None at a theta point whose network is not connected in mean, or
+    whose constants `resolve` would refuse.
     """
     _number(value, f"sweep value for {axis}")
     if axis == "theta":
-        model = res.model
-        try:
-            model = build_model(model.n, model.edges, model.weights,
-                                np.full(model.n_edges, float(value)),
-                                allow_zero_theta=True)
-        except ValueError as exc:
-            raise ConfigError(f"sweep theta={_short(value)}: {exc}") from exc
+        if not 0 <= value <= 1:
+            raise ConfigError(f"sweep theta must lie in [0, 1], got {_short(value)}")
+        model = replace(res.model, theta=np.full(res.model.n_edges, float(value)))
         report = spectral_report(model)
         rc = (constants(res.problem.costs, report)
               if report.connected_in_mean else None)

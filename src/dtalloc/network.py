@@ -43,10 +43,8 @@ class NetworkModel:
                            minlength=self.n)
 
 
-def _validate(model, allow_zero_theta=False):
+def _validate(model):
     e = model.edges
-    if e.ndim != 2 or e.shape[1] != 2:
-        raise ValueError("edges must be an (E, 2) array")
     if e.shape[0] == 0 and model.n > 1:
         raise ValueError("a multi-agent model needs at least one edge")
     if np.any(e[:, 0] >= e[:, 1]) or np.any(e < 0) or np.any(e >= model.n):
@@ -58,9 +56,8 @@ def _validate(model, allow_zero_theta=False):
         raise ValueError("duplicate edges")
     if np.any(model.weights <= 0) or not np.all(np.isfinite(model.weights)):
         raise ValueError("negotiated weights must be finite and > 0")
-    lo = 0.0 if allow_zero_theta else np.nextafter(0.0, 1.0)
-    if not np.all((lo <= model.theta) & (model.theta <= 1.0)):
-        raise ValueError("theta must lie in (0, 1] (0 allowed only in sweeps)")
+    if not np.all((0.0 < model.theta) & (model.theta <= 1.0)):
+        raise ValueError("theta must lie in (0, 1]")
     # one weight >= 1 already loads its endpoints past 1; refusing it first
     # keeps the row sums below from overflowing on a huge weight
     if np.any(model.weights >= 1.0):
@@ -78,15 +75,18 @@ def _validate(model, allow_zero_theta=False):
         )
 
 
-def build_model(n, edges, weights, theta, allow_zero_theta=False):
-    """Assemble and validate a NetworkModel from per-edge data."""
+def build_model(n, edges, weights, theta):
+    """Assemble and validate a NetworkModel from per-edge data; every theta
+    lies in (0, 1].  A model with silent links (theta 0) is the built model
+    with its theta replaced, `dataclasses.replace(model, theta=...)`, as
+    `config.sweep_point` makes a theta sweep point."""
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
     # normalize orientation to i < j
     edges = np.sort(edges, axis=1)
     weights = np.broadcast_to(np.asarray(weights, float), (edges.shape[0],)).copy()
     theta = np.broadcast_to(np.asarray(theta, float), (edges.shape[0],)).copy()
     model = NetworkModel(n=int(n), edges=edges, weights=weights, theta=theta)
-    _validate(model, allow_zero_theta=allow_zero_theta)
+    _validate(model)
     return model
 
 

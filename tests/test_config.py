@@ -300,11 +300,20 @@ ONE_KEY_REFUSALS = [
      "disturbance.kind must be none|gaussian|laplace|impulse, got 'pink'"),
     ({"engine": {"replicas": 0}}, "engine.replicas must be >= 1, got 0"),
     ({"engine": {"iterations": 0}}, "engine.iterations must be >= 1, got 0"),
+    # a network key the topology does not read is refused by its presence
+    ({"network": {"topology": "complete", "n": 2, "edges": [[0, 1, 0.5]]}},
+     "network.edges does not apply to topology 'complete'"),
+    ({"network": {"topology": "ring", "n": 2, "edges": None}},
+     "network.edges does not apply to topology 'ring'"),
+    ({"network": {"topology": "edges", "edges": [[0, 1, 0.5]], "proposal": 0.1}},
+     "network.proposal does not apply to topology 'edges'"),
 ]
 
 
 @pytest.mark.parametrize("over,message", ONE_KEY_REFUSALS,
-                         ids=["kind-pink", "replicas-0", "iterations-0"])
+                         ids=["kind-pink", "replicas-0", "iterations-0",
+                              "edges-under-complete", "edges-null-under-ring",
+                              "proposal-under-edges"])
 def test_a_refusal_names_its_one_key(over, message):
     with pytest.raises(ConfigError) as info:
         from_dict(_minimal(**over))

@@ -58,6 +58,10 @@ def test_factory_validation():
         quadratic_costs([1.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         quadratic_costs([1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="a must be one value per agent"):
+        quadratic_costs([[1.0], [2.0]], [0.0, 0.0])
+    with pytest.raises(ValueError, match="b has u=2, expected 3"):
+        quadratic_costs([1.0, 2.0], np.zeros((2, 2)), u=3)
     with pytest.raises(ValueError, match="finite"):
         quadratic_costs([1.0, 1.0], [np.inf, 0.0])
     with pytest.raises(ValueError, match="finite"):

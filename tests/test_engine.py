@@ -379,16 +379,16 @@ def _sweep_cases():
             algorithm="dta", iterations=500, replicas=1, seed=res.config.seed,
             x0=res.x0)),
         "theta-sweep-with-zero": (main, [
-            (build_model(10, model10.edges, model10.weights, t,
-                         allow_zero_theta=True), alpha, beta)
+            (dataclasses.replace(model10, theta=np.full(model10.n_edges, t)),
+             alpha, beta)
             for t in (0.9, 0.3, 0.0)], dict(
             algorithm="dta", iterations=149, replicas=3, seed=15)),
         # points may differ in theta and the plan at once; the second one
         # diverges at step 7 while points with other thetas run on, beside
         # its masked lanes
         "mixed-theta-and-plan": (main, [
-            (build_model(10, model10.edges, model10.weights, t,
-                         allow_zero_theta=True), s * alpha, sb * beta)
+            (dataclasses.replace(model10, theta=np.full(model10.n_edges, t)),
+             s * alpha, sb * beta)
             for t, s, sb in ((0.9, 1.0, 1.0), (0.6, 2.0, 50.0),
                              (0.3, 0.5, 1.0), (0.0, 3.0, 1.0))], dict(
             algorithm="dta", iterations=1500, replicas=3, seed=15)),
@@ -952,7 +952,8 @@ def test_laplace_draws_variance_matched():
     n, u, T, R = 2, 5, 2000, 20
     prob = allocation_problem(quadratic_costs([1.0, 2.0], np.zeros((n, u))),
                               np.zeros((n, u)))
-    silent = build_model(n, [(0, 1)], [0.5], 0.0, allow_zero_theta=True)
+    silent = dataclasses.replace(build_model(n, [(0, 1)], [0.5], 1.0),
+                                 theta=np.zeros(1))
     spec = DisturbanceSpec("laplace", m_zeta=1.0, q_zeta=0.9999)
     res = run(prob, silent, algorithm="wga", alpha=0.3, iterations=T,
               replicas=R, seed=123, disturbance=spec, record_states=True)

@@ -1,5 +1,7 @@
 """Random mixing-matrix model: sampling, moments, spectra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dtalloc import (InfeasibleNetworkError, build_model, constants,
                      expected_square_matrix, expected_weight_matrix,
                      metropolis_weights, mixing_matrix, quadratic_costs,
                      spectral_report)
+from dtalloc.config import from_dict, resolve, sweep_point
 from dtalloc.network import complete_edges, ring_edges
 from naive_reference import naive_weight_matrix
 from network_oracles import (exact_expected_square,
@@ -184,7 +187,7 @@ def test_expected_square_has_the_bits_of_its_written_out_form():
         m = rng.uniform(0.05, 0.95, len(edges)) / np.maximum(
             deg[edges[:, 0]], deg[edges[:, 1]])
         theta = rng.choice([0.0, 1.0, 0.3, 0.8], len(edges))
-        model = build_model(n, edges, m, theta, allow_zero_theta=True)
+        model = dataclasses.replace(build_model(n, edges, m, 1.0), theta=theta)
         EW = np.eye(n)
         for (i, j), c in zip(edges, theta * m):
             EW[i, j] += c
@@ -247,8 +250,7 @@ def test_floor_is_clamped_above_minus_one():
 
 
 def test_single_agent_conventions():
-    model = build_model(1, np.zeros((0, 2), int), np.zeros(0), np.zeros(0),
-                        allow_zero_theta=True)
+    model = build_model(1, np.zeros((0, 2), int), np.zeros(0), np.zeros(0))
     rep = spectral_report(model)
     assert rep.lambda2_mean == 0.0 and rep.lambdan_mean == 0.0
     assert rep.lambdan_floor == 1.0
@@ -264,11 +266,20 @@ def test_disconnected_in_mean_is_flagged_and_rejected():
         constants(costs, rep)
 
 
-def test_zero_theta_needs_explicit_opt_in():
-    with pytest.raises(ValueError):
+def test_zero_theta_is_a_sweep_point_not_a_built_model():
+    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
         build_model(2, [[0, 1]], [0.3], [0.0])
-    model = build_model(2, [[0, 1]], [0.3], [0.0], allow_zero_theta=True)
-    assert not spectral_report(model).connected_in_mean
+    # a theta 0 sweep point is the resolved model with its theta replaced:
+    # the same edge and weight arrays, and no rate constants
+    res = resolve(from_dict({
+        "name": "silent", "cost": {"a": [1.0, 2.0], "b": [0.1, -0.1]},
+        "demand": [1.0, 1.0],
+        "network": {"topology": "complete", "n": 2, "proposal": 0.3, "theta": 0.8}}))
+    point = sweep_point(res, "theta", 0.0)
+    assert point.model.edges is res.model.edges
+    assert point.model.weights is res.model.weights
+    assert np.array_equal(point.model.theta, [0.0])
+    assert not point.report.connected_in_mean and point.rc is None
 
 
 def test_model_validation():
@@ -284,9 +295,10 @@ def test_model_validation():
         build_model(3, [[0, 1]], [-0.1], [0.5])         # negative weight
     with pytest.raises(ValueError):
         build_model(3, [[0, 1]], [0.1], [1.5])          # theta > 1
-    for allow_zero in (False, True):
-        with pytest.raises(ValueError):                 # theta NaN
-            build_model(3, [[0, 1]], [0.1], [np.nan], allow_zero_theta=allow_zero)
+    with pytest.raises(ValueError):                     # theta NaN
+        build_model(3, [[0, 1]], [0.1], [np.nan])
+    with pytest.raises(ValueError, match="at least one edge"):
+        build_model(3, np.zeros((0, 2), int), [], [])
     with pytest.raises(ValueError):
         # row load >= 1 breaks the diagonal positivity guarantee
         build_model(3, [[0, 1], [0, 2]], [0.6, 0.6], [0.5, 0.5])
